@@ -451,7 +451,7 @@ func benchBGemmTile(b *testing.B, ktile int) {
 	}
 	bitpack.PackVectorInto(in, vals)
 	out := make([]int32, k)
-	opts := kernels.BGemmOpts{Kernel: kernels.XorPop512, KTile: ktile}
+	opts := kernels.BGemmOpts{Width: kernels.W512, KTile: ktile}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kernels.BGemm(in, 1, wPacked.Words, k, bitpack.WordsFor(n), n, out, opts)
@@ -462,11 +462,10 @@ func BenchmarkAblationBGemmTile8(b *testing.B)    { benchBGemmTile(b, 8) }
 func BenchmarkAblationBGemmTile64(b *testing.B)   { benchBGemmTile(b, 64) }
 func BenchmarkAblationBGemmTile1024(b *testing.B) { benchBGemmTile(b, 1024) }
 
-// Ablation 6 — im2col binary conv with the scalar vs a wide kernel:
-// separates the layout effect from the vectorization effect.
+// Ablation 6 — im2col binary conv with the scalar vs the widest kernel
+// tier: separates the layout effect from the vectorization effect.
 func benchIm2colKernel(b *testing.B, f kernels.XorPopFunc) {
 	r := workload.NewRNG(benchSeed)
-	// 3·3·128 = 1152 bits = 18 words: divisible by 2, so W128 applies.
 	in := workload.PM1Tensor(r, 28, 28, 128)
 	filt := workload.PM1Filter(r, 64, 3, 3, 128)
 	bc := baseline.NewBinaryIm2colConv(filt, 1, 1)
@@ -478,7 +477,7 @@ func benchIm2colKernel(b *testing.B, f kernels.XorPopFunc) {
 }
 
 func BenchmarkAblationIm2colScalar(b *testing.B) { benchIm2colKernel(b, kernels.XorPop64) }
-func BenchmarkAblationIm2colW128(b *testing.B)   { benchIm2colKernel(b, kernels.XorPop128) }
+func BenchmarkAblationIm2colW512(b *testing.B)   { benchIm2colKernel(b, kernels.ForWidth(kernels.W512)) }
 
 // Ablation 7 — folded thresholds vs plain sign: batch-norm folding must
 // be free on the hot path (an integer compare either way).

@@ -7,6 +7,7 @@ import (
 	"bitflow/internal/bench"
 	"bitflow/internal/paperdata"
 	"bitflow/internal/sched"
+	"bitflow/internal/workload"
 )
 
 // runFig7 regenerates paper Fig. 7: single-core acceleration of the
@@ -14,7 +15,7 @@ import (
 // operator, for each Table IV benchmark.
 func runFig7(feat sched.Features) error {
 	fmt.Println("== Fig. 7: single-core vectorization speedup (float operator = 1x) ==")
-	t := bench.NewTable("op", "kernel", "float", "unopt-binary", "bitflow",
+	t := bench.NewTable("op", "packing", "kernel", "float", "unopt-binary", "bitflow",
 		"unopt accel", "bitflow accel", "vector gain", "paper(unopt)", "paper(bitflow)")
 	paper := map[string]paperdata.Fig7Row{}
 	for _, row := range paperdata.Fig7 {
@@ -38,7 +39,13 @@ func runFig7(feat sched.Features) error {
 			paperUnopt = fmt.Sprintf("%.0fx%s", p.Unoptimized, approxMark(p.Approx))
 			paperOpt = fmt.Sprintf("%.0fx%s", p.BitFlow, approxMark(p.Approx))
 		}
-		t.Row(cfg.Name, or.plan.Width,
+		// Pools OR packed words in plain Go; only conv and fc run a
+		// sweep kernel tier.
+		kernel := "-"
+		if cfg.Kind != workload.OpPool {
+			kernel = or.plan.Tier.String()
+		}
+		t.Row(cfg.Name, or.plan.Width, kernel,
 			bench.Ms(tFloat), bench.Ms(tUnopt), bench.Ms(tBitflow),
 			bench.Speedup(tFloat, tUnopt), bench.Speedup(tFloat, tBitflow),
 			fmt.Sprintf("%.2fx", gain),

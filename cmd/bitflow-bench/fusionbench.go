@@ -78,6 +78,16 @@ func poolNet(feat sched.Features, seed uint64) (*graph.Network, error) {
 		Build(graph.RandomWeights{Seed: seed})
 }
 
+// runOpsBench is the full `ops` subcommand: the fused data-flow
+// comparison (BENCH_fusion.json) and the kernel-compression comparison
+// (BENCH_compress.json).
+func runOpsBench(feat sched.Features) error {
+	if err := runFusionBench(feat); err != nil {
+		return err
+	}
+	return runCompressBench(feat)
+}
+
 func runFusionBench(feat sched.Features) error {
 	type netCase struct {
 		name  string

@@ -12,7 +12,6 @@
 //	bitflow-bench batch   # extension: micro-batching throughput → BENCH_batch.json
 //	bitflow-bench exec    # extension: spawn-per-call vs pooled dispatch → BENCH_exec.json
 //	bitflow-bench ops     # extension: fused vs unfused conv+pool data-flow → BENCH_fusion.json,
-//	                      # before/after BCE kernel microbenches → BENCH_bce.json,
 //	                      # plus kernel compression (dedup of repeated packed
 //	                      # filter words) → BENCH_compress.json
 //	bitflow-bench all     # everything above

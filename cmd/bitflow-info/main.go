@@ -35,7 +35,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("  hardware detector: %s\n", feat)
 	fmt.Printf("  usable cores:      %d\n", bench.PhysicalCores())
-	fmt.Printf("  width cap env:     %s (set to 64/128/256/512 to emulate narrower machines)\n", sched.MaxWidthEnv)
+	fmt.Printf("  width cap env:     %s (set to 64/128/256/512 to cap the kernel tier below what the CPU executes)\n", sched.MaxWidthEnv)
 	fmt.Println()
 
 	rep := exec.Default().Report()
@@ -46,23 +46,23 @@ func main() {
 	fmt.Printf("  dispatches so far:  %d (busy now: %d)\n", rep.Dispatches, rep.Busy)
 	fmt.Println()
 
-	fmt.Println("kernel tiers (Table I analogue — Go multi-word kernels standing in for SIMD):")
-	kt := bench.NewTable("tier", "bits", "words/step", "simulates")
-	sim := map[kernels.Width]string{
-		kernels.W64:  "scalar bitwise ops (uint64 XOR + POPCNT)",
-		kernels.W128: "SSE _mm_xor_si128 + popcount",
-		kernels.W256: "AVX2 _mm256_xor_si256 + popcount",
-		kernels.W512: "AVX-512 _mm512_xor_si512 + _mm512_popcnt_epi64",
+	fmt.Println("kernel tiers (Table I — \"runs as\" is the kernel this CPU and build execute for the width):")
+	kt := bench.NewTable("width", "bits", "words/step", "kernel", "runs as")
+	impl := map[kernels.Width]string{
+		kernels.W64:  "pure Go: uint64 XOR + POPCNT",
+		kernels.W128: "packing width only (scalar kernel)",
+		kernels.W256: "AVX2 assembly: VPXOR + VPSHUFB nibble table + VPSADBW",
+		kernels.W512: "AVX-512 assembly: VPXORQ + VPOPCNTQ, masked tails",
 	}
 	for i := len(kernels.Widths) - 1; i >= 0; i-- {
 		w := kernels.Widths[i]
-		kt.Row(w, w.Bits(), w.Words(), sim[w])
+		kt.Row(w, w.Bits(), w.Words(), impl[w], w.Tier())
 	}
 	kt.Render(os.Stdout)
 	fmt.Println()
 
-	fmt.Println("operator → kernel mapping for the VGG channel ladder (Fig. 6):")
-	mt := bench.NewTable("operator", "channels", "kernel", "packed words", "pad lanes")
+	fmt.Println("operator → packing width (§III-B rules, Fig. 6) and the kernel tier its sweeps run at:")
+	mt := bench.NewTable("operator", "channels", "packing", "packed words", "pad lanes", "kernel tier")
 	rows := []struct {
 		op string
 		c  int
@@ -72,7 +72,7 @@ func main() {
 	}
 	for _, r := range rows {
 		p := sched.Select(r.c, feat)
-		mt.Row(r.op, r.c, p.Width, p.Words, p.PadLanes())
+		mt.Row(r.op, r.c, p.Width, p.Words, p.PadLanes(), p.Tier)
 	}
 	mt.Render(os.Stdout)
 	fmt.Println()

@@ -190,15 +190,14 @@ func TestBinaryIm2colQuick(t *testing.T) {
 }
 
 func TestBinaryIm2colWiderKernelStillCorrect(t *testing.T) {
-	// The ablation variant installs a wider kernel; results must be
-	// unchanged when the unfolded word count divides.
+	// The ablation variant installs the widest kernel tier; results must
+	// be unchanged (3*3*128 = 1152 bits = 18 words, a vector tail).
 	r := workload.NewRNG(65)
-	// 3*3*128 = 1152 bits = 18 words → divisible by 2 (W128).
 	in := workload.PM1Tensor(r, 5, 5, 128)
 	f := workload.PM1Filter(r, 3, 3, 3, 128)
 	bc := NewBinaryIm2colConv(f, 1, 1)
 	want := bc.Forward(in, 1)
-	bc.Kernel = kernels.XorPop128
+	bc.Kernel = kernels.ForWidth(kernels.W512)
 	got := bc.Forward(in, 1)
 	if !got.Equal(want) {
 		t.Error("wider kernel changed baseline results")

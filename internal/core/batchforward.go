@@ -8,157 +8,55 @@ import (
 	"bitflow/internal/kernels"
 )
 
-// This file implements the batched forward paths behind graph.InferBatch:
-// each operator processes B images per invocation, so its packed weights
-// stream through the cache once per layer per batch instead of once per
-// image, and the per-call dispatch overhead of the single-image kernels
-// amortizes across the batch (the operator-level consequence of the
-// paper's observation that binary kernels are throughput-bound). Per-image
+// This file implements the batched forward paths behind graph.InferBatch.
+// Dense layers process the batch as one bgemm with M = B, so each tile of
+// packed weight rows streams through the cache once per batch instead of
+// once per image. Conv layers run the single-image sweep driver image by
+// image inside one dispatch — the sweep already reads the whole filter
+// bank once per window, so there is nothing left for a batch dimension to
+// amortize but the dispatch. Per-image
 // arithmetic is identical word-for-word to the single-image paths, so
 // batched outputs are bit-identical to sequential ones.
 
 // ForwardPackedBatch runs ForwardPacked over B = len(ins) images in one
-// layer-major pass. For every output pixel the receptive fields of all B
-// images are gathered into contiguous blocks, then each packed filter is
-// applied to the whole batch with a single batched-kernel call. ins and
-// outs must be pairwise legal ForwardPacked arguments; buffers must not
-// alias across images. ec splits the fused OutH·OutW dimension, as in
-// ForwardPacked.
+// dispatch: each worker chunk walks its pixel range image by image. ins
+// and outs must be pairwise legal ForwardPacked arguments.
 func (cv *Conv) ForwardPackedBatch(ins, outs []*bitpack.Packed, ec *exec.Ctx) {
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", B, len(outs)))
+	if len(ins) == 0 || len(outs) != len(ins) {
+		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", len(ins), len(outs)))
 	}
-	if B == 1 {
-		cv.ForwardPacked(ins[0], outs[0], ec)
-		return
+	for b, in := range ins {
+		cv.checkPacked(in, outs[b])
 	}
-	s := cv.Shape
-	for b := 0; b < B; b++ {
-		cv.checkInput(ins[b])
-		if outs[b].H != s.OutH || outs[b].W != s.OutW || outs[b].C != s.OutC {
-			panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", outs[b], s.OutH, s.OutW, s.OutC))
-		}
-		if outs[b].WPP != outs[0].WPP {
-			panic("core: conv batch outputs disagree on words per pixel")
-		}
-	}
-	rowLen := cv.rowLen
-	S := s.KH * rowLen // gathered receptive-field words per image
-	packWPP := bitpack.WordsFor(s.K)
-	kernel := kernels.BatchForWidth(cv.Plan.Width)
-	fw := cv.filter.Words
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		// Per-worker scratch: gathered inputs (image-major, S words each),
-		// one accumulator per image, and the packed output words of the
-		// current pixel for every image.
-		gather := make([]uint64, B*S)     //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		accs := make([]int32, B)          //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		outW := make([]uint64, B*packWPP) //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			y0 := y*s.Stride - s.Pad
-			x0 := x*s.Stride - s.Pad
-			for b := 0; b < B; b++ {
-				w := ins[b].Words
-				dst := gather[b*S : (b+1)*S]
-				for i := 0; i < s.KH; i++ {
-					off := ins[b].PixelOffset(y0+i, x0)
-					copy(dst[i*rowLen:(i+1)*rowLen], w[off:off+rowLen])
-				}
-			}
-			kernels.ConvBatchEpilogue(kernel, gather, fw, S, n32, epi, accs, outW, packWPP)
-			for b := 0; b < B; b++ {
-				dst := outs[b].PixelWords(y, x)
-				n := copy(dst, outW[b*packWPP:(b+1)*packWPP])
-				for ; n < len(dst); n++ {
-					dst[n] = 0
-				}
-			}
+	ec.ParallelFor(cv.Shape.OutH*cv.Shape.OutW, func(start, end int) {
+		var sc convScratch
+		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		for b, in := range ins {
+			cv.packedRange(in, outs[b], win, acc, start, end)
 		}
 	})
 }
 
-// ForwardFusedBatch is ForwardFused over B images: the layer-major
-// batched sweep with the conv→threshold→binarize→max-pool epilogue, so
-// no lane ever materializes (or re-reads) the conv's intermediate plane.
-// A filter skips its batched kernel call only once every lane's bit has
-// saturated. pl must satisfy CanFusePool; outs take the pool's output
-// geometry.
+// ForwardFusedBatch is ForwardFused over B images in one dispatch. pl must
+// satisfy CanFusePool (nil degenerates to ForwardPackedBatch); outs take
+// the pool's output geometry.
 func (cv *Conv) ForwardFusedBatch(ins []*bitpack.Packed, pl *Pool, outs []*bitpack.Packed, ec *exec.Ctx) {
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", B, len(outs)))
-	}
-	if B == 1 {
-		cv.ForwardFused(ins[0], pl, outs[0], ec)
-		return
-	}
 	if pl == nil {
 		cv.ForwardPackedBatch(ins, outs, ec)
 		return
 	}
-	if !cv.CanFusePool(pl.Shape) {
-		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
+	if len(ins) == 0 || len(outs) != len(ins) {
+		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", len(ins), len(outs)))
 	}
-	s := cv.Shape
+	for b, in := range ins {
+		cv.checkFused(in, pl, outs[b])
+	}
 	p := pl.Shape
-	for b := 0; b < B; b++ {
-		cv.checkInput(ins[b])
-		if outs[b].H != p.OutH || outs[b].W != p.OutW || outs[b].C != p.OutC {
-			panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", outs[b], p.OutH, p.OutW, p.OutC))
-		}
-		if outs[b].WPP != outs[0].WPP {
-			panic("core: conv batch outputs disagree on words per pixel")
-		}
-	}
-	rowLen := cv.rowLen
-	S := s.KH * rowLen
-	packWPP := bitpack.WordsFor(s.K)
-	kernel := kernels.BatchForWidth(cv.Plan.Width)
-	fw := cv.filter.Words
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := p.OutH * p.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		gather := make([]uint64, B*S)     //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		accs := make([]int32, B)          //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		outW := make([]uint64, B*packWPP) //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		for idx := start; idx < end; idx++ {
-			py := idx / p.OutW
-			px := idx % p.OutW
-			for i := 0; i < p.KH; i++ {
-				cy := py*p.Stride + i
-				for j := 0; j < p.KW; j++ {
-					cx := px*p.Stride + j
-					y0 := cy*s.Stride - s.Pad
-					x0 := cx*s.Stride - s.Pad
-					for b := 0; b < B; b++ {
-						w := ins[b].Words
-						dst := gather[b*S : (b+1)*S]
-						for r := 0; r < s.KH; r++ {
-							off := ins[b].PixelOffset(y0+r, x0)
-							copy(dst[r*rowLen:(r+1)*rowLen], w[off:off+rowLen])
-						}
-					}
-					if i == 0 && j == 0 {
-						kernels.ConvBatchEpilogue(kernel, gather, fw, S, n32, epi, accs, outW, packWPP)
-					} else {
-						kernels.ConvBatchEpilogueOr(kernel, gather, fw, S, n32, epi, accs, outW, packWPP)
-					}
-				}
-			}
-			for b := 0; b < B; b++ {
-				dst := outs[b].PixelWords(py, px)
-				n := copy(dst, outW[b*packWPP:(b+1)*packWPP])
-				for ; n < len(dst); n++ {
-					dst[n] = 0
-				}
-			}
+	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
+		var sc convScratch
+		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		for b, in := range ins {
+			cv.fusedRange(in, p, outs[b], win, acc, start, end)
 		}
 	})
 }
@@ -221,7 +119,7 @@ func (d *Dense) ForwardBatch(ins [][]uint64, outs [][]int32, s *DenseBatchScratc
 		copy(a[b*d.Plan.Words:(b+1)*d.Plan.Words], ins[b])
 	}
 	out := s.prod[:B*d.Shape.K]
-	opts := kernels.BGemmOpts{Kernel: d.Plan.Kernel}
+	opts := kernels.BGemmOpts{Width: d.Plan.Tier}
 	kernels.BGemmExec(a, B, d.weights.Words, d.Shape.K, d.Plan.Words, d.Shape.N, out, opts, ec)
 	for b := 0; b < B; b++ {
 		copy(outs[b], out[b*d.Shape.K:(b+1)*d.Shape.K])

@@ -44,7 +44,7 @@ func (d *Dense) SetThresholds(th *Thresholds) error {
 		}
 	}
 	d.act = th
-	d.epi = th.Epilogue(d.Shape.K)
+	d.epi = th.Epilogue(d.Shape.K, d.Plan.Tier)
 	return nil
 }
 
@@ -85,7 +85,7 @@ func NewDensePacked(shape sched.FCShape, plan sched.Plan, pm *bitpack.PackedMatr
 	if pm.WPR != plan.Words {
 		return nil, fmt.Errorf("core: packed dense wpr=%d, plan wants %d", pm.WPR, plan.Words)
 	}
-	d := &Dense{Shape: shape, Plan: plan, weights: pm, epi: kernels.NewSignEpilogue(shape.K)}
+	d := &Dense{Shape: shape, Plan: plan, weights: pm, epi: (*Thresholds)(nil).Epilogue(shape.K, plan.Tier)}
 	d.pressStats = kernels.AnalyzeCompression(pm.Words, shape.K, pm.WPR)
 	if d.pressStats.Selectable() {
 		d.press = kernels.BuildCompressPlan(pm.Words, shape.K, pm.WPR)
@@ -120,7 +120,7 @@ func (d *Dense) Forward(in []uint64, out []int32, ec *exec.Ctx) {
 	if len(out) != d.Shape.K {
 		panic(fmt.Sprintf("core: dense output len %d, want K=%d", len(out), d.Shape.K))
 	}
-	opts := kernels.BGemmOpts{Kernel: d.Plan.Kernel}
+	opts := kernels.BGemmOpts{Width: d.Plan.Tier}
 	kernels.BGemmExec(in, 1, d.weights.Words, d.Shape.K, d.Plan.Words, d.Shape.N, out, opts, ec)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"bitflow/internal/bitpack"
 	"bitflow/internal/exec"
+	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
 )
@@ -33,6 +34,9 @@ type MultiBitConv struct {
 	Lo, Hi float32
 
 	conv *Conv // shared binary machinery over the packed planes
+	// rowsKernel accumulates XOR+popcount over all KH row segments of
+	// one filter in a single call (ForwardFused walks B planes per pixel).
+	rowsKernel kernels.XorPopRowsFunc
 	// weightSums[k] = Σ filter k's ±1 weights, for the offset term.
 	weightSums []int32
 }
@@ -53,6 +57,7 @@ func NewMultiBitConv(shape sched.ConvShape, plan sched.Plan, f *tensor.Filter, b
 	mb := &MultiBitConv{
 		Shape: shape, Plan: plan, Bits: bits, Lo: lo, Hi: hi,
 		conv:       cv,
+		rowsKernel: kernels.RowsForWidth(plan.Width),
 		weightSums: make([]int32, shape.K),
 	}
 	fb := f.Sign()
@@ -221,7 +226,7 @@ func (mb *MultiBitConv) ForwardFused(planes []*bitpack.Packed, thr []float32, ou
 		panic(fmt.Sprintf("core: multibit thresholds len %d, want K=%d", len(thr), s.K))
 	}
 	cv := mb.conv
-	f := cv.rowsKernel
+	f := mb.rowsKernel
 	n32 := int32(cv.validLanes)
 	rowLen := cv.rowLen
 	fstride := s.KH * rowLen

@@ -10,22 +10,21 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// maxKH bounds the filter height so per-pixel row slices fit in a fixed
-// stack array (no per-pixel allocation on the hot path).
+// maxKH bounds the filter height (the multi-bit and multi-base variants
+// keep their per-pixel row slices in a fixed stack array).
 const maxKH = 16
 
 // Conv is a PressedConv binary convolution operator: filters are packed
 // once at construction, inputs arrive as channel-packed bit tensors, and
-// every multiply-accumulate is an XOR + popcount at the scheduled vector
-// width.
+// every multiply-accumulate is an XOR + popcount. Each output pixel is
+// one gather of its receptive field into a contiguous window and one
+// kernel sweep of that window over all K packed filters, read in place,
+// on the machine's widest tier (Plan.Tier).
 type Conv struct {
 	Shape sched.ConvShape
 	Plan  sched.Plan
 
 	filter *bitpack.PackedFilter
-	// rowsKernel accumulates XOR+popcount over all KH row segments of
-	// one filter in a single call.
-	rowsKernel kernels.XorPopRowsFunc
 	// validLanes is KH*KW*C, the true lane count N of Equation 1 for a
 	// full filter application; channel-pad lanes are zero in both
 	// operands and contribute nothing.
@@ -36,9 +35,12 @@ type Conv struct {
 	// act is the folded activation of the packed path; nil means the
 	// plain Equation 3 sign.
 	act *Thresholds
-	// epi is act pre-compiled into the branchless fused epilogue the
-	// packed paths run; rebuilt by SetThresholds, never per inference.
-	epi *kernels.Epilogue
+	// epi is act pre-compiled into the fused epilogue over
+	// pre-activations (the compressed paths run it); popEpi is the same
+	// activation over raw XOR+popcount sums, which the plain paths
+	// threshold straight out of the sweep. Both are rebuilt by
+	// SetThresholds, never per inference.
+	epi, popEpi *kernels.Epilogue
 	// press is the kernel-compression plan compiled from the packed
 	// filter bank at construction when its duplication ratio clears
 	// kernels.CompressMinRatio (nil otherwise); pressStats always holds
@@ -57,7 +59,8 @@ func (cv *Conv) SetThresholds(th *Thresholds) error {
 		}
 	}
 	cv.act = th
-	cv.epi = th.Epilogue(cv.Shape.K)
+	cv.epi = th.Epilogue(cv.Shape.K, cv.Plan.Tier)
+	cv.popEpi = cv.epi.ForPopcounts(int32(cv.validLanes))
 	return nil
 }
 
@@ -100,10 +103,11 @@ func NewConvPacked(shape sched.ConvShape, plan sched.Plan, pf *bitpack.PackedFil
 		Shape:      shape,
 		Plan:       plan,
 		filter:     pf,
-		rowsKernel: kernels.RowsForWidth(plan.Width),
 		validLanes: shape.KH * shape.KW * shape.InC,
 		rowLen:     shape.KW * plan.Words,
-		epi:        kernels.NewSignEpilogue(shape.K),
+	}
+	if err := cv.SetThresholds(nil); err != nil {
+		return nil, err
 	}
 	fstride := shape.KH * cv.rowLen
 	cv.pressStats = kernels.AnalyzeCompression(pf.Words, shape.K, fstride)
@@ -139,6 +143,37 @@ func (cv *Conv) checkInput(in *bitpack.Packed) {
 	}
 }
 
+// convScratch is one worker chunk's gather window and accumulators. The
+// arrays cover every VGG layer (S ≤ 72 words, K ≤ 512 filters) and sit in
+// the chunk's frame — the kernels are reached by static calls, so nothing
+// here escapes; a larger operator pays one allocation pair per chunk.
+type convScratch struct {
+	win [80]uint64
+	acc [512]int32
+}
+
+// slices returns the chunk's S-word window and K-length accumulators.
+func (sc *convScratch) slices(cv *Conv) (win []uint64, acc []int32) {
+	S, K := cv.Shape.KH*cv.rowLen, cv.Shape.K
+	if S > len(sc.win) || K > len(sc.acc) {
+		return make([]uint64, S), make([]int32, K) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+	}
+	return sc.win[:S], sc.acc[:K]
+}
+
+// gather copies the receptive field whose top-left input pixel is
+// (y0, x0) — KH row segments of rowLen contiguous words each, pixels
+// along a row being adjacent in memory — into the contiguous window win,
+// in the packed filters' tap order.
+func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
+	rowLen := cv.rowLen
+	for i := 0; i < cv.Shape.KH && len(win) >= rowLen; i++ {
+		off := in.PixelOffset(y0+i, x0)
+		copy(win[:rowLen], in.Words[off:off+rowLen])
+		win = win[rowLen:]
+	}
+}
+
 // Forward computes raw pre-activation outputs into out (OutH×OutW×K).
 // Outputs are exact integer inner products stored as float32. ec
 // controls the multi-core split over the fused OutH·OutW dimension.
@@ -148,12 +183,22 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
 		panic(fmt.Sprintf("core: conv output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
 	}
+	n32 := int32(cv.validLanes)
+	fw := cv.filter.Words
+	tier := cv.Plan.Tier
 	total := s.OutH * s.OutW
 	ec.ParallelFor(total, func(start, end int) {
+		var sc convScratch
+		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
 		for idx := start; idx < end; idx++ {
 			y := idx / s.OutW
 			x := idx % s.OutW
-			cv.pixelInto(in, y, x, out.Pixel(y, x))
+			cv.gather(in, y*s.Stride-s.Pad, x*s.Stride-s.Pad, win)
+			kernels.Sweep(tier, win, fw, acc)
+			dst := out.Pixel(y, x)
+			for k, pop := range acc {
+				dst[k] = float32(n32 - 2*pop)
+			}
 		}
 	})
 }
@@ -162,68 +207,34 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 // bit-packed directly into out's interior (zero-cost padding for the next
 // layer: out's margins stay untouched). out must be OutH×OutW with C = K.
 func (cv *Conv) ForwardPacked(in *bitpack.Packed, out *bitpack.Packed, ec *exec.Ctx) {
+	cv.checkPacked(in, out)
+	ec.ParallelFor(cv.Shape.OutH*cv.Shape.OutW, func(start, end int) {
+		var sc convScratch
+		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		cv.packedRange(in, out, win, acc, start, end)
+	})
+}
+
+// checkPacked validates one ForwardPacked argument pair.
+func (cv *Conv) checkPacked(in, out *bitpack.Packed) {
 	cv.checkInput(in)
 	s := cv.Shape
 	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
 		panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
 	}
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		// One row-pointer scratch per worker chunk: the rows slice leaks
-		// into the indirect kernel call, so a per-pixel array would be a
-		// per-pixel heap allocation (`bitflow-vet codegen` enforces this).
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk, amortized across the chunk's pixels
-		rows := inRows[:s.KH]
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			cv.pixelPackedInto(in, rows, y, x, out.PixelWords(y, x))
-		}
-	})
 }
 
-// pixelInto computes the K inner products of output pixel (y, x) into dst.
-func (cv *Conv) pixelInto(in *bitpack.Packed, y, x int, dst []float32) {
+// packedRange is ForwardPacked over output pixels [start, end) of the
+// fused OutH·OutW dimension: gather, sweep, threshold-pack. win and acc
+// are the worker chunk's scratch.
+func (cv *Conv) packedRange(in, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
 	s := cv.Shape
-	f := cv.rowsKernel
-	n32 := int32(cv.validLanes)
-	rowLen := cv.rowLen
-	y0 := y*s.Stride - s.Pad
-	x0 := x*s.Stride - s.Pad
-	// Hoist the KH input row segments: each is a contiguous run of
-	// KW*WPP words (pixels along a row are adjacent in memory — the
-	// locality-aware layout at work).
-	var inRows [16][]uint64
-	rows := inRows[:s.KH]
-	for i := 0; i < s.KH; i++ {
-		off := in.PixelOffset(y0+i, x0)
-		rows[i] = in.Words[off : off+rowLen : off+rowLen]
+	for idx := start; idx < end; idx++ {
+		y := idx / s.OutW
+		x := idx % s.OutW
+		cv.gather(in, y*s.Stride-s.Pad, x*s.Stride-s.Pad, win)
+		kernels.ConvEpilogue(cv.Plan.Tier, win, cv.filter.Words, cv.popEpi, acc, out.PixelWords(y, x))
 	}
-	fw := cv.filter.Words
-	fstride := s.KH * rowLen // words per filter
-	for k := 0; k < s.K; k++ {
-		base := k * fstride
-		acc := f(rows, fw[base:base+fstride:base+fstride])
-		dst[k] = float32(n32 - 2*int32(acc))
-	}
-}
-
-// pixelPackedInto computes the K inner products of output pixel (y, x)
-// and writes threshold bits into the WPP words at dst via the fused
-// epilogue. Bits beyond K stay 0.
-// rows is caller-provided KH-length scratch (hoisted so the backing
-// array is allocated once per worker chunk, not per pixel).
-func (cv *Conv) pixelPackedInto(in *bitpack.Packed, rows [][]uint64, y, x int, dst []uint64) {
-	s := cv.Shape
-	rowLen := cv.rowLen
-	y0 := y*s.Stride - s.Pad
-	x0 := x*s.Stride - s.Pad
-	for i := 0; i < s.KH && i < len(rows); i++ {
-		off := in.PixelOffset(y0+i, x0)
-		rows[i] = in.Words[off : off+rowLen : off+rowLen]
-	}
-	kernels.ConvEpilogue(cv.rowsKernel, rows, cv.filter.Words, s.KH*rowLen,
-		int32(cv.validLanes), cv.epi, dst)
 }
 
 // CanFusePool reports whether a max-pool with shape ps can fuse into this
@@ -242,15 +253,25 @@ func (cv *Conv) CanFusePool(ps sched.PoolShape) bool {
 // ForwardFused is the fused conv → threshold → binarize → max-pool
 // forward: for each pool output pixel it runs the conv epilogue over the
 // window's positions, the first overwriting, the rest ORing threshold
-// bits in — with a filter's XOR+popcount skipped outright once its bit
-// saturates (OR is monotone). The conv's intermediate plane never
-// materializes. pl must satisfy CanFusePool; out takes the pool's output
-// geometry. A nil pl degenerates to ForwardPacked.
+// bits in. The conv's intermediate plane never materializes. pl must
+// satisfy CanFusePool; out takes the pool's output geometry. A nil pl
+// degenerates to ForwardPacked.
 func (cv *Conv) ForwardFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
 	if pl == nil {
 		cv.ForwardPacked(in, out, ec)
 		return
 	}
+	cv.checkFused(in, pl, out)
+	p := pl.Shape
+	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
+		var sc convScratch
+		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		cv.fusedRange(in, p, out, win, acc, start, end)
+	})
+}
+
+// checkFused validates one ForwardFused argument triple (pl non-nil).
+func (cv *Conv) checkFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) {
 	cv.checkInput(in)
 	if !cv.CanFusePool(pl.Shape) {
 		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
@@ -259,38 +280,29 @@ func (cv *Conv) ForwardFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, 
 	if out.H != p.OutH || out.W != p.OutW || out.C != p.OutC {
 		panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", out, p.OutH, p.OutW, p.OutC))
 	}
+}
+
+// fusedRange is ForwardFused over pool output pixels [start, end).
+func (cv *Conv) fusedRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
 	s := cv.Shape
-	rowLen := cv.rowLen
-	fstride := s.KH * rowLen
-	n32 := int32(cv.validLanes)
 	fw := cv.filter.Words
-	epi := cv.epi
-	f := cv.rowsKernel
-	total := p.OutH * p.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk; rows leaks into the indirect kernel call
-		rows := inRows[:s.KH]
-		for idx := start; idx < end; idx++ {
-			py := idx / p.OutW
-			px := idx % p.OutW
-			dst := out.PixelWords(py, px)
-			for i := 0; i < p.KH; i++ {
-				cy := py*p.Stride + i
-				for j := 0; j < p.KW; j++ {
-					cx := px*p.Stride + j
-					y0 := cy*s.Stride - s.Pad
-					x0 := cx*s.Stride - s.Pad
-					for r := 0; r < s.KH; r++ {
-						off := in.PixelOffset(y0+r, x0)
-						rows[r] = in.Words[off : off+rowLen : off+rowLen]
-					}
-					if i == 0 && j == 0 {
-						kernels.ConvEpilogue(f, rows, fw, fstride, n32, epi, dst)
-					} else {
-						kernels.ConvEpilogueOr(f, rows, fw, fstride, n32, epi, dst)
-					}
+	epi := cv.popEpi
+	tier := cv.Plan.Tier
+	for idx := start; idx < end; idx++ {
+		py := idx / p.OutW
+		px := idx % p.OutW
+		dst := out.PixelWords(py, px)
+		for i := 0; i < p.KH; i++ {
+			cy := py*p.Stride + i
+			for j := 0; j < p.KW; j++ {
+				cx := px*p.Stride + j
+				cv.gather(in, cy*s.Stride-s.Pad, cx*s.Stride-s.Pad, win)
+				if i == 0 && j == 0 {
+					kernels.ConvEpilogue(tier, win, fw, epi, acc, dst)
+				} else {
+					kernels.ConvEpilogueOr(tier, win, fw, epi, acc, dst)
 				}
 			}
 		}
-	})
+	}
 }

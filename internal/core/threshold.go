@@ -44,14 +44,19 @@ func (th *Thresholds) bit(c int, d int32) bool {
 	return d >= th.T[c]
 }
 
-// Epilogue compiles the activation into the branchless fused form the
-// kernels consume. A nil receiver yields the plain sign over k channels.
-// Called once at operator construction / SetThresholds time.
-func (th *Thresholds) Epilogue(k int) *kernels.Epilogue {
+// Epilogue compiles the activation into the fused form the kernels
+// consume, to run on the given kernel tier (the operator's Plan.Tier). A
+// nil receiver yields the plain sign over k channels. Called once at
+// operator construction / SetThresholds time.
+func (th *Thresholds) Epilogue(k int, tier kernels.Width) *kernels.Epilogue {
+	var e *kernels.Epilogue
 	if th == nil {
-		return kernels.NewSignEpilogue(k)
+		e = kernels.NewSignEpilogue(k)
+	} else {
+		e = kernels.NewEpilogue(th.T, th.Flip)
 	}
-	return kernels.NewEpilogue(th.T, th.Flip)
+	e.Tier = tier.Tier()
+	return e
 }
 
 // validate checks the channel count.

@@ -13,23 +13,19 @@ import (
 //   - B is packed transposed, so both inner operands stream linearly;
 //   - K-tiling keeps the active slab of B rows inside the L2 cache for
 //     large N (fc6: N = 25088 → wpr = 392 words = 3.1 KiB per row);
-//   - the column loop advances cursor slices instead of computing
-//     ki*wpr offsets, so the compiler proves every in-loop access in
-//     bounds (`bitflow-vet codegen`): the only checks left execute once
-//     per output row, after the shape was already pinned by panicSize.
+//   - each output row is one sweep of its packed A row over the tile's
+//     contiguous B rows, read in place: no per-column kernel call.
 
 // BGemmOpts tunes the blocked bgemm. Zero values select defaults.
 type BGemmOpts struct {
-	// Kernel is the XOR+popcount kernel; nil selects XorPop64.
-	Kernel XorPopFunc
+	// Width is the kernel tier the sweeps run at (resolved by
+	// Width.Tier); the zero value selects the pure-Go kernel.
+	Width Width
 	// KTile is the number of B rows per tile; 0 selects 64.
 	KTile int
 }
 
 func (o *BGemmOpts) fill() {
-	if o.Kernel == nil {
-		o.Kernel = XorPop64
-	}
 	if o.KTile <= 0 {
 		o.KTile = 64
 	}
@@ -53,7 +49,7 @@ func BGemm(a []uint64, m int, bT []uint64, k int, wpr, n int, out []int32, opts 
 	// next slab is touched.
 	for kt := 0; kt < k; kt += opts.KTile {
 		kEnd := min(kt+opts.KTile, k)
-		bgemmCols(a, m, bT, k, wpr, int32(n), out, opts.Kernel, kt, kEnd)
+		bgemmCols(a, m, bT, k, wpr, int32(n), out, opts.Width, kt, kEnd)
 	}
 }
 
@@ -79,31 +75,27 @@ func BGemmExec(a []uint64, m int, bT []uint64, k int, wpr, n int, out []int32, o
 	if len(out) != m*k {
 		panicSize("BGemmExec", "out", len(out), m*k)
 	}
-	// The closure captures only the kernel func and scalars — capturing
-	// opts itself (a method call on the addressable param) would move it
-	// to the heap on every call, a per-inference allocation the codegen
-	// gate rejects.
-	f := opts.Kernel
+	// The closure captures only scalars — capturing opts itself (a method
+	// call on the addressable param) would move it to the heap on every
+	// call, a per-inference allocation the codegen gate rejects.
+	w := opts.Width
 	n32 := int32(n)
 	ec.ParallelFor(k, func(k0, k1 int) {
-		bgemmCols(a, m, bT, k, wpr, n32, out, f, k0, k1)
+		bgemmCols(a, m, bT, k, wpr, n32, out, w, k0, k1)
 	})
 }
 
 // bgemmCols computes output columns [k0, k1) of every row: the serial
 // tile body and the per-worker body of the parallel split.
-func bgemmCols(a []uint64, m int, bT []uint64, k, wpr int, n32 int32, out []int32, f XorPopFunc, k0, k1 int) {
+func bgemmCols(a []uint64, m int, bT []uint64, k, wpr int, n32 int32, out []int32, w Width, k0, k1 int) {
 	if wpr <= 0 || k0 < 0 || k1 <= k0 {
 		return
 	}
+	tile := bT[k0*wpr : k1*wpr] //bitflow:bce-ok one slice per tile; shape pinned by the caller's panicSize preamble
 	for mi := 0; mi < m; mi++ {
 		arow := a[mi*wpr : (mi+1)*wpr] //bitflow:bce-ok one slice per output row; shape pinned by the caller's panicSize preamble
-		ocur := out[mi*k+k0 : mi*k+k1] //bitflow:bce-ok one slice per output row
-		bcur := bT[k0*wpr:]            //bitflow:bce-ok one slice per output row
-		for len(ocur) > 0 && len(bcur) >= wpr {
-			ocur[0] = n32 - 2*int32(f(arow, bcur[:wpr]))
-			ocur = ocur[1:]
-			bcur = bcur[wpr:]
-		}
+		orow := out[mi*k+k0 : mi*k+k1] //bitflow:bce-ok one slice per output row
+		Sweep(w, arow, tile, orow)
+		preacts(orow, n32)
 	}
 }

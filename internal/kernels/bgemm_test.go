@@ -55,16 +55,20 @@ func TestBGemmMatchesRef(t *testing.T) {
 
 func TestBGemmAllKernels(t *testing.T) {
 	r := workload.NewRNG(11)
-	m, k, wpr, n := 2, 37, 8, 512
-	a := randPacked(r, m, wpr, n)
-	bT := randPacked(r, k, wpr, n)
-	want := bgemmRef(a, m, bT, k, wpr, n)
-	for _, w := range Widths {
-		got := make([]int32, m*k)
-		BGemm(a, m, bT, k, wpr, n, got, BGemmOpts{Kernel: ForWidth(w)})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("kernel %v: out[%d] = %d want %d", w, i, got[i], want[i])
+	// Row lengths on and off the 4- and 8-word vector steps, K on and off
+	// the four-filter pass, tiles that cut K unevenly.
+	for _, wpr := range []int{8, 5, 11, 1} {
+		m, k, n := 2, 37, wpr*64-13
+		a := randPacked(r, m, wpr, n)
+		bT := randPacked(r, k, wpr, n)
+		want := bgemmRef(a, m, bT, k, wpr, n)
+		for _, w := range Widths {
+			got := make([]int32, m*k)
+			BGemm(a, m, bT, k, wpr, n, got, BGemmOpts{Width: w, KTile: 10})
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("wpr %d kernel %v: out[%d] = %d want %d", wpr, w, i, got[i], want[i])
+				}
 			}
 		}
 	}

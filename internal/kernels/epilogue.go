@@ -1,6 +1,10 @@
 package kernels
 
-import "bitflow/internal/bitpack"
+import (
+	"math"
+
+	"bitflow/internal/bitpack"
+)
 
 // This file is the fused binarization epilogue of the forward data-flow
 // overhaul (Vorabbi et al., "Optimizing data-flow in Binary Neural
@@ -11,21 +15,19 @@ import "bitflow/internal/bitpack"
 // so packed bits are written straight into the next layer's input buffer
 // and no intermediate plane exists.
 //
-// The comparison is branchless. A folded batch-norm activation is
+// The comparison is one signed test per channel. A folded batch-norm
+// activation is
 //
 //	bit = d ≥ T[c]        (γ > 0)
 //	bit = d ≤ T[c]        (γ < 0, "flipped")
 //
 // and d ≤ T is exactly ¬(d ≥ T+1), so a flipped channel stores T+1 and
-// XORs its bit. Thresholds are widened to int64 at construction: T+1
-// would overflow int32 at T = MaxInt32, and the pre-activation d (≤ 2³¹)
-// subtracts safely in 64 bits.
-//
-// The packing loops are word-major: thresholds, flip words, and output
-// words advance as cursor slices, one word of up to 64 channels per outer
-// step, so the compiler proves every per-channel access in bounds
-// (`bitflow-vet codegen`). The only annotated checks left run once per
-// filter or per word, amortized over a whole kernel call.
+// XORs its bit. T = MaxInt32 has no int32 successor, but d ≤ MaxInt32
+// holds for every d, so that channel is stored as the straight,
+// always-true threshold MinInt32 instead. With every threshold an int32
+// the test vectorises: one VPCMPD decides 16 channels into a mask
+// register (geBitsAVX512), VPCMPGTD + VMOVMSKPS eight (geBitsAVX2), and
+// geBits64 is the branchless pure-Go form both are fuzzed against.
 
 // Epilogue is a pre-compiled compare-threshold → set-bit pass over K
 // output channels. Build one per operator at construction/SetThresholds
@@ -33,22 +35,24 @@ import "bitflow/internal/bitpack"
 type Epilogue struct {
 	// K is the channel count; bits beyond K are cleared by Pack.
 	K int
-	// T holds the adjusted per-channel thresholds: T[c] for straight
-	// channels, T[c]+1 for flipped ones (see file comment).
-	T []int64
+	// T holds the adjusted per-channel thresholds (see file comment).
+	T []int32
 	// Flip packs the per-channel inversion bits, one word per 64
 	// channels, aligned with the packed output words.
 	Flip []uint64
+	// Tier is the resolved kernel tier (Width.Tier) Pack and PackOr run
+	// at. The constructors pick the widest one the CPU executes.
+	Tier Width
 }
 
 // NewSignEpilogue returns the plain Equation 3 sign activation (d ≥ 0)
 // over k channels.
 func NewSignEpilogue(k int) *Epilogue {
-	return &Epilogue{K: k, T: make([]int64, k), Flip: make([]uint64, bitpack.WordsFor(k))} //bitflow:alloc-ok constructor, runs once at operator build time, never per inference
+	return &Epilogue{K: k, T: make([]int32, k), Flip: make([]uint64, bitpack.WordsFor(k)), Tier: W512.Tier()} //bitflow:alloc-ok constructor, runs once at operator build time, never per inference
 }
 
 // NewEpilogue compiles per-channel int32 thresholds and flip flags into
-// the branchless form. t and flip must have equal length.
+// the straight-compare form. t and flip must have equal length.
 //
 //bitflow:bce-ok constructor, runs once at operator build time, never per inference
 func NewEpilogue(t []int32, flip []bool) *Epilogue {
@@ -57,60 +61,80 @@ func NewEpilogue(t []int32, flip []bool) *Epilogue {
 	}
 	e := NewSignEpilogue(len(t)) //bitflow:alloc-ok constructor, runs once at operator build time (inlined NewSignEpilogue allocations land on this line)
 	for c := range t {
-		e.T[c] = int64(t[c])
-		if flip[c] {
-			e.T[c]++ // d ≤ T  ⇔  ¬(d ≥ T+1)
+		switch {
+		case !flip[c]:
+			e.T[c] = t[c]
+		case t[c] == math.MaxInt32:
+			e.T[c] = math.MinInt32 // d ≤ MaxInt32 always holds
+		default:
+			e.T[c] = t[c] + 1 // d ≤ T  ⇔  ¬(d ≥ T+1)
 			e.Flip[c/bitpack.WordBits] |= 1 << uint(c%bitpack.WordBits)
 		}
 	}
 	return e
 }
 
-// wordChannels clamps one output word's channel count: at most WordBits,
-// never past the remaining thresholds or pre-activations. The explicit
-// clamp chain is what lets the BCE prover discharge every d[c]/t[c]
-// access in the word-major loops below.
-func wordChannels(nd, nt int) int {
-	kw := nd
-	if kw > nt {
-		kw = nt
+// ForPopcounts returns the epilogue that gives, on raw XOR+popcount sums
+// p, the bits e gives on the pre-activations d = n − 2p of Equation 1, so
+// a conv can threshold its sweep's counts without converting them first:
+// d ≥ T ⇔ p ≤ ⌊(n−T)/2⌋ ⇔ ¬(p ≥ ⌊(n−T)/2⌋+1) — each channel's
+// threshold moves into the count domain and its flip bit inverts.
+//
+//bitflow:bce-ok constructor, runs once at operator build time, never per inference
+func (e *Epilogue) ForPopcounts(n int32) *Epilogue {
+	p := NewSignEpilogue(e.K) //bitflow:alloc-ok constructor, runs once at operator build time
+	p.Tier = e.Tier
+	for c, t := range e.T {
+		p.T[c] = int32((int64(n)-int64(t))>>1 + 1) // >> floors; |n − T| < 2³² keeps the result in int32
 	}
-	if kw > bitpack.WordBits {
-		kw = bitpack.WordBits
+	for w, fl := range e.Flip {
+		p.Flip[w] = ^fl
 	}
-	return kw
+	if r := e.K % bitpack.WordBits; r != 0 {
+		p.Flip[len(p.Flip)-1] &= 1<<uint(r) - 1 // bits beyond K stay 0
+	}
+	return p
+}
+
+// geBits64 returns the word whose bit c is d[c] ≥ t[c], for up to 64
+// channels: the pure-Go tier of the threshold compare.
+func geBits64(d, t []int32) uint64 {
+	t = t[:len(d)] //bitflow:bce-ok preamble pin: proves len(t) == len(d), panics on mismatch
+	var word uint64
+	for c, v := range d {
+		ge := uint64(((int64(v)-int64(t[c]))>>63)+1) & 1
+		word |= ge << uint(c)
+	}
+	return word
+}
+
+// words validates one Pack/PackOr call and returns the WordsFor(K)
+// destination words the threshold bits land in.
+func (e *Epilogue) words(fn string, d []int32, dst []uint64) []uint64 {
+	if len(d) != e.K {
+		panicSize(fn, "d", len(d), e.K)
+	}
+	if len(e.T) != e.K {
+		panicSize(fn, "T", len(e.T), e.K)
+	}
+	if len(dst) < len(e.Flip) {
+		panicSize(fn, "dst", len(dst), len(e.Flip))
+	}
+	return dst[:len(e.Flip)] //bitflow:bce-ok once per call; cannot fail after the check above
 }
 
 // Pack writes the threshold bits of the K pre-activations d into dst,
 // overwriting it and clearing trailing words — the fused replacement for
 // a per-element Thresholds.bit pass.
 func (e *Epilogue) Pack(d []int32, dst []uint64) {
-	if len(d) != e.K {
-		panicSize("Epilogue.Pack", "d", len(d), e.K)
-	}
-	if len(dst) < bitpack.WordsFor(e.K) {
-		panicSize("Epilogue.Pack", "dst", len(dst), bitpack.WordsFor(e.K))
-	}
+	out := e.words("Epilogue.Pack", d, dst)
 	t := e.T
-	fl := e.Flip
-	out := dst
-	for len(d) > 0 && len(fl) > 0 && len(out) > 0 {
-		kw := wordChannels(len(d), len(t))
-		var word uint64
-		for c := 0; c < kw; c++ {
-			ge := uint64(((int64(d[c])-t[c])>>63)+1) & 1
-			word |= ge << uint(c)
-		}
-		out[0] = word ^ fl[0]
-		d = d[kw:]
-		t = t[kw:]
-		fl = fl[1:]
-		out = out[1:]
+	for w, fl := range e.Flip {
+		n := min(len(d), bitpack.WordBits)
+		out[w] = geBitsTier(e.Tier, d[:n], t[:n]) ^ fl //bitflow:bce-ok once per 64-channel word; len(t) == len(d) by the check in words
+		d, t = d[n:], t[n:]                            //bitflow:bce-ok once per 64-channel word
 	}
-	for len(out) > 0 {
-		out[0] = 0
-		out = out[1:]
-	}
+	clear(dst[len(out):]) //bitflow:bce-ok once per call
 }
 
 // PackOr ORs the threshold bits of d into dst without clearing — the
@@ -118,213 +142,32 @@ func (e *Epilogue) Pack(d []int32, dst []uint64) {
 // least WordsFor(K) words and already hold a previous window position's
 // bits (or zeros).
 func (e *Epilogue) PackOr(d []int32, dst []uint64) {
-	if len(d) != e.K {
-		panicSize("Epilogue.PackOr", "d", len(d), e.K)
-	}
-	if len(dst) < bitpack.WordsFor(e.K) {
-		panicSize("Epilogue.PackOr", "dst", len(dst), bitpack.WordsFor(e.K))
-	}
+	out := e.words("Epilogue.PackOr", d, dst)
 	t := e.T
-	fl := e.Flip
-	out := dst
-	for len(d) > 0 && len(fl) > 0 && len(out) > 0 {
-		kw := wordChannels(len(d), len(t))
-		var word uint64
-		for c := 0; c < kw; c++ {
-			ge := uint64(((int64(d[c])-t[c])>>63)+1) & 1
-			word |= ge << uint(c)
-		}
-		out[0] |= word ^ fl[0]
-		d = d[kw:]
-		t = t[kw:]
-		fl = fl[1:]
-		out = out[1:]
+	for w, fl := range e.Flip {
+		n := min(len(d), bitpack.WordBits)
+		out[w] |= geBitsTier(e.Tier, d[:n], t[:n]) ^ fl //bitflow:bce-ok once per 64-channel word; len(t) == len(d) by the check in words
+		d, t = d[n:], t[n:]                             //bitflow:bce-ok once per 64-channel word
 	}
 }
 
-// ConvEpilogue runs the accumulate→threshold→set-bit ladder for one
-// output pixel: for each of e.K filters it XOR+popcounts the gathered
-// input rows against the filter block and writes the threshold bit into
-// dst, overwriting dst fully (trailing words cleared). f is the
-// width-ladder rows kernel, fw the packed filter bank (fstride words per
-// filter), n32 the valid lane count N of Equation 1.
-func ConvEpilogue(f XorPopRowsFunc, rows [][]uint64, fw []uint64, fstride int, n32 int32, e *Epilogue, dst []uint64) {
-	if len(fw) < e.K*fstride {
-		panicSize("ConvEpilogue", "fw", len(fw), e.K*fstride)
-	}
-	if len(dst) < bitpack.WordsFor(e.K) {
-		panicSize("ConvEpilogue", "dst", len(dst), bitpack.WordsFor(e.K))
-	}
-	t := e.T
-	fl := e.Flip
-	out := dst
-	fwk := fw
-	n := int64(n32)
-	for len(t) > 0 && len(fl) > 0 && len(out) > 0 {
-		kw := wordChannels(len(t), len(t))
-		var word uint64
-		for c := 0; c < kw && len(fwk) >= fstride; c++ {
-			acc := f(rows, fwk[:fstride:fstride]) //bitflow:bce-ok once per filter, amortized over the fstride-word kernel call
-			fwk = fwk[fstride:]                   //bitflow:bce-ok advances past the consumed filter; cannot fail under the loop guard
-			d := n - 2*int64(acc)
-			ge := uint64(((d-t[c])>>63)+1) & 1
-			word |= ge << uint(c)
-		}
-		out[0] = word ^ fl[0]
-		t = t[kw:]
-		fl = fl[1:]
-		out = out[1:]
-	}
-	for len(out) > 0 {
-		out[0] = 0
-		out = out[1:]
-	}
+// ConvEpilogue runs the accumulate→threshold→set-bit pass for one output
+// pixel: one sweep of the gathered window win over the e.K filter blocks
+// of fw (len(win) words each) on tier w, then Pack on the raw counts,
+// overwriting dst fully (trailing words cleared). e must therefore be a
+// count-domain epilogue (ForPopcounts of the operator's activation and
+// lane count); acc is caller-owned K-length scratch.
+func ConvEpilogue(w Width, win, fw []uint64, e *Epilogue, acc []int32, dst []uint64) {
+	Sweep(w, win, fw, acc)
+	e.Pack(acc, dst)
 }
 
 // ConvEpilogueOr is ConvEpilogue for the remaining positions of a pool
-// window: threshold bits OR into dst (max-pool commutes with sign).
-// Because OR is monotone, a filter whose destination bit is already set
-// cannot change the result — its XOR+popcount is skipped entirely. On
-// typical activations roughly half the filters of each later window
-// position short-circuit, which is where the fused path's speedup over
-// conv-then-pool comes from.
-func ConvEpilogueOr(f XorPopRowsFunc, rows [][]uint64, fw []uint64, fstride int, n32 int32, e *Epilogue, dst []uint64) {
-	if len(fw) < e.K*fstride {
-		panicSize("ConvEpilogueOr", "fw", len(fw), e.K*fstride)
-	}
-	if len(dst) < bitpack.WordsFor(e.K) {
-		panicSize("ConvEpilogueOr", "dst", len(dst), bitpack.WordsFor(e.K))
-	}
-	t := e.T
-	fl := e.Flip
-	out := dst
-	fwk := fw
-	n := int64(n32)
-	for len(t) > 0 && len(fl) > 0 && len(out) > 0 {
-		kw := wordChannels(len(t), len(t))
-		// out already lives in the post-flip domain, so flip is applied
-		// per channel: a whole-word XOR would corrupt the bits
-		// accumulated by earlier window positions.
-		have := out[0]
-		flip := fl[0]
-		for c := 0; c < kw && len(fwk) >= fstride; c++ {
-			if have&(uint64(1)<<uint(c)) != 0 {
-				fwk = fwk[fstride:] //bitflow:bce-ok skip advance, guarded by the loop condition
-				continue            // already 1: OR can't change it, skip the popcounts
-			}
-			acc := f(rows, fwk[:fstride:fstride]) //bitflow:bce-ok once per filter, amortized over the fstride-word kernel call
-			fwk = fwk[fstride:]                   //bitflow:bce-ok advances past the consumed filter; cannot fail under the loop guard
-			d := n - 2*int64(acc)
-			ge := uint64(((d-t[c])>>63)+1) & 1
-			b := ge ^ (flip >> uint(c) & 1)
-			have |= b << uint(c)
-		}
-		out[0] = have
-		t = t[kw:]
-		fl = fl[1:]
-		out = out[1:]
-	}
-}
-
-// ConvBatchEpilogue runs the batched accumulate→threshold→set-bit ladder
-// for one output pixel across B images: gather holds the B receptive
-// fields (S words each, image-major), kernel is the width-ladder batch
-// kernel, accs is B-length popcount scratch, and out receives B packed
-// pixels of outWPP words each, overwritten fully.
-func ConvBatchEpilogue(kernel XorPopBatchFunc, gather, fw []uint64, S int, n32 int32, e *Epilogue, accs []int32, out []uint64, outWPP int) {
-	B := len(accs)
-	if len(gather) != B*S {
-		panicSize("ConvBatchEpilogue", "gather", len(gather), B*S)
-	}
-	if len(fw) < e.K*S {
-		panicSize("ConvBatchEpilogue", "fw", len(fw), e.K*S)
-	}
-	if len(out) != B*outWPP {
-		panicSize("ConvBatchEpilogue", "out", len(out), B*outWPP)
-	}
-	clear(out)
-	t := e.T
-	fl := e.Flip
-	fwk := fw
-	n := int64(n32)
-	for k := 0; k < e.K && k < len(t) && len(fwk) >= S; k++ {
-		kernel(gather, fwk[:S:S], accs) //bitflow:bce-ok once per filter, amortized over the batched S-word kernel call
-		fwk = fwk[S:]                   //bitflow:bce-ok advances past the consumed filter; cannot fail under the loop guard
-		wi := k / bitpack.WordBits
-		sh := uint(k % bitpack.WordBits)
-		var flip uint64
-		if wi < len(fl) {
-			flip = fl[wi] >> sh & 1 //bitflow:bce-ok once per filter; the prover cannot see k/WordBits >= 0 through the division
-		}
-		o := out[wi:] //bitflow:bce-ok one scatter cursor per filter; in range whenever out spans WordsFor(K) words per image
-		for b := 0; b < len(accs) && len(o) > 0; b++ {
-			d := n - 2*int64(accs[b])
-			ge := uint64(((d-t[k])>>63)+1) & 1
-			o[0] |= (ge ^ flip) << sh
-			if len(o) <= outWPP {
-				break
-			}
-			o = o[outWPP:] //bitflow:bce-ok strides to the next image's word; guarded by the break above
-		}
-	}
-}
-
-// ConvBatchEpilogueOr is ConvBatchEpilogue for the remaining positions of
-// a pool window: bits OR into out (no clear). A filter is skipped only
-// when every image in the batch already has its bit set — partial
-// saturation still pays one batched kernel call, but fully saturated
-// filters (common deep in a window) skip the popcounts for the whole
-// batch.
-func ConvBatchEpilogueOr(kernel XorPopBatchFunc, gather, fw []uint64, S int, n32 int32, e *Epilogue, accs []int32, out []uint64, outWPP int) {
-	B := len(accs)
-	if len(gather) != B*S {
-		panicSize("ConvBatchEpilogueOr", "gather", len(gather), B*S)
-	}
-	if len(fw) < e.K*S {
-		panicSize("ConvBatchEpilogueOr", "fw", len(fw), e.K*S)
-	}
-	if len(out) != B*outWPP {
-		panicSize("ConvBatchEpilogueOr", "out", len(out), B*outWPP)
-	}
-	t := e.T
-	fl := e.Flip
-	fwk := fw
-	n := int64(n32)
-	for k := 0; k < e.K && k < len(t) && len(fwk) >= S; k++ {
-		wi := k / bitpack.WordBits
-		sh := uint(k % bitpack.WordBits)
-		mask := uint64(1) << sh
-		saturated := true
-		o := out[wi:] //bitflow:bce-ok one scan cursor per filter; in range whenever out spans WordsFor(K) words per image
-		for b := 0; b < len(accs) && len(o) > 0; b++ {
-			if o[0]&mask == 0 {
-				saturated = false
-				break
-			}
-			if len(o) <= outWPP {
-				break
-			}
-			o = o[outWPP:] //bitflow:bce-ok strides to the next image's word; guarded by the break above
-		}
-		if saturated {
-			fwk = fwk[S:] //bitflow:bce-ok skip advance, guarded by the loop condition
-			continue      // every lane already 1: OR can't change any of them
-		}
-		kernel(gather, fwk[:S:S], accs) //bitflow:bce-ok once per filter, amortized over the batched S-word kernel call
-		fwk = fwk[S:]                   //bitflow:bce-ok advances past the consumed filter; cannot fail under the loop guard
-		var flip uint64
-		if wi < len(fl) {
-			flip = fl[wi] >> sh & 1
-		}
-		o = out[wi:] //bitflow:bce-ok one scatter cursor per filter; in range whenever out spans WordsFor(K) words per image
-		for b := 0; b < len(accs) && len(o) > 0; b++ {
-			d := n - 2*int64(accs[b])
-			ge := uint64(((d-t[k])>>63)+1) & 1
-			o[0] |= (ge ^ flip) << sh
-			if len(o) <= outWPP {
-				break
-			}
-			o = o[outWPP:] //bitflow:bce-ok strides to the next image's word; guarded by the break above
-		}
-	}
+// window: threshold bits OR into dst (max-pool commutes with sign). The
+// sweep is unconditional — skipping filters whose bit is already set
+// would be bit-exact too (OR is monotone), but testing 64 destination
+// bits per word costs more than sweeping them at vector speed.
+func ConvEpilogueOr(w Width, win, fw []uint64, e *Epilogue, acc []int32, dst []uint64) {
+	Sweep(w, win, fw, acc)
+	e.PackOr(acc, dst)
 }

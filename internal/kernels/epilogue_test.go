@@ -113,62 +113,37 @@ func (c *epilogueCase) refFused() []uint64 {
 
 func checkCase(t *testing.T, c epilogueCase) {
 	t.Helper()
-	e := NewEpilogue(c.t, c.flip)
 	wpp := bitpack.WordsFor(c.K)
 	want := c.refFused()
-
-	// Serial fused path: first position overwrites, the rest OR in.
-	dst := make([]uint64, wpp+1) // +1 trailing word must be cleared by ConvEpilogue
-	for i := range dst {
-		dst[i] = ^uint64(0) // poison: stale bits must not survive
-	}
-	for p, rows := range c.windows {
-		if p == 0 {
-			ConvEpilogue(XorPopRows64, rows, c.fw, c.fstride(), int32(c.n), e, dst)
-		} else {
-			ConvEpilogueOr(XorPopRows64, rows, c.fw, c.fstride(), int32(c.n), e, dst)
+	win := make([]uint64, 0, c.fstride())
+	acc := make([]int32, c.K)
+	for _, tier := range tiers() {
+		e := NewEpilogue(c.t, c.flip).ForPopcounts(int32(c.n))
+		e.Tier = tier
+		// First position overwrites, the rest OR in.
+		dst := make([]uint64, wpp+1) // +1 trailing word must be cleared by ConvEpilogue
+		for i := range dst {
+			dst[i] = ^uint64(0) // poison: stale bits must not survive
 		}
-	}
-	for w := 0; w < wpp; w++ {
-		if dst[w] != want[w] {
-			t.Fatalf("ConvEpilogue(+Or) word %d = %016x, want %016x (K=%d KH=%d rowLen=%d n=%d pos=%d)",
-				w, dst[w], want[w], c.K, c.KH, c.rowLen, c.n, len(c.windows))
-		}
-	}
-	if dst[wpp] != 0 {
-		t.Fatalf("ConvEpilogue left trailing word %016x, want 0", dst[wpp])
-	}
-
-	// Batched fused path with B copies of the same image must agree with
-	// the serial answer lane-for-lane.
-	B := 3
-	S := c.fstride()
-	gather := make([]uint64, B*S)
-	accs := make([]int32, B)
-	out := make([]uint64, B*wpp)
-	for i := range out {
-		out[i] = ^uint64(0)
-	}
-	for p, rows := range c.windows {
-		for b := 0; b < B; b++ {
-			off := 0
+		for p, rows := range c.windows {
+			win = win[:0]
 			for _, r := range rows {
-				copy(gather[b*S+off:], r)
-				off += len(r)
+				win = append(win, r...)
+			}
+			if p == 0 {
+				ConvEpilogue(tier, win, c.fw, e, acc, dst)
+			} else {
+				ConvEpilogueOr(tier, win, c.fw, e, acc, dst)
 			}
 		}
-		if p == 0 {
-			ConvBatchEpilogue(XorPopBatch64, gather, c.fw, S, int32(c.n), e, accs, out, wpp)
-		} else {
-			ConvBatchEpilogueOr(XorPopBatch64, gather, c.fw, S, int32(c.n), e, accs, out, wpp)
-		}
-	}
-	for b := 0; b < B; b++ {
 		for w := 0; w < wpp; w++ {
-			if out[b*wpp+w] != want[w] {
-				t.Fatalf("ConvBatchEpilogue(+Or) lane %d word %d = %016x, want %016x",
-					b, w, out[b*wpp+w], want[w])
+			if dst[w] != want[w] {
+				t.Fatalf("%v: ConvEpilogue(+Or) word %d = %016x, want %016x (K=%d KH=%d rowLen=%d n=%d pos=%d)",
+					tier, w, dst[w], want[w], c.K, c.KH, c.rowLen, c.n, len(c.windows))
 			}
+		}
+		if dst[wpp] != 0 {
+			t.Fatalf("%v: ConvEpilogue left trailing word %016x, want 0", tier, dst[wpp])
 		}
 	}
 }
@@ -180,68 +155,77 @@ func TestConvEpilogueMatchesReference(t *testing.T) {
 	}
 }
 
-func TestPackMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		K := 1 + rng.Intn(200)
-		tv := make([]int32, K)
-		flip := make([]bool, K)
-		d := make([]int32, K)
-		for k := 0; k < K; k++ {
-			switch rng.Intn(6) {
-			case 0:
-				tv[k] = math.MaxInt32
-			case 1:
-				tv[k] = math.MinInt32
-			default:
-				tv[k] = int32(rng.Intn(100) - 50)
+// checkPack pins Pack and PackOr on every tier this CPU executes to the
+// two-branch reference (d ≥ T, or d ≤ T when flipped), compared in 64
+// bits so thresholds at ±MaxInt32 cannot hide an overflow.
+func checkPack(t *testing.T, d, d2, tv []int32, flip []bool) {
+	t.Helper()
+	K := len(d)
+	wpp := bitpack.WordsFor(K)
+	ref := func(d []int32) []uint64 {
+		bits := make([]bool, K)
+		for k := range bits {
+			if flip[k] {
+				bits[k] = int64(d[k]) <= int64(tv[k])
+			} else {
+				bits[k] = int64(d[k]) >= int64(tv[k])
 			}
-			flip[k] = rng.Intn(2) == 0
-			d[k] = int32(rng.Intn(100) - 50)
 		}
+		return packBools(bits, wpp)
+	}
+	want, want2 := ref(d), ref(d2)
+	for _, tier := range tiers() {
 		e := NewEpilogue(tv, flip)
-		wpp := bitpack.WordsFor(K)
+		e.Tier = tier
 		dst := make([]uint64, wpp+1)
 		for i := range dst {
 			dst[i] = ^uint64(0)
 		}
 		e.Pack(d, dst)
-		want := make([]uint64, wpp)
-		for k := 0; k < K; k++ {
-			var on bool
-			if flip[k] {
-				on = d[k] <= tv[k]
-			} else {
-				on = d[k] >= tv[k]
-			}
-			if on {
-				want[k/bitpack.WordBits] |= 1 << uint(k%bitpack.WordBits)
-			}
-		}
 		for w := 0; w < wpp; w++ {
 			if dst[w] != want[w] {
-				t.Fatalf("Pack word %d = %016x, want %016x (K=%d)", w, dst[w], want[w], K)
+				t.Fatalf("%v: Pack word %d = %016x, want %016x (K=%d)", tier, w, dst[w], want[w], K)
 			}
 		}
 		if dst[wpp] != 0 {
-			t.Fatalf("Pack left trailing word %016x, want 0", dst[wpp])
+			t.Fatalf("%v: Pack left trailing word %016x, want 0", tier, dst[wpp])
 		}
-
-		// PackOr over two halves must equal the OR of two Packs.
-		d2 := make([]int32, K)
-		for k := range d2 {
-			d2[k] = int32(rng.Intn(100) - 50)
-		}
-		or := make([]uint64, wpp)
-		e.Pack(d, or)
-		e.PackOr(d2, or)
-		tmp := make([]uint64, wpp)
-		e.Pack(d2, tmp)
+		// PackOr of a second plane must equal the OR of two Packs.
+		e.PackOr(d2, dst)
 		for w := 0; w < wpp; w++ {
-			if or[w] != want[w]|tmp[w] {
-				t.Fatalf("PackOr word %d = %016x, want %016x", w, or[w], want[w]|tmp[w])
+			if dst[w] != want[w]|want2[w] {
+				t.Fatalf("%v: PackOr word %d = %016x, want %016x (K=%d)", tier, w, dst[w], want[w]|want2[w], K)
 			}
 		}
+	}
+}
+
+func TestPackMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	// extreme draws the values where the T+1 adjustment and a 32-bit
+	// compare could go wrong, otherwise a small range with many ties.
+	extreme := func() int32 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.MaxInt32
+		case 1:
+			return math.MinInt32
+		case 2:
+			return math.MaxInt32 - 1
+		}
+		return int32(rng.Intn(100) - 50)
+	}
+	for trial := 0; trial < 300; trial++ {
+		K := 1 + rng.Intn(200) // mostly off the 16- and 64-channel steps
+		tv := make([]int32, K)
+		flip := make([]bool, K)
+		d := make([]int32, K)
+		d2 := make([]int32, K)
+		for k := 0; k < K; k++ {
+			tv[k], d[k], d2[k] = extreme(), extreme(), extreme()
+			flip[k] = rng.Intn(2) == 0
+		}
+		checkPack(t, d, d2, tv, flip)
 	}
 }
 
@@ -270,8 +254,8 @@ func FuzzFusedEpilogue(f *testing.F) {
 	})
 }
 
-// FuzzEpiloguePack checks Pack/PackOr against the two-branch reference
-// on raw byte-derived pre-activations and thresholds.
+// FuzzEpiloguePack checks Pack/PackOr on every available tier against the
+// two-branch reference on raw byte-derived pre-activations and thresholds.
 func FuzzEpiloguePack(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x00, 0x01, 0xFF, 0x7F, 0xFE, 0x10, 0x20, 0x30})
@@ -290,21 +274,10 @@ func FuzzEpiloguePack(f *testing.F) {
 			tv[k] = int32(binary.LittleEndian.Uint32(data[off+4:]))
 			flip[k] = data[off+8]&1 == 1
 		}
-		e := NewEpilogue(tv, flip)
-		wpp := bitpack.WordsFor(K)
-		dst := make([]uint64, wpp)
-		e.Pack(d, dst)
-		for k := 0; k < K; k++ {
-			var want bool
-			if flip[k] {
-				want = d[k] <= tv[k]
-			} else {
-				want = d[k] >= tv[k]
-			}
-			got := dst[k/bitpack.WordBits]>>uint(k%bitpack.WordBits)&1 == 1
-			if got != want {
-				t.Fatalf("channel %d: d=%d T=%d flip=%v: got %v, want %v", k, d[k], tv[k], flip[k], got, want)
-			}
+		d2 := make([]int32, K)
+		for k := range d2 {
+			d2[k] = tv[K-1-k]
 		}
+		checkPack(t, d, d2, tv, flip)
 	})
 }

@@ -2,34 +2,51 @@
 // binary GEMM built on them (paper gemm level, §IV; SIMD instruction
 // table, paper Table I).
 //
-// The paper's kernels use x86 vector intrinsics (_mm_xor_si128,
-// _mm256_xor_si256, _mm512_xor_si512, _mm512_popcnt_epi64). Go has no
-// intrinsics, so each vector width is reproduced as an unrolled
-// multi-word kernel: the W128 kernel XORs and popcounts 2×64-bit words
-// per loop step, W256 4 words, W512 8 words. math/bits.OnesCount64
-// compiles to the hardware POPCNT instruction on amd64, so the popcount
-// half of the paper's instruction mix is the real hardware instruction;
-// only the XOR width is emulated by unrolling. The performance *mechanism*
-// — amortizing loop overhead and exposing instruction-level parallelism
-// over more channel bits per iteration — is the same one the paper's
-// wider vector units exploit (see DESIGN.md §2).
+// One primitive does the work: the sweep (sweep.go). It XOR+popcounts one
+// contiguous S-word window against K consecutive S-word filter blocks and
+// writes the K counts, acc[k] = Σᵢ popcount(win[i] XOR filters[k·S+i]) —
+// a convolution window against its filter bank, a dense input row against
+// the weight rows, or (operands swapped) one filter against B gathered
+// windows. It exists in three tiers, chosen once at start-up from a
+// CPUID/XGETBV probe (cpu_amd64.go):
+//
+//   - W512: Go assembly on AVX-512 — _mm512_xor_si512 and
+//     _mm512_popcnt_epi64 of Table I (VPXORQ + VPOPCNTQ), four filters
+//     per pass, a masked load for the S mod 8 tail. Needs AVX512F, BW and
+//     VPOPCNTDQ with ZMM state enabled by the OS.
+//   - W256: Go assembly on AVX2 — VPXOR plus the VPSHUFB nibble-table
+//     popcount reduced by VPSADBW, for CPUs without a vector popcount.
+//   - W64: one pure-Go loop over math/bits.OnesCount64 (hardware POPCNT
+//     on amd64). It is the portable fallback — every build that is not
+//     amd64, or is built with -tags purego — and the oracle the assembly
+//     tiers are fuzzed against. W128 has no kernel of its own and runs
+//     this one.
+//
+// A Width names the tier a caller asks for; Width.Tier resolves it to the
+// widest of those three the CPU executes, so asking for W512 on an AVX2
+// machine is safe. The packing rule of §III-B (which widths divide a
+// channel count) stays in sched.Select; the sweeps mask their own tails
+// and so run at the machine's tier whatever the channel count.
+//
+// The Epilogue (epilogue.go) turns counts into the next layer's packed
+// bits on the same tiers. See DESIGN.md §2.
 package kernels
 
 import "fmt"
 
-// Width identifies a simulated vector width as the number of 64-bit words
-// processed per kernel step.
+// Width identifies a vector width as the number of 64-bit words one
+// kernel step covers.
 type Width int
 
 const (
 	// W64 is the scalar kernel: one uint64 per step ("intrinsic bitwise
 	// instruction" tier of the scheduler rules, paper §III-B rule 4).
 	W64 Width = 1
-	// W128 processes 2 words per step (SSE tier).
+	// W128 is the SSE packing width; it runs the scalar kernel.
 	W128 Width = 2
-	// W256 processes 4 words per step (AVX2 tier).
+	// W256 is the AVX2 tier.
 	W256 Width = 4
-	// W512 processes 8 words per step (AVX-512 tier).
+	// W512 is the AVX-512 tier.
 	W512 Width = 8
 )
 
@@ -37,13 +54,25 @@ const (
 // which the scheduler considers them.
 var Widths = []Width{W512, W256, W128, W64}
 
-// Bits returns the simulated vector width in bits.
+// Bits returns the vector width in bits.
 func (w Width) Bits() int { return int(w) * 64 }
 
 // Words returns the number of 64-bit words per kernel step.
 func (w Width) Words() int { return int(w) }
 
-// String names the width after the instruction set it simulates.
+// Tier returns the widest kernel tier this CPU (and this build) executes
+// that is no wider than w: W512, W256 or W64.
+func (w Width) Tier() Width {
+	switch {
+	case w >= W512 && hasAVX512:
+		return W512
+	case w >= W256 && hasAVX2:
+		return W256
+	}
+	return W64
+}
+
+// String names the width after its instruction set.
 func (w Width) String() string {
 	switch w {
 	case W64:

@@ -2,21 +2,10 @@ package kernels
 
 import "math/bits"
 
-// XorPopFunc is the signature of an XOR+popcount kernel: it returns
-// Σᵢ popcount(a[i] XOR b[i]) over two equal-length word slices.
-// Equation 1 turns this into a binary inner product:
-// dot = N − 2·XorPopFunc(a, b), with N the number of valid lanes.
-//
-// The kernel bodies use a chunk-advance loop shape — re-slice both
-// operands by the step width each iteration and guard on both lengths —
-// because that is the form the compiler's bounds-check-elimination
-// prover fully discharges: `bitflow-vet codegen` pins every inner loop
-// here free of IsInBounds checks, so the XOR+POPCNT ladder runs with no
-// branches besides the loop condition.
-type XorPopFunc func(a, b []uint64) int
-
-// XorPop64 is the scalar kernel: one word per step. It accepts any
-// length and is the fallback for buffers no wider kernel divides.
+// XorPop64 is the scalar kernel: one word per step, any length. The
+// index loop over a with b pinned to the same length is a shape the
+// compiler's bounds-check-elimination prover fully discharges
+// (`bitflow-vet codegen` pins it free of IsInBounds checks).
 func XorPop64(a, b []uint64) int {
 	b = b[:len(a)] //bitflow:bce-ok preamble pin: proves len(b) == len(a) to the prover, panics on mismatch like the old hint
 	acc := 0
@@ -26,77 +15,18 @@ func XorPop64(a, b []uint64) int {
 	return acc
 }
 
-// XorPop128 processes 2 words per step (SSE tier). len(a) must be a
-// multiple of 2 (a trailing remainder narrower than the step is not
-// summed).
-func XorPop128(a, b []uint64) int {
-	b = b[:len(a)] //bitflow:bce-ok preamble pin: proves len(b) == len(a), panics on mismatch
-	var acc0, acc1 int
-	for len(a) >= 2 && len(b) >= 2 {
-		acc0 += bits.OnesCount64(a[0] ^ b[0])
-		acc1 += bits.OnesCount64(a[1] ^ b[1])
-		a = a[2:]
-		b = b[2:]
+// XorPopRows64 is the scalar row-batched kernel (any segment length):
+// the filter block is consumed by advancing filt past each row's segment.
+func XorPopRows64(rows [][]uint64, filt []uint64) int {
+	acc := 0
+	for _, r := range rows {
+		f := filt[:len(r)] //bitflow:bce-ok per-row pin: proves len(f) == len(r), panics if the filter block is short
+		for i, v := range r {
+			acc += bits.OnesCount64(v ^ f[i])
+		}
+		filt = filt[len(r):] //bitflow:bce-ok advances past the consumed segment; cannot fail after the pin above
 	}
-	return acc0 + acc1
-}
-
-// XorPop256 processes 4 words per step (AVX2 tier). len(a) must be a
-// multiple of 4. The four independent accumulators let the CPU overlap
-// the popcounts, the ILP analogue of a 256-bit lane. The main loop takes
-// two steps at a time so the cursor guards amortize over 8 words —
-// without that, the double length compare eats the win over the old
-// indexed form; the sums are integers, so the pairing changes nothing.
-func XorPop256(a, b []uint64) int {
-	b = b[:len(a)] //bitflow:bce-ok preamble pin: proves len(b) == len(a), panics on mismatch
-	var acc0, acc1, acc2, acc3 int
-	for len(a) >= 8 && len(b) >= 8 {
-		acc0 += bits.OnesCount64(a[0]^b[0]) + bits.OnesCount64(a[4]^b[4])
-		acc1 += bits.OnesCount64(a[1]^b[1]) + bits.OnesCount64(a[5]^b[5])
-		acc2 += bits.OnesCount64(a[2]^b[2]) + bits.OnesCount64(a[6]^b[6])
-		acc3 += bits.OnesCount64(a[3]^b[3]) + bits.OnesCount64(a[7]^b[7])
-		a = a[8:]
-		b = b[8:]
-	}
-	if len(a) >= 4 && len(b) >= 4 {
-		acc0 += bits.OnesCount64(a[0] ^ b[0])
-		acc1 += bits.OnesCount64(a[1] ^ b[1])
-		acc2 += bits.OnesCount64(a[2] ^ b[2])
-		acc3 += bits.OnesCount64(a[3] ^ b[3])
-	}
-	return (acc0 + acc1) + (acc2 + acc3)
-}
-
-// XorPop512 processes 8 words per step (AVX-512 tier). len(a) must be a
-// multiple of 8.
-func XorPop512(a, b []uint64) int {
-	b = b[:len(a)] //bitflow:bce-ok preamble pin: proves len(b) == len(a), panics on mismatch
-	var acc0, acc1, acc2, acc3 int
-	for len(a) >= 8 && len(b) >= 8 {
-		acc0 += bits.OnesCount64(a[0]^b[0]) + bits.OnesCount64(a[4]^b[4])
-		acc1 += bits.OnesCount64(a[1]^b[1]) + bits.OnesCount64(a[5]^b[5])
-		acc2 += bits.OnesCount64(a[2]^b[2]) + bits.OnesCount64(a[6]^b[6])
-		acc3 += bits.OnesCount64(a[3]^b[3]) + bits.OnesCount64(a[7]^b[7])
-		a = a[8:]
-		b = b[8:]
-	}
-	return (acc0 + acc1) + (acc2 + acc3)
-}
-
-// ForWidth returns the kernel implementing the given width.
-func ForWidth(w Width) XorPopFunc {
-	switch w {
-	case W64:
-		return XorPop64
-	case W128:
-		return XorPop128
-	case W256:
-		return XorPop256
-	case W512:
-		return XorPop512
-	}
-	panicUnknownWidth()
-	return nil
+	return acc
 }
 
 // XorPopMasked is the analogue of _mm512_maskz_xor_epi64 +

@@ -13,16 +13,21 @@ import (
 	"bitflow/internal/kernels"
 )
 
-// Features describes what the "hardware" supports. In the paper this
-// comes from CPUID probing of SSE/AVX2/AVX-512; here all kernel tiers are
-// portable Go, so every width is available on every GOARCH and the
-// detector instead reports (a) whether popcount is a single hardware
-// instruction on this architecture and (b) an optional cap on the widest
-// tier, used by ablation benchmarks to emulate narrower machines.
+// Features describes what the hardware supports. As in the paper it
+// comes from CPUID probing: the kernels package probes once at start-up
+// for AVX-512 (F, BW, VPOPCNTDQ, ZMM state enabled) and AVX2, and the
+// detector reports the widest tier found, whether scalar popcount is a
+// single instruction on this architecture, and an optional cap on the
+// widest tier, used by ablation benchmarks and tests to run the narrower
+// kernels on a wider machine.
 type Features struct {
 	// Arch is runtime.GOARCH.
 	Arch string
-	// MaxWidth is the widest kernel tier the scheduler may select.
+	// ISA is the widest kernel tier the CPU and this build execute:
+	// W512 (AVX-512), W256 (AVX2) or W64 (pure Go, also -tags purego).
+	ISA kernels.Width
+	// MaxWidth is the widest kernel tier the scheduler may select: ISA,
+	// unless capped lower.
 	MaxWidth kernels.Width
 	// HWPopcount reports whether math/bits.OnesCount64 compiles to a
 	// native popcount instruction on this architecture.
@@ -30,20 +35,22 @@ type Features struct {
 }
 
 // MaxWidthEnv is the environment variable that caps the detected width:
-// one of "64", "128", "256", "512". It lets benchmarks emulate a machine
+// one of "64", "128", "256", "512". It lets benchmarks run as a machine
 // without the wider tiers (paper: "AVX512 if available e.g. on Intel Xeon
 // Phi, otherwise AVX256 e.g. Intel Core i7").
 const MaxWidthEnv = "BITFLOW_MAX_WIDTH"
 
 // Detect probes the current platform.
 func Detect() Features {
+	isa := kernels.W512.Tier()
 	f := Features{
 		Arch:       runtime.GOARCH,
-		MaxWidth:   kernels.W512,
+		ISA:        isa,
+		MaxWidth:   isa,
 		HWPopcount: hwPopcount(runtime.GOARCH),
 	}
 	if v := os.Getenv(MaxWidthEnv); v != "" {
-		if w, err := ParseWidth(v); err == nil {
+		if w, err := ParseWidth(v); err == nil && w < isa {
 			f.MaxWidth = w
 		}
 	}
@@ -86,5 +93,5 @@ func (f Features) WithMaxWidth(w kernels.Width) Features {
 
 // String renders the feature report.
 func (f Features) String() string {
-	return fmt.Sprintf("arch=%s maxWidth=%s hwPopcount=%v", f.Arch, f.MaxWidth, f.HWPopcount)
+	return fmt.Sprintf("arch=%s isa=%s maxWidth=%s hwPopcount=%v", f.Arch, f.ISA, f.MaxWidth, f.HWPopcount)
 }

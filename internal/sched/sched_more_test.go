@@ -20,9 +20,9 @@ func TestPlanString(t *testing.T) {
 }
 
 func TestFeaturesString(t *testing.T) {
-	f := Features{Arch: "amd64", MaxWidth: kernels.W256, HWPopcount: true}
+	f := Features{Arch: "amd64", ISA: kernels.W512, MaxWidth: kernels.W256, HWPopcount: true}
 	s := f.String()
-	if !strings.Contains(s, "amd64") || !strings.Contains(s, "avx256") {
+	if !strings.Contains(s, "amd64") || !strings.Contains(s, "isa=avx512") || !strings.Contains(s, "maxWidth=avx256") {
 		t.Errorf("Features.String %q", s)
 	}
 }

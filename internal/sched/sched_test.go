@@ -185,13 +185,39 @@ func TestParseWidth(t *testing.T) {
 }
 
 func TestDetectEnvOverride(t *testing.T) {
-	t.Setenv(MaxWidthEnv, "128")
-	if f := Detect(); f.MaxWidth != kernels.W128 {
-		t.Errorf("env override ignored: %v", f.MaxWidth)
+	// The environment variable is a cap on what the probe found, never a
+	// way to ask for instructions the CPU lacks.
+	isa := kernels.W512.Tier()
+	for env, want := range map[string]kernels.Width{
+		"64": kernels.W64, "128": kernels.W128, "256": kernels.W256, "512": kernels.W512, "garbage": isa,
+	} {
+		t.Setenv(MaxWidthEnv, env)
+		want = min(want, isa)
+		if f := Detect(); f.MaxWidth != want || f.ISA != isa {
+			t.Errorf("%s=%s: MaxWidth %v ISA %v, want %v and %v", MaxWidthEnv, env, f.MaxWidth, f.ISA, want, isa)
+		}
 	}
-	t.Setenv(MaxWidthEnv, "garbage")
-	if f := Detect(); f.MaxWidth != kernels.W512 {
-		t.Errorf("bad env should fall back to W512, got %v", f.MaxWidth)
+}
+
+// TestDetectReportsAnExecutableTier pins the detector to the kernels'
+// own probe: without a cap, MaxWidth is the widest tier this CPU and
+// build execute, and every plan's sweep tier is one the kernels run as
+// asked — which is how BITFLOW_MAX_WIDTH=256|64 and WithMaxWidth reach
+// the AVX2 and pure-Go kernels on an AVX-512 host.
+func TestDetectReportsAnExecutableTier(t *testing.T) {
+	t.Setenv(MaxWidthEnv, "")
+	f := Detect()
+	if f.MaxWidth != f.ISA || f.ISA.Tier() != f.ISA {
+		t.Fatalf("Detect() = %v: MaxWidth must equal the executable ISA tier", f)
+	}
+	for _, w := range kernels.Widths {
+		p := Select(512, f.WithMaxWidth(w))
+		if want := min(w, f.ISA).Tier(); p.Tier != want {
+			t.Errorf("cap %v on %v: plan tier %v, want %v", w, f.ISA, p.Tier, want)
+		}
+		if p.Tier.Tier() != p.Tier {
+			t.Errorf("cap %v: plan tier %v is not executable here", w, p.Tier)
+		}
 	}
 }
 

@@ -13,10 +13,13 @@ import (
 type Plan struct {
 	// C is the true channel count the plan was built for.
 	C int
-	// Width is the selected kernel tier.
+	// Width is the packing width the §III-B rules selected: the widest
+	// available one whose bit count divides C.
 	Width kernels.Width
-	// Kernel is the XOR+popcount function implementing Width.
-	Kernel kernels.XorPopFunc
+	// Tier is the kernel tier the operator's sweeps run at: the widest
+	// the machine executes within feat.MaxWidth. It does not depend on C —
+	// a sweep runs along the whole gathered window and masks its tail.
+	Tier kernels.Width
 	// Words is the packed channel vector length in 64-bit words,
 	// guaranteed to be a multiple of Width.Words().
 	Words int
@@ -43,12 +46,12 @@ func Select(c int, feat Features) Plan {
 			continue
 		}
 		if c%w.Bits() == 0 {
-			return planFor(c, w)
+			return planFor(c, w, feat)
 		}
 	}
 	// Rule 4 fallback: pad the channel dimension with zeros up to the
-	// next word boundary and run the scalar kernel.
-	return planFor(c, kernels.W64)
+	// next word boundary.
+	return planFor(c, kernels.W64, feat)
 }
 
 // SelectPadded is an extension of the paper's rules used by the ablation
@@ -60,20 +63,17 @@ func SelectPadded(c int, feat Features) Plan {
 	if c <= 0 {
 		panic(fmt.Sprintf("sched: SelectPadded with c=%d", c))
 	}
-	w := feat.MaxWidth
-	words := bitpack.WordsFor(c)
-	words = (words + w.Words() - 1) / w.Words() * w.Words()
-	return Plan{C: c, Width: w, Kernel: kernels.ForWidth(w), Words: words, PaddedC: words * bitpack.WordBits}
+	return planFor(c, feat.MaxWidth, feat)
 }
 
-func planFor(c int, w kernels.Width) Plan {
+func planFor(c int, w kernels.Width, feat Features) Plan {
 	words := bitpack.WordsFor(c)
 	// Round the word count up to a multiple of the tier's step. For the
 	// rule-based tiers this is a no-op (c is a multiple of w.Bits());
 	// for the scalar fallback it already is a single-word granularity.
 	step := w.Words()
 	words = (words + step - 1) / step * step
-	return Plan{C: c, Width: w, Kernel: kernels.ForWidth(w), Words: words, PaddedC: words * bitpack.WordBits}
+	return Plan{C: c, Width: w, Tier: feat.MaxWidth.Tier(), Words: words, PaddedC: words * bitpack.WordBits}
 }
 
 // PadLanes returns the number of zero lanes the plan appends beyond C.

@@ -25,6 +25,12 @@ go run ./cmd/bitflow-vet ./...
 echo "== go test -shuffle=on $* ./..."
 go test -shuffle=on "$@" ./...
 
+# The pure-Go kernel tier is what every machine without AVX2/AVX-512
+# (and every non-amd64 build) executes; on an AVX host only this line
+# reaches it through the whole operator and graph stack.
+echo "== go test -short -tags purego ./internal/kernels/... ./internal/core/... ./internal/graph/..."
+go test -short -tags purego ./internal/kernels/... ./internal/core/... ./internal/graph/...
+
 echo "== go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/batch/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/..."
 go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/batch/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/...
 
