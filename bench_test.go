@@ -602,10 +602,14 @@ func BenchmarkAblationMultiBit2(b *testing.B) { benchMultiBit(b, 2) }
 func BenchmarkAblationMultiBit4(b *testing.B) { benchMultiBit(b, 4) }
 
 // ---------------------------------------------------------------------
-// Micro-batching: per-image cost of the batched forward path (ISSUE:
-// dynamic micro-batching subsystem). ReportMetric exposes ms/image so
-// the amortization of per-kernel-call overhead and filter loads across
-// the batch is directly readable from `go test -bench Batch`.
+// Micro-batching: per-image cost of InferBatch, serial and on a 2-worker
+// pool at budget 2 (this host's core count; wider pools are
+// unverified_on_this_host), next to the same eight images as eight Infer
+// calls. InferBatch hands whole lanes to the workers, Infer splits every
+// layer across them, so the Pooled2 pair isolates what one dispatch per
+// batch saves over one per layer per image:
+//
+//	go test -run '^$' -bench 'InferBatch8|InferLoop8' -count 10 .
 
 var (
 	batchNetOnce sync.Once
@@ -613,7 +617,10 @@ var (
 	batchXs      []*tensor.Tensor
 )
 
-func batchSetup(b *testing.B) {
+// batchSetup builds the shared TinyVGG once and attaches the execution
+// context the benchmark runs under: serial, or a fresh pool of `workers`
+// at the same budget, closed when the benchmark ends.
+func batchSetup(b *testing.B, workers int) {
 	batchNetOnce.Do(func() {
 		var err error
 		if batchNet, err = graph.TinyVGG(detect(), graph.RandomWeights{Seed: benchSeed}); err != nil {
@@ -625,27 +632,57 @@ func batchSetup(b *testing.B) {
 			batchXs = append(batchXs, workload.RandTensor(r, batchNet.InH, batchNet.InW, batchNet.InC))
 		}
 	})
+	ec := exec.Serial()
+	if workers > 1 {
+		p := exec.NewPool(workers)
+		b.Cleanup(p.Close)
+		ec = exec.Pooled(p, workers)
+	}
+	batchNet.SetExec(ec)
 }
 
-func benchInferBatch(b *testing.B, size int) {
-	batchSetup(b)
-	xs := batchXs[:size]
-	if _, err := batchNet.InferBatch(xs); err != nil {
+// benchImages times call, which infers len(xs) images, and reports the
+// per-image cost.
+func benchImages(b *testing.B, xs []*tensor.Tensor, call func([]*tensor.Tensor) error) {
+	if err := call(xs); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := batchNet.InferBatch(xs); err != nil {
+		if err := call(xs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	perImage := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(size)
+	perImage := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(xs))
 	b.ReportMetric(perImage/1e6, "ms/image")
 }
 
-func BenchmarkInferBatch1(b *testing.B)  { benchInferBatch(b, 1) }
-func BenchmarkInferBatch2(b *testing.B)  { benchInferBatch(b, 2) }
-func BenchmarkInferBatch4(b *testing.B)  { benchInferBatch(b, 4) }
-func BenchmarkInferBatch8(b *testing.B)  { benchInferBatch(b, 8) }
-func BenchmarkInferBatch16(b *testing.B) { benchInferBatch(b, 16) }
+func benchInferBatch(b *testing.B, size, workers int) {
+	batchSetup(b, workers)
+	benchImages(b, batchXs[:size], func(xs []*tensor.Tensor) error {
+		_, err := batchNet.InferBatch(xs)
+		return err
+	})
+}
+
+func benchInferLoop(b *testing.B, size, workers int) {
+	batchSetup(b, workers)
+	benchImages(b, batchXs[:size], func(xs []*tensor.Tensor) error {
+		for _, x := range xs {
+			if _, err := batchNet.InferChecked(x); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+func BenchmarkInferBatch1(b *testing.B)        { benchInferBatch(b, 1, 1) }
+func BenchmarkInferBatch2(b *testing.B)        { benchInferBatch(b, 2, 1) }
+func BenchmarkInferBatch4(b *testing.B)        { benchInferBatch(b, 4, 1) }
+func BenchmarkInferBatch8(b *testing.B)        { benchInferBatch(b, 8, 1) }
+func BenchmarkInferBatch16(b *testing.B)       { benchInferBatch(b, 16, 1) }
+func BenchmarkInferBatch8Pooled2(b *testing.B) { benchInferBatch(b, 8, 2) }
+func BenchmarkInferLoop8(b *testing.B)         { benchInferLoop(b, 8, 1) }
+func BenchmarkInferLoop8Pooled2(b *testing.B)  { benchInferLoop(b, 8, 2) }

@@ -346,3 +346,5 @@ func runAutoscaleShape(shape string, phases []asPhase, c asConfig, net0 *graph.N
 	row.Shed = shed.Load()
 	return row, nil
 }
+
+func msDur(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }

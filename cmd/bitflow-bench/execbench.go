@@ -17,6 +17,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bitflow/internal/bench"
@@ -296,3 +299,65 @@ func runExecLoop(build func() (*graph.Network, error), replicas, clients int, x 
 }
 
 func ms(d time.Duration) float64 { return round2(float64(d) / float64(time.Millisecond)) }
+
+// closedLoop runs `clients` goroutines issuing back-to-back requests for
+// dur (after a short warm phase) and reports aggregate images/sec plus
+// latency quantiles in milliseconds.
+func closedLoop(clients int, dur time.Duration, do func(*tensor.Tensor) error, xs []*tensor.Tensor) (rate, p50, p99 float64, err error) {
+	var stop atomic.Bool
+	var warm atomic.Bool
+	var count atomic.Int64
+	var firstErr atomic.Value
+	lats := make([][]time.Duration, clients)
+	// The client loops cannot run on exec.Ctx.ParallelFor: its claim-loop
+	// chunking would let one worker serialize several infinite client
+	// bodies while the controller below still expects all of them
+	// concurrently live until stop flips.
+	//bitflow:go-ok closed-loop load generator needs one live goroutine per client for the full duration
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		//bitflow:go-ok closed-loop load generator; see WaitGroup note above
+		go func(c int) {
+			defer wg.Done()
+			i := c
+			for !stop.Load() {
+				x := xs[i%len(xs)]
+				i++
+				t0 := time.Now()
+				if derr := do(x); derr != nil {
+					firstErr.CompareAndSwap(nil, derr)
+					return
+				}
+				if warm.Load() {
+					lats[c] = append(lats[c], time.Since(t0))
+					count.Add(1)
+				}
+			}
+		}(c)
+	}
+	time.Sleep(dur / 4) // warm phase: fill pipelines, settle schedulers
+	warm.Store(true)
+	t0 := time.Now()
+	time.Sleep(dur)
+	elapsed := time.Since(t0)
+	stop.Store(true)
+	wg.Wait()
+	if e := firstErr.Load(); e != nil {
+		return 0, 0, 0, e.(error)
+	}
+	var all []time.Duration
+	for _, l := range lats {
+		all = append(all, l...)
+	}
+	if len(all) == 0 {
+		return 0, 0, 0, fmt.Errorf("closed loop completed no requests")
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	q := func(p float64) float64 {
+		return float64(all[int(p*float64(len(all)-1))]) / float64(time.Millisecond)
+	}
+	return float64(count.Load()) / elapsed.Seconds(), q(0.50), q(0.99), nil
+}
+
+func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }

@@ -9,7 +9,6 @@
 //	bitflow-bench table5  # accuracy (synthetic tasks) + model size
 //	bitflow-bench ait     # arithmetic-intensity analysis (§III-A)
 //	bitflow-bench sweep   # extension: kernel-tier sweep over channel counts
-//	bitflow-bench batch   # extension: micro-batching throughput → BENCH_batch.json
 //	bitflow-bench exec    # extension: spawn-per-call vs pooled dispatch → BENCH_exec.json
 //	bitflow-bench ops     # extension: fused vs unfused conv+pool data-flow → BENCH_fusion.json,
 //	                      # plus kernel compression (dedup of repeated packed
@@ -43,7 +42,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bitflow-bench [flags] {fig7|fig8|fig9|fig10|fig11|table5|ait|sweep|batch|exec|ops|autoscale|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: bitflow-bench [flags] {fig7|fig8|fig9|fig10|fig11|table5|ait|sweep|exec|ops|autoscale|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -77,8 +76,6 @@ func main() {
 		run("ait", runAIT)
 	case "sweep":
 		run("sweep", runSweep)
-	case "batch":
-		run("batch", runBatchBench)
 	case "exec":
 		run("exec", runExecBench)
 	case "ops":
@@ -92,7 +89,7 @@ func main() {
 		}{
 			{"ait", runAIT}, {"fig7", runFig7}, {"fig8", runFig8}, {"fig9", runFig9},
 			{"fig10", runFig10}, {"fig11", runFig11}, {"table5", runTable5},
-			{"sweep", runSweep}, {"batch", runBatchBench}, {"exec", runExecBench},
+			{"sweep", runSweep}, {"exec", runExecBench},
 			{"ops", runOpsBench},
 		} {
 			run(sub.name, sub.f)

@@ -64,7 +64,7 @@ type Config struct {
 	// Default 8.
 	MaxBatch int
 	// Workers is the number of concurrent batch runners. Default 1 —
-	// right for single-socket deployments where the batched kernels
+	// right for single-socket deployments where one batch's lanes
 	// already use every core.
 	Workers int
 	// QueueCap bounds the pending-request queue. Submit sheds with

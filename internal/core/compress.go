@@ -3,22 +3,21 @@ package core
 import (
 	"fmt"
 
-	"bitflow/internal/bitpack"
-	"bitflow/internal/exec"
 	"bitflow/internal/kernels"
 )
 
-// This file implements the kernel-compressed forward paths (Silfa &
-// Arnau, "Exploiting Kernel Compression on BNNs"): operators whose
-// packed weight bank repeats words across output channels carry a
-// CompressPlan (built at construction, see NewConvPacked/NewDensePacked)
-// and expose *Compressed variants of every forward entry point. The
-// graph layer selects per network which variant runs — the operators
-// themselves are shared read-only between compressed and uncompressed
-// lanes, which is what makes the differential tests cheap. All
-// compressed paths are bit-identical to their uncompressed twins: the
-// accumulators sum the same integer popcounts, and the final
-// threshold/pack pass is the very same Epilogue.
+// Kernel compression (Silfa & Arnau, "Exploiting Kernel Compression on
+// BNNs") changes only how one window's popcounts are accumulated, so it
+// is a step inside the ordinary forward methods, not a family beside
+// them: an operator whose packed weight bank repeats words across output
+// channels holds a CompressPlan (built at construction, see
+// NewConvPacked/NewDensePacked, or forced with SetCompression), and
+// Conv.ForwardPacked/ForwardFused and Dense.Forward then walk the plan's
+// distinct-word table over the same gathered window the plain sweep
+// would read. The plan's accumulators sum the same integer popcounts and
+// finish through the same Epilogue, so a planned operator is
+// bit-identical to its plan-less twin (Uncompressed), which is what the
+// differential tests compare.
 
 // Compression returns the conv's kernel-compression plan, or nil when
 // the filter bank's duplication ratio did not clear the selection
@@ -31,9 +30,10 @@ func (cv *Conv) CompressionStats() kernels.CompressStats { return cv.pressStats 
 
 // SetCompression forces a kernel-compression plan (or clears it with
 // nil), overriding the load-time threshold selection — a hook for
-// differential tests and benchmarks that need the compressed path on
-// banks below the ratio threshold. The plan must match the filter
-// bank's geometry.
+// differential tests and benchmarks that need the compressed accumulate
+// on banks below the ratio threshold. It takes effect on the operator's
+// next forward, in every network sharing it. The plan must match the
+// filter bank's geometry.
 func (cv *Conv) SetCompression(cp *kernels.CompressPlan) error {
 	if cp != nil {
 		if s := cv.Shape.KH * cv.rowLen; cp.K != cv.Shape.K || cp.S != s {
@@ -44,237 +44,13 @@ func (cv *Conv) SetCompression(cp *kernels.CompressPlan) error {
 	return nil
 }
 
-// ForwardPackedCompressed is ForwardPacked through the compression
-// plan: per output pixel, each distinct filter word pays one
-// XOR+popcount, scatter-added into the K accumulators, then the same
-// fused epilogue packs threshold bits. Panics if no plan is installed.
-func (cv *Conv) ForwardPackedCompressed(in *bitpack.Packed, out *bitpack.Packed, ec *exec.Ctx) {
-	cp := cv.press
-	if cp == nil {
-		panic("core: ForwardPackedCompressed without a compression plan")
-	}
-	cv.checkInput(in)
-	s := cv.Shape
-	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
-		panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
-	}
-	rowLen := cv.rowLen
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		// Per-worker scratch: row pointers plus the K popcount
-		// accumulators the scatter-adds land in.
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk, amortized across the chunk's pixels
-		rows := inRows[:s.KH]
-		acc := make([]int32, s.K) //bitflow:alloc-ok per-worker scratch, amortized across the chunk's pixels
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			y0 := y*s.Stride - s.Pad
-			x0 := x*s.Stride - s.Pad
-			for i := 0; i < s.KH && i < len(rows); i++ {
-				off := in.PixelOffset(y0+i, x0)
-				rows[i] = in.Words[off : off+rowLen : off+rowLen]
-			}
-			kernels.CompressedConvEpilogue(cp, rows, rowLen, n32, epi, acc, out.PixelWords(y, x))
-		}
-	})
-}
-
-// ForwardFusedCompressed is ForwardFused through the compression plan:
-// the fused conv → threshold → binarize → max-pool sweep with the
-// compressed accumulate per window position. A nil pl degenerates to
-// ForwardPackedCompressed. Panics if no plan is installed.
-func (cv *Conv) ForwardFusedCompressed(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
-	cp := cv.press
-	if cp == nil {
-		panic("core: ForwardFusedCompressed without a compression plan")
-	}
-	if pl == nil {
-		cv.ForwardPackedCompressed(in, out, ec)
-		return
-	}
-	cv.checkInput(in)
-	if !cv.CanFusePool(pl.Shape) {
-		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
-	}
-	p := pl.Shape
-	if out.H != p.OutH || out.W != p.OutW || out.C != p.OutC {
-		panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", out, p.OutH, p.OutW, p.OutC))
-	}
-	s := cv.Shape
-	rowLen := cv.rowLen
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := p.OutH * p.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk, amortized across the chunk's pixels
-		rows := inRows[:s.KH]
-		acc := make([]int32, s.K) //bitflow:alloc-ok per-worker scratch, amortized across the chunk's pixels
-		for idx := start; idx < end; idx++ {
-			py := idx / p.OutW
-			px := idx % p.OutW
-			dst := out.PixelWords(py, px)
-			for i := 0; i < p.KH; i++ {
-				cy := py*p.Stride + i
-				for j := 0; j < p.KW; j++ {
-					cx := px*p.Stride + j
-					y0 := cy*s.Stride - s.Pad
-					x0 := cx*s.Stride - s.Pad
-					for r := 0; r < s.KH && r < len(rows); r++ {
-						off := in.PixelOffset(y0+r, x0)
-						rows[r] = in.Words[off : off+rowLen : off+rowLen]
-					}
-					if i == 0 && j == 0 {
-						kernels.CompressedConvEpilogue(cp, rows, rowLen, n32, epi, acc, dst)
-					} else {
-						kernels.CompressedConvEpilogueOr(cp, rows, rowLen, n32, epi, acc, dst)
-					}
-				}
-			}
-		}
-	})
-}
-
-// ForwardPackedBatchCompressed is ForwardPackedBatch through the
-// compression plan: the layer-major batched sweep with each image's
-// gathered receptive field walked through the distinct-word table once.
-func (cv *Conv) ForwardPackedBatchCompressed(ins, outs []*bitpack.Packed, ec *exec.Ctx) {
-	cp := cv.press
-	if cp == nil {
-		panic("core: ForwardPackedBatchCompressed without a compression plan")
-	}
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", B, len(outs)))
-	}
-	if B == 1 {
-		cv.ForwardPackedCompressed(ins[0], outs[0], ec)
-		return
-	}
-	s := cv.Shape
-	for b := 0; b < B; b++ {
-		cv.checkInput(ins[b])
-		if outs[b].H != s.OutH || outs[b].W != s.OutW || outs[b].C != s.OutC {
-			panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", outs[b], s.OutH, s.OutW, s.OutC))
-		}
-		if outs[b].WPP != outs[0].WPP {
-			panic("core: conv batch outputs disagree on words per pixel")
-		}
-	}
-	rowLen := cv.rowLen
-	S := s.KH * rowLen
-	packWPP := bitpack.WordsFor(s.K)
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		gather := make([]uint64, B*S)     //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		accK := make([]int32, B*s.K)      //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		outW := make([]uint64, B*packWPP) //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			y0 := y*s.Stride - s.Pad
-			x0 := x*s.Stride - s.Pad
-			for b := 0; b < B; b++ {
-				w := ins[b].Words
-				dst := gather[b*S : (b+1)*S]
-				for i := 0; i < s.KH; i++ {
-					off := ins[b].PixelOffset(y0+i, x0)
-					copy(dst[i*rowLen:(i+1)*rowLen], w[off:off+rowLen])
-				}
-			}
-			kernels.CompressedConvBatchEpilogue(cp, gather, n32, epi, accK, outW, packWPP)
-			for b := 0; b < B; b++ {
-				dst := outs[b].PixelWords(y, x)
-				n := copy(dst, outW[b*packWPP:(b+1)*packWPP])
-				for ; n < len(dst); n++ {
-					dst[n] = 0
-				}
-			}
-		}
-	})
-}
-
-// ForwardFusedBatchCompressed is ForwardFusedBatch through the
-// compression plan. pl must satisfy CanFusePool; outs take the pool's
-// output geometry. A nil pl degenerates to ForwardPackedBatchCompressed.
-func (cv *Conv) ForwardFusedBatchCompressed(ins []*bitpack.Packed, pl *Pool, outs []*bitpack.Packed, ec *exec.Ctx) {
-	cp := cv.press
-	if cp == nil {
-		panic("core: ForwardFusedBatchCompressed without a compression plan")
-	}
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: conv batch %d inputs, %d outputs", B, len(outs)))
-	}
-	if B == 1 {
-		cv.ForwardFusedCompressed(ins[0], pl, outs[0], ec)
-		return
-	}
-	if pl == nil {
-		cv.ForwardPackedBatchCompressed(ins, outs, ec)
-		return
-	}
-	if !cv.CanFusePool(pl.Shape) {
-		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
-	}
-	s := cv.Shape
-	p := pl.Shape
-	for b := 0; b < B; b++ {
-		cv.checkInput(ins[b])
-		if outs[b].H != p.OutH || outs[b].W != p.OutW || outs[b].C != p.OutC {
-			panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", outs[b], p.OutH, p.OutW, p.OutC))
-		}
-		if outs[b].WPP != outs[0].WPP {
-			panic("core: conv batch outputs disagree on words per pixel")
-		}
-	}
-	rowLen := cv.rowLen
-	S := s.KH * rowLen
-	packWPP := bitpack.WordsFor(s.K)
-	n32 := int32(cv.validLanes)
-	epi := cv.epi
-	total := p.OutH * p.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		gather := make([]uint64, B*S)     //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		accK := make([]int32, B*s.K)      //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		outW := make([]uint64, B*packWPP) //bitflow:alloc-ok per-worker scratch, amortized over the whole batch
-		for idx := start; idx < end; idx++ {
-			py := idx / p.OutW
-			px := idx % p.OutW
-			for i := 0; i < p.KH; i++ {
-				cy := py*p.Stride + i
-				for j := 0; j < p.KW; j++ {
-					cx := px*p.Stride + j
-					y0 := cy*s.Stride - s.Pad
-					x0 := cx*s.Stride - s.Pad
-					for b := 0; b < B; b++ {
-						w := ins[b].Words
-						dst := gather[b*S : (b+1)*S]
-						for r := 0; r < s.KH; r++ {
-							off := ins[b].PixelOffset(y0+r, x0)
-							copy(dst[r*rowLen:(r+1)*rowLen], w[off:off+rowLen])
-						}
-					}
-					if i == 0 && j == 0 {
-						kernels.CompressedConvBatchEpilogue(cp, gather, n32, epi, accK, outW, packWPP)
-					} else {
-						kernels.CompressedConvBatchEpilogueOr(cp, gather, n32, epi, accK, outW, packWPP)
-					}
-				}
-			}
-			for b := 0; b < B; b++ {
-				dst := outs[b].PixelWords(py, px)
-				n := copy(dst, outW[b*packWPP:(b+1)*packWPP])
-				for ; n < len(dst); n++ {
-					dst[n] = 0
-				}
-			}
-		}
-	})
+// Uncompressed returns the operator's plan-less twin: a shallow copy
+// sharing the packed filter words and epilogues whose forwards always
+// sweep, whatever plan is later set on cv.
+func (cv *Conv) Uncompressed() *Conv {
+	c := *cv
+	c.press = nil
+	return &c
 }
 
 // Compression returns the dense operator's kernel-compression plan, or
@@ -288,7 +64,7 @@ func (d *Dense) CompressionStats() kernels.CompressStats { return d.pressStats }
 
 // SetCompression forces a kernel-compression plan (or clears it with
 // nil), overriding the load-time threshold selection — a hook for
-// differential tests and benchmarks.
+// differential tests and benchmarks; see Conv.SetCompression.
 func (d *Dense) SetCompression(cp *kernels.CompressPlan) error {
 	if cp != nil && (cp.K != d.Shape.K || cp.S != d.Plan.Words) {
 		return fmt.Errorf("core: compression plan %dx%d does not match dense bank %dx%d", cp.K, cp.S, d.Shape.K, d.Plan.Words)
@@ -297,122 +73,10 @@ func (d *Dense) SetCompression(cp *kernels.CompressPlan) error {
 	return nil
 }
 
-// ForwardCompressed is Forward through the compression plan: each
-// distinct weight word pays one XOR+popcount per input row. Panics if
-// no plan is installed.
-func (d *Dense) ForwardCompressed(in []uint64, out []int32, ec *exec.Ctx) {
-	if d.press == nil {
-		panic("core: ForwardCompressed without a compression plan")
-	}
-	if len(in) != d.Plan.Words {
-		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.Plan.Words))
-	}
-	if len(out) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense output len %d, want K=%d", len(out), d.Shape.K))
-	}
-	kernels.BGemmCompressedExec(in, 1, d.press, d.Plan.Words, d.Shape.N, out, ec)
-}
-
-// ForwardFloatCompressed is ForwardFloat with the compressed GEMM.
-func (d *Dense) ForwardFloatCompressed(in []uint64, out []float32, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
-	}
-	d.ForwardCompressed(in, tmp, ec)
-	if d.affine != nil {
-		d.affine.Apply(tmp, out)
-		return
-	}
-	for i, v := range tmp {
-		out[i] = float32(v)
-	}
-}
-
-// ForwardPackedCompressed is ForwardPacked with the compressed GEMM.
-func (d *Dense) ForwardPackedCompressed(in []uint64, out []uint64, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
-	}
-	d.ForwardCompressed(in, tmp, ec)
-	if len(out) < bitpack.WordsFor(d.Shape.K) {
-		panic("core: dense packed output too short")
-	}
-	d.packSigns(tmp, out)
-}
-
-// ForwardBatchCompressed is ForwardBatch with the compressed GEMM: one
-// plan walk per image, split over rows across the thread budget.
-func (d *Dense) ForwardBatchCompressed(ins [][]uint64, outs [][]int32, s *DenseBatchScratch, ec *exec.Ctx) {
-	if d.press == nil {
-		panic("core: ForwardBatchCompressed without a compression plan")
-	}
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: dense batch %d inputs, %d outputs", B, len(outs)))
-	}
-	for b := 0; b < B; b++ {
-		if len(ins[b]) != d.Plan.Words {
-			panic(fmt.Sprintf("core: dense batch input %d has %d words, want %d", b, len(ins[b]), d.Plan.Words))
-		}
-		if len(outs[b]) != d.Shape.K {
-			panic(fmt.Sprintf("core: dense batch output %d has len %d, want K=%d", b, len(outs[b]), d.Shape.K))
-		}
-	}
-	s.Ensure(d, B)
-	a := s.a[:B*d.Plan.Words]
-	for b := 0; b < B; b++ {
-		copy(a[b*d.Plan.Words:(b+1)*d.Plan.Words], ins[b])
-	}
-	out := s.prod[:B*d.Shape.K]
-	kernels.BGemmCompressedExec(a, B, d.press, d.Plan.Words, d.Shape.N, out, ec)
-	for b := 0; b < B; b++ {
-		copy(outs[b], out[b*d.Shape.K:(b+1)*d.Shape.K])
-	}
-}
-
-// ForwardPackedBatchCompressed is ForwardPackedBatch with the
-// compressed GEMM.
-func (d *Dense) ForwardPackedBatchCompressed(ins, outs [][]uint64, s *DenseBatchScratch, ec *exec.Ctx) {
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: dense batch %d inputs, %d outputs", B, len(outs)))
-	}
-	s.Ensure(d, B)
-	if B == 1 {
-		d.ForwardPackedCompressed(ins[0], outs[0], s.rows[0], ec)
-		return
-	}
-	tmp := s.rows[:B]
-	d.ForwardBatchCompressed(ins, tmp, s, ec)
-	for b := 0; b < B; b++ {
-		if len(outs[b]) < bitpack.WordsFor(d.Shape.K) {
-			panic("core: dense packed output too short")
-		}
-		d.packSigns(tmp[b], outs[b])
-	}
-}
-
-// ForwardFloatBatchCompressed is ForwardFloatBatch with the compressed
-// GEMM.
-func (d *Dense) ForwardFloatBatchCompressed(ins [][]uint64, outs [][]float32, s *DenseBatchScratch, ec *exec.Ctx) {
-	B := len(ins)
-	if B == 0 || len(outs) != B {
-		panic(fmt.Sprintf("core: dense batch %d inputs, %d outputs", B, len(outs)))
-	}
-	s.Ensure(d, B)
-	if B == 1 {
-		d.ForwardFloatCompressed(ins[0], outs[0], s.rows[0], ec)
-		return
-	}
-	tmp := s.rows[:B]
-	d.ForwardBatchCompressed(ins, tmp, s, ec)
-	for b := 0; b < B; b++ {
-		if d.affine != nil {
-			d.affine.Apply(tmp[b], outs[b])
-			continue
-		}
-		for i, v := range tmp[b] {
-			outs[b][i] = float32(v)
-		}
-	}
+// Uncompressed returns the operator's plan-less twin: a shallow copy
+// sharing the packed weight words; see Conv.Uncompressed.
+func (d *Dense) Uncompressed() *Dense {
+	c := *d
+	c.press = nil
+	return &c
 }

@@ -97,9 +97,10 @@ func TestCompressionAutoSelection(t *testing.T) {
 }
 
 // TestConvCompressedMatchesUncompressed is the core differential pin:
-// forced-compressed ForwardPacked/ForwardFused output equals the
-// uncompressed path word for word, on high- and low-duplication banks,
-// with and without folded thresholds, serial and threaded.
+// ForwardPacked/ForwardFused of a conv with a forced plan equal its
+// plan-less twin (Uncompressed) word for word, on high- and
+// low-duplication banks, with and without folded thresholds, serial and
+// threaded.
 func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	r := workload.NewRNG(201)
 	cases := []struct {
@@ -125,13 +126,14 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 				}
 			}
 			forcePlan(t, cv)
+			plain := cv.Uncompressed()
 			s := cv.Shape
 			wpp := sched.Select(tc.k, feat()).Words
 			want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				cv.ForwardPacked(in, want, ec)
-				cv.ForwardPackedCompressed(in, got, ec)
+				plain.ForwardPacked(in, want, ec)
+				cv.ForwardPacked(in, got, ec)
 				equalPacked(t, tc.name+"/packed", want, got)
 			}
 			// Fused conv→pool, when the pool geometry is eligible.
@@ -146,65 +148,17 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				cv.ForwardFused(in, pl, fwant, ec)
-				cv.ForwardFusedCompressed(in, pl, fgot, ec)
+				plain.ForwardFused(in, pl, fwant, ec)
+				cv.ForwardFused(in, pl, fgot, ec)
 				equalPacked(t, tc.name+"/fused", fwant, fgot)
 			}
 		}
 	}
 }
 
-// TestConvCompressedBatchMatches pins the batched compressed paths
-// against their uncompressed twins for B = 1..4.
-func TestConvCompressedBatchMatches(t *testing.T) {
-	r := workload.NewRNG(202)
-	cv, _ := buildDupConv(t, r, 8, 8, 64, 48, 3, 3, 4)
-	if cv.Compression() == nil {
-		t.Fatal("duplicated bank not selected")
-	}
-	s := cv.Shape
-	wpp := sched.Select(s.K, feat()).Words
-	ps, err := sched.InferPool(s.OutH, s.OutW, s.OutC, 2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPool(ps, wpp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for B := 1; B <= 4; B++ {
-		ins := make([]*bitpack.Packed, B)
-		wantP := make([]*bitpack.Packed, B)
-		gotP := make([]*bitpack.Packed, B)
-		wantF := make([]*bitpack.Packed, B)
-		gotF := make([]*bitpack.Packed, B)
-		for b := 0; b < B; b++ {
-			in := workload.PM1Tensor(r, 8, 8, 64)
-			ins[b] = cv.NewInput()
-			bitpack.PackTensorInto(in, ins[b])
-			wantP[b] = bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
-			gotP[b] = bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
-			wantF[b] = bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-			gotF[b] = bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-		}
-		for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-			cv.ForwardPackedBatch(ins, wantP, ec)
-			cv.ForwardPackedBatchCompressed(ins, gotP, ec)
-			for b := 0; b < B; b++ {
-				equalPacked(t, "packed", wantP[b], gotP[b])
-			}
-			cv.ForwardFusedBatch(ins, pl, wantF, ec)
-			cv.ForwardFusedBatchCompressed(ins, pl, gotF, ec)
-			for b := 0; b < B; b++ {
-				equalPacked(t, "fused", wantF[b], gotF[b])
-			}
-		}
-	}
-}
-
-// TestDenseCompressedMatches pins every compressed dense entry point —
-// int32, float (with affine), packed, and their batched forms — against
-// the uncompressed paths.
+// TestDenseCompressedMatches pins every dense entry point — int32, float
+// (with affine) and packed — of an operator holding a plan against its
+// plan-less twin.
 func TestDenseCompressedMatches(t *testing.T) {
 	r := workload.NewRNG(203)
 	n, k := 256, 70
@@ -239,79 +193,41 @@ func TestDenseCompressedMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	B := 5
-	ins := make([][]uint64, B)
-	for b := 0; b < B; b++ {
+	plain := d.Uncompressed()
+	if plain.Compression() != nil || d.Compression() == nil {
+		t.Fatal("Uncompressed did not return a plan-less copy")
+	}
+	for trial := 0; trial < 5; trial++ {
 		vals := make([]float32, n)
 		for i := range vals {
 			vals[i] = r.PM1()
 		}
-		ins[b] = d.NewInput()
-		bitpack.PackVectorInto(ins[b], vals)
-	}
-	for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-		want, got := make([]int32, k), make([]int32, k)
-		d.Forward(ins[0], want, ec)
-		d.ForwardCompressed(ins[0], got, ec)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("ForwardCompressed[%d]=%d want %d", i, got[i], want[i])
-			}
-		}
-		wf, gf := make([]float32, k), make([]float32, k)
-		d.ForwardFloat(ins[0], wf, d.NewScratch(), ec)
-		d.ForwardFloatCompressed(ins[0], gf, d.NewScratch(), ec)
-		for i := range wf {
-			if wf[i] != gf[i] {
-				t.Fatalf("ForwardFloatCompressed[%d]=%v want %v", i, gf[i], wf[i])
-			}
-		}
-		wp := make([]uint64, bitpack.WordsFor(k))
-		gp := make([]uint64, bitpack.WordsFor(k))
-		d.ForwardPacked(ins[0], wp, d.NewScratch(), ec)
-		d.ForwardPackedCompressed(ins[0], gp, d.NewScratch(), ec)
-		for i := range wp {
-			if wp[i] != gp[i] {
-				t.Fatalf("ForwardPackedCompressed word %d = %016x want %016x", i, gp[i], wp[i])
-			}
-		}
-		// Batched forms.
-		var sw, sg DenseBatchScratch
-		wOuts := make([][]int32, B)
-		gOuts := make([][]int32, B)
-		for b := 0; b < B; b++ {
-			wOuts[b], gOuts[b] = make([]int32, k), make([]int32, k)
-		}
-		d.ForwardBatch(ins, wOuts, &sw, ec)
-		d.ForwardBatchCompressed(ins, gOuts, &sg, ec)
-		for b := 0; b < B; b++ {
-			for i := range wOuts[b] {
-				if wOuts[b][i] != gOuts[b][i] {
-					t.Fatalf("batch item %d: ForwardBatchCompressed[%d]=%d want %d", b, i, gOuts[b][i], wOuts[b][i])
+		in := d.NewInput()
+		bitpack.PackVectorInto(in, vals)
+		for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
+			want, got := make([]int32, k), make([]int32, k)
+			plain.Forward(in, want, ec)
+			d.Forward(in, got, ec)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("planned Forward[%d]=%d want %d", i, got[i], want[i])
 				}
 			}
-		}
-		wfB := make([][]float32, B)
-		gfB := make([][]float32, B)
-		wpB := make([][]uint64, B)
-		gpB := make([][]uint64, B)
-		for b := 0; b < B; b++ {
-			wfB[b], gfB[b] = make([]float32, k), make([]float32, k)
-			wpB[b], gpB[b] = make([]uint64, bitpack.WordsFor(k)), make([]uint64, bitpack.WordsFor(k))
-		}
-		d.ForwardFloatBatch(ins, wfB, &sw, ec)
-		d.ForwardFloatBatchCompressed(ins, gfB, &sg, ec)
-		d.ForwardPackedBatch(ins, wpB, &sw, ec)
-		d.ForwardPackedBatchCompressed(ins, gpB, &sg, ec)
-		for b := 0; b < B; b++ {
-			for i := range wfB[b] {
-				if wfB[b][i] != gfB[b][i] {
-					t.Fatalf("batch item %d: float logit %d differs", b, i)
+			wf, gf := make([]float32, k), make([]float32, k)
+			plain.ForwardFloat(in, wf, d.NewScratch(), ec)
+			d.ForwardFloat(in, gf, d.NewScratch(), ec)
+			for i := range wf {
+				if wf[i] != gf[i] {
+					t.Fatalf("planned ForwardFloat[%d]=%v want %v", i, gf[i], wf[i])
 				}
 			}
-			for i := range wpB[b] {
-				if wpB[b][i] != gpB[b][i] {
-					t.Fatalf("batch item %d: packed word %d differs", b, i)
+			wp := make([]uint64, bitpack.WordsFor(k))
+			gp := make([]uint64, bitpack.WordsFor(k))
+			plain.ForwardPacked(in, wp, d.NewScratch(), ec)
+			d.ForwardPacked(in, gp, d.NewScratch(), ec)
+			for i := range wp {
+				if wp[i] != gp[i] {
+					t.Fatalf("planned ForwardPacked word %d = %016x want %016x", i, gp[i], wp[i])
 				}
 			}
 		}
@@ -343,8 +259,8 @@ func TestSetCompressionValidates(t *testing.T) {
 
 // FuzzCompressedConv is the differential fuzz harness: arbitrary
 // geometries and weight banks — including adversarially low- and
-// high-duplication ones — must produce compressed output equal to the
-// uncompressed PressedConv word for word, packed and fused. The seed
+// high-duplication ones — must produce, with a forced plan, output equal
+// to the plan-less PressedConv word for word, packed and fused. The seed
 // corpus pins an all-words-identical bank (every filter the same, one
 // distinct word per position) and an all-words-distinct one.
 func FuzzCompressedConv(f *testing.F) {
@@ -391,8 +307,9 @@ func FuzzCompressedConv(f *testing.F) {
 		wpp := sched.Select(k, feat()).Words
 		want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
 		got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
-		cv.ForwardPacked(packed, want, exec.Serial())
-		cv.ForwardPackedCompressed(packed, got, exec.Serial())
+		plain := cv.Uncompressed()
+		plain.ForwardPacked(packed, want, exec.Serial())
+		cv.ForwardPacked(packed, got, exec.Serial())
 		equalPacked(t, "packed", want, got)
 		if ps, err := sched.InferPool(s.OutH, s.OutW, s.OutC, 2, 2, 2); err == nil && cv.CanFusePool(ps) {
 			pl, err := NewPool(ps, wpp)
@@ -401,8 +318,8 @@ func FuzzCompressedConv(f *testing.F) {
 			}
 			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
 			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-			cv.ForwardFused(packed, pl, fwant, exec.Serial())
-			cv.ForwardFusedCompressed(packed, pl, fgot, exec.Serial())
+			plain.ForwardFused(packed, pl, fwant, exec.Serial())
+			cv.ForwardFused(packed, pl, fgot, exec.Serial())
 			equalPacked(t, "fused", fwant, fgot)
 		}
 	})

@@ -21,16 +21,17 @@ type Dense struct {
 	weights *bitpack.PackedMatrix // K rows × Plan.Words, fused transform
 	// act is the folded activation of the packed path; nil = plain sign.
 	act *Thresholds
-	// epi is act pre-compiled into the branchless fused epilogue packSigns
-	// runs; rebuilt by SetThresholds, never per inference.
+	// epi is act pre-compiled into the branchless fused epilogue
+	// ForwardPacked runs; rebuilt by SetThresholds, never per inference.
 	epi *kernels.Epilogue
 	// affine post-processes the float path (ForwardFloat); nil = raw
 	// inner products.
 	affine *Affine
 	// press is the kernel-compression plan compiled from the packed
 	// weight matrix at construction when its duplication ratio clears
-	// kernels.CompressMinRatio (nil otherwise); pressStats always holds
-	// the measured analysis. Pure runtime state, never serialized.
+	// kernels.CompressMinRatio (nil otherwise): when set, Forward runs
+	// the compressed bgemm. pressStats always holds the measured
+	// analysis. Pure runtime state, never serialized.
 	press      *kernels.CompressPlan
 	pressStats kernels.CompressStats
 }
@@ -112,13 +113,18 @@ func (d *Dense) NewScratch() []int32 { return make([]int32, d.Shape.K) }
 
 // Forward computes the K inner products of the packed activation row in
 // (Plan.Words words, N valid bits) into out (len K). ec splits the
-// K dimension.
+// K dimension; an operator holding a compression plan walks it instead
+// (one row, so serially).
 func (d *Dense) Forward(in []uint64, out []int32, ec *exec.Ctx) {
 	if len(in) != d.Plan.Words {
 		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.Plan.Words))
 	}
 	if len(out) != d.Shape.K {
 		panic(fmt.Sprintf("core: dense output len %d, want K=%d", len(out), d.Shape.K))
+	}
+	if d.press != nil {
+		kernels.BGemmCompressedExec(in, 1, d.press, d.Plan.Words, d.Shape.N, out, ec)
+		return
 	}
 	opts := kernels.BGemmOpts{Width: d.Plan.Tier}
 	kernels.BGemmExec(in, 1, d.weights.Words, d.Shape.K, d.Plan.Words, d.Shape.N, out, opts, ec)
@@ -154,5 +160,5 @@ func (d *Dense) ForwardPacked(in []uint64, out []uint64, tmp []int32, ec *exec.C
 	if len(out) < bitpack.WordsFor(d.Shape.K) {
 		panic("core: dense packed output too short")
 	}
-	d.packSigns(tmp, out)
+	d.epi.Pack(tmp, out)
 }

@@ -18,4 +18,13 @@
 // Spatial zero padding is realized at zero cost by pre-allocating margined
 // buffers and writing convolution results into the interior (Fig. 5);
 // margin words stay all-zero.
+//
+// Each operator has one forward body per output form (Conv: raw Forward,
+// ForwardPacked, ForwardFused with the following max-pool; Dense:
+// Forward, ForwardFloat, ForwardPacked), every one a single image wide.
+// What varies inside a body is a step, not a twin method: an operator
+// holding a kernel-compression plan (compress.go) accumulates a window
+// through the plan instead of sweeping its bank, and batches are the
+// graph's business — it runs these same bodies once per image, across
+// workers.
 package core

@@ -171,34 +171,6 @@ func TestCanFusePool(t *testing.T) {
 	}
 }
 
-func TestConvForwardFusedBatchBitIdentical(t *testing.T) {
-	r := workload.NewRNG(94)
-	fc := buildFused(t, r, 9, 7, 100, 70, 3, 3, 1, 1, 2, 2, 2, true)
-	cv, pl := fc.cv, fc.pl
-	wpp := fc.got.WPP
-	for _, B := range []int{1, 2, 3, 5} {
-		ins := make([]*bitpack.Packed, B)
-		outs := make([]*bitpack.Packed, B)
-		wants := make([]*bitpack.Packed, B)
-		for b := 0; b < B; b++ {
-			in := workload.PM1Tensor(r, 9, 7, 100)
-			ins[b] = cv.NewInput()
-			bitpack.PackTensorInto(in, ins[b])
-			outs[b] = bitpack.NewPacked(pl.Shape.OutH, pl.Shape.OutW, pl.Shape.OutC, wpp, 0, 0)
-			wants[b] = bitpack.NewPacked(pl.Shape.OutH, pl.Shape.OutW, pl.Shape.OutC, wpp, 0, 0)
-			cv.ForwardFused(ins[b], pl, wants[b], exec.Serial())
-		}
-		cv.ForwardFusedBatch(ins, pl, outs, exec.Threads(2))
-		for b := 0; b < B; b++ {
-			for i := range wants[b].Words {
-				if outs[b].Words[i] != wants[b].Words[i] {
-					t.Fatalf("B=%d lane %d word %d: batched fused differs from serial fused", B, b, i)
-				}
-			}
-		}
-	}
-}
-
 func TestMultiBaseForwardFusedMatchesForward(t *testing.T) {
 	r := workload.NewRNG(95)
 	h, w, c, k := 7, 7, 64, 70

@@ -17,9 +17,11 @@ const maxKH = 16
 // Conv is a PressedConv binary convolution operator: filters are packed
 // once at construction, inputs arrive as channel-packed bit tensors, and
 // every multiply-accumulate is an XOR + popcount. Each output pixel is
-// one gather of its receptive field into a contiguous window and one
-// kernel sweep of that window over all K packed filters, read in place,
-// on the machine's widest tier (Plan.Tier).
+// one gather of its receptive field into a contiguous window, one
+// accumulate step over that window — a kernel sweep over all K packed
+// filters, read in place, on the machine's widest tier (Plan.Tier), or a
+// walk of the operator's compression plan when it holds one — and one
+// threshold-pack epilogue.
 type Conv struct {
 	Shape sched.ConvShape
 	Plan  sched.Plan
@@ -36,16 +38,17 @@ type Conv struct {
 	// plain Equation 3 sign.
 	act *Thresholds
 	// epi is act pre-compiled into the fused epilogue over
-	// pre-activations (the compressed paths run it); popEpi is the same
-	// activation over raw XOR+popcount sums, which the plain paths
-	// threshold straight out of the sweep. Both are rebuilt by
-	// SetThresholds, never per inference.
+	// pre-activations (what the compression plan's accumulate step
+	// produces); popEpi is the same activation over raw XOR+popcount
+	// sums, which the sweep's counts are thresholded from directly. Both
+	// are rebuilt by SetThresholds, never per inference.
 	epi, popEpi *kernels.Epilogue
 	// press is the kernel-compression plan compiled from the packed
 	// filter bank at construction when its duplication ratio clears
-	// kernels.CompressMinRatio (nil otherwise); pressStats always holds
-	// the measured analysis. Pure runtime state, never serialized — the
-	// graph layer decides per network which path actually runs.
+	// kernels.CompressMinRatio (nil otherwise): when set, it replaces the
+	// sweep as the accumulate step of ForwardPacked and ForwardFused.
+	// pressStats always holds the measured analysis. Pure runtime state,
+	// never serialized.
 	press      *kernels.CompressPlan
 	pressStats kernels.CompressStats
 }
@@ -177,6 +180,8 @@ func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
 // Forward computes raw pre-activation outputs into out (OutH×OutW×K).
 // Outputs are exact integer inner products stored as float32. ec
 // controls the multi-core split over the fused OutH·OutW dimension.
+// Forward always sweeps the packed bank: it is the reference the packed
+// paths (and a compression plan) are checked against.
 func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	cv.checkInput(in)
 	s := cv.Shape
@@ -225,15 +230,38 @@ func (cv *Conv) checkPacked(in, out *bitpack.Packed) {
 }
 
 // packedRange is ForwardPacked over output pixels [start, end) of the
-// fused OutH·OutW dimension: gather, sweep, threshold-pack. win and acc
-// are the worker chunk's scratch.
+// fused OutH·OutW dimension: gather, accumulate, threshold-pack. win and
+// acc are the worker chunk's scratch.
 func (cv *Conv) packedRange(in, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
 	s := cv.Shape
 	for idx := start; idx < end; idx++ {
 		y := idx / s.OutW
 		x := idx % s.OutW
 		cv.gather(in, y*s.Stride-s.Pad, x*s.Stride-s.Pad, win)
-		kernels.ConvEpilogue(cv.Plan.Tier, win, cv.filter.Words, cv.popEpi, acc, out.PixelWords(y, x))
+		cv.thresholdWindow(win, acc, out.PixelWords(y, x), false)
+	}
+}
+
+// thresholdWindow is the accumulate → threshold → set-bit pass for one
+// gathered window. The accumulate step is one sweep of win over the K
+// packed filters, thresholded in the count domain, or — when the operator
+// holds a compression plan — one walk of the plan's distinct-word table,
+// thresholded as pre-activations; both sum the same integer popcounts, so
+// the bits are identical. The bits overwrite dst (trailing words
+// cleared), or OR into it when or is set: the remaining positions of a
+// pool window, max-pool commuting with sign.
+func (cv *Conv) thresholdWindow(win []uint64, acc []int32, dst []uint64, or bool) {
+	epi := cv.popEpi
+	if cv.press != nil {
+		kernels.CompressedPreacts(cv.press, win, int32(cv.validLanes), acc)
+		epi = cv.epi
+	} else {
+		kernels.Sweep(cv.Plan.Tier, win, cv.filter.Words, acc)
+	}
+	if or {
+		epi.PackOr(acc, dst)
+	} else {
+		epi.Pack(acc, dst)
 	}
 }
 
@@ -282,12 +310,10 @@ func (cv *Conv) checkFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) {
 	}
 }
 
-// fusedRange is ForwardFused over pool output pixels [start, end).
+// fusedRange is ForwardFused over pool output pixels [start, end): the
+// first position of each pool window overwrites, the rest OR in.
 func (cv *Conv) fusedRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
 	s := cv.Shape
-	fw := cv.filter.Words
-	epi := cv.popEpi
-	tier := cv.Plan.Tier
 	for idx := start; idx < end; idx++ {
 		py := idx / p.OutW
 		px := idx % p.OutW
@@ -297,11 +323,7 @@ func (cv *Conv) fusedRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.P
 			for j := 0; j < p.KW; j++ {
 				cx := px*p.Stride + j
 				cv.gather(in, cy*s.Stride-s.Pad, cx*s.Stride-s.Pad, win)
-				if i == 0 && j == 0 {
-					kernels.ConvEpilogue(tier, win, fw, epi, acc, dst)
-				} else {
-					kernels.ConvEpilogueOr(tier, win, fw, epi, acc, dst)
-				}
+				cv.thresholdWindow(win, acc, dst, i+j > 0)
 			}
 		}
 	}

@@ -81,6 +81,16 @@ func (c *Ctx) WithObserver(obs Observer) *Ctx {
 	return d
 }
 
+// Inline returns a copy of c that runs every ParallelFor on the caller's
+// goroutine, keeping c's cancellation context and observer — what the
+// body of an outer ParallelFor runs whole layers under, so a worker
+// chunk never dispatches onto the pool it is running on.
+func (c *Ctx) Inline() *Ctx {
+	d := c.derive()
+	d.pool, d.threads, d.spawn = nil, 1, false
+	return d
+}
+
 // derive copies c, treating nil as Serial.
 func (c *Ctx) derive() *Ctx {
 	if c == nil {

@@ -164,6 +164,39 @@ func TestWithObserver(t *testing.T) {
 	}
 }
 
+// TestInline: the inline copy runs one chunk on the caller and keeps the
+// cancellation context and observer; the receiver keeps its pool.
+func TestInline(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	base := Pooled(p, 3).WithContext(ctx).WithObserver(func(string, string, time.Duration) {})
+	in := base.Inline()
+	if in.Budget() != 1 || in.Pool() != nil {
+		t.Fatalf("Inline budget %d pool %v, want 1 and nil", in.Budget(), in.Pool())
+	}
+	if base.Budget() != 3 || base.Pool() != p {
+		t.Fatal("Inline mutated its receiver")
+	}
+	chunks := 0
+	in.ParallelFor(7, func(start, end int) {
+		if start != 0 || end != 7 {
+			t.Fatalf("inline chunk [%d,%d), want [0,7)", start, end)
+		}
+		chunks++
+	})
+	if chunks != 1 {
+		t.Fatalf("inline ctx ran %d chunks, want 1", chunks)
+	}
+	cancel()
+	if !errors.Is(in.Err(), context.Canceled) || in.Observer() == nil {
+		t.Fatal("Inline dropped the cancellation context or the observer")
+	}
+	if (*Ctx)(nil).Inline().Budget() != 1 {
+		t.Fatal("nil ctx Inline is not serial")
+	}
+}
+
 // TestNilCtxIsSerial: nil receivers must behave as a serial context.
 func TestNilCtxIsSerial(t *testing.T) {
 	var ec *Ctx

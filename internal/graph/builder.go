@@ -38,8 +38,8 @@ type Builder struct {
 	specs         []spec
 	// noFuse disables the conv→pool fusion planning pass (see fuse.go).
 	noFuse bool
-	// noPress disables the kernel-compression planning pass (see
-	// press.go).
+	// noPress disables kernel-compression planning: layers get plan-less
+	// operators (see press.go).
 	noPress bool
 }
 
@@ -306,6 +306,9 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: conv %q: %w", sp.name, err)
 			}
+			if b.noPress {
+				op = op.Uncompressed()
+			}
 			if bias, err := src.convBias(sp.name, sp.k); err != nil {
 				return nil, fmt.Errorf("graph: bias for conv %q: %w", sp.name, err)
 			} else if bias != nil {
@@ -396,6 +399,9 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 			op, err := src.dense(sp.name, shape, plan)
 			if err != nil {
 				return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
+			}
+			if b.noPress {
+				op = op.Uncompressed()
 			}
 			if bias, err := src.denseBias(sp.name, sp.units); err != nil {
 				return nil, fmt.Errorf("graph: bias for dense %q: %w", sp.name, err)
@@ -490,8 +496,5 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 		n.fuse()
 	}
 	n.uncompressed = b.noPress
-	if !b.noPress {
-		n.press()
-	}
 	return n, nil
 }

@@ -51,8 +51,6 @@ type fusedConvPoolLayer struct {
 	pool               *core.Pool
 	in                 *bitpack.Packed // the conv's input edge
 	out                *bitpack.Packed // the pool's output edge
-	// press selects the kernel-compressed forward (see press.go).
-	press bool
 }
 
 // name joins the pair under a stable "conv+pool" identity so per-layer
@@ -63,13 +61,7 @@ func (l *fusedConvPoolLayer) outDims() string {
 	s := l.pool.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *fusedConvPoolLayer) forward(ec *exec.Ctx) {
-	if l.press {
-		l.conv.ForwardFusedCompressed(l.in, l.pool, l.out, ec)
-		return
-	}
-	l.conv.ForwardFused(l.in, l.pool, l.out, ec)
-}
+func (l *fusedConvPoolLayer) forward(ec *exec.Ctx) { l.conv.ForwardFused(l.in, l.pool, l.out, ec) }
 func (l *fusedConvPoolLayer) parallelUnits() int {
 	return l.pool.Shape.OutH * l.pool.Shape.OutW
 }

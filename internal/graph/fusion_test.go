@@ -185,7 +185,7 @@ func TestFusedLayerObserverNames(t *testing.T) {
 
 // TestFusionBatchLanesInheritPlan pins that EnsureBatch lanes follow the
 // base network's plan for both fused and unfused networks (a mixed pool
-// would silently break the layer-major sweep's wiring).
+// would compare unlike plans).
 func TestFusionBatchLanesInheritPlan(t *testing.T) {
 	fused := mixedNet(t, 78)
 	unfused := fused.CloneUnfused()

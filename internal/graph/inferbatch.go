@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bitflow/internal/bitpack"
-	"bitflow/internal/core"
-	"bitflow/internal/exec"
-	"bitflow/internal/faultinject"
 	"bitflow/internal/tensor"
 )
 
@@ -15,17 +11,21 @@ import (
 // a Network owns a pool of "lanes" — clones sharing its read-only packed
 // weights, each with a private activation-buffer chain (margins included,
 // so the zero-cost-padding layout carries over unchanged) — and InferBatch
-// runs a layer-major sweep across them: every image's activations for a
-// layer are in place before the layer's kernels run, so the layer's packed
-// filter words stream through the cache once per batch instead of once per
-// image (the engine-level scheduling daBNN-style systems get their
-// throughput from). Per-image arithmetic is identical to Infer, so batched
-// logits are bit-identical to sequential ones.
+// runs each image through one lane with the same forward body Infer uses
+// (Network.pass), so batched logits are bit-identical to sequential ones
+// by construction. What a batch buys is dispatch: when there are at least
+// as many images as threads, whole lanes are handed to the workers, one
+// dispatch per batch instead of one per layer per image. (The sweep
+// kernels read a layer's whole filter bank once per window, so there is
+// no weight traffic left for a batch dimension inside a layer to save.)
 
 // BatchInputError reports which item of a batch failed validation. The
-// forward pass does not run when InferBatch returns one; callers doing
-// per-request validation (internal/batch) check items individually before
-// ever assembling a batch, so a single bad input fails alone.
+// forward pass does not run when InferBatch returns one, and InferBatch
+// returns one for nothing else: a failure of the pass itself
+// (cancellation, an injected fault) comes back bare, at any batch size.
+// Callers doing per-request validation (internal/batch) check items
+// individually before ever assembling a batch, so a single bad input
+// fails alone.
 type BatchInputError struct {
 	Index int
 	Err   error
@@ -53,73 +53,19 @@ func (n *Network) CheckInputFinite(x *tensor.Tensor) error {
 	return nil
 }
 
-// batchWiring pre-collects, for one layer, the lane buffer slices the
-// batched operator paths consume, so forwardLayerBatch hands them over
-// without assembling anything per batch. Exactly one family of fields is
-// populated, matching the layer's type.
-type batchWiring struct {
-	convIns, convOuts []*bitpack.Packed
-
-	denseIns    [][]uint64
-	densePacked [][]uint64
-	denseFloat  [][]float32
-	denseTmp    *core.DenseBatchScratch
-}
-
 // EnsureBatch grows the network's lane pool to serve batches of up to b
 // images without further allocation. Lane 0 is the network itself; extra
 // lanes are clones sharing the packed weights. The pool only ever grows —
 // a batcher sizes it once to its max-batch at startup, the "grown once"
 // buffer scheme of the batched path.
 func (n *Network) EnsureBatch(b int) {
-	grown := len(n.wiring) == 0
 	for len(n.lanes) < b {
-		if len(n.lanes) == 0 {
-			n.lanes = append(n.lanes, n)
-			continue
+		lane := n
+		if len(n.lanes) > 0 {
+			lane = n.Clone()
 		}
-		n.lanes = append(n.lanes, n.Clone())
-		grown = true
-	}
-	if grown {
-		n.rewireBatch()
-	}
-}
-
-// rewireBatch rebuilds the per-layer wiring for the current lane pool.
-func (n *Network) rewireBatch() {
-	B := len(n.lanes)
-	n.wiring = make([]batchWiring, len(n.layers))
-	for li, base := range n.layers {
-		w := &n.wiring[li]
-		switch base.(type) {
-		case *convLayer:
-			w.convIns = make([]*bitpack.Packed, B)
-			w.convOuts = make([]*bitpack.Packed, B)
-			for b, lane := range n.lanes {
-				cl := lane.layers[li].(*convLayer)
-				w.convIns[b], w.convOuts[b] = cl.in, cl.out
-			}
-		case *fusedConvPoolLayer:
-			w.convIns = make([]*bitpack.Packed, B)
-			w.convOuts = make([]*bitpack.Packed, B)
-			for b, lane := range n.lanes {
-				fl := lane.layers[li].(*fusedConvPoolLayer)
-				w.convIns[b], w.convOuts[b] = fl.in, fl.out
-			}
-		case *denseLayer:
-			w.denseIns = make([][]uint64, B)
-			w.densePacked = make([][]uint64, B)
-			w.denseFloat = make([][]float32, B)
-			w.denseTmp = &core.DenseBatchScratch{}
-			for b, lane := range n.lanes {
-				dl := lane.layers[li].(*denseLayer)
-				w.denseIns[b] = dl.in
-				w.densePacked[b] = dl.packedOut
-				w.denseFloat[b] = dl.floatOut
-			}
-			w.denseTmp.Ensure(base.(*denseLayer).op, B)
-		}
+		n.lanes = append(n.lanes, lane)
+		n.laneErrs = append(n.laneErrs, nil)
 	}
 }
 
@@ -131,8 +77,17 @@ func (n *Network) MaxBatch() int { return len(n.lanes) }
 // slice per input, with InferBatch(xs)[i] bit-identical to Infer(xs[i]).
 // Inputs are validated up front: a nil, misshapen, or malformed tensor
 // fails the call with a *BatchInputError naming the offending index and
-// no forward pass runs. Like Infer, InferBatch is not safe for concurrent
-// use on the same Network.
+// no forward pass runs. A pass that fails — the attached context
+// cancelled, a fault injected — returns that error bare (the lowest
+// failing lane's; once the context is cancelled every remaining lane
+// stops at its next layer boundary); the lanes stay reusable, every
+// layer rewriting its output in full. Like Infer, InferBatch is not safe
+// for concurrent use on the same Network.
+//
+// With at least as many images as the context's thread budget the lanes
+// are split across the workers, each running its layers inline; smaller
+// batches run lane after lane with every layer split across the full
+// budget, as Infer does.
 func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 	B := len(xs)
 	if B == 0 {
@@ -144,76 +99,29 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 			return nil, &BatchInputError{Index: i, Err: err}
 		}
 	}
-	if B == 1 {
-		// nil ctx: keep any cancellation carried by the attached
-		// execution context, matching the B>1 layer-sweep below.
-		out, err := n.InferContext(nil, xs[0])
-		if err != nil {
-			//bitflow:alloc-ok failure path; the error escapes
-			return nil, &BatchInputError{Index: 0, Err: err}
-		}
-		//bitflow:alloc-ok result wrapper escapes to the caller
-		return [][]float32{out}, nil
-	}
 	n.EnsureBatch(B)
-	ec := n.execCtx()
-	lanes := n.lanes[:B]
-	for b, lane := range lanes {
-		lane.feedInput(xs[b])
+	lanes, errs := n.lanes[:B], n.laneErrs[:B]
+	// across dispatches the lanes, within runs each lane's layers.
+	across := n.execCtx()
+	within := across.Inline()
+	if B < across.Budget() {
+		across, within = within, across
 	}
-	for li := range n.layers {
-		if err := ec.Err(); err != nil {
+	//bitflow:alloc-ok one dispatch closure per batch; it replaces one per layer per image
+	across.ParallelFor(B, func(start, end int) {
+		for b := start; b < end; b++ {
+			errs[b] = lanes[b].pass(within, xs[b])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		if err := faultinject.GraphLayer.Fire(ec.Context(), n.layers[li].name(), li); err != nil {
-			return nil, err
-		}
-		n.forwardLayerBatch(li, lanes, ec)
 	}
 	//bitflow:alloc-ok result slices escape to the caller; lane buffers are reused by the next batch
 	outs := make([][]float32, B)
 	for b, lane := range lanes {
-		//bitflow:alloc-ok result slices escape to the caller
-		outs[b] = make([]float32, len(lane.output))
-		copy(outs[b], lane.output)
+		outs[b] = lane.logits()
 	}
 	return outs, nil
-}
-
-// forwardLayerBatch runs layer li across all lanes. Conv and dense layers
-// use the batched operator paths (weights stream once per batch); pool and
-// the mixed-precision float stem are weightless or float-bound and run
-// per lane.
-func (n *Network) forwardLayerBatch(li int, lanes []*Network, ec *exec.Ctx) {
-	B := len(lanes)
-	w := &n.wiring[li]
-	switch l := n.layers[li].(type) {
-	case *convLayer:
-		if l.press {
-			l.op.ForwardPackedBatchCompressed(w.convIns[:B], w.convOuts[:B], ec)
-			return
-		}
-		l.op.ForwardPackedBatch(w.convIns[:B], w.convOuts[:B], ec)
-	case *fusedConvPoolLayer:
-		if l.press {
-			l.conv.ForwardFusedBatchCompressed(w.convIns[:B], l.pool, w.convOuts[:B], ec)
-			return
-		}
-		l.conv.ForwardFusedBatch(w.convIns[:B], l.pool, w.convOuts[:B], ec)
-	case *denseLayer:
-		switch {
-		case l.floatOut != nil && l.press:
-			l.op.ForwardFloatBatchCompressed(w.denseIns[:B], w.denseFloat[:B], w.denseTmp, ec)
-		case l.floatOut != nil:
-			l.op.ForwardFloatBatch(w.denseIns[:B], w.denseFloat[:B], w.denseTmp, ec)
-		case l.press:
-			l.op.ForwardPackedBatchCompressed(w.denseIns[:B], w.densePacked[:B], w.denseTmp, ec)
-		default:
-			l.op.ForwardPackedBatch(w.denseIns[:B], w.densePacked[:B], w.denseTmp, ec)
-		}
-	default:
-		for _, lane := range lanes {
-			lane.layers[li].forward(ec)
-		}
-	}
 }

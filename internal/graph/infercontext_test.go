@@ -145,7 +145,7 @@ func TestSetExecPooled(t *testing.T) {
 }
 
 // TestInferBatchCancelled: the batched path honours an attached context
-// too — a cancelled base context stops the layer-major sweep.
+// too — a cancelled base context stops every lane.
 func TestInferBatchCancelled(t *testing.T) {
 	net, err := TinyVGG(feat(), RandomWeights{Seed: 50})
 	if err != nil {

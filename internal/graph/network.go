@@ -79,11 +79,10 @@ type Network struct {
 	// lane 0 is the network itself, the rest are clones sharing the
 	// packed weights. Grown once by EnsureBatch, never shrunk.
 	lanes []*Network
-
-	// wiring holds the per-layer lane buffer slices InferBatch hands the
-	// batched operator paths, pre-collected by EnsureBatch so the
-	// layer-major sweep allocates nothing per batch.
-	wiring []batchWiring
+	// laneErrs[b] is lane b's outcome in the InferBatch under way; each
+	// lane writes only its own slot, so lanes on different workers never
+	// share one.
+	laneErrs []error
 }
 
 // LayerInfo describes one layer for reporting.
@@ -175,8 +174,20 @@ func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32
 	if ctx != nil {
 		ec = ec.WithContext(ctx)
 	}
-	if err := ec.Err(); err != nil {
+	if err := n.pass(ec, x); err != nil {
 		return nil, err
+	}
+	return n.logits(), nil
+}
+
+// pass is the one forward body: pack x into the network's own buffer
+// chain and run every layer under ec, checking ec between layers,
+// firing the graph.layer fault point and reporting to ec's observer.
+// Infer runs it on the network, InferBatch on each lane. x must already
+// have passed CheckInput.
+func (n *Network) pass(ec *exec.Ctx, x *tensor.Tensor) error {
+	if err := ec.Err(); err != nil {
+		return err
 	}
 	obs := ec.Observer()
 	var t0 time.Time
@@ -189,10 +200,10 @@ func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32
 	}
 	for i, l := range n.layers {
 		if err := ec.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := faultinject.GraphLayer.Fire(ec.Context(), l.name(), i); err != nil {
-			return nil, err
+			return err
 		}
 		if obs != nil {
 			t0 = time.Now()
@@ -202,10 +213,16 @@ func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32
 			obs(l.name(), l.kind(), time.Since(t0))
 		}
 	}
-	//bitflow:alloc-ok result slice escapes to the caller; returning a view of n.output would race with the next inference
+	return nil
+}
+
+// logits returns a fresh copy of the output buffer: a view of n.output
+// would be overwritten by the next inference.
+func (n *Network) logits() []float32 {
+	//bitflow:alloc-ok result slice escapes to the caller
 	out := make([]float32, len(n.output))
 	copy(out, n.output)
-	return out, nil
+	return out
 }
 
 // LayerTiming records one layer's wall-clock contribution to a timed pass.
@@ -237,10 +254,7 @@ func (n *Network) InferTimed(x *tensor.Tensor) ([]float32, []LayerTiming) {
 			Units: l.parallelUnits(),
 		})
 	}
-	//bitflow:alloc-ok result slice escapes to the caller
-	out := make([]float32, len(n.output))
-	copy(out, n.output)
-	return out, timings
+	return n.logits(), timings
 }
 
 func (n *Network) feedInput(x *tensor.Tensor) {
@@ -298,9 +312,6 @@ type convLayer struct {
 	lname   string
 	op      *core.Conv
 	in, out *bitpack.Packed
-	// press selects the kernel-compressed forward (see press.go). It is
-	// per layer, not per operator: clones sharing op can run either path.
-	press bool
 }
 
 func (l *convLayer) name() string { return l.lname }
@@ -309,14 +320,8 @@ func (l *convLayer) outDims() string {
 	s := l.op.Shape
 	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
 }
-func (l *convLayer) forward(ec *exec.Ctx) {
-	if l.press {
-		l.op.ForwardPackedCompressed(l.in, l.out, ec)
-		return
-	}
-	l.op.ForwardPacked(l.in, l.out, ec)
-}
-func (l *convLayer) parallelUnits() int { return l.op.Shape.OutH * l.op.Shape.OutW }
+func (l *convLayer) forward(ec *exec.Ctx) { l.op.ForwardPacked(l.in, l.out, ec) }
+func (l *convLayer) parallelUnits() int   { return l.op.Shape.OutH * l.op.Shape.OutW }
 func (l *convLayer) weightStats() (int64, int64) {
 	s := l.op.Shape
 	return int64(s.K) * int64(s.KH) * int64(s.KW) * int64(s.InC), 8 * int64(len(l.op.Filter().Words))
@@ -373,25 +378,17 @@ type denseLayer struct {
 	// tmp is the K-length pre-activation scratch, allocated at build
 	// time (per clone — the shared operator carries no mutable state).
 	tmp []int32
-
-	// press selects the kernel-compressed forward (see press.go).
-	press bool
 }
 
 func (l *denseLayer) name() string    { return l.lname }
 func (l *denseLayer) kind() string    { return "fc" }
 func (l *denseLayer) outDims() string { return fmt.Sprintf("%d", l.op.Shape.K) }
 func (l *denseLayer) forward(ec *exec.Ctx) {
-	switch {
-	case l.floatOut != nil && l.press:
-		l.op.ForwardFloatCompressed(l.in, l.floatOut, l.tmp, ec)
-	case l.floatOut != nil:
+	if l.floatOut != nil {
 		l.op.ForwardFloat(l.in, l.floatOut, l.tmp, ec)
-	case l.press:
-		l.op.ForwardPackedCompressed(l.in, l.packedOut, l.tmp, ec)
-	default:
-		l.op.ForwardPacked(l.in, l.packedOut, l.tmp, ec)
+		return
 	}
+	l.op.ForwardPacked(l.in, l.packedOut, l.tmp, ec)
 }
 func (l *denseLayer) weightStats() (int64, int64) {
 	s := l.op.Shape

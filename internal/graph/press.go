@@ -8,21 +8,22 @@ import (
 
 // Kernel-compression planning (Silfa & Arnau, "Exploiting Kernel
 // Compression on BNNs"): packed binary weight banks repeat 64-bit words
-// across output channels, and operators whose duplication ratio clears
-// kernels.CompressMinRatio carry a CompressPlan compiled at
-// construction (see core.NewConvPacked / core.NewDensePacked). The pass
-// below is the graph half: it marks, per layer, whether this network's
-// forward actually takes the compressed path. The flag lives on the
-// layer — not the operator — so lanes and clones sharing the read-only
-// operators can run either path, which is what the differential harness
-// (CloneUncompressed) compares against.
+// across output channels, and an operator whose duplication ratio clears
+// kernels.CompressMinRatio holds a CompressPlan compiled at construction
+// (see core.NewConvPacked / core.NewDensePacked). The plan is held by
+// the operator and is the accumulate step of its ordinary forward, so
+// this file has no pass to run: a network is compressed wherever its
+// operators hold plans, and an uncompressed network (DisableCompression /
+// CloneUncompressed) is one built over plan-less shallow copies of the
+// operators — sharing the packed words — which is what the differential
+// harness compares against.
 //
-// Like fusion, compression is pure runtime planning: it runs at build
+// Like fusion, compression is pure runtime planning: it happens at build
 // *and* load time off the packed weights, the serialized format carries
 // no plan metadata, and save→load keeps artifacts byte-identical. The
-// compressed accumulators sum the same integer popcounts as the
-// uncompressed kernels and finish through the same epilogue, so logits
-// are bit-identical either way.
+// plan's accumulators sum the same integer popcounts as the sweep and
+// finish through the same epilogue, so logits are bit-identical either
+// way.
 
 // LayerCompression reports one layer's duplication analysis and whether
 // this network's forward runs it compressed.
@@ -36,8 +37,9 @@ type LayerCompression struct {
 	Channels, Positions       int
 	TotalWords, DistinctWords int
 	// Ratio is TotalWords/DistinctWords; Selected reports whether the
-	// forward pass takes the compressed path (ratio cleared the
-	// threshold and planning was not disabled).
+	// layer's operator holds a plan, i.e. its forward accumulates
+	// through the distinct-word table (ratio cleared the threshold, or a
+	// plan was forced, and planning was not disabled).
 	Ratio    float64
 	Selected bool
 }
@@ -48,30 +50,33 @@ type LayerCompression struct {
 func (n *Network) Compression() []LayerCompression {
 	out := make([]LayerCompression, 0, len(n.layers))
 	for _, l := range n.layers {
-		var st kernels.CompressStats
-		var selected bool
+		var op interface {
+			CompressionStats() kernels.CompressStats
+			Compression() *kernels.CompressPlan
+		}
 		switch t := l.(type) {
 		case *convLayer:
-			st, selected = t.op.CompressionStats(), t.press
+			op = t.op
 		case *fusedConvPoolLayer:
-			st, selected = t.conv.CompressionStats(), t.press
+			op = t.conv
 		case *denseLayer:
-			st, selected = t.op.CompressionStats(), t.press
+			op = t.op
 		default:
 			continue
 		}
+		st := op.CompressionStats()
 		out = append(out, LayerCompression{
 			Layer: l.name(), Kind: l.kind(),
 			Channels: st.Channels, Positions: st.Positions,
 			TotalWords: st.TotalWords, DistinctWords: st.DistinctWords,
-			Ratio: st.Ratio(), Selected: selected,
+			Ratio: st.Ratio(), Selected: op.Compression() != nil,
 		})
 	}
 	return out
 }
 
-// CompressedLayers counts the layers whose forward runs the compressed
-// path — the headline number bitflow-info and /model report.
+// CompressedLayers counts the layers whose operator holds a plan — the
+// headline number bitflow-info and /model report.
 func (n *Network) CompressedLayers() int {
 	c := 0
 	for _, lc := range n.Compression() {
@@ -82,41 +87,13 @@ func (n *Network) CompressedLayers() int {
 	return c
 }
 
-// Compressed reports whether the compression planning pass ran
+// Compressed reports whether compression planning was left on
 // (regardless of whether any layer cleared the threshold).
 func (n *Network) Compressed() bool { return !n.uncompressed }
 
-// press is the planning pass: mark every layer whose shared operator
-// carries a compression plan. Runs at build and load time (and inside
-// Clone, so lanes inherit the parent's selection).
-func (n *Network) press() {
-	for _, l := range n.layers {
-		switch t := l.(type) {
-		case *convLayer:
-			t.press = t.op.Compression() != nil
-		case *fusedConvPoolLayer:
-			t.press = t.conv.Compression() != nil
-		case *denseLayer:
-			t.press = t.op.Compression() != nil
-		}
-	}
-}
-
-// RefreshCompression re-runs the selection pass, picking up plans forced
-// or cleared on the shared operators via SetCompression after the
-// network was built — a hook for the differential tests and benchmarks.
-// On an uncompressed network (DisableCompression / CloneUncompressed)
-// it is a no-op.
-func (n *Network) RefreshCompression() {
-	if n.uncompressed {
-		return
-	}
-	n.press()
-}
-
-// DisableCompression turns off the kernel-compression planning pass:
-// every layer keeps the streaming uncompressed kernels. Compression
-// never changes logits — this exists for the compressed-vs-uncompressed
+// DisableCompression turns off kernel-compression planning: every layer
+// gets a plan-less operator and keeps the plain sweep. Compression never
+// changes logits — this exists for the compressed-vs-uncompressed
 // differential harness and apples-to-apples benchmarking, not as a
 // production knob.
 func (b *Builder) DisableCompression() *Builder {
@@ -124,9 +101,9 @@ func (b *Builder) DisableCompression() *Builder {
 	return b
 }
 
-// CloneUncompressed is Clone with the compression planner disabled: an
-// independent buffer chain over the *same* packed weights, running the
-// uncompressed kernels everywhere. It inherits the fusion plan, so a
+// CloneUncompressed is Clone with compression planning disabled: an
+// independent buffer chain over plan-less copies of the operators — the
+// *same* packed words — sweeping everywhere. It inherits the fusion plan, so a
 // fused network compares fused-compressed against fused-uncompressed —
 // one variable at a time.
 func (n *Network) CloneUncompressed() *Network {

@@ -258,10 +258,11 @@ func TestCompressionBatchLanesInherit(t *testing.T) {
 	}
 }
 
-// TestRefreshCompression pins the test/bench hook: forcing a plan on a
-// shared operator takes effect after RefreshCompression, and clearing
-// it reverts — while an uncompressed network ignores refreshes.
-func TestRefreshCompression(t *testing.T) {
+// TestSetCompressionTakesEffect pins the test/bench hook: a plan forced
+// on a shared operator is what the network's next forward runs, and
+// clearing it reverts — while an uncompressed clone, holding plan-less
+// copies of the operators, is not touched by either.
+func TestSetCompressionTakesEffect(t *testing.T) {
 	net := mixedNet(t, 88) // all wide random banks: nothing auto-selects
 	if net.CompressedLayers() != 0 {
 		t.Fatalf("mixed net unexpectedly auto-selected %d layers", net.CompressedLayers())
@@ -276,20 +277,22 @@ func TestRefreshCompression(t *testing.T) {
 	if target == nil {
 		t.Fatal("no fused conv found")
 	}
-	// Force a plan below threshold, refresh, and compare logits against
-	// an uncompressed clone — the low-duplication compressed path must
+	// Force a plan below threshold and compare logits against an
+	// uncompressed clone taken beforehand — the low-duplication plan must
 	// still be bit-exact end to end.
+	plain := net.CloneUncompressed()
 	pf := target.Filter()
 	fstride := len(pf.Words) / target.Shape.K
 	plan := kernels.BuildCompressPlan(pf.Words, target.Shape.K, fstride)
 	if err := target.SetCompression(plan); err != nil {
 		t.Fatal(err)
 	}
-	net.RefreshCompression()
 	if net.CompressedLayers() != 1 {
 		t.Fatalf("forced plan not picked up: %d compressed layers", net.CompressedLayers())
 	}
-	plain := net.CloneUncompressed()
+	if plain.CompressedLayers() != 0 || net.CloneUncompressed().CompressedLayers() != 0 {
+		t.Fatal("forced plan reached an uncompressed clone")
+	}
 	x := workload.RandTensor(workload.NewRNG(89), net.InH, net.InW, net.InC)
 	want := plain.Infer(x)
 	got := net.Infer(x)
@@ -301,8 +304,7 @@ func TestRefreshCompression(t *testing.T) {
 	if err := target.SetCompression(nil); err != nil {
 		t.Fatal(err)
 	}
-	net.RefreshCompression()
 	if net.CompressedLayers() != 0 {
-		t.Fatal("cleared plan still selected after refresh")
+		t.Fatal("cleared plan still selected")
 	}
 }

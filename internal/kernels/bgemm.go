@@ -99,3 +99,11 @@ func bgemmCols(a []uint64, m int, bT []uint64, k, wpr int, n32 int32, out []int3
 		preacts(orow, n32)
 	}
 }
+
+// preacts converts raw popcount accumulators to Equation 1
+// pre-activations in place: acc[i] = N - 2*acc[i].
+func preacts(acc []int32, n32 int32) {
+	for i := range acc {
+		acc[i] = n32 - 2*acc[i]
+	}
+}

@@ -290,8 +290,8 @@ func Reconstruct(cp *CompressPlan) []uint64 {
 // (input word XOR distinct word) and scatter-adds the count into every
 // channel consuming that word. acc must have length K; integer addition
 // commutes, so accumulating position-major here is bit-exact against
-// the filter-major uncompressed kernels. Callers walk a receptive field
-// in segments (conv rows) or hand the whole row at once (dense, p0 = 0).
+// the filter-major uncompressed kernels. The operators hand the whole
+// window at once (p0 = 0); walking it in segments gives the same sums.
 func CompressedAccum(cp *CompressPlan, p0 int, seg []uint64, acc []int32) {
 	if p0 < 0 || p0+len(seg) > cp.S {
 		panicSize("CompressedAccum", "seg", p0+len(seg), cp.S)
@@ -330,6 +330,25 @@ func CompressedAccum(cp *CompressPlan, p0 int, seg []uint64, acc []int32) {
 	}
 }
 
+// CompressedPreacts is the compressed accumulate step of one window: it
+// walks win (cp.S words — a conv's gathered receptive field or a dense
+// input row) through the plan's effective word table and leaves the K
+// Equation 1 pre-activations N - 2·popcount in acc (len K), expanding a
+// folded result to every duplicate filter. It is what a conv or dense
+// operator holding a plan runs in place of the plain sweep; the
+// threshold/pack epilogue that follows is the same either way.
+func CompressedPreacts(cp *CompressPlan, win []uint64, n32 int32, acc []int32) {
+	if len(acc) != cp.K {
+		panicSize("CompressedPreacts", "acc", len(acc), cp.K)
+	}
+	eff := cp.Eff()
+	head := acc[:eff.K] //bitflow:bce-ok Eff().K ≤ K by fold construction
+	clear(head)
+	CompressedAccum(eff, 0, win, head)
+	preacts(head, n32)
+	cp.Expand(acc)
+}
+
 // BGemmCompressed is the kernel-compressed binary GEMM: C = A × Bᵀ where
 // B's packed-transposed rows were compiled into cp. Identical contract
 // to BGemm — a holds M packed rows of wpr words (wpr == cp.S), out
@@ -346,18 +365,9 @@ func BGemmCompressed(a []uint64, m int, cp *CompressPlan, wpr, n int, out []int3
 		panicSize("BGemmCompressed", "out", len(out), m*cp.K)
 	}
 	k := cp.K
-	n32 := int32(n)
-	eff := cp.Eff()
 	for mi := 0; mi < m; mi++ {
-		arow := a[mi*wpr : (mi+1)*wpr] //bitflow:bce-ok one slice per output row; shape pinned by the panicSize preamble
-		orow := out[mi*k : (mi+1)*k]   //bitflow:bce-ok one slice per output row
-		head := orow[:eff.K]           //bitflow:bce-ok Eff().K ≤ K by fold construction
-		clear(head)
-		CompressedAccum(eff, 0, arow, head)
-		for i := range head {
-			head[i] = n32 - 2*head[i]
-		}
-		cp.Expand(orow)
+		//bitflow:bce-ok one slice pair per output row; shapes pinned by the panicSize preamble
+		CompressedPreacts(cp, a[mi*wpr:(mi+1)*wpr], int32(n), out[mi*k:(mi+1)*k])
 	}
 }
 

@@ -150,24 +150,3 @@ func (e *Epilogue) PackOr(d []int32, dst []uint64) {
 		d, t = d[n:], t[n:]                             //bitflow:bce-ok once per 64-channel word
 	}
 }
-
-// ConvEpilogue runs the accumulate→threshold→set-bit pass for one output
-// pixel: one sweep of the gathered window win over the e.K filter blocks
-// of fw (len(win) words each) on tier w, then Pack on the raw counts,
-// overwriting dst fully (trailing words cleared). e must therefore be a
-// count-domain epilogue (ForPopcounts of the operator's activation and
-// lane count); acc is caller-owned K-length scratch.
-func ConvEpilogue(w Width, win, fw []uint64, e *Epilogue, acc []int32, dst []uint64) {
-	Sweep(w, win, fw, acc)
-	e.Pack(acc, dst)
-}
-
-// ConvEpilogueOr is ConvEpilogue for the remaining positions of a pool
-// window: threshold bits OR into dst (max-pool commutes with sign). The
-// sweep is unconditional — skipping filters whose bit is already set
-// would be bit-exact too (OR is monotone), but testing 64 destination
-// bits per word costs more than sweeping them at vector speed.
-func ConvEpilogueOr(w Width, win, fw []uint64, e *Epilogue, acc []int32, dst []uint64) {
-	Sweep(w, win, fw, acc)
-	e.PackOr(acc, dst)
-}

@@ -121,7 +121,7 @@ func checkCase(t *testing.T, c epilogueCase) {
 		e := NewEpilogue(c.t, c.flip).ForPopcounts(int32(c.n))
 		e.Tier = tier
 		// First position overwrites, the rest OR in.
-		dst := make([]uint64, wpp+1) // +1 trailing word must be cleared by ConvEpilogue
+		dst := make([]uint64, wpp+1) // +1 trailing word must be cleared by Pack
 		for i := range dst {
 			dst[i] = ^uint64(0) // poison: stale bits must not survive
 		}
@@ -130,20 +130,21 @@ func checkCase(t *testing.T, c epilogueCase) {
 			for _, r := range rows {
 				win = append(win, r...)
 			}
+			Sweep(tier, win, c.fw, acc)
 			if p == 0 {
-				ConvEpilogue(tier, win, c.fw, e, acc, dst)
+				e.Pack(acc, dst)
 			} else {
-				ConvEpilogueOr(tier, win, c.fw, e, acc, dst)
+				e.PackOr(acc, dst)
 			}
 		}
 		for w := 0; w < wpp; w++ {
 			if dst[w] != want[w] {
-				t.Fatalf("%v: ConvEpilogue(+Or) word %d = %016x, want %016x (K=%d KH=%d rowLen=%d n=%d pos=%d)",
+				t.Fatalf("%v: sweep + Pack(Or) word %d = %016x, want %016x (K=%d KH=%d rowLen=%d n=%d pos=%d)",
 					tier, w, dst[w], want[w], c.K, c.KH, c.rowLen, c.n, len(c.windows))
 			}
 		}
 		if dst[wpp] != 0 {
-			t.Fatalf("%v: ConvEpilogue left trailing word %016x, want 0", tier, dst[wpp])
+			t.Fatalf("%v: Pack left trailing word %016x, want 0", tier, dst[wpp])
 		}
 	}
 }

@@ -65,10 +65,11 @@ type Config struct {
 
 	// Batching enables dynamic micro-batching: concurrent requests
 	// coalesce (up to MaxBatch, waiting at most BatchWindow) and run
-	// through the batched forward path, so packed filter words are
-	// loaded once per layer per batch. Off by default — it trades a
-	// bounded amount of latency for throughput, a call the operator
-	// makes explicitly. The HTTP API is unchanged either way.
+	// through graph.InferBatch, which hands whole images to the pool
+	// workers: one dispatch per batch, not one per layer per image. Off
+	// by default — it trades a bounded amount of latency for throughput,
+	// a call the operator makes explicitly. The HTTP API is unchanged
+	// either way.
 	Batching bool
 	// BatchWindow bounds how long the first request of a batch waits
 	// for company. Default 2ms.
@@ -165,7 +166,7 @@ func (b netBackend) prepareBatch(max int)                                { b.net
 // batchInferer marks backends with a true batched forward path; backends
 // without one (the test fakes) fall back to a per-item loop inside
 // backendRunner, which keeps the batcher's scheduling behavior testable
-// independently of the batched kernels.
+// independently of graph.InferBatch.
 type batchInferer interface {
 	inferBatch(xs []*tensor.Tensor) ([][]float32, error)
 }

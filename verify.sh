@@ -34,4 +34,9 @@ go test -short -tags purego ./internal/kernels/... ./internal/core/... ./interna
 echo "== go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/batch/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/..."
 go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/batch/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/...
 
+# InferBatch runs whole lanes on pool workers concurrently, so graph is
+# raced too; -short keeps the VGG-scale builds out of the race run.
+echo "== go test -race -shuffle=on -short ./internal/graph/..."
+go test -race -shuffle=on -short ./internal/graph/...
+
 echo "verify: OK"
