@@ -95,7 +95,7 @@ func benchConvBitFlow(b *testing.B, name string, threads int) {
 	cb := convFor(b, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.conv.ForwardPacked(cb.packed, cb.pOut, exec.Threads(threads))
+		cb.conv.ForwardPacked(cb.packed, nil, cb.pOut, exec.Threads(threads))
 	}
 }
 
@@ -342,7 +342,7 @@ func benchConvWidth(b *testing.B, cap kernels.Width) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, plan.Words, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardPacked(in, nil, out, exec.Serial())
 	}
 }
 
@@ -414,7 +414,7 @@ func BenchmarkAblationZeroCostPad(b *testing.B) {
 		// Producer writes the interior (simulated by the pack), conv
 		// reads through the margins: no copy.
 		bitpack.PackTensorInto(in, packed)
-		cv.ForwardPacked(packed, out, exec.Serial())
+		cv.ForwardPacked(packed, nil, out, exec.Serial())
 	}
 }
 
@@ -433,7 +433,7 @@ func BenchmarkAblationCopyPad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		padded := in.PadSpatial(1, -1) // the copy the margins avoid
 		bitpack.PackTensorInto(padded, packed)
-		cv.ForwardPacked(packed, out, exec.Serial())
+		cv.ForwardPacked(packed, nil, out, exec.Serial())
 	}
 }
 
@@ -513,7 +513,7 @@ func benchConvThresholds(b *testing.B, withBN bool) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, detect()).Words, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardPacked(in, nil, out, exec.Serial())
 	}
 }
 
@@ -559,7 +559,7 @@ func BenchmarkAblationFirstLayerBinary(b *testing.B) {
 	out := bitpack.NewPacked(shape.OutH, shape.OutW, 64, 1, 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cv.ForwardPacked(in, out, exec.Serial())
+		cv.ForwardPacked(in, nil, out, exec.Serial())
 	}
 }
 

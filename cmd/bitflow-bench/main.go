@@ -9,11 +9,10 @@
 //	bitflow-bench table5  # accuracy (synthetic tasks) + model size
 //	bitflow-bench ait     # arithmetic-intensity analysis (§III-A)
 //	bitflow-bench sweep   # extension: kernel-tier sweep over channel counts
-//	bitflow-bench exec    # extension: spawn-per-call vs pooled dispatch → BENCH_exec.json
-//	bitflow-bench ops     # extension: fused vs unfused conv+pool data-flow → BENCH_fusion.json,
-//	                      # plus kernel compression (dedup of repeated packed
-//	                      # filter words) → BENCH_compress.json
 //	bitflow-bench all     # everything above
+//
+// End-to-end throughput, latency and the fusion/compression gains are
+// measured by `go run ./benchmark` (see benchmark/README.md).
 //
 // Flags:
 //
@@ -42,7 +41,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bitflow-bench [flags] {fig7|fig8|fig9|fig10|fig11|table5|ait|sweep|exec|ops|autoscale|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: bitflow-bench [flags] {fig7|fig8|fig9|fig10|fig11|table5|ait|sweep|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,12 +75,6 @@ func main() {
 		run("ait", runAIT)
 	case "sweep":
 		run("sweep", runSweep)
-	case "exec":
-		run("exec", runExecBench)
-	case "ops":
-		run("ops", runOpsBench)
-	case "autoscale":
-		run("autoscale", runAutoscaleBench)
 	case "all":
 		for _, sub := range []struct {
 			name string
@@ -89,8 +82,7 @@ func main() {
 		}{
 			{"ait", runAIT}, {"fig7", runFig7}, {"fig8", runFig8}, {"fig9", runFig9},
 			{"fig10", runFig10}, {"fig11", runFig11}, {"table5", runTable5},
-			{"sweep", runSweep}, {"exec", runExecBench},
-			{"ops", runOpsBench},
+			{"sweep", runSweep},
 		} {
 			run(sub.name, sub.f)
 		}

@@ -62,7 +62,7 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		bitpack.PackTensorInto(in, packed)
 		outPlan := sched.Select(cfg.K, feat)
 		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, outPlan.Words, 0, 0)
-		or.bitflow = func(threads int) { cv.ForwardPacked(packed, pOut, exec.Threads(threads)) }
+		or.bitflow = func(threads int) { cv.ForwardPacked(packed, nil, pOut, exec.Threads(threads)) }
 
 		bim := baseline.NewBinaryIm2colConv(filt, cfg.Stride, cfg.Pad)
 		or.unopt = func(threads int) { bim.Forward(in, threads) }

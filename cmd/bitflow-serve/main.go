@@ -37,10 +37,11 @@
 // POST /admin/autoscale on -admin-addr).
 //
 // Loaded models run the fused conv+pool data-flow plan (see DESIGN.md
-// §11); the startup banner reports the fused pair count per model, and
-// /model exposes it as "fused_layers". -no-fuse serves the unfused
-// layer-per-node plan for fused-vs-unfused diagnosis — logits are
-// bit-identical either way.
+// §11): a conv followed by an eligible max-pool is one layer whose
+// threshold bits OR straight into the pooled output. The startup banner
+// reports the fused pair count per model, and /model exposes it as
+// "fused_layers". The benchmark's graph.fusion_gain measures the plan
+// against its unfused twin (`go run ./benchmark`).
 //
 // Thread sizing: all replicas dispatch onto ONE persistent worker pool of
 // -threads-total workers, and each inference uses at most -threads of
@@ -89,9 +90,6 @@ var (
 	flagBatch       = flag.Bool("batch", false, "enable dynamic micro-batching (trades up to -batch-window of latency for throughput)")
 	flagBatchWindow = flag.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill before dispatching (with -batch)")
 	flagMaxBatch    = flag.Int("max-batch", 8, "max requests coalesced into one forward pass (with -batch)")
-
-	flagNoFuse = flag.Bool("no-fuse", false,
-		"serve the unfused layer-per-node plan instead of fusing eligible conv+pool pairs (diagnostic: logits are bit-identical, throughput and memory are worse)")
 
 	flagMaxQueue       = flag.Int("max-queue", 0, "max requests waiting for a replica before shedding with 429 (0 = 4×replicas, min 16)")
 	flagRequestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline; expired queued requests get 503")
@@ -161,17 +159,6 @@ func clampThreads(threads, maxReplicas int) int {
 	return clamped
 }
 
-// maybeUnfuse applies the -no-fuse diagnostic plan to a freshly loaded
-// network. Every load path — boot, SIGHUP manifest reload, admin reload
-// — funnels through here, so the flag stays in force for the process
-// lifetime and replicas cloned off the network inherit the plan.
-func maybeUnfuse(net *graph.Network) *graph.Network {
-	if *flagNoFuse {
-		return net.CloneUnfused()
-	}
-	return net
-}
-
 // reloadTimeout bounds one swap: verification plus draining the old
 // replica set, which waits on in-flight requests.
 func reloadTimeout() time.Duration {
@@ -201,7 +188,6 @@ func applyManifest(srv *serve.Server, man *registry.Manifest, prev map[string]re
 			fmt.Fprintf(os.Stderr, "bitflow-serve: reload %s: %v\n", e.Name, err)
 			continue
 		}
-		art.Net = maybeUnfuse(art.Net)
 		ctx, cancel := context.WithTimeout(context.Background(), reloadTimeout())
 		st, err := srv.ReloadModel(ctx, e.Name, art)
 		cancel()
@@ -262,7 +248,7 @@ func main() {
 			}
 			specs = append(specs, serve.ModelSpec{
 				Name:    e.Name,
-				Net:     maybeUnfuse(art.Net),
+				Net:     art.Net,
 				Version: art.Version,
 				Cfg:     entryConfig(e, base),
 				Default: e.Default,
@@ -292,7 +278,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		threads = clampThreads(threads, effectiveMaxReplicas(*flagReplicas))
-		srv = serve.NewWithConfig(maybeUnfuse(net), flagConfig(exec.Pooled(pool, threads)))
+		srv = serve.NewWithConfig(net, flagConfig(exec.Pooled(pool, threads)))
 	}
 	if !srv.Ready() {
 		fmt.Fprintln(os.Stderr, "bitflow-serve: warm-up inference failed; serving anyway, /readyz stays 503")
@@ -328,12 +314,7 @@ func main() {
 		admin := &http.Server{
 			Addr: *flagAdmin,
 			Handler: srv.AdminHandler(func(path, version string) (*registry.Artifact, error) {
-				art, err := registry.LoadArtifact(path, version, feat)
-				if err != nil {
-					return nil, err
-				}
-				art.Net = maybeUnfuse(art.Net)
-				return art, nil
+				return registry.LoadArtifact(path, version, feat)
 			}),
 			ReadTimeout: *flagReadTimeout,
 			IdleTimeout: *flagIdleTimeout,
@@ -348,9 +329,6 @@ func main() {
 		defer admin.Close()
 	}
 
-	if *flagNoFuse {
-		fmt.Println("fusion disabled by -no-fuse: serving the layer-per-node plan (diagnostic mode)")
-	}
 	for _, name := range srv.Models() {
 		ins, err := srv.IntrospectModel(name)
 		if err != nil {
@@ -360,7 +338,7 @@ func main() {
 			name, ins.Version, *flagAddr, ins.Replicas, ins.GateMaxQueue)
 		if mm, err := srv.ModelMeta(name); err == nil {
 			if mm.FusedLayers > 0 {
-				fmt.Printf("fusion %q: %d conv+pool pair(s) run as fused packed-bit epilogues (-no-fuse to split)\n",
+				fmt.Printf("fusion %q: %d conv+pool pair(s) run as fused packed-bit epilogues\n",
 					name, mm.FusedLayers)
 			}
 			if mm.CompressedLayers > 0 {

@@ -8,7 +8,8 @@
 //     goroutines in operator code) — rawgo, threadsint;
 //   - per-inference hot paths stay allocation-free (packed buffers are
 //     pre-allocated at load/Ensure* time, the whole point of the
-//     PressedConv/bgemm design) — hotalloc;
+//     PressedConv/bgemm design) and never materialize a float tensor
+//     (activations between layers exist only as packed bits) — hotalloc;
 //   - every panic on a serving path is dominated by resilience.Safe so a
 //     replica re-clones instead of the process dying — panicpath;
 //   - the adaptive control loop stays mechanism-free and actuates only
@@ -29,15 +30,14 @@
 // Intentional exceptions are annotated in the source, never configured
 // out of the analyzer:
 //
-//	//bitflow:alloc-ok <justification>   (hotalloc, fusion, codegen escapes)
+//	//bitflow:alloc-ok <justification>   (hotalloc, codegen escapes)
 //	//bitflow:go-ok <justification>      (rawgo)
 //	//bitflow:panic-ok <justification>   (panicpath)
 //	//bitflow:actuate-ok <justification> (actuate)
-//	//bitflow:fusion-ok <justification>  (fusion)
 //	//bitflow:bce-ok <justification>     (codegen bounds checks; on a line or a whole function)
 //	//bitflow:atomic-ok <justification>  (atomics)
 //	//bitflow:lock-ok <justification>    (lockorder)
-//	//bitflow:hot                        (extra hotalloc/fusion/codegen root)
+//	//bitflow:hot                        (extra hotalloc/codegen root)
 //
 // A marker with an empty justification is itself a finding.
 package analysis
@@ -113,7 +113,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{RawGo, ThreadsInt, HotAlloc, PanicPath, Actuate, Fusion, Codegen, Atomics, LockOrder}
+	return []*Analyzer{RawGo, ThreadsInt, HotAlloc, PanicPath, Actuate, Codegen, Atomics, LockOrder}
 }
 
 // Run executes the given analyzers and returns their findings sorted by

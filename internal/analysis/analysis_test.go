@@ -113,18 +113,20 @@ func TestHotAllocFixture(t *testing.T) {
 	checkFixture(t, "fixture/internal/core", "testdata/hotalloc")
 }
 
+// TestFusionFixture checks the fused conv → pool data-flow rule, which
+// hotalloc enforces: no float tensor on the packed conv body or below it.
 func TestFusionFixture(t *testing.T) {
 	findings := checkFixture(t, "fixture/internal/core", "testdata/fusion")
-	// The bare //bitflow:fusion-ok must surface as a bad annotation, not
-	// a generic float-intermediate finding.
+	// The bare //bitflow:alloc-ok over a float tensor must surface as a
+	// bad annotation, not a generic float-tensor finding.
 	found := false
 	for _, f := range findings {
-		if strings.Contains(f.Message, "fusion-ok needs a justification") {
+		if strings.Contains(f.Message, "alloc-ok needs a justification") {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("bare //bitflow:fusion-ok was not reported as an unjustified annotation")
+		t.Error("bare //bitflow:alloc-ok over a float tensor was not reported as an unjustified annotation")
 	}
 }
 

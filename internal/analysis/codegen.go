@@ -14,7 +14,7 @@ import (
 //
 //   - any heap escape ("escapes to heap" / "moved to heap") inside a
 //     function reachable from the hot roots (Network.Infer*, kernels,
-//     ForwardFused*, //bitflow:hot) — an escape IS a per-call
+//     //bitflow:hot) — an escape IS a per-call
 //     allocation, so the existing //bitflow:alloc-ok hatch excuses it;
 //   - any surviving bounds check ("Found IsInBounds" / "Found
 //     IsSliceInBounds") inside a hot kernel — a function in
@@ -52,7 +52,7 @@ func runCodegen(p *Program) []Finding {
 	g := p.graph()
 	var roots []*funcNode
 	for _, n := range g.nodes {
-		if hotRoot(p, n) || strings.HasPrefix(n.name(), "ForwardFused") {
+		if hotRoot(p, n) {
 			roots = append(roots, n)
 		}
 	}

@@ -12,7 +12,10 @@ import (
 // inference; a make/append/map/boxing allocation that sneaks into the
 // path rooted at Network.Infer* or the kernels inner loops silently
 // re-introduces the per-call GC traffic the bit-packed design exists to
-// avoid.
+// avoid. The same graph may not materialize a float tensor either
+// (internal/tensor constructors or literals): between layers, including
+// through a fused conv → threshold → binarize → pool, activations exist
+// only as packed bits.
 //
 // Roots: graph.Network methods named Infer*, every function in
 // internal/kernels, and any function annotated //bitflow:hot.
@@ -22,7 +25,7 @@ import (
 // and //bitflow:alloc-ok <reason> excuses a deliberate one.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "allocations inside the per-inference call graph (Network.Infer*, kernels, //bitflow:hot)",
+	Doc:  "allocations and float tensors inside the per-inference call graph (Network.Infer*, kernels, //bitflow:hot)",
 	Run:  runHotAlloc,
 }
 
@@ -65,20 +68,14 @@ func hotRoot(p *Program, n *funcNode) bool {
 	return false
 }
 
-// scanAllocs reports allocation sites lexically inside one node's body
-// (nested literals are their own nodes and are scanned when reached).
+// scanAllocs reports allocation and float-tensor sites lexically inside
+// one node's body (nested literals are their own nodes and are scanned
+// when reached).
 func scanAllocs(p *Program, n *funcNode) []Finding {
-	return scanAllocsAs(p, n, "hotalloc")
-}
-
-// scanAllocsAs is scanAllocs reporting under the given analyzer name —
-// the fusion rule reuses the sweep (and the alloc-ok escape hatch) over
-// its own root set.
-func scanAllocsAs(p *Program, n *funcNode, analyzer string) []Finding {
 	info := n.pkg.Info
 	var out []Finding
 	flag := func(pos_ ast.Node, what string) {
-		out = append(out, p.excusable(analyzer, pos_.Pos(), "alloc-ok",
+		out = append(out, p.excusable("hotalloc", pos_.Pos(), "alloc-ok",
 			what+" on per-inference hot path; pre-allocate at load/Ensure* time or annotate //bitflow:alloc-ok <reason>")...)
 	}
 	ast.Inspect(n.body, func(node ast.Node) bool {
@@ -98,6 +95,8 @@ func scanAllocsAs(p *Program, n *funcNode, analyzer string) []Finding {
 				flag(x, "new")
 			case isBuiltin(info, x, "append"):
 				flag(x, "append (may grow)")
+			case isTensorConstructor(info, x):
+				flag(x, "float tensor construction")
 			default:
 				if conv, to := allocConversion(info, x); conv {
 					flag(x, to+" conversion (allocates)")
@@ -105,7 +104,9 @@ func scanAllocsAs(p *Program, n *funcNode, analyzer string) []Finding {
 			}
 		case *ast.CompositeLit:
 			t := info.Types[x].Type
-			if t != nil {
+			if isTensorNamed(t) {
+				flag(x, types.TypeString(t, types.RelativeTo(n.pkg.Types))+" literal (float tensor)")
+			} else if t != nil {
 				switch t.Underlying().(type) {
 				case *types.Slice:
 					flag(x, "slice literal")
@@ -147,4 +148,23 @@ func allocConversion(info *types.Info, call *ast.CallExpr) (bool, string) {
 		return true, "interface"
 	}
 	return false, ""
+}
+
+// isTensorConstructor reports calls to an internal/tensor New*
+// constructor, which materialize a float tensor.
+func isTensorConstructor(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	return fn != nil && fn.Pkg() != nil &&
+		pathSuffix(fn.Pkg().Path(), "internal/tensor") && strings.HasPrefix(fn.Name(), "New")
+}
+
+// isTensorNamed reports whether t is a named type declared in
+// internal/tensor (Tensor, Matrix, Filter).
+func isTensorNamed(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Pkg() != nil && pathSuffix(obj.Pkg().Path(), "internal/tensor")
 }

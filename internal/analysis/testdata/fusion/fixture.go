@@ -1,37 +1,53 @@
 // Package fusion is a seeded-violation fixture loaded under the fake
-// import path "fixture/internal/core". ForwardFused* functions root the
-// fusion rule: their call graph must be allocation-free and must never
-// materialize a float tensor — the fused data-flow exists to keep
-// inter-layer activations packed-bit only.
+// import path "fixture/internal/core". It models the fused
+// conv → threshold → pack → pool data-flow: one packed conv body whose
+// pool argument widens each output window. The body is rooted with
+// //bitflow:hot, so hotalloc governs it: activations between layers exist
+// only as packed bits, and a float tensor materialized anywhere on the
+// pooled or unpooled path is a finding.
 package fusion
 
 import "bitflow/internal/tensor"
 
-type op struct{ k int }
+type pool struct{ k int }
 
-// ForwardFused is a fusion root by name.
-func (o *op) ForwardFused(in, out []uint64) {
+type conv struct{ k int }
+
+// ForwardPacked is the one conv body; a nil pool means every output pixel
+// is its own 1×1 window.
+//
+//bitflow:hot
+func (c *conv) ForwardPacked(in []uint64, pl *pool, out []uint64) {
 	if len(out) == 0 {
 		// Failure path: constructions feeding a panic argument are never
 		// executed on a successful pass and must not be flagged.
-		panic(tensor.New(1, 1, o.k))
+		panic(tensor.New(1, 1, c.k))
 	}
-	tmp := make([]int32, o.k) // want:fusion
-	_ = tmp
-	plane := tensor.New(2, 2, o.k) // want:fusion
+	win := 1
+	if pl != nil {
+		win = pl.k
+	}
+	plane := tensor.New(2, 2, c.k*win) // want:hotalloc
 	_ = plane
-	helper(o.k)
-	scratch := EnsureScratch(o.k) // boundary call: Ensure* allocation is sanctioned
+	c.windowRange(in, win, out)
+	scratch := EnsureScratch(c.k) // boundary call: Ensure* allocation is sanctioned
 	_ = scratch
-	excused := make([]int32, o.k) //bitflow:alloc-ok fixture: deliberate, justified scratch shared with hotalloc's escape hatch
-	_ = excused
+	dbg := tensor.New(1, 1, c.k) //bitflow:alloc-ok fixture: deliberate, justified debug tap
+	_ = dbg
+	//bitflow:alloc-ok
+	bare := tensor.New(1, 1, c.k) // want:hotalloc
+	_ = bare
 }
 
-// helper is reached transitively from ForwardFused: its float-tensor
-// literal is on the fused graph too.
-func helper(k int) {
-	t := tensor.Tensor{H: 1, W: 1, C: k} // want:fusion
-	_ = t
+// windowRange is reached transitively from ForwardPacked: a float tensor
+// between the threshold and the pool OR is on the fused path too.
+func (c *conv) windowRange(in []uint64, win int, out []uint64) {
+	t := tensor.Tensor{H: win, W: win, C: c.k}   // want:hotalloc
+	pt := &tensor.Tensor{H: win, W: win, C: c.k} // want:hotalloc
+	_, _ = t, pt
+	for i := range out {
+		out[i] |= in[i%len(in)]
+	}
 }
 
 // EnsureScratch is a boundary: its allocation is the sanctioned kind.
@@ -39,32 +55,8 @@ func EnsureScratch(n int) []int32 {
 	return make([]int32, n)
 }
 
-// hotFloat is hot-annotated but outside any fused graph: hotalloc owns
-// its allocations, fusion still forbids its float-tensor constructions.
-//
-//bitflow:hot
-func hotFloat(k int) {
-	buf := make([]float32, k) // want:hotalloc
-	_ = buf
-	t := tensor.New(1, 1, k) // want:fusion
-	_ = t
-	pt := &tensor.Tensor{H: 1, W: 1, C: k} // want:hotalloc,fusion
-	_ = pt
-}
-
-// coldPath is reachable from no fused or hot root: float tensors are
-// perfectly fine on build-time paths.
-func coldPath(k int) *tensor.Tensor {
+// reference is reachable from no hot root: a float tensor is the right
+// output for a build-time or test-only reference path.
+func reference(k int) *tensor.Tensor {
 	return tensor.New(4, 4, k)
-}
-
-// ForwardFusedExcused carries the escape hatch: a justified marker
-// excuses a deliberate float materialization (e.g. a debug tap); a bare
-// one is itself a finding.
-func (o *op) ForwardFusedExcused(out []uint64) {
-	dbg := tensor.New(1, 1, o.k) //bitflow:fusion-ok fixture: deliberate, justified debug tap
-	_ = dbg
-	//bitflow:fusion-ok
-	bare := tensor.New(1, 1, o.k) // want:fusion
-	_ = bare
 }

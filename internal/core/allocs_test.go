@@ -47,11 +47,11 @@ func TestPlainForwardAllocations(t *testing.T) {
 			if planned {
 				forcePlan(t, cv)
 			}
-			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, full, ec) }); n > 1 {
+			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, nil, full, ec) }); n > 1 {
 				t.Errorf("%v planned=%v: Conv.ForwardPacked allocates %v times per call, want at most the dispatch closure", w, planned, n)
 			}
-			if n := testing.AllocsPerRun(20, func() { cv.ForwardFused(in, pl, pooled, ec) }); n > 1 {
-				t.Errorf("%v planned=%v: Conv.ForwardFused allocates %v times per call, want at most the dispatch closure", w, planned, n)
+			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, pl, pooled, ec) }); n > 1 {
+				t.Errorf("%v planned=%v: pooled Conv.ForwardPacked allocates %v times per call, want at most the dispatch closure", w, planned, n)
 			}
 		}
 

@@ -12,7 +12,7 @@ import (
 // them: an operator whose packed weight bank repeats words across output
 // channels holds a CompressPlan (built at construction, see
 // NewConvPacked/NewDensePacked, or forced with SetCompression), and
-// Conv.ForwardPacked/ForwardFused and Dense.Forward then walk the plan's
+// Conv.ForwardPacked and Dense.Forward then walk the plan's
 // distinct-word table over the same gathered window the plain sweep
 // would read. The plan's accumulators sum the same integer popcounts and
 // finish through the same Epilogue, so a planned operator is

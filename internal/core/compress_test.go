@@ -97,7 +97,7 @@ func TestCompressionAutoSelection(t *testing.T) {
 }
 
 // TestConvCompressedMatchesUncompressed is the core differential pin:
-// ForwardPacked/ForwardFused of a conv with a forced plan equal its
+// ForwardPacked, plain and pooled, of a conv with a forced plan equal its
 // plan-less twin (Uncompressed) word for word, on high- and
 // low-duplication banks, with and without folded thresholds, serial and
 // threaded.
@@ -132,8 +132,8 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				plain.ForwardPacked(in, want, ec)
-				cv.ForwardPacked(in, got, ec)
+				plain.ForwardPacked(in, nil, want, ec)
+				cv.ForwardPacked(in, nil, got, ec)
 				equalPacked(t, tc.name+"/packed", want, got)
 			}
 			// Fused conv→pool, when the pool geometry is eligible.
@@ -148,8 +148,8 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-				plain.ForwardFused(in, pl, fwant, ec)
-				cv.ForwardFused(in, pl, fgot, ec)
+				plain.ForwardPacked(in, pl, fwant, ec)
+				cv.ForwardPacked(in, pl, fgot, ec)
 				equalPacked(t, tc.name+"/fused", fwant, fgot)
 			}
 		}
@@ -308,8 +308,8 @@ func FuzzCompressedConv(f *testing.F) {
 		want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
 		got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
 		plain := cv.Uncompressed()
-		plain.ForwardPacked(packed, want, exec.Serial())
-		cv.ForwardPacked(packed, got, exec.Serial())
+		plain.ForwardPacked(packed, nil, want, exec.Serial())
+		cv.ForwardPacked(packed, nil, got, exec.Serial())
 		equalPacked(t, "packed", want, got)
 		if ps, err := sched.InferPool(s.OutH, s.OutW, s.OutC, 2, 2, 2); err == nil && cv.CanFusePool(ps) {
 			pl, err := NewPool(ps, wpp)
@@ -318,8 +318,8 @@ func FuzzCompressedConv(f *testing.F) {
 			}
 			fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
 			fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
-			plain.ForwardFused(packed, pl, fwant, exec.Serial())
-			cv.ForwardFused(packed, pl, fgot, exec.Serial())
+			plain.ForwardPacked(packed, pl, fwant, exec.Serial())
+			cv.ForwardPacked(packed, pl, fgot, exec.Serial())
 			equalPacked(t, "fused", fwant, fgot)
 		}
 	})

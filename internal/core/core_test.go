@@ -120,7 +120,7 @@ func TestForwardPackedIsSignOfForward(t *testing.T) {
 		cv.Forward(packed, raw, exec.Threads(2))
 		outPlan := sched.Select(cv.Shape.OutC, feat())
 		pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, outPlan.Words, 1, 1)
-		cv.ForwardPacked(packed, pOut, exec.Threads(2))
+		cv.ForwardPacked(packed, nil, pOut, exec.Threads(2))
 		want := raw.Sign()
 		got := bitpack.Unpack(pOut)
 		if !got.Equal(want) {

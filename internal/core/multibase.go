@@ -179,92 +179,3 @@ func ApproxError(f *tensor.Filter, bases []*tensor.Filter, alphas [][]float32) f
 	}
 	return math.Sqrt(num / den)
 }
-
-// ForwardFused computes the M-base approximation with a per-channel
-// float threshold → binarize epilogue fused in, writing packed bits
-// straight into out — the multi-base analogue of Conv.ForwardPacked. The
-// float activation plane of Forward never materializes. thr holds the
-// per-filter activation thresholds (bit = acc ≥ thr[k]); nil means 0
-// (plain sign). out takes the conv's output geometry.
-//
-//bitflow:hot
-func (mc *MultiBaseConv) ForwardFused(in *bitpack.Packed, thr []float32, out *bitpack.Packed, ec *exec.Ctx) {
-	s := mc.Shape
-	if in.H != s.InH || in.W != s.InW || in.C != s.InC || in.WPP != mc.Plan.Words {
-		panic(fmt.Sprintf("core: multibase input %v, want %dx%dx%d wpp=%d", in, s.InH, s.InW, s.InC, mc.Plan.Words))
-	}
-	if in.MarginH < s.Pad || in.MarginW < s.Pad {
-		panic("core: multibase input margins too small")
-	}
-	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
-		panic(fmt.Sprintf("core: multibase output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
-	}
-	if thr != nil && len(thr) != s.K {
-		panic(fmt.Sprintf("core: multibase thresholds len %d, want K=%d", len(thr), s.K))
-	}
-	f := mc.rowsKernel
-	n32 := int32(mc.validLanes)
-	rowLen := mc.rowLen
-	fstride := s.KH * rowLen
-	bases := mc.bases
-	alphas := mc.alphas
-	total := s.OutH * s.OutW
-	ec.ParallelFor(total, func(start, end int) {
-		var inRows [16][]uint64 //bitflow:alloc-ok one scratch per worker chunk; rows leaks into the indirect kernel call
-		rows := inRows[:s.KH]   //bitflow:bce-ok once per worker chunk; plan validation keeps KH <= 16
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			y0 := y*s.Stride - s.Pad
-			x0 := x*s.Stride - s.Pad
-			for i := range rows {
-				off := in.PixelOffset(y0+i, x0)
-				rows[i] = in.Words[off : off+rowLen : off+rowLen] //bitflow:bce-ok one slice per filter row; the pixel-offset arithmetic is opaque to the prover
-			}
-			// Word-major packing: the output cursor dw and the bit shift
-			// advance together, so every per-filter access below is
-			// compiler-proven in bounds (`bitflow-vet codegen`).
-			dw := out.PixelWords(y, x) //bitflow:bce-ok inlined PixelWords slicing; once per output pixel, amortized over K filters of kernel calls
-			var word uint64
-			shift := uint(0)
-			for k := 0; k < s.K; k++ {
-				base := k * fstride
-				var acc float32
-				for m, bw := range bases {
-					pop := f(rows, bw.Words[base:base+fstride:base+fstride]) //bitflow:bce-ok once per (filter, base), amortized over the fstride-word kernel call
-					var a float32
-					if m < len(alphas) {
-						if ak := alphas[m]; k < len(ak) {
-							a = ak[k]
-						}
-					}
-					acc += a * float32(n32-2*int32(pop))
-				}
-				// k < len(thr) is the nil check too: nil thr has length 0
-				// and every filter falls back to the plain sign threshold.
-				var t float32
-				if k < len(thr) {
-					t = thr[k]
-				}
-				if acc >= t {
-					word |= 1 << shift
-				}
-				if shift++; shift == bitpack.WordBits {
-					if len(dw) > 0 {
-						dw[0] = word
-						dw = dw[1:]
-					}
-					word, shift = 0, 0
-				}
-			}
-			if shift != 0 && len(dw) > 0 {
-				dw[0] = word
-				dw = dw[1:]
-			}
-			for len(dw) > 0 {
-				dw[0] = 0
-				dw = dw[1:]
-			}
-		}
-	})
-}

@@ -10,8 +10,8 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// maxKH bounds the filter height (the multi-bit and multi-base variants
-// keep their per-pixel row slices in a fixed stack array).
+// maxKH bounds the filter height (the multi-base variant keeps its
+// per-pixel row slices in a fixed stack array).
 const maxKH = 16
 
 // Conv is a PressedConv binary convolution operator: filters are packed
@@ -46,7 +46,7 @@ type Conv struct {
 	// press is the kernel-compression plan compiled from the packed
 	// filter bank at construction when its duplication ratio clears
 	// kernels.CompressMinRatio (nil otherwise): when set, it replaces the
-	// sweep as the accumulate step of ForwardPacked and ForwardFused.
+	// sweep as the accumulate step of ForwardPacked.
 	// pressStats always holds the measured analysis. Pure runtime state,
 	// never serialized.
 	press      *kernels.CompressPlan
@@ -181,7 +181,7 @@ func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
 // Outputs are exact integer inner products stored as float32. ec
 // controls the multi-core split over the fused OutH·OutW dimension.
 // Forward always sweeps the packed bank: it is the reference the packed
-// paths (and a compression plan) are checked against.
+// path (and a compression plan) is checked against.
 func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	cv.checkInput(in)
 	s := cv.Shape
@@ -208,37 +208,58 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	})
 }
 
-// ForwardPacked computes outputs with the sign activation fused and
-// bit-packed directly into out's interior (zero-cost padding for the next
-// layer: out's margins stay untouched). out must be OutH×OutW with C = K.
-func (cv *Conv) ForwardPacked(in *bitpack.Packed, out *bitpack.Packed, ec *exec.Ctx) {
-	cv.checkPacked(in, out)
-	ec.ParallelFor(cv.Shape.OutH*cv.Shape.OutW, func(start, end int) {
+// ForwardPacked is the conv → threshold → binarize → max-pool forward:
+// the folded activation's bits go straight into out's interior
+// (zero-cost padding for the next layer: out's margins stay untouched).
+// Each out pixel is one window of conv positions, the first overwriting
+// and the rest ORing threshold bits in, so a pooled conv's plane never
+// materializes. pl must satisfy CanFusePool, and out takes its output
+// geometry; a nil pl makes every conv position its own 1×1 window, with
+// out OutH×OutW and C = K.
+func (cv *Conv) ForwardPacked(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
+	p := cv.checkWindow(in, pl, out)
+	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
 		var sc convScratch
 		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
-		cv.packedRange(in, out, win, acc, start, end)
+		cv.windowRange(in, p, out, win, acc, start, end)
 	})
 }
 
-// checkPacked validates one ForwardPacked argument pair.
-func (cv *Conv) checkPacked(in, out *bitpack.Packed) {
+// checkWindow validates one ForwardPacked argument triple and returns the
+// output window: pl's shape, or the 1×1 window over the conv's output.
+func (cv *Conv) checkWindow(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) sched.PoolShape {
 	cv.checkInput(in)
 	s := cv.Shape
-	if out.H != s.OutH || out.W != s.OutW || out.C != s.OutC {
-		panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
+	p := sched.PoolShape{InH: s.OutH, InW: s.OutW, InC: s.OutC, KH: 1, KW: 1, Stride: 1, OutH: s.OutH, OutW: s.OutW, OutC: s.OutC}
+	if pl != nil {
+		if !cv.CanFusePool(pl.Shape) {
+			panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, s))
+		}
+		p = pl.Shape
 	}
+	if out.H != p.OutH || out.W != p.OutW || out.C != p.OutC {
+		panic(fmt.Sprintf("core: conv packed output %v, want %dx%dx%d", out, p.OutH, p.OutW, p.OutC))
+	}
+	return p
 }
 
-// packedRange is ForwardPacked over output pixels [start, end) of the
-// fused OutH·OutW dimension: gather, accumulate, threshold-pack. win and
-// acc are the worker chunk's scratch.
-func (cv *Conv) packedRange(in, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
+// windowRange is ForwardPacked over output pixels [start, end): the
+// first position of each window overwrites, the rest OR in. win and acc
+// are the worker chunk's scratch.
+func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
 	s := cv.Shape
 	for idx := start; idx < end; idx++ {
-		y := idx / s.OutW
-		x := idx % s.OutW
-		cv.gather(in, y*s.Stride-s.Pad, x*s.Stride-s.Pad, win)
-		cv.thresholdWindow(win, acc, out.PixelWords(y, x), false)
+		py := idx / p.OutW
+		px := idx % p.OutW
+		dst := out.PixelWords(py, px)
+		for i := 0; i < p.KH; i++ {
+			cy := py*p.Stride + i
+			for j := 0; j < p.KW; j++ {
+				cx := px*p.Stride + j
+				cv.gather(in, cy*s.Stride-s.Pad, cx*s.Stride-s.Pad, win)
+				cv.thresholdWindow(win, acc, dst, i+j > 0)
+			}
+		}
 	}
 }
 
@@ -276,55 +297,4 @@ func (cv *Conv) CanFusePool(ps sched.PoolShape) bool {
 	s := cv.Shape
 	return ps.InH == s.OutH && ps.InW == s.OutW && ps.InC == s.OutC &&
 		ps.Stride >= ps.KH && ps.Stride >= ps.KW
-}
-
-// ForwardFused is the fused conv → threshold → binarize → max-pool
-// forward: for each pool output pixel it runs the conv epilogue over the
-// window's positions, the first overwriting, the rest ORing threshold
-// bits in. The conv's intermediate plane never materializes. pl must
-// satisfy CanFusePool; out takes the pool's output geometry. A nil pl
-// degenerates to ForwardPacked.
-func (cv *Conv) ForwardFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
-	if pl == nil {
-		cv.ForwardPacked(in, out, ec)
-		return
-	}
-	cv.checkFused(in, pl, out)
-	p := pl.Shape
-	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
-		var sc convScratch
-		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
-		cv.fusedRange(in, p, out, win, acc, start, end)
-	})
-}
-
-// checkFused validates one ForwardFused argument triple (pl non-nil).
-func (cv *Conv) checkFused(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) {
-	cv.checkInput(in)
-	if !cv.CanFusePool(pl.Shape) {
-		panic(fmt.Sprintf("core: pool %+v cannot fuse into conv %+v", pl.Shape, cv.Shape))
-	}
-	p := pl.Shape
-	if out.H != p.OutH || out.W != p.OutW || out.C != p.OutC {
-		panic(fmt.Sprintf("core: fused output %v, want %dx%dx%d", out, p.OutH, p.OutW, p.OutC))
-	}
-}
-
-// fusedRange is ForwardFused over pool output pixels [start, end): the
-// first position of each pool window overwrites, the rest OR in.
-func (cv *Conv) fusedRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
-	s := cv.Shape
-	for idx := start; idx < end; idx++ {
-		py := idx / p.OutW
-		px := idx % p.OutW
-		dst := out.PixelWords(py, px)
-		for i := 0; i < p.KH; i++ {
-			cy := py*p.Stride + i
-			for j := 0; j < p.KW; j++ {
-				cx := px*p.Stride + j
-				cv.gather(in, cy*s.Stride-s.Pad, cx*s.Stride-s.Pad, win)
-				cv.thresholdWindow(win, acc, dst, i+j > 0)
-			}
-		}
-	}
 }

@@ -155,7 +155,7 @@ func TestConvWithThresholdsMatchesFloatBN(t *testing.T) {
 		t.Fatal(err)
 	}
 	pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, 16, 1, 0, 0)
-	cv.ForwardPacked(packed, pOut, exec.Threads(2))
+	cv.ForwardPacked(packed, nil, pOut, exec.Threads(2))
 	got := bitpack.Unpack(pOut)
 
 	for h := 0; h < raw.H; h++ {
@@ -176,7 +176,7 @@ func TestConvWithThresholdsMatchesFloatBN(t *testing.T) {
 	if err := cv.SetThresholds(nil); err != nil {
 		t.Fatal(err)
 	}
-	cv.ForwardPacked(packed, pOut, exec.Serial())
+	cv.ForwardPacked(packed, nil, pOut, exec.Serial())
 	if !bitpack.Unpack(pOut).Equal(raw.Sign()) {
 		t.Error("SetThresholds(nil) did not restore the plain sign")
 	}

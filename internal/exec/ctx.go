@@ -40,7 +40,7 @@ func Threads(n int) *Ctx {
 	if n <= 1 {
 		return Serial()
 	}
-	//bitflow:alloc-ok tiny context header on the legacy Threads knob; SetExec callers construct once
+	//bitflow:alloc-ok tiny context header; SetExec callers construct once
 	return &Ctx{pool: Default(), threads: n}
 }
 
@@ -54,10 +54,10 @@ func Pooled(p *Pool, n int) *Ctx {
 }
 
 // Spawn returns a context using the legacy spawn-per-call dispatch: every
-// ParallelFor starts fresh goroutines. Kept for the dispatch-overhead
-// benchmark (bitflow-bench exec) and as a pool-free fallback; unlike the
-// pre-exec code, chunk panics are still captured and re-raised on the
-// caller's goroutine.
+// ParallelFor starts fresh goroutines. Kept as the pool-free dispatch of
+// the float baselines (internal/baseline) and the paper-figure harness;
+// unlike the pre-exec code, chunk panics are still captured and
+// re-raised on the caller's goroutine.
 func Spawn(n int) *Ctx {
 	if n <= 1 {
 		return Serial()

@@ -43,15 +43,6 @@ type Builder struct {
 	noPress bool
 }
 
-// DisableFusion turns off the conv→pool fusion planning pass, compiling
-// the network with one node per declared layer. Fusion never changes
-// logits — this exists for the fused-vs-unfused equivalence harness and
-// for apples-to-apples benchmarking, not as a production knob.
-func (b *Builder) DisableFusion() *Builder {
-	b.noFuse = true
-	return b
-}
-
 // NewBuilder starts a network taking inH×inW×inC inputs.
 func NewBuilder(name string, inH, inW, inC int, feat sched.Features) *Builder {
 	return &Builder{name: name, feat: feat, inH: inH, inW: inW, inC: inC}
@@ -191,7 +182,7 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 	}
 	n := &Network{
 		Name: b.name, InH: b.inH, InW: b.inW, InC: b.inC,
-		Feat: b.feat, Threads: 1,
+		Feat: b.feat,
 		arch: append([]spec(nil), b.specs...),
 	}
 

@@ -27,7 +27,6 @@ func (n *Network) Clone() *Network {
 		// programming error, not a user input problem.
 		panic(fmt.Sprintf("graph: Clone of a compiled network failed: %v", err))
 	}
-	clone.Threads = n.Threads
 	clone.ec = n.ec
 	return clone
 }
@@ -43,7 +42,7 @@ func (rs *reuseSource) next() layer {
 		l := rs.layers[rs.idx]
 		rs.idx++
 		switch l.(type) {
-		case *convLayer, *denseLayer, *floatConvLayer, *fusedConvPoolLayer:
+		case *convLayer, *denseLayer, *floatConvLayer:
 			return l
 		}
 	}
@@ -51,19 +50,12 @@ func (rs *reuseSource) next() layer {
 }
 
 func (rs *reuseSource) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
-	// A conv spec may be backed by a plain conv node or by a fused
-	// conv+pool node whose conv half carries the weights.
-	switch l := rs.next().(type) {
-	case *convLayer:
-		if l.lname == name {
-			return l.op, nil
-		}
-	case *fusedConvPoolLayer:
-		if l.convName == name {
-			return l.conv, nil
-		}
+	l := rs.next()
+	cl, ok := l.(*convLayer)
+	if !ok || cl.lname != name {
+		return nil, fmt.Errorf("graph: clone source out of sync at conv %q", name)
 	}
-	return nil, fmt.Errorf("graph: clone source out of sync at conv %q", name)
+	return cl.op, nil
 }
 
 func (rs *reuseSource) dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error) {

@@ -102,7 +102,7 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 	n.EnsureBatch(B)
 	lanes, errs := n.lanes[:B], n.laneErrs[:B]
 	// across dispatches the lanes, within runs each lane's layers.
-	across := n.execCtx()
+	across := n.ec
 	within := across.Inline()
 	if B < across.Budget() {
 		across, within = within, across

@@ -40,15 +40,7 @@ type Network struct {
 	Classes       int
 	Feat          sched.Features
 
-	// Threads is the legacy worker-count knob. When no execution context
-	// is attached via SetExec, Infer derives one from it on the shared
-	// default pool (exec.Threads), so pre-exec callers and benches keep
-	// working unchanged. With SetExec, the attached context wins and
-	// Threads is ignored.
-	Threads int
-
-	// ec is the attached execution context (SetExec); nil means "derive
-	// from Threads".
+	// ec is the attached execution context (SetExec); nil runs serially.
 	ec *exec.Ctx
 
 	layers []layer
@@ -65,14 +57,12 @@ type Network struct {
 
 	// fusion records what the conv→pool fusion planning pass collapsed
 	// (see fuse.go); unfused marks a network built with the planner
-	// disabled (Builder.DisableFusion / CloneUnfused), so clones inherit
-	// the same data-flow plan.
+	// disabled (CloneUnfused), so clones inherit the same data-flow plan.
 	fusion  FusionStats
 	unfused bool
 
 	// uncompressed marks a network built with the kernel-compression
-	// planner disabled (Builder.DisableCompression / CloneUncompressed);
-	// see press.go.
+	// planner disabled (CloneUncompressed); see press.go.
 	uncompressed bool
 
 	// lanes is the batched-inference buffer pool (see inferbatch.go):
@@ -132,22 +122,14 @@ func (n *Network) CheckInput(x *tensor.Tensor) error {
 // SetExec attaches a prepared execution context: dispatch pool, thread
 // budget, and optional per-layer observer. Servers build one base context
 // for the whole process and attach it to every replica, so the process
-// shares a single worker pool no matter how many replicas run. Passing
-// nil detaches, falling back to the Threads shim.
+// shares a single worker pool no matter how many replicas run; a command
+// line tool attaches exec.Threads(n). Passing nil detaches: the network
+// then runs serially on the caller's goroutine.
 func (n *Network) SetExec(ec *exec.Ctx) { n.ec = ec }
 
-// Exec returns the attached execution context, or nil when the network is
-// running on the legacy Threads shim.
+// Exec returns the attached execution context, or nil when the network
+// runs serially.
 func (n *Network) Exec() *exec.Ctx { return n.ec }
-
-// execCtx resolves the context a forward pass runs under: the attached
-// one, else the Threads-derived compatibility shim.
-func (n *Network) execCtx() *exec.Ctx {
-	if n.ec != nil {
-		return n.ec
-	}
-	return exec.Threads(n.Threads)
-}
 
 // InferChecked is Infer with the shape panic converted into a returned
 // error, so untrusted user input can never reach a panic path. A non-nil
@@ -170,7 +152,7 @@ func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32
 	if err := n.CheckInput(x); err != nil {
 		return nil, err
 	}
-	ec := n.execCtx()
+	ec := n.ec
 	if ctx != nil {
 		ec = ec.WithContext(ctx)
 	}
@@ -238,7 +220,7 @@ type LayerTiming struct {
 // InferTimed runs one forward pass and reports per-layer wall-clock times
 // (the input binarize+pack is reported as layer "input").
 func (n *Network) InferTimed(x *tensor.Tensor) ([]float32, []LayerTiming) {
-	ec := n.execCtx()
+	ec := n.ec
 	//bitflow:alloc-ok InferTimed is a diagnostic entry point, not the serving path; the timings report escapes
 	timings := make([]LayerTiming, 0, len(n.layers)+1)
 	t0 := time.Now()
@@ -308,20 +290,34 @@ func (n *Network) ActivationBytes() int64 { return n.activationWords * 8 }
 // ---------------------------------------------------------------------
 // Concrete layers.
 
+// convLayer runs one conv, or — once fuse() has given it the following
+// max-pool — the conv and that pool as one node writing the pool's
+// output edge.
 type convLayer struct {
 	lname   string
 	op      *core.Conv
 	in, out *bitpack.Packed
+
+	// pool and poolName are set by fuse(); nil pool is a plain conv.
+	pool     *core.Pool
+	poolName string
 }
 
-func (l *convLayer) name() string { return l.lname }
-func (l *convLayer) kind() string { return "conv" }
-func (l *convLayer) outDims() string {
-	s := l.op.Shape
-	return fmt.Sprintf("%dx%dx%d", s.OutH, s.OutW, s.OutC)
+func (l *convLayer) name() string {
+	if l.pool != nil {
+		return l.lname + "+" + l.poolName
+	}
+	return l.lname
 }
-func (l *convLayer) forward(ec *exec.Ctx) { l.op.ForwardPacked(l.in, l.out, ec) }
-func (l *convLayer) parallelUnits() int   { return l.op.Shape.OutH * l.op.Shape.OutW }
+func (l *convLayer) kind() string {
+	if l.pool != nil {
+		return "conv+pool"
+	}
+	return "conv"
+}
+func (l *convLayer) outDims() string      { return fmt.Sprintf("%dx%dx%d", l.out.H, l.out.W, l.out.C) }
+func (l *convLayer) forward(ec *exec.Ctx) { l.op.ForwardPacked(l.in, l.pool, l.out, ec) }
+func (l *convLayer) parallelUnits() int   { return l.out.H * l.out.W }
 func (l *convLayer) weightStats() (int64, int64) {
 	s := l.op.Shape
 	return int64(s.K) * int64(s.KH) * int64(s.KW) * int64(s.InC), 8 * int64(len(l.op.Filter().Words))

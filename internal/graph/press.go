@@ -13,8 +13,8 @@ import (
 // (see core.NewConvPacked / core.NewDensePacked). The plan is held by
 // the operator and is the accumulate step of its ordinary forward, so
 // this file has no pass to run: a network is compressed wherever its
-// operators hold plans, and an uncompressed network (DisableCompression /
-// CloneUncompressed) is one built over plan-less shallow copies of the
+// operators hold plans, and an uncompressed network (CloneUncompressed)
+// is one built over plan-less shallow copies of the
 // operators — sharing the packed words — which is what the differential
 // harness compares against.
 //
@@ -57,8 +57,6 @@ func (n *Network) Compression() []LayerCompression {
 		switch t := l.(type) {
 		case *convLayer:
 			op = t.op
-		case *fusedConvPoolLayer:
-			op = t.conv
 		case *denseLayer:
 			op = t.op
 		default:
@@ -87,20 +85,6 @@ func (n *Network) CompressedLayers() int {
 	return c
 }
 
-// Compressed reports whether compression planning was left on
-// (regardless of whether any layer cleared the threshold).
-func (n *Network) Compressed() bool { return !n.uncompressed }
-
-// DisableCompression turns off kernel-compression planning: every layer
-// gets a plan-less operator and keeps the plain sweep. Compression never
-// changes logits — this exists for the compressed-vs-uncompressed
-// differential harness and apples-to-apples benchmarking, not as a
-// production knob.
-func (b *Builder) DisableCompression() *Builder {
-	b.noPress = true
-	return b
-}
-
 // CloneUncompressed is Clone with compression planning disabled: an
 // independent buffer chain over plan-less copies of the operators — the
 // *same* packed words — sweeping everywhere. It inherits the fusion plan, so a
@@ -113,7 +97,6 @@ func (n *Network) CloneUncompressed() *Network {
 	if err != nil {
 		panic(fmt.Sprintf("graph: CloneUncompressed of a compiled network failed: %v", err))
 	}
-	clone.Threads = n.Threads
 	clone.ec = n.ec
 	return clone
 }

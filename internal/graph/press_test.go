@@ -108,12 +108,9 @@ func TestCompressionPlanSelectivity(t *testing.T) {
 	if got := net.CompressedLayers(); got != 2 {
 		t.Errorf("CompressedLayers = %d, want 2", got)
 	}
-	if !net.Compressed() {
-		t.Error("planned network reports Compressed() = false")
-	}
 	un := net.CloneUncompressed()
-	if un.Compressed() || un.CompressedLayers() != 0 {
-		t.Errorf("uncompressed clone: Compressed=%v CompressedLayers=%d", un.Compressed(), un.CompressedLayers())
+	if un.CompressedLayers() != 0 {
+		t.Errorf("uncompressed clone: CompressedLayers=%d", un.CompressedLayers())
 	}
 	// The analysis is still measured on the uncompressed clone.
 	for _, lc := range un.Compression() {
@@ -269,8 +266,8 @@ func TestSetCompressionTakesEffect(t *testing.T) {
 	}
 	var target *core.Conv
 	for _, l := range net.layers {
-		if fl, ok := l.(*fusedConvPoolLayer); ok {
-			target = fl.conv
+		if cl, ok := l.(*convLayer); ok && cl.pool != nil {
+			target = cl.op
 			break
 		}
 	}

@@ -199,17 +199,12 @@ func (n *Network) Save(w io.Writer) (int64, error) {
 	}
 	// Weight blobs, in layer order (weighted layers only). Binary layers
 	// store packed words; the mixed-precision float conv stores float32s.
+	// A fused conv+pool node writes its conv's records: the pool is
+	// weightless, so the artifact is byte-identical fused or not.
 	for _, l := range n.layers {
 		switch v := l.(type) {
 		case *convLayer:
 			if err := writeWordBlob(bw, v.op.Filter().Words); err != nil {
-				return cw.n, err
-			}
-		case *fusedConvPoolLayer:
-			// A fused node serializes exactly as its conv half: the pool is
-			// weightless, so the artifact is byte-identical whether the
-			// network compiled fused or not.
-			if err := writeWordBlob(bw, v.conv.Filter().Words); err != nil {
 				return cw.n, err
 			}
 		case *denseLayer:
@@ -233,8 +228,6 @@ func (n *Network) Save(w io.Writer) (int64, error) {
 		switch v := l.(type) {
 		case *convLayer:
 			th = v.op.Activation()
-		case *fusedConvPoolLayer:
-			th = v.conv.Activation()
 		case *denseLayer:
 			th = v.op.Activation()
 			aff = v.op.OutAffine()
@@ -311,7 +304,7 @@ func writeWordBlob(w io.Writer, words []uint64) error {
 func readActivations(r io.Reader, n *Network) error {
 	for _, l := range n.layers {
 		switch l.(type) {
-		case *convLayer, *denseLayer, *floatConvLayer, *fusedConvPoolLayer:
+		case *convLayer, *denseLayer, *floatConvLayer:
 		default:
 			continue
 		}
@@ -363,15 +356,6 @@ func readActivations(r io.Reader, n *Network) error {
 			}
 			if th != nil {
 				if err := v.op.SetThresholds(th); err != nil {
-					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
-				}
-			}
-		case *fusedConvPoolLayer:
-			if aff != nil {
-				return fmt.Errorf("graph: conv %s cannot carry an affine record", l.name())
-			}
-			if th != nil {
-				if err := v.conv.SetThresholds(th); err != nil {
 					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
 				}
 			}

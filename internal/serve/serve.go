@@ -153,7 +153,7 @@ func (b netBackend) clone() backend { return netBackend{net: b.net.Clone()} }
 
 func (b netBackend) attachExec(base *exec.Ctx, obs exec.Observer) *exec.Ctx {
 	if base == nil {
-		base = exec.Threads(b.net.Threads)
+		base = exec.Serial()
 	}
 	ec := base.WithObserver(obs)
 	b.net.SetExec(ec)
