@@ -602,7 +602,7 @@ func BenchmarkAblationMultiBit2(b *testing.B) { benchMultiBit(b, 2) }
 func BenchmarkAblationMultiBit4(b *testing.B) { benchMultiBit(b, 4) }
 
 // ---------------------------------------------------------------------
-// Micro-batching: per-image cost of InferBatch, serial and on a 2-worker
+// Batch lanes: per-image cost of InferBatch, serial and on a 2-worker
 // pool at budget 2 (this host's core count; wider pools are
 // unverified_on_this_host), next to the same eight images as eight Infer
 // calls. InferBatch hands whole lanes to the workers, Infer splits every

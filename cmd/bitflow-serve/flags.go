@@ -19,60 +19,34 @@ import (
 
 var (
 	flagAutoscale = flag.Bool("autoscale", false,
-		"enable the adaptive control loop: per-model batch window, max-batch, and replica count are retuned within the -autoscale-* bounds")
+		"enable the adaptive control loop: each model's replica count is retuned within the -autoscale-* bounds")
 	flagAutoscaleInterval = flag.Duration("autoscale-interval", 0,
 		"control-tick period (with -autoscale; 0 = 250ms)")
 	flagAutoscaleMinReplicas = flag.Int("autoscale-min-replicas", 0,
 		"replica floor (with -autoscale; 0 = 1)")
 	flagAutoscaleMaxReplicas = flag.Int("autoscale-max-replicas", 0,
 		"replica ceiling (with -autoscale; 0 = 2x -replicas)")
-	flagAutoscaleMinBatch = flag.Int("autoscale-min-batch", 0,
-		"max-batch floor (with -autoscale -batch; 0 = 1)")
-	flagAutoscaleMaxBatch = flag.Int("autoscale-max-batch", 0,
-		"max-batch ceiling (with -autoscale -batch; 0 = max(16, -max-batch))")
-	flagAutoscaleMinWindow = flag.Duration("autoscale-min-window", 0,
-		"batch-window floor (with -autoscale -batch; 0 = min(500us, -batch-window))")
-	flagAutoscaleMaxWindow = flag.Duration("autoscale-max-window", 0,
-		"batch-window ceiling (with -autoscale -batch; 0 = 4x -batch-window)")
 )
 
 // flagValues is the snapshot validateFlags checks.
 type flagValues struct {
-	load, models string
-
 	replicas       int
-	batch          bool
-	batchWindow    time.Duration
-	maxBatch       int
 	requestTimeout time.Duration
 
 	autoscale     bool
 	asInterval    time.Duration
 	asMinReplicas int
 	asMaxReplicas int
-	asMinBatch    int
-	asMaxBatch    int
-	asMinWindow   time.Duration
-	asMaxWindow   time.Duration
 }
 
 func currentFlagValues() flagValues {
 	return flagValues{
-		load:           *flagLoad,
-		models:         *flagModels,
 		replicas:       *flagReplicas,
-		batch:          *flagBatch,
-		batchWindow:    *flagBatchWindow,
-		maxBatch:       *flagMaxBatch,
 		requestTimeout: *flagRequestTimeout,
 		autoscale:      *flagAutoscale,
 		asInterval:     *flagAutoscaleInterval,
 		asMinReplicas:  *flagAutoscaleMinReplicas,
 		asMaxReplicas:  *flagAutoscaleMaxReplicas,
-		asMinBatch:     *flagAutoscaleMinBatch,
-		asMaxBatch:     *flagAutoscaleMaxBatch,
-		asMinWindow:    *flagAutoscaleMinWindow,
-		asMaxWindow:    *flagAutoscaleMaxWindow,
 	}
 }
 
@@ -83,11 +57,11 @@ func explicitFlags() map[string]bool {
 	return set
 }
 
-// validateFlags rejects contradictory flag combinations. In manifest
-// mode (-models) the batch flags are a baseline that entries may opt
-// into, so "batch flags without -batch" is only an error in single-model
-// mode; the bounds checks against the static geometry apply everywhere
-// the flag baseline is the geometry.
+// validateFlags rejects contradictory flag combinations. The replica
+// bounds are checked against the static -replicas as well as against
+// each other: the flags are the geometry the controller starts from and
+// degrades to, so bounds that exclude them are an operator error, not
+// something to clamp silently.
 func validateFlags(v flagValues, set map[string]bool) error {
 	if v.replicas < 1 {
 		return fmt.Errorf("-replicas must be at least 1 (got %d)", v.replicas)
@@ -95,27 +69,8 @@ func validateFlags(v flagValues, set map[string]bool) error {
 	if v.requestTimeout <= 0 {
 		return fmt.Errorf("-request-timeout must be positive (got %v)", v.requestTimeout)
 	}
-	if v.batchWindow <= 0 {
-		return fmt.Errorf("-batch-window must be positive (got %v)", v.batchWindow)
-	}
-	if v.maxBatch < 1 {
-		return fmt.Errorf("-max-batch must be at least 1 (got %d)", v.maxBatch)
-	}
-	if !v.batch && v.models == "" {
-		for _, f := range []string{"batch-window", "max-batch"} {
-			if set[f] {
-				return fmt.Errorf("-%s has no effect without -batch", f)
-			}
-		}
-	}
-
 	if !v.autoscale {
-		for _, f := range []string{
-			"autoscale-interval",
-			"autoscale-min-replicas", "autoscale-max-replicas",
-			"autoscale-min-batch", "autoscale-max-batch",
-			"autoscale-min-window", "autoscale-max-window",
-		} {
+		for _, f := range []string{"autoscale-interval", "autoscale-min-replicas", "autoscale-max-replicas"} {
 			if set[f] {
 				return fmt.Errorf("-%s has no effect without -autoscale", f)
 			}
@@ -126,71 +81,18 @@ func validateFlags(v flagValues, set map[string]bool) error {
 	if set["autoscale-interval"] && v.asInterval <= 0 {
 		return fmt.Errorf("-autoscale-interval must be positive (got %v)", v.asInterval)
 	}
-	if !v.batch && v.models == "" {
-		for _, f := range []string{"autoscale-min-batch", "autoscale-max-batch",
-			"autoscale-min-window", "autoscale-max-window"} {
-			if set[f] {
-				return fmt.Errorf("-%s has no effect without -batch", f)
-			}
-		}
-	}
-
-	// Bound sanity, then containment of the static geometry: the flags
-	// are the geometry the controller starts from and degrades to, so
-	// bounds that exclude them are an operator error, not something to
-	// clamp silently.
-	type boundI struct {
-		minF, maxF string
-		min, max   int
-		static     int
-		staticF    string
-	}
-	for _, b := range []boundI{
-		{"autoscale-min-replicas", "autoscale-max-replicas", v.asMinReplicas, v.asMaxReplicas, v.replicas, "replicas"},
-		{"autoscale-min-batch", "autoscale-max-batch", v.asMinBatch, v.asMaxBatch, v.maxBatch, "max-batch"},
-	} {
-		if set[b.minF] && b.min < 1 {
-			return fmt.Errorf("-%s must be at least 1 (got %d)", b.minF, b.min)
-		}
-		if set[b.maxF] && b.max < 1 {
-			return fmt.Errorf("-%s must be at least 1 (got %d)", b.maxF, b.max)
-		}
-		if set[b.minF] && set[b.maxF] && b.min > b.max {
-			return fmt.Errorf("-%s %d exceeds -%s %d", b.minF, b.min, b.maxF, b.max)
-		}
-		if set[b.minF] && b.min > b.static {
-			return fmt.Errorf("-%s %d excludes the static -%s %d the controller starts from", b.minF, b.min, b.staticF, b.static)
-		}
-		if set[b.maxF] && b.max < b.static {
-			return fmt.Errorf("-%s %d excludes the static -%s %d the controller starts from", b.maxF, b.max, b.staticF, b.static)
-		}
-	}
-	type boundD struct {
-		minF, maxF string
-		min, max   time.Duration
-		static     time.Duration
-		staticF    string
-	}
-	for _, b := range []boundD{
-		{"autoscale-min-window", "autoscale-max-window", v.asMinWindow, v.asMaxWindow, v.batchWindow, "batch-window"},
-	} {
-		if set[b.minF] && b.min <= 0 {
-			return fmt.Errorf("-%s must be positive (got %v)", b.minF, b.min)
-		}
-		if set[b.maxF] && b.max <= 0 {
-			return fmt.Errorf("-%s must be positive (got %v)", b.maxF, b.max)
-		}
-		if set[b.minF] && set[b.maxF] && b.min > b.max {
-			return fmt.Errorf("-%s %v exceeds -%s %v", b.minF, b.min, b.maxF, b.max)
-		}
-		if v.batch || v.models != "" {
-			if set[b.minF] && b.min > b.static {
-				return fmt.Errorf("-%s %v excludes the static -%s %v the controller starts from", b.minF, b.min, b.staticF, b.static)
-			}
-			if set[b.maxF] && b.max < b.static {
-				return fmt.Errorf("-%s %v excludes the static -%s %v the controller starts from", b.maxF, b.max, b.staticF, b.static)
-			}
-		}
+	minSet, maxSet := set["autoscale-min-replicas"], set["autoscale-max-replicas"]
+	switch {
+	case minSet && v.asMinReplicas < 1:
+		return fmt.Errorf("-autoscale-min-replicas must be at least 1 (got %d)", v.asMinReplicas)
+	case maxSet && v.asMaxReplicas < 1:
+		return fmt.Errorf("-autoscale-max-replicas must be at least 1 (got %d)", v.asMaxReplicas)
+	case minSet && maxSet && v.asMinReplicas > v.asMaxReplicas:
+		return fmt.Errorf("-autoscale-min-replicas %d exceeds -autoscale-max-replicas %d", v.asMinReplicas, v.asMaxReplicas)
+	case minSet && v.asMinReplicas > v.replicas:
+		return fmt.Errorf("-autoscale-min-replicas %d excludes the static -replicas %d the controller starts from", v.asMinReplicas, v.replicas)
+	case maxSet && v.asMaxReplicas < v.replicas:
+		return fmt.Errorf("-autoscale-max-replicas %d excludes the static -replicas %d the controller starts from", v.asMaxReplicas, v.replicas)
 	}
 	return nil
 }
@@ -220,9 +122,5 @@ func autoscaleConfig() *serve.AutoscaleConfig {
 		Interval:    *flagAutoscaleInterval,
 		MinReplicas: *flagAutoscaleMinReplicas,
 		MaxReplicas: *flagAutoscaleMaxReplicas,
-		MinBatch:    *flagAutoscaleMinBatch,
-		MaxBatch:    *flagAutoscaleMaxBatch,
-		MinWindow:   *flagAutoscaleMinWindow,
-		MaxWindow:   *flagAutoscaleMaxWindow,
 	}
 }

@@ -1,6 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +17,6 @@ import (
 func base() flagValues {
 	return flagValues{
 		replicas:       2,
-		batchWindow:    2 * time.Millisecond,
-		maxBatch:       8,
 		requestTimeout: 30 * time.Second,
 	}
 }
@@ -44,36 +48,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 			wantSub: "-replicas must be at least 1",
 		},
 		{
-			name:    "negative batch window",
-			mutate:  func(v *flagValues) { v.batch = true; v.batchWindow = -time.Millisecond },
-			set:     []string{"batch", "batch-window"},
-			wantSub: "-batch-window must be positive",
-		},
-		{
-			name:    "zero batch window",
-			mutate:  func(v *flagValues) { v.batch = true; v.batchWindow = 0 },
-			set:     []string{"batch", "batch-window"},
-			wantSub: "-batch-window must be positive",
-		},
-		{
-			name:    "max-batch below 1",
-			mutate:  func(v *flagValues) { v.batch = true; v.maxBatch = 0 },
-			set:     []string{"batch", "max-batch"},
-			wantSub: "-max-batch must be at least 1",
-		},
-		{
-			name:    "batch-window without -batch",
-			mutate:  func(v *flagValues) { v.batchWindow = 5 * time.Millisecond },
-			set:     []string{"batch-window"},
-			wantSub: "-batch-window has no effect without -batch",
-		},
-		{
-			name:    "max-batch without -batch",
-			mutate:  func(v *flagValues) { v.maxBatch = 16 },
-			set:     []string{"max-batch"},
-			wantSub: "-max-batch has no effect without -batch",
-		},
-		{
 			name:    "non-positive request timeout",
 			mutate:  func(v *flagValues) { v.requestTimeout = 0 },
 			set:     []string{"request-timeout"},
@@ -98,12 +72,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 			wantSub: "-autoscale-interval must be positive",
 		},
 		{
-			name:    "autoscale batch bound without -batch",
-			mutate:  func(v *flagValues) { v.autoscale = true; v.asMaxBatch = 32 },
-			set:     []string{"autoscale", "autoscale-max-batch"},
-			wantSub: "-autoscale-max-batch has no effect without -batch",
-		},
-		{
 			name: "replica bounds inverted",
 			mutate: func(v *flagValues) {
 				v.autoscale = true
@@ -122,33 +90,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 			},
 			set:     []string{"autoscale", "autoscale-max-replicas"},
 			wantSub: "excludes the static -replicas 4",
-		},
-		{
-			name: "batch floor above static max-batch",
-			mutate: func(v *flagValues) {
-				v.autoscale, v.batch = true, true
-				v.asMinBatch = 16
-			},
-			set:     []string{"autoscale", "batch", "autoscale-min-batch"},
-			wantSub: "excludes the static -max-batch 8",
-		},
-		{
-			name: "window bounds inverted",
-			mutate: func(v *flagValues) {
-				v.autoscale, v.batch = true, true
-				v.asMinWindow, v.asMaxWindow = 8*time.Millisecond, time.Millisecond
-			},
-			set:     []string{"autoscale", "batch", "autoscale-min-window", "autoscale-max-window"},
-			wantSub: "-autoscale-min-window 8ms exceeds -autoscale-max-window 1ms",
-		},
-		{
-			name: "window ceiling below static window",
-			mutate: func(v *flagValues) {
-				v.autoscale, v.batch = true, true
-				v.asMaxWindow = time.Millisecond
-			},
-			set:     []string{"autoscale", "batch", "autoscale-max-window"},
-			wantSub: "excludes the static -batch-window 2ms",
 		},
 	}
 	for _, tc := range cases {
@@ -180,24 +121,12 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		{
 			name: "autoscale with a full explicit envelope",
 			mutate: func(v *flagValues) {
-				v.autoscale, v.batch = true, true
+				v.autoscale = true
 				v.asInterval = 100 * time.Millisecond
 				v.asMinReplicas, v.asMaxReplicas = 1, 8
-				v.asMinBatch, v.asMaxBatch = 1, 32
-				v.asMinWindow, v.asMaxWindow = 500*time.Microsecond, 8*time.Millisecond
 			},
-			set: []string{"autoscale", "batch", "autoscale-interval",
-				"autoscale-min-replicas", "autoscale-max-replicas",
-				"autoscale-min-batch", "autoscale-max-batch",
-				"autoscale-min-window", "autoscale-max-window"},
-		},
-		{
-			name: "manifest mode allows batch flags without -batch",
-			mutate: func(v *flagValues) {
-				v.models = "manifest.json"
-				v.batchWindow = 4 * time.Millisecond
-			},
-			set: []string{"models", "batch-window"},
+			set: []string{"autoscale", "autoscale-interval",
+				"autoscale-min-replicas", "autoscale-max-replicas"},
 		},
 	}
 	for _, tc := range cases {
@@ -225,5 +154,100 @@ func TestEffectiveMaxReplicasTracksAutoscaleBound(t *testing.T) {
 	defer func() { *flagAutoscaleMaxReplicas = 0 }()
 	if got := effectiveMaxReplicas(4); got != 6 {
 		t.Errorf("explicit ceiling: %d, want 6", got)
+	}
+}
+
+// removedFlags are the request coalescer's flags. They are gone, and
+// passing one must stop the command at the flag parser.
+var removedFlags = []string{
+	"batch", "batch-window", "max-batch",
+	"autoscale-min-batch", "autoscale-max-batch",
+	"autoscale-min-window", "autoscale-max-window",
+}
+
+// TestRemovedFlagsExitTwo parses each removed flag with the command's
+// real flag set in a child process of this test binary (the arguments
+// after "--" reach the child as flag.Args()): the parser must reject it
+// as undefined and exit with status 2, never accept it.
+func TestRemovedFlagsExitTwo(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		// Child: flag.CommandLine exits 2 on an undefined flag.
+		_ = flag.CommandLine.Parse(args)
+		os.Exit(0)
+	}
+	parse := func(args ...string) int {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestRemovedFlagsExitTwo$", "--"}, args...)...)
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return ee.ExitCode()
+		}
+		if err != nil {
+			t.Fatalf("running child for %q: %v", args, err)
+		}
+		return 0
+	}
+	if code := parse("-replicas", "3"); code != 0 {
+		t.Fatalf("a defined flag exits %d in the child, want 0", code)
+	}
+	for _, f := range removedFlags {
+		if code := parse("-" + f); code != 2 {
+			t.Errorf("-%s exits %d, want 2 (flag provided but not defined)", f, code)
+		}
+	}
+}
+
+// TestREADMEFlagTableMatchesFlags pins README's "Tuning flags" table to
+// the flags this command registers: every flag has a row and every row
+// names a flag that exists.
+func TestREADMEFlagTableMatchesFlags(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "\n### Tuning flags\n")
+	if !ok {
+		t.Fatal(`README has no "### Tuning flags" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`-") {
+			continue
+		}
+		for _, m := range regexp.MustCompile("`-([a-z-]+)`").FindAllStringSubmatch(cells[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	registered := map[string]bool{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			registered[f.Name] = true
+		}
+	})
+	var missing, stale []string
+	for name := range registered {
+		if !documented[name] {
+			missing = append(missing, name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	if len(missing) > 0 {
+		t.Errorf("flags without a README row: %v", missing)
+	}
+	if len(stale) > 0 {
+		t.Errorf("README rows for flags that do not exist: %v", stale)
+	}
+	for _, f := range removedFlags {
+		if registered[f] || documented[f] {
+			t.Errorf("removed flag -%s is back (registered %v, documented %v)", f, registered[f], documented[f])
+		}
 	}
 }

@@ -16,7 +16,7 @@
 //	curl -s -X POST -d '{"model":"resnet","path":"new.bflw"}' 127.0.0.1:8081/admin/reload
 //
 // Each manifest entry names a model, its artifact path, and its QoS
-// envelope (replicas, queue bound, deadline, batching). SIGHUP re-reads
+// envelope (replicas, queue bound, deadline). SIGHUP re-reads
 // the manifest and hot-reloads every entry whose path or version
 // changed, through the verify-then-flip swap protocol: a candidate that
 // fails checksum, decode, warm-up, or the probe self-check is rolled
@@ -30,11 +30,11 @@
 // carry a Retry-After derived from the live queue depth and observed
 // service rate.
 //
-// -autoscale turns the static QoS envelope into the starting point of a
-// per-model control loop that retunes batch window, max-batch, and
-// replica count within the -autoscale-* bounds (see /statusz's control
-// section for the live setpoints and decision ledger; pin setpoints via
-// POST /admin/autoscale on -admin-addr).
+// -autoscale turns the static -replicas into the starting point of a
+// per-model control loop that retunes the replica count within the
+// -autoscale-* bounds (see /statusz's control section for the live
+// setpoint and decision ledger; pin it via POST /admin/autoscale on
+// -admin-addr).
 //
 // Loaded models run the fused conv+pool data-flow plan (see DESIGN.md
 // §11): a conv followed by an eligible max-pool is one layer whose
@@ -47,10 +47,7 @@
 // -threads-total workers, and each inference uses at most -threads of
 // them. When replicas × -threads exceeds the machine's cores the server
 // warns and clamps -threads so concurrent replicas cannot oversubscribe
-// (disable with -allow-oversubscribe). With batching, a replica's forward
-// pass carries up to max-batch requests, so fewer replicas with more
-// threads each is usually the right trade — batching raises per-pass
-// work, not pass concurrency.
+// (disable with -allow-oversubscribe).
 package main
 
 import (
@@ -87,10 +84,6 @@ var (
 	flagAllowOversub = flag.Bool("allow-oversubscribe", false,
 		"skip clamping -threads when replicas×threads exceeds the core count")
 
-	flagBatch       = flag.Bool("batch", false, "enable dynamic micro-batching (trades up to -batch-window of latency for throughput)")
-	flagBatchWindow = flag.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill before dispatching (with -batch)")
-	flagMaxBatch    = flag.Int("max-batch", 8, "max requests coalesced into one forward pass (with -batch)")
-
 	flagMaxQueue       = flag.Int("max-queue", 0, "max requests waiting for a replica before shedding with 429 (0 = 4×replicas, min 16)")
 	flagRequestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline; expired queued requests get 503")
 	flagShutdownGrace  = flag.Duration("shutdown-grace", 15*time.Second, "drain window for in-flight requests after SIGTERM")
@@ -110,9 +103,6 @@ func flagConfig(ex *exec.Ctx) serve.Config {
 		Replicas:       *flagReplicas,
 		MaxQueue:       *flagMaxQueue,
 		RequestTimeout: *flagRequestTimeout,
-		Batching:       *flagBatch,
-		BatchWindow:    *flagBatchWindow,
-		MaxBatch:       *flagMaxBatch,
 		Autoscale:      autoscaleConfig(),
 		Exec:           ex,
 	}
@@ -130,15 +120,6 @@ func entryConfig(e registry.ManifestEntry, base serve.Config) serve.Config {
 	}
 	if e.RequestTimeout > 0 {
 		cfg.RequestTimeout = time.Duration(e.RequestTimeout)
-	}
-	if e.Batch {
-		cfg.Batching = true
-	}
-	if e.BatchWindow > 0 {
-		cfg.BatchWindow = time.Duration(e.BatchWindow)
-	}
-	if e.MaxBatch > 0 {
-		cfg.MaxBatch = e.MaxBatch
 	}
 	return cfg
 }
@@ -347,9 +328,7 @@ func main() {
 			}
 		}
 		if st := srv.ControlStatus(name); st != nil {
-			fmt.Printf("autoscale %q: replicas [%d, %d], max-batch [%d, %d], window [%s, %s]\n",
-				name, st.Bounds.MinReplicas, st.Bounds.MaxReplicas,
-				st.Bounds.MinBatch, st.Bounds.MaxBatch, st.Bounds.MinWindow, st.Bounds.MaxWindow)
+			fmt.Printf("autoscale %q: replicas [%d, %d]\n", name, st.Bounds.MinReplicas, st.Bounds.MaxReplicas)
 		}
 	}
 	rep := pool.Report()

@@ -8,15 +8,15 @@ import (
 // Actuate enforces the control loop's two structural invariants:
 //
 //  1. internal/control stays mechanism-free: it computes setpoints and
-//     must never import the packages it steers (serve, batch, registry,
-//     graph). The dependency points the other way — serve implements
+//     must never import the packages it steers (serve, registry, graph).
+//     The dependency points the other way — serve implements
 //     control.Actuator — so the controller can be tested against fakes
 //     and can never reach around its own actuation interface.
 //  2. Actuator implementations actuate through exported APIs only: an
 //     Apply body must not write struct fields. A direct field poke
-//     (gate capacity, replica count, batch geometry) would bypass the
-//     ordering and verification the exported resize/retune paths
-//     guarantee (admission never exceeding serving capacity, grown
+//     (gate capacity, replica count) would bypass the ordering and
+//     verification the exported resize path guarantees (admission never
+//     exceeding serving capacity, grown
 //     replicas proved bit-exact). `//bitflow:actuate-ok <reason>`
 //     excuses a deliberate exception (e.g. a test fake's ledger).
 var Actuate = &Analyzer{
@@ -29,7 +29,7 @@ var Actuate = &Analyzer{
 // never depend on: everything it actuates or observes through
 // interfaces.
 var controlForbiddenImports = []string{
-	"internal/serve", "internal/batch", "internal/registry", "internal/graph",
+	"internal/serve", "internal/registry", "internal/graph",
 }
 
 func runActuate(p *Program) []Finding {
@@ -117,7 +117,7 @@ func checkActuatorBodies(p *Program, pkg *Package) []Finding {
 	return out
 }
 
-const actuateMsg = "Actuator.Apply writes a struct field directly; actuate through the exported APIs (batch.Batcher.Retune, registry.Model.Resize)"
+const actuateMsg = "Actuator.Apply writes a struct field directly; actuate through the exported API (registry.Model.Resize)"
 
 // findFieldWrites walks a function body flagging assignments, op-assigns
 // and inc/dec whose target is a struct field selector.

@@ -13,14 +13,14 @@
 //   - every panic on a serving path is dominated by resilience.Safe so a
 //     replica re-clones instead of the process dying — panicpath;
 //   - the adaptive control loop stays mechanism-free and actuates only
-//     through the exported resize/retune APIs — actuate;
+//     through the exported resize API — actuate;
 //   - the hot path is compiler-verified: no heap escapes in the hot
 //     graph and no surviving bounds checks in kernels, straight from
 //     `-gcflags='-m=2 -d=ssa/check_bce'` diagnostics — codegen;
 //   - a field touched through sync/atomic anywhere is touched atomically
 //     everywhere, and atomic-bearing values are never copied — atomics;
 //   - the whole-program mutex-acquisition graph (reload lock, gates,
-//     batcher, control ledger) stays acyclic — lockorder.
+//     replica pools, control ledger) stays acyclic — lockorder.
 //
 // Each analyzer walks the fully type-checked module (stdlib go/ast +
 // go/types; packages are loaded via `go list -export`, so no external

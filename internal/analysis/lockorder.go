@@ -10,8 +10,8 @@ import (
 
 // LockOrder keeps the whole-program mutex-acquisition graph acyclic.
 // The serving stack holds several locks with real nesting — the registry
-// reload lock serializes against per-model state, the batcher retune
-// path nests its geometry lock, the control loop's ledger lock is taken
+// reload lock serializes against per-model state, a replica-set resize
+// nests its pool lock under it, the control loop's ledger lock is taken
 // under actuation — and the only thing standing between that nesting and
 // a deadlock is a consistent global acquisition order. This analyzer
 // discovers the order instead of trusting it:

@@ -10,10 +10,10 @@ import (
 // request can reach must be caught by resilience.Safe so the replica is
 // re-cloned instead of the process dying.
 //
-// Zone roots (internal/serve, internal/batch, internal/registry): every
-// function with an http.ResponseWriter parameter (an HTTP handler),
-// every exported Batcher method, every exported Model/Registry method
-// (the swap protocol runs under SIGHUP with no recovering caller), and
+// Zone roots (internal/serve, internal/registry): every function with an
+// http.ResponseWriter parameter (an HTTP handler), every exported
+// Model/Registry method (the swap protocol runs under SIGHUP with no
+// recovering caller), and
 // the target of every go statement in the zone (a worker goroutine's
 // panic kills the process). From those roots the call graph is walked,
 // pruning edges
@@ -28,7 +28,7 @@ import (
 // argument checking stays uniform and greppable.
 var PanicPath = &Analyzer{
 	Name: "panicpath",
-	Doc:  "panics reachable from serve/batch handlers without a resilience.Safe guard; unsanctioned kernels panics",
+	Doc:  "panics reachable from serve/registry entry points without a resilience.Safe guard; unsanctioned kernels panics",
 	Run:  runPanicPath,
 }
 
@@ -38,12 +38,11 @@ func runPanicPath(p *Program) []Finding {
 	return out
 }
 
-// panicZone checks serve/batch reachability.
+// panicZone checks serve/registry reachability.
 func panicZone(p *Program) []Finding {
 	g := p.graph()
 	inZone := func(pkg *Package) bool {
 		return pathSuffix(pkg.Path, "internal/serve") ||
-			pathSuffix(pkg.Path, "internal/batch") ||
 			pathSuffix(pkg.Path, "internal/registry")
 	}
 
@@ -52,7 +51,7 @@ func panicZone(p *Program) []Finding {
 		if !inZone(n.pkg) {
 			continue
 		}
-		if n.decl != nil && (handlerFunc(n) || exportedBatcherMethod(n) || exportedRegistryMethod(n)) {
+		if n.decl != nil && (handlerFunc(n) || exportedRegistryMethod(n)) {
 			roots = append(roots, n)
 		}
 	}
@@ -85,7 +84,7 @@ func panicZone(p *Program) []Finding {
 		}
 		for _, pos := range n.panics {
 			out = append(out, p.excusable("panicpath", pos, "panic-ok",
-				"panic reachable from serve/batch handler code without a resilience.Safe guard")...)
+				"panic reachable from serve/registry entry points without a resilience.Safe guard")...)
 		}
 	}
 	return out
@@ -112,12 +111,6 @@ func handlerFunc(n *funcNode) bool {
 		}
 	}
 	return false
-}
-
-// exportedBatcherMethod reports whether the node is an exported method
-// on batch.Batcher — the public surface callers drive directly.
-func exportedBatcherMethod(n *funcNode) bool {
-	return n.recvTypeName() == "Batcher" && n.obj != nil && n.obj.Exported()
 }
 
 // exportedRegistryMethod reports whether the node is an exported method

@@ -8,21 +8,21 @@ import (
 
 // RawGo forbids raw goroutine fan-out outside the packages that own
 // concurrency. All multi-core dispatch belongs to internal/exec (the
-// persistent pool and claim-loop chunking); serve and batch own their
-// request/worker lifecycles. Everywhere else a `go` statement or a
+// persistent pool and claim-loop chunking); serve owns its request and
+// server lifecycles. Everywhere else a `go` statement or a
 // sync.WaitGroup bypasses the execution-context layer — the exact
 // pattern the threads-int migration removed. `//bitflow:go-ok <reason>`
 // excuses a deliberate exception (e.g. a closed-loop load generator
 // whose clients must not be serialized by a claim loop).
 var RawGo = &Analyzer{
 	Name: "rawgo",
-	Doc:  "raw go statements / sync.WaitGroup fan-out outside internal/exec, internal/batch, internal/serve",
+	Doc:  "raw go statements / sync.WaitGroup fan-out outside internal/exec, internal/serve",
 	Run:  runRawGo,
 }
 
 // rawGoAllowed are the package roles (matched by import-path suffix)
 // that legitimately own goroutines.
-var rawGoAllowed = []string{"internal/exec", "internal/batch", "internal/serve"}
+var rawGoAllowed = []string{"internal/exec", "internal/serve"}
 
 func runRawGo(p *Program) []Finding {
 	var out []Finding
@@ -42,11 +42,11 @@ func runRawGo(p *Program) []Finding {
 				switch node := n.(type) {
 				case *ast.GoStmt:
 					out = append(out, p.excusable("rawgo", node.Pos(), "go-ok",
-						"raw go statement outside internal/exec|batch|serve; route fan-out through *exec.Ctx")...)
+						"raw go statement outside internal/exec|serve; route fan-out through *exec.Ctx")...)
 				case *ast.Ident:
 					if isWaitGroupRef(pkg.Info, node) {
 						out = append(out, p.excusable("rawgo", node.Pos(), "go-ok",
-							"sync.WaitGroup fan-out outside internal/exec|batch|serve; use exec.Ctx.ParallelFor")...)
+							"sync.WaitGroup fan-out outside internal/exec|serve; use exec.Ctx.ParallelFor")...)
 					}
 				}
 				return true

@@ -1,6 +1,6 @@
 // Package actuate seeds violations of the actuate rule: types
 // implementing control.Actuator whose Apply bodies poke struct fields
-// directly instead of routing through exported resize/retune APIs.
+// directly instead of routing through the exported resize API.
 package actuate
 
 import (
@@ -21,10 +21,10 @@ type badActuator struct {
 }
 
 func (a *badActuator) Apply(ctx context.Context, sp control.Setpoints) error {
-	a.replicas = sp.Replicas                    // want:actuate
-	a.gate.capacity = sp.Replicas * sp.MaxBatch // want:actuate
-	a.replicas++                                // want:actuate
-	a.replicas += sp.MaxBatch                   // want:actuate
+	a.replicas = sp.Replicas          // want:actuate
+	a.gate.capacity = 2 * sp.Replicas // want:actuate
+	a.replicas++                      // want:actuate
+	a.replicas += sp.Replicas         // want:actuate
 	return nil
 }
 
@@ -40,8 +40,8 @@ type goodActuator struct {
 
 func (a *goodActuator) Apply(ctx context.Context, sp control.Setpoints) error {
 	target := sp.Replicas
-	if sp.MaxBatch > 1 {
-		target = sp.Replicas * sp.MaxBatch
+	if target < 1 {
+		target = 1
 	}
 	return a.rm.Resize(ctx, target)
 }

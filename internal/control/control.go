@@ -1,22 +1,20 @@
 // Package control is the closed-loop autoscale controller: it observes
 // the signals the serving stack already exports (gate queue depth and
-// held tokens, batch occupancy, shed counts, latency quantiles) and
-// continuously retunes the serving geometry — batch window, max-batch,
-// and replica count — within operator-declared bounds.
+// held tokens, shed counts, latency quantiles) and continuously retunes
+// a model's replica count within operator-declared bounds.
 //
 // The controller is deliberately decoupled from the things it controls:
 // it reads through a Source function and acts through an Actuator
 // interface, both injected at construction, and imports none of the
 // serving packages. Actuation therefore can only go through the exported
-// retune/resize APIs the actuator wraps — an invariant bitflow-vet's
+// resize API the actuator wraps — an invariant bitflow-vet's
 // `actuate` rule enforces statically.
 //
 // Stability over cleverness:
 //
 //   - Hysteresis: scale-up triggers (shed, deep queue, saturated gate)
-//     and scale-down triggers (empty queue, idle gate, near-empty
-//     batches) are separated by a wide dead band, so ordinary load noise
-//     actuates nothing.
+//     and scale-down triggers (empty queue, idle gate) are separated by a
+//     wide dead band, so ordinary load noise actuates nothing.
 //   - Cooldown: after any actuation the controller holds for a fixed
 //     number of ticks, so one burst produces one step, not a staircase
 //     of flapping.
@@ -46,45 +44,30 @@ import (
 	"bitflow/internal/resilience"
 )
 
-// Setpoints is one serving geometry: the three control variables the
-// loop owns.
+// Setpoints is one serving geometry: the control variable the loop owns.
+// It doubles as its own /statusz rendering.
 type Setpoints struct {
-	// Window is the micro-batch coalescing window (ignored when the
-	// model does not batch).
-	Window time.Duration
-	// MaxBatch is the micro-batch size cap (ignored when not batching).
-	MaxBatch int
-	// Replicas is the model's replica count (batch workers when
-	// batching, pooled backends otherwise).
-	Replicas int
+	// Replicas is the model's replica count.
+	Replicas int `json:"replicas"`
 }
 
 // Bounds are the operator-declared limits the controller must never
 // leave, whatever the signals say.
 type Bounds struct {
-	MinWindow, MaxWindow     time.Duration
-	MinBatch, MaxBatch       int
-	MinReplicas, MaxReplicas int
+	MinReplicas int `json:"min_replicas"`
+	MaxReplicas int `json:"max_replicas"`
 }
 
-// Clamp forces sp inside b on every axis.
+// Clamp forces sp inside b.
 func (b Bounds) Clamp(sp Setpoints) Setpoints {
-	sp.Window = min(max(sp.Window, b.MinWindow), b.MaxWindow)
-	sp.MaxBatch = min(max(sp.MaxBatch, b.MinBatch), b.MaxBatch)
 	sp.Replicas = min(max(sp.Replicas, b.MinReplicas), b.MaxReplicas)
 	return sp
 }
 
-// Contains reports whether sp is inside b on every axis.
+// Contains reports whether sp is inside b.
 func (b Bounds) Contains(sp Setpoints) bool { return b.Clamp(sp) == sp }
 
 func (b Bounds) validate() error {
-	if b.MinWindow <= 0 || b.MaxWindow < b.MinWindow {
-		return fmt.Errorf("control: window bounds [%v, %v] invalid", b.MinWindow, b.MaxWindow)
-	}
-	if b.MinBatch < 1 || b.MaxBatch < b.MinBatch {
-		return fmt.Errorf("control: max-batch bounds [%d, %d] invalid", b.MinBatch, b.MaxBatch)
-	}
 	if b.MinReplicas < 1 || b.MaxReplicas < b.MinReplicas {
 		return fmt.Errorf("control: replica bounds [%d, %d] invalid", b.MinReplicas, b.MaxReplicas)
 	}
@@ -104,11 +87,9 @@ type Signals struct {
 	P99          time.Duration
 
 	// Cumulative counters.
-	Requests   int64
-	OK         int64
-	Shed       int64
-	Batches    int64
-	BatchItems int64
+	Requests int64
+	OK       int64
+	Shed     int64
 }
 
 func (s Signals) validate() error {
@@ -118,7 +99,7 @@ func (s Signals) validate() error {
 			s.QueueDepth, s.GateHeld, s.GateCapacity, s.MaxQueue)
 	case s.P50 < 0, s.P99 < 0:
 		return fmt.Errorf("control: negative latency quantile (p50=%v p99=%v)", s.P50, s.P99)
-	case s.Requests < 0, s.OK < 0, s.Shed < 0, s.Batches < 0, s.BatchItems < 0:
+	case s.Requests < 0, s.OK < 0, s.Shed < 0:
 		return errors.New("control: negative cumulative counter")
 	}
 	return nil
@@ -127,8 +108,7 @@ func (s Signals) validate() error {
 // regressed reports whether any cumulative counter moved backwards since
 // prev — the signature of a corrupted or reset signal source.
 func (s Signals) regressed(prev Signals) bool {
-	return s.Requests < prev.Requests || s.OK < prev.OK || s.Shed < prev.Shed ||
-		s.Batches < prev.Batches || s.BatchItems < prev.BatchItems
+	return s.Requests < prev.Requests || s.OK < prev.OK || s.Shed < prev.Shed
 }
 
 // Source reads one observation. It is called once per tick, off the
@@ -136,9 +116,8 @@ func (s Signals) regressed(prev Signals) bool {
 type Source func() (Signals, error)
 
 // Actuator applies a new geometry to the serving stack. Implementations
-// must go through the exported retune/resize APIs (batch.Batcher.Retune,
-// registry.Model.Resize) — bitflow-vet enforces that they never poke
-// fields directly.
+// must go through the exported resize API (registry.Model.Resize) —
+// bitflow-vet enforces that they never poke fields directly.
 type Actuator interface {
 	Apply(ctx context.Context, sp Setpoints) error
 }
@@ -176,9 +155,6 @@ type Config struct {
 	// configuration the controller reverts to when degraded. Clamped to
 	// Bounds.
 	Static Setpoints
-	// Batching enables the window/max-batch axes; when false only
-	// Replicas is actuated.
-	Batching bool
 	// Interval is the tick period for Run. Default 250ms.
 	Interval time.Duration
 	// HighLoad is the queue-fraction scale-up threshold. Default 0.75.
@@ -228,43 +204,22 @@ func (c Config) withDefaults() Config {
 
 // Decision is one ledger entry.
 type Decision struct {
-	Tick      int64           `json:"tick"`
-	Action    string          `json:"action"`
-	Reason    string          `json:"reason"`
-	Setpoints SetpointsStatus `json:"setpoints"`
-}
-
-// SetpointsStatus is the JSON rendering of Setpoints.
-type SetpointsStatus struct {
-	Window   string `json:"window"`
-	MaxBatch int    `json:"max_batch"`
-	Replicas int    `json:"replicas"`
-}
-
-func (sp Setpoints) status() SetpointsStatus {
-	return SetpointsStatus{Window: sp.Window.String(), MaxBatch: sp.MaxBatch, Replicas: sp.Replicas}
-}
-
-// BoundsStatus is the JSON rendering of Bounds.
-type BoundsStatus struct {
-	MinWindow   string `json:"min_window"`
-	MaxWindow   string `json:"max_window"`
-	MinBatch    int    `json:"min_batch"`
-	MaxBatch    int    `json:"max_batch"`
-	MinReplicas int    `json:"min_replicas"`
-	MaxReplicas int    `json:"max_replicas"`
+	Tick      int64     `json:"tick"`
+	Action    string    `json:"action"`
+	Reason    string    `json:"reason"`
+	Setpoints Setpoints `json:"setpoints"`
 }
 
 // Status is the controller's /statusz section.
 type Status struct {
-	State        string          `json:"state"`
-	Setpoints    SetpointsStatus `json:"setpoints"`
-	Static       SetpointsStatus `json:"static"`
-	Bounds       BoundsStatus    `json:"bounds"`
-	Ticks        int64           `json:"ticks"`
-	Actuations   int64           `json:"actuations"`
-	CorruptTicks int64           `json:"corrupt_ticks"`
-	Decisions    []Decision      `json:"decisions,omitempty"`
+	State        string     `json:"state"`
+	Setpoints    Setpoints  `json:"setpoints"`
+	Static       Setpoints  `json:"static"`
+	Bounds       Bounds     `json:"bounds"`
+	Ticks        int64      `json:"ticks"`
+	Actuations   int64      `json:"actuations"`
+	CorruptTicks int64      `json:"corrupt_ticks"`
+	Decisions    []Decision `json:"decisions,omitempty"`
 }
 
 // Controller runs the loop. Create with New; drive with Run (or Tick
@@ -303,9 +258,6 @@ func New(cfg Config) (*Controller, error) {
 	cfg.Static = cfg.Bounds.Clamp(cfg.Static)
 	return &Controller{cfg: cfg, cur: cfg.Static, state: StateAdapting}, nil
 }
-
-// Interval returns the configured tick period.
-func (c *Controller) Interval() time.Duration { return c.cfg.Interval }
 
 // Setpoints returns the current geometry as the controller believes it.
 func (c *Controller) Setpoints() Setpoints {
@@ -448,9 +400,8 @@ func (c *Controller) cleanTick(ctx context.Context, sig Signals) {
 }
 
 // decide picks the next geometry from one observation, or returns an
-// empty action to hold. One bounded step per call, scale-up unwinding in
-// reverse order of scale-down, with a wide dead band between the two
-// trigger sets.
+// empty action to hold. One bounded step per call, with a wide dead band
+// between the scale-up and scale-down trigger sets.
 func (c *Controller) decide(sig Signals) (Setpoints, string, string) {
 	b := c.cfg.Bounds
 	next := c.cur
@@ -467,40 +418,19 @@ func (c *Controller) decide(sig Signals) (Setpoints, string, string) {
 	// Scale up: requests were shed, the wait queue is deep, or every
 	// admission token is held with more callers waiting.
 	if shed > 0 || queueFrac >= c.cfg.HighLoad || (util >= 1 && sig.QueueDepth > 0) {
-		pressure := fmt.Sprintf("shed=%d queue=%.2f util=%.2f", shed, queueFrac, util)
-		if c.cfg.Batching && next.MaxBatch < b.MaxBatch {
-			next.MaxBatch = min(next.MaxBatch*2, b.MaxBatch)
-			next.Window = min(max(next.Window*2, c.cfg.Static.Window), b.MaxWindow)
-			return next, fmt.Sprintf("pressure (%s): max-batch %d→%d window→%v",
-				pressure, c.cur.MaxBatch, next.MaxBatch, next.Window), ActionScaleUp
-		}
 		if next.Replicas < b.MaxReplicas {
 			next.Replicas++
-			return next, fmt.Sprintf("pressure (%s): replicas %d→%d",
-				pressure, c.cur.Replicas, next.Replicas), ActionScaleUp
+			return next, fmt.Sprintf("pressure (shed=%d queue=%.2f util=%.2f): replicas %d→%d",
+				shed, queueFrac, util, c.cur.Replicas, next.Replicas), ActionScaleUp
 		}
 		return c.cur, "", "" // already at the operator's ceiling
 	}
 
-	// Scale down: no shedding and no queue. Replicas trim on an idle
-	// gate; the batch axes trim when dispatched batches run near-empty
-	// (halving the cap cannot cause size-cap flushes that weren't
-	// already happening).
-	if shed == 0 && sig.QueueDepth == 0 {
-		if next.Replicas > b.MinReplicas && util <= c.cfg.LowLoad {
-			next.Replicas--
-			return next, fmt.Sprintf("idle gate (util=%.2f): replicas %d→%d",
-				util, c.cur.Replicas, next.Replicas), ActionScaleDown
-		}
-		batches := sig.Batches - c.prev.Batches
-		items := sig.BatchItems - c.prev.BatchItems
-		if c.cfg.Batching && next.MaxBatch > b.MinBatch && batches > 0 && items*2 <= batches*int64(next.MaxBatch) {
-			occ := float64(items) / float64(batches)
-			next.MaxBatch = max(next.MaxBatch/2, b.MinBatch)
-			next.Window = max(next.Window/2, b.MinWindow)
-			return next, fmt.Sprintf("near-empty batches (occupancy %.1f of %d): max-batch %d→%d window→%v",
-				occ, c.cur.MaxBatch, c.cur.MaxBatch, next.MaxBatch, next.Window), ActionScaleDown
-		}
+	// Scale down: no shedding, no queue, and an idle gate.
+	if shed == 0 && sig.QueueDepth == 0 && next.Replicas > b.MinReplicas && util <= c.cfg.LowLoad {
+		next.Replicas--
+		return next, fmt.Sprintf("idle gate (util=%.2f): replicas %d→%d",
+			util, c.cur.Replicas, next.Replicas), ActionScaleDown
 	}
 	return c.cur, "", ""
 }
@@ -516,7 +446,7 @@ func (c *Controller) apply(ctx context.Context, sp Setpoints) error {
 
 // record appends one ledger entry, evicting the oldest past LedgerSize.
 func (c *Controller) record(action, reason string) {
-	c.ledger = append(c.ledger, Decision{Tick: c.ticks, Action: action, Reason: reason, Setpoints: c.cur.status()})
+	c.ledger = append(c.ledger, Decision{Tick: c.ticks, Action: action, Reason: reason, Setpoints: c.cur})
 	if len(c.ledger) > c.cfg.LedgerSize {
 		c.ledger = c.ledger[len(c.ledger)-c.cfg.LedgerSize:]
 	}
@@ -528,11 +458,6 @@ func (c *Controller) Pin(ctx context.Context, sp Setpoints) (Setpoints, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sp = c.cfg.Bounds.Clamp(sp)
-	if !c.cfg.Batching {
-		// Only the replica axis is actuatable; keep the batch axes where
-		// they are so the clamp of zero-valued inputs doesn't "change" them.
-		sp.Window, sp.MaxBatch = c.cur.Window, c.cur.MaxBatch
-	}
 	if err := c.apply(ctx, sp); err != nil {
 		c.record(ActionApplyFailed, fmt.Sprintf("pin rejected: %v", err))
 		return c.cur, err
@@ -540,7 +465,7 @@ func (c *Controller) Pin(ctx context.Context, sp Setpoints) (Setpoints, error) {
 	c.cur = sp
 	c.state = StatePinned
 	c.needStatic = false
-	c.record(ActionPin, fmt.Sprintf("operator pinned window=%v max-batch=%d replicas=%d", sp.Window, sp.MaxBatch, sp.Replicas))
+	c.record(ActionPin, fmt.Sprintf("operator pinned replicas=%d", sp.Replicas))
 	return sp, nil
 }
 
@@ -563,16 +488,11 @@ func (c *Controller) Unpin() {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.cfg.Bounds
 	return Status{
-		State:     c.state,
-		Setpoints: c.cur.status(),
-		Static:    c.cfg.Static.status(),
-		Bounds: BoundsStatus{
-			MinWindow: b.MinWindow.String(), MaxWindow: b.MaxWindow.String(),
-			MinBatch: b.MinBatch, MaxBatch: b.MaxBatch,
-			MinReplicas: b.MinReplicas, MaxReplicas: b.MaxReplicas,
-		},
+		State:        c.state,
+		Setpoints:    c.cur,
+		Static:       c.cfg.Static,
+		Bounds:       c.cfg.Bounds,
 		Ticks:        c.ticks,
 		Actuations:   c.actuations,
 		CorruptTicks: c.corruptTotal,

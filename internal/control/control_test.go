@@ -57,20 +57,15 @@ func (s *sigScript) read() (Signals, error) {
 }
 
 func testBounds() Bounds {
-	return Bounds{
-		MinWindow: 500 * time.Microsecond, MaxWindow: 4 * time.Millisecond,
-		MinBatch: 1, MaxBatch: 16,
-		MinReplicas: 1, MaxReplicas: 4,
-	}
+	return Bounds{MinReplicas: 1, MaxReplicas: 4}
 }
 
 func testConfig(src Source, act Actuator) Config {
 	return Config{
 		Model:  "m",
 		Bounds: testBounds(),
-		Static: Setpoints{Window: 2 * time.Millisecond, MaxBatch: 4, Replicas: 2},
+		Static: Setpoints{Replicas: 2},
 
-		Batching:     true,
 		Cooldown:     1,
 		CorruptLimit: 3,
 		RecoverAfter: 5,
@@ -85,17 +80,15 @@ func saturated(tick int64, cap int) Signals {
 	return Signals{
 		QueueDepth: 14, GateHeld: int64(cap), GateCapacity: cap, MaxQueue: 16,
 		Requests: tick * 100, OK: tick * 80, Shed: tick * 20,
-		Batches: tick * 10, BatchItems: tick * 10 * 4,
 	}
 }
 
 // idle is an observation that permits scale-down: empty queue, idle
-// gate, near-empty batches.
-func idle(tick int64, cap, maxBatch int) Signals {
+// gate.
+func idle(tick int64, cap int) Signals {
 	return Signals{
 		QueueDepth: 0, GateHeld: 0, GateCapacity: cap, MaxQueue: 16,
 		Requests: 1000 + tick, OK: 1000 + tick, Shed: 50,
-		Batches: 1000 + tick, BatchItems: 4000 + tick, // occupancy ~1
 	}
 }
 
@@ -129,27 +122,18 @@ func TestScaleUpLadderRespectsBoundsAndCooldown(t *testing.T) {
 			t.Fatalf("applied[%d] = %+v outside bounds", i, sp)
 		}
 	}
-	final := c.Setpoints()
-	if final.MaxBatch != b.MaxBatch || final.Replicas != b.MaxReplicas {
+	if final := c.Setpoints(); final.Replicas != b.MaxReplicas {
 		t.Fatalf("sustained saturation should climb to the ceiling, got %+v", final)
 	}
-	// The batch axis climbs before the replica axis.
-	sawReplicaGrow := false
-	for _, sp := range applied {
-		if sp.Replicas > 2 && sp.MaxBatch != b.MaxBatch {
-			t.Fatalf("replicas grew before max-batch hit its bound: %+v", sp)
-		}
-		if sp.Replicas > 2 {
-			sawReplicaGrow = true
+	// One replica per step: the ladder from the static 2 to the ceiling of
+	// 4 is two actuations, however long the saturation lasts.
+	for i, sp := range applied {
+		if sp.Replicas != 3+i {
+			t.Fatalf("applied[%d] = %+v, want replicas %d (one step at a time)", i, sp, 3+i)
 		}
 	}
-	if !sawReplicaGrow {
-		t.Fatalf("replicas never grew under sustained saturation")
-	}
-	// Cooldown: with Cooldown=1 every actuation needs ≥2 ticks, and the
-	// ladder has at most 2 (batch) + 2 (replica) steps.
-	if len(applied) > 4 {
-		t.Fatalf("expected ≤4 ladder steps, actuated %d times (flapping?)", len(applied))
+	if len(applied) != 2 {
+		t.Fatalf("expected 2 ladder steps, actuated %d times (flapping?)", len(applied))
 	}
 }
 
@@ -158,19 +142,15 @@ func TestScaleDownWhenIdle(t *testing.T) {
 	var tick int64
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
-		return idle(tick, 8, 4), nil
+		return idle(tick, 8), nil
 	}, act))
 
 	for i := 0; i < 40; i++ {
 		c.Tick(context.Background())
 	}
 	b := testBounds()
-	final := c.Setpoints()
-	if final.Replicas != b.MinReplicas || final.MaxBatch != b.MinBatch {
+	if final := c.Setpoints(); final.Replicas != b.MinReplicas {
 		t.Fatalf("sustained idle should trim to the floor, got %+v", final)
-	}
-	if final.Window != b.MinWindow {
-		t.Fatalf("window should trim toward MinWindow when idle, got %v", final.Window)
 	}
 	for i, sp := range act.all() {
 		if !b.Contains(sp) {
@@ -182,14 +162,13 @@ func TestScaleDownWhenIdle(t *testing.T) {
 func TestDeadBandHolds(t *testing.T) {
 	act := &fakeActuator{}
 	var tick int64
-	// Moderate load: some held tokens, shallow queue, healthy batches —
-	// inside the dead band on every axis.
+	// Moderate load: some held tokens, shallow queue — inside the dead
+	// band.
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
 		return Signals{
 			QueueDepth: 2, GateHeld: 4, GateCapacity: 8, MaxQueue: 16,
 			Requests: tick * 10, OK: tick * 10,
-			Batches: tick * 3, BatchItems: tick * 9, // occupancy 3 of 4
 		}, nil
 	}, act))
 	for i := 0; i < 30; i++ {
@@ -217,7 +196,7 @@ func TestDegradeOnCorruptSignalsThenRecover(t *testing.T) {
 		if f {
 			return Signals{}, corrupt
 		}
-		return idle(tick, 4, 4), nil
+		return idle(tick, 4), nil
 	}, act))
 
 	// Drive it away from static first so the revert is observable.
@@ -228,7 +207,7 @@ func TestDegradeOnCorruptSignalsThenRecover(t *testing.T) {
 		c.Tick(context.Background())
 	}
 	moved := c.Setpoints()
-	if moved == c.Status().staticSetpoints() {
+	if moved == c.Status().Static {
 		t.Fatalf("precondition: controller never moved off static")
 	}
 
@@ -243,7 +222,7 @@ func TestDegradeOnCorruptSignalsThenRecover(t *testing.T) {
 		t.Fatalf("state after corruption = %s, want degraded", st.State)
 	}
 	got := c.Setpoints()
-	want := Setpoints{Window: 2 * time.Millisecond, MaxBatch: 4, Replicas: 2}
+	want := Setpoints{Replicas: 2}
 	if got != want {
 		t.Fatalf("degraded setpoints = %+v, want static %+v", got, want)
 	}
@@ -281,19 +260,12 @@ func TestDegradeOnCorruptSignalsThenRecover(t *testing.T) {
 	}
 }
 
-// staticSetpoints parses the static geometry back out of a Status — a
-// test-only convenience.
-func (s Status) staticSetpoints() Setpoints {
-	d, _ := time.ParseDuration(s.Static.Window)
-	return Setpoints{Window: d, MaxBatch: s.Static.MaxBatch, Replicas: s.Static.Replicas}
-}
-
 func TestCounterRegressionIsCorrupt(t *testing.T) {
 	act := &fakeActuator{}
 	var tick int64
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
-		s := idle(tick, 4, 4)
+		s := idle(tick, 4)
 		if tick > 5 {
 			s.Requests = 1 // cumulative counter jumps backwards
 		}
@@ -315,11 +287,11 @@ func TestPinOutranksAdaptationAndCorruption(t *testing.T) {
 		return saturated(tick, 8), nil
 	}, act))
 
-	pinned, err := c.Pin(context.Background(), Setpoints{Window: time.Millisecond, MaxBatch: 2, Replicas: 3})
+	pinned, err := c.Pin(context.Background(), Setpoints{Replicas: 3})
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
-	if pinned != (Setpoints{Window: time.Millisecond, MaxBatch: 2, Replicas: 3}) {
+	if pinned != (Setpoints{Replicas: 3}) {
 		t.Fatalf("pinned = %+v", pinned)
 	}
 	for i := 0; i < 20; i++ {
@@ -346,14 +318,13 @@ func TestPinClampsToBounds(t *testing.T) {
 	var tick int64
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
-		return idle(tick, 4, 4), nil
+		return idle(tick, 4), nil
 	}, act))
-	got, err := c.Pin(context.Background(), Setpoints{Window: time.Second, MaxBatch: 999, Replicas: 99})
+	got, err := c.Pin(context.Background(), Setpoints{Replicas: 99})
 	if err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
-	b := testBounds()
-	want := Setpoints{Window: b.MaxWindow, MaxBatch: b.MaxBatch, Replicas: b.MaxReplicas}
+	want := Setpoints{Replicas: testBounds().MaxReplicas}
 	if got != want {
 		t.Fatalf("Pin clamp = %+v, want %+v", got, want)
 	}
@@ -393,7 +364,7 @@ func TestControlTickFaultDegrades(t *testing.T) {
 	var tick int64
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
-		return idle(tick, 4, 4), nil
+		return idle(tick, 4), nil
 	}, act))
 
 	s := &faultinject.Script{Rules: []faultinject.Rule{{
@@ -425,7 +396,7 @@ func TestControlTickPanicIsContained(t *testing.T) {
 	var tick int64
 	c := mustNew(t, testConfig(func() (Signals, error) {
 		tick++
-		return idle(tick, 4, 4), nil
+		return idle(tick, 4), nil
 	}, act))
 	s := &faultinject.Script{Rules: []faultinject.Rule{{
 		Point:  "control.tick",
@@ -447,10 +418,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	src := func() (Signals, error) { return Signals{}, nil }
 	act := &fakeActuator{}
 	bad := []Config{
-		{Source: src},                    // no actuator
-		{Actuator: act},                  // no source
-		{Source: src, Actuator: act},     // zero bounds
-		func() Config {                   // inverted thresholds
+		{Source: src},                // no actuator
+		{Actuator: act},              // no source
+		{Source: src, Actuator: act}, // zero bounds
+		func() Config { // inverted thresholds
 			c := testConfig(src, act)
 			c.HighLoad, c.LowLoad = 0.2, 0.8
 			return c
@@ -478,7 +449,7 @@ func TestRunTicksAndStops(t *testing.T) {
 		tick++
 		v := tick
 		mu.Unlock()
-		return idle(v, 4, 4), nil
+		return idle(v, 4), nil
 	}, act)
 	cfg.Interval = time.Millisecond
 	c := mustNew(t, cfg)

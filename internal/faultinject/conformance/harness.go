@@ -2,13 +2,14 @@
 // serving stack's fault tolerance: it drives a seeded, randomized request
 // workload through a live server while a seed-derived fault script
 // (internal/faultinject) injects panics, stalls, and errors into serve,
-// batch, exec, graph, and control — then a model-based oracle checks the stack's
-// conservation invariants, which must hold after EVERY schedule:
+// exec, graph, registry, and control — then a model-based oracle checks
+// the stack's conservation invariants, which must hold after EVERY
+// schedule:
 //
 //   - gate tokens conserved: once quiet, zero held, zero waiting, every
 //     replica back in the pool (capacity never leaks across panics);
 //   - every request completed exactly once: each client call returns one
-//     response and the server drains cleanly (no wedged futures);
+//     response and the server drains cleanly (no wedged request);
 //   - metrics conservation: requests == ok + bad + shed + panicked as
 //     observed by the clients themselves;
 //   - recovery: after the script is disarmed, a full-width probe wave
@@ -55,8 +56,6 @@ type Config struct {
 	// Script overrides the seed-generated fault script — how the named
 	// scenario tests pin one exact fault.
 	Script *faultinject.Script
-	// Batching selects the micro-batched serving path.
-	Batching bool
 	// Replicas / MaxQueue / RequestTimeout mirror serve.Config.
 	Replicas       int
 	MaxQueue       int
@@ -161,8 +160,8 @@ func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 // Report renders the verdict with everything needed to replay it.
 func (r *Result) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "conformance: seed=%d batching=%v replicas=%d: %d violations\n",
-		r.Config.Seed, r.Config.Batching, r.Config.Replicas, len(r.Violations))
+	fmt.Fprintf(&b, "conformance: seed=%d replicas=%d: %d violations\n",
+		r.Config.Seed, r.Config.Replicas, len(r.Violations))
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
 	}
@@ -295,7 +294,6 @@ func Run(cfg Config) (*Result, error) {
 		Replicas:       cfg.Replicas,
 		MaxQueue:       cfg.MaxQueue,
 		RequestTimeout: cfg.RequestTimeout,
-		Batching:       cfg.Batching,
 	}
 	if cfg.Autoscale {
 		// A fast tick and a short cooldown so the controller actuates many
@@ -446,8 +444,7 @@ func Run(cfg Config) (*Result, error) {
 			// autoscale the controller may still be resizing the set while
 			// we quiesce, and conservation means "every current replica is
 			// home", not "the boot-time count is home".
-			if in.GateHeld != 0 || in.GateWaiting != 0 ||
-				(!cfg.Batching && in.PoolAvailable != in.Replicas) {
+			if in.GateHeld != 0 || in.GateWaiting != 0 || in.PoolAvailable != in.Replicas {
 				quiet = false
 			}
 		}
@@ -463,7 +460,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Snapshot = res.ModelSnapshots[names[0]]
 
-	// Phase 4: drain. A wedged worker or an un-completed future shows up
+	// Phase 4: drain. A wedged worker or an unfinished request shows up
 	// here as a shutdown-grace timeout.
 	res.DrainErr = drain()
 
@@ -627,7 +624,7 @@ func oracle(res *Result, refLogits map[string][][]float32) {
 		if st.GateWaiting != 0 {
 			res.violatef("gate conservation (%s): %d waiters still queued after quiesce", name, st.GateWaiting)
 		}
-		if !st.Batching && st.PoolAvailable != st.Replicas {
+		if st.PoolAvailable != st.Replicas {
 			res.violatef("replica conservation (%s): %d/%d replicas in the pool after quiesce",
 				name, st.PoolAvailable, st.Replicas)
 		}
@@ -667,7 +664,7 @@ func oracle(res *Result, refLogits map[string][][]float32) {
 	}
 
 	// Law 7: clean drain — shutdown inside the grace window proves no
-	// future was left pending and no worker wedged.
+	// request was left pending and no worker wedged.
 	if res.DrainErr != nil {
 		res.violatef("drain: ServeListener returned %v — a request or worker never completed", res.DrainErr)
 	}
@@ -711,23 +708,9 @@ func oracle(res *Result, refLogits map[string][][]float32) {
 			res.violatef("control (%s): autoscale run has no controller status", name)
 			continue
 		}
-		sp, b := st.Setpoints, st.Bounds
-		if sp.Replicas < b.MinReplicas || sp.Replicas > b.MaxReplicas {
+		if !st.Bounds.Contains(st.Setpoints) {
 			res.violatef("control (%s): replicas setpoint %d outside bounds [%d, %d]",
-				name, sp.Replicas, b.MinReplicas, b.MaxReplicas)
-		}
-		if sp.MaxBatch < b.MinBatch || sp.MaxBatch > b.MaxBatch {
-			res.violatef("control (%s): max-batch setpoint %d outside bounds [%d, %d]",
-				name, sp.MaxBatch, b.MinBatch, b.MaxBatch)
-		}
-		win, err := time.ParseDuration(sp.Window)
-		minW, errMin := time.ParseDuration(b.MinWindow)
-		maxW, errMax := time.ParseDuration(b.MaxWindow)
-		if err != nil || errMin != nil || errMax != nil {
-			res.violatef("control (%s): unparseable window status %q in [%q, %q]",
-				name, sp.Window, b.MinWindow, b.MaxWindow)
-		} else if win < minW || win > maxW {
-			res.violatef("control (%s): window setpoint %v outside bounds [%v, %v]", name, win, minW, maxW)
+				name, st.Setpoints.Replicas, st.Bounds.MinReplicas, st.Bounds.MaxReplicas)
 		}
 		if st.State == control.StateDegraded && st.Setpoints != st.Static {
 			res.violatef("control (%s): degraded but serving %+v instead of the static geometry %+v",

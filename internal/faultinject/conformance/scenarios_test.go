@@ -3,8 +3,8 @@ package conformance
 // The named fault scenarios from the serving stack's hardening PRs, each
 // pinned with a hand-written script so the exact fault replays forever.
 // These are the regression net for the recovery code itself: revert the
-// panic re-clone, the mid-inference deadline 503, or the batcher's
-// exactly-once completion, and the matching test here fails.
+// panic re-clone, the mid-inference deadline 503, or the swap rollback,
+// and the matching test here fails.
 
 import (
 	"net/http"
@@ -16,7 +16,7 @@ import (
 )
 
 // TestScenarioPanicRecloneRestoresCapacity injects kernel panics
-// mid-inference on the unbatched path. The handler must convert each to a
+// mid-inference. The handler must convert each to a
 // 500 "panic", re-clone the replica, and leave pool capacity intact — the
 // probe wave and the gate/replica conservation laws fail if the re-clone
 // (or the recover itself) is reverted.
@@ -58,43 +58,12 @@ func TestScenarioDeadline503MidInference(t *testing.T) {
 	}
 }
 
-// TestScenarioBatchExactlyOnce crashes batch dispatches while concurrent
-// requests race the coalescing window. Every seat in a crashed batch must
-// complete exactly once with a 500; a double-complete panics the future
-// (transport error → Law 1) and a dropped seat wedges the drain (Law 7).
-func TestScenarioBatchExactlyOnce(t *testing.T) {
-	cfg := Defaults(103)
-	cfg.Batching = true
-	cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{
-		{Point: "batch.dispatch", Action: faultinject.Panic, Index: faultinject.AnyIndex, On: []int64{1, 3}},
-		{Point: "batch.dispatch", Action: faultinject.Fail, Index: faultinject.AnyIndex, On: []int64{5}},
-	}}
-	res := mustRun(t, cfg)
-	if n := countStatus(res.Outcomes, http.StatusInternalServerError); n == 0 {
-		t.Error("no request observed the batch panic; injection did not land")
-	}
-	if res.Snapshot.PanicsRecovered == 0 {
-		t.Error("panics_recovered is 0 after injected batch panics")
-	}
-}
-
 // TestScenarioRunnerCloneFailure makes the recovery path itself fail:
-// first a panic corrupts a runner/replica, then the replacement factory
-// panics too. Both modes must fall back to keeping the old instance and
-// continue serving — the probe wave fails if the fallback leaks the slot.
+// first a panic corrupts a replica, then its re-clone panics too. The
+// handler must fall back to keeping the old replica and continue serving
+// — the probe wave fails if the fallback leaks the slot. The subtest is
+// named unbatched, like seedRun's level, to keep its test ID stable.
 func TestScenarioRunnerCloneFailure(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		cfg := Defaults(104)
-		cfg.Batching = true
-		cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{
-			{Point: "batch.dispatch", Action: faultinject.Panic, Index: faultinject.AnyIndex, On: []int64{1}},
-			{Point: "batch.clone", Action: faultinject.Panic, Index: faultinject.AnyIndex, Limit: 1},
-		}}
-		res := mustRun(t, cfg)
-		if res.Snapshot.PanicsRecovered == 0 {
-			t.Error("panics_recovered is 0; the dispatch panic did not land")
-		}
-	})
 	t.Run("unbatched", func(t *testing.T) {
 		cfg := Defaults(105)
 		cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{
@@ -174,57 +143,54 @@ func TestScenarioRegistryVerifyFailRollsBack(t *testing.T) {
 // so the terminal state is either degraded or adapting-with-a-recovery
 // ledger entry; anything else is a verdict failure.
 func TestScenarioControlSignalCorruptionDegrades(t *testing.T) {
-	for _, batching := range []bool{false, true} {
-		t.Run(map[bool]string{false: "unbatched", true: "batched"}[batching], func(t *testing.T) {
-			cfg := Defaults(109)
-			cfg.Autoscale = true
-			cfg.Batching = batching
-			cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{{
-				Point:  "control.tick",
-				Action: faultinject.Fail,
-				Index:  faultinject.AnyIndex, // every tick, until the script is disarmed
-			}}}
-			res := mustRun(t, cfg)
+	t.Run("unbatched", func(t *testing.T) {
+		cfg := Defaults(109)
+		cfg.Autoscale = true
+		cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{{
+			Point:  "control.tick",
+			Action: faultinject.Fail,
+			Index:  faultinject.AnyIndex, // every tick, until the script is disarmed
+		}}}
+		res := mustRun(t, cfg)
 
-			st := res.ControlStatuses["conformance"]
-			if st == nil {
-				t.Fatal("no controller status for the autoscaled model")
+		st := res.ControlStatuses["conformance"]
+		if st == nil {
+			t.Fatal("no controller status for the autoscaled model")
+		}
+		if st.CorruptTicks == 0 {
+			t.Fatal("corrupt_ticks is 0; the control.tick injection did not land")
+		}
+		degraded, recovered := false, false
+		for _, d := range st.Decisions {
+			switch d.Action {
+			case control.ActionDegrade:
+				degraded = true
+			case control.ActionRecover:
+				recovered = true
 			}
-			if st.CorruptTicks == 0 {
-				t.Fatal("corrupt_ticks is 0; the control.tick injection did not land")
+		}
+		if !degraded {
+			t.Error("no degrade decision in the ledger after persistent signal corruption")
+		}
+		switch st.State {
+		case control.StateDegraded:
+			if st.Setpoints != st.Static {
+				t.Errorf("degraded controller serving %+v, want the static geometry %+v", st.Setpoints, st.Static)
 			}
-			degraded, recovered := false, false
-			for _, d := range st.Decisions {
-				switch d.Action {
-				case control.ActionDegrade:
-					degraded = true
-				case control.ActionRecover:
-					recovered = true
-				}
+		case control.StateAdapting:
+			if !recovered {
+				t.Errorf("controller is adapting with no recovery ledger entry after corruption")
 			}
-			if !degraded {
-				t.Error("no degrade decision in the ledger after persistent signal corruption")
+		default:
+			t.Errorf("controller terminal state %q, want degraded or adapting", st.State)
+		}
+		for i, o := range res.Outcomes {
+			if o.Kind == kindGood && o.Status != http.StatusOK {
+				t.Errorf("request %d: good request got %d (%s) while the control loop was corrupted — degradation must be invisible to the data plane",
+					i, o.Status, o.Code)
 			}
-			switch st.State {
-			case control.StateDegraded:
-				if st.Setpoints != st.Static {
-					t.Errorf("degraded controller serving %+v, want the static geometry %+v", st.Setpoints, st.Static)
-				}
-			case control.StateAdapting:
-				if !recovered {
-					t.Errorf("controller is adapting with no recovery ledger entry after corruption")
-				}
-			default:
-				t.Errorf("controller terminal state %q, want degraded or adapting", st.State)
-			}
-			for i, o := range res.Outcomes {
-				if o.Kind == kindGood && o.Status != http.StatusOK {
-					t.Errorf("request %d: good request got %d (%s) while the control loop was corrupted — degradation must be invisible to the data plane",
-						i, o.Status, o.Code)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestScenarioCompressedModelPanicRecovery replays the panic-reclone
@@ -234,23 +200,20 @@ func TestScenarioControlSignalCorruptionDegrades(t *testing.T) {
 // uncompressed serial reference — a compressed-vs-uncompressed logits
 // differential running under fault injection.
 func TestScenarioCompressedModelPanicRecovery(t *testing.T) {
-	for _, batching := range []bool{false, true} {
-		t.Run(map[bool]string{false: "unbatched", true: "batched"}[batching], func(t *testing.T) {
-			cfg := Defaults(110)
-			cfg.Compressed = true
-			cfg.Batching = batching
-			cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{{
-				Point:  "graph.layer",
-				Action: faultinject.Panic,
-				Index:  1, // mid-inference: after the compressed conv has run
-				On:     []int64{1, 3, 5},
-			}}}
-			res := mustRun(t, cfg)
-			if res.Snapshot.PanicsRecovered == 0 {
-				t.Error("panics_recovered is 0 after injected panics")
-			}
-		})
-	}
+	t.Run("unbatched", func(t *testing.T) {
+		cfg := Defaults(110)
+		cfg.Compressed = true
+		cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{{
+			Point:  "graph.layer",
+			Action: faultinject.Panic,
+			Index:  1, // mid-inference: after the compressed conv has run
+			On:     []int64{1, 3, 5},
+		}}}
+		res := mustRun(t, cfg)
+		if res.Snapshot.PanicsRecovered == 0 {
+			t.Error("panics_recovered is 0 after injected panics")
+		}
+	})
 }
 
 // TestScenarioQueueFullBurst wedges the only replica and floods the

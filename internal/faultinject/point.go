@@ -1,8 +1,9 @@
 // Package faultinject is the serving stack's deterministic
 // fault-injection seam: a fixed registry of named injection points wired
-// into internal/serve, internal/batch, internal/exec, and internal/graph,
-// plus a seed-driven Script layer that arms them with reproducible fault
-// schedules (panic mid-inference, stalled worker, injected errors).
+// into internal/serve, internal/exec, internal/graph, internal/registry,
+// and internal/control, plus a seed-driven Script layer that arms them
+// with reproducible fault schedules (panic mid-inference, stalled worker,
+// injected errors).
 //
 // The design contract, enforced by bitflow-vet, is that an UNARMED point
 // is free on the per-inference hot path: each point holds an atomic
@@ -38,8 +39,8 @@ type Event struct {
 	// empty where the site has nothing finer to say.
 	Detail string
 	// Index is the site-specific ordinal: the layer index for
-	// graph.layer, the chunk start for exec.chunk, the batch size for
-	// batch.dispatch.
+	// graph.layer, the chunk start for exec.chunk, the swap stage for
+	// registry.swap.
 	Index int
 	// Ctx is the request/dispatch context when the site has one, else
 	// nil. Stall hooks block on it so an injected stall resolves exactly

@@ -16,17 +16,6 @@ var (
 	// failing, forcing the degraded keep-the-suspect-replica fallback.
 	ServeClone = newPoint("serve.clone", Panic, Sleep)
 
-	// BatchDispatch fires inside the batch worker's Safe block right
-	// before a batch runs on its runner. Panic simulates a crash that
-	// fails the whole batch; Fail injects a runner error; Sleep/Stall
-	// hold the batch in flight.
-	BatchDispatch = newPoint("batch.dispatch", Panic, Fail, Sleep, Stall)
-
-	// BatchClone fires inside the Safe block that replaces a panicked
-	// runner. A Panic action simulates the replacement factory failing,
-	// forcing the keep-the-old-runner fallback.
-	BatchClone = newPoint("batch.clone", Panic, Sleep)
-
 	// GraphLayer fires before every layer of a forward pass — serial
 	// (InferContext) and batched (InferBatch) alike — with the layer name
 	// and index. Panic models a kernel crash mid-inference at layer k;
@@ -68,7 +57,7 @@ var (
 	ControlTick = newPoint("control.tick", Panic, Fail, Sleep, Stall)
 )
 
-var registry = []*Point{ServeAdmit, ServeClone, BatchDispatch, BatchClone, GraphLayer, ExecChunk, RegistryLoad, RegistrySwap, ControlTick}
+var registry = []*Point{ServeAdmit, ServeClone, GraphLayer, ExecChunk, RegistryLoad, RegistrySwap, ControlTick}
 
 // Points returns the full registry in request order.
 func Points() []*Point { return append([]*Point(nil), registry...) }

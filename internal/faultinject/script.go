@@ -19,7 +19,7 @@ const (
 	Panic Action = "panic"
 	// Fail returns an ErrInjected-wrapped error; meaningful only at
 	// points whose site propagates hook errors (graph.layer,
-	// batch.dispatch).
+	// registry.load, registry.swap, control.tick).
 	Fail Action = "fail"
 	// Sleep delays the firing site by Rule.For (default 10ms) — a slow
 	// stage that still completes.

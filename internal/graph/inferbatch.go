@@ -7,8 +7,9 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// This file implements the batched inference path behind internal/batch:
-// a Network owns a pool of "lanes" — clones sharing its read-only packed
+// This file implements batched inference for callers that hold several
+// images at once (the tinyvgg_b8 benchmark workload, library users): a
+// Network owns a pool of "lanes" — clones sharing its read-only packed
 // weights, each with a private activation-buffer chain (margins included,
 // so the zero-cost-padding layout carries over unchanged) — and InferBatch
 // runs each image through one lane with the same forward body Infer uses
@@ -23,9 +24,8 @@ import (
 // forward pass does not run when InferBatch returns one, and InferBatch
 // returns one for nothing else: a failure of the pass itself
 // (cancellation, an injected fault) comes back bare, at any batch size.
-// Callers doing per-request validation (internal/batch) check items
-// individually before ever assembling a batch, so a single bad input
-// fails alone.
+// A caller that must fail one bad input alone checks each item with
+// CheckInputFinite before assembling the batch.
 type BatchInputError struct {
 	Index int
 	Err   error
@@ -56,8 +56,8 @@ func (n *Network) CheckInputFinite(x *tensor.Tensor) error {
 // EnsureBatch grows the network's lane pool to serve batches of up to b
 // images without further allocation. Lane 0 is the network itself; extra
 // lanes are clones sharing the packed weights. The pool only ever grows —
-// a batcher sizes it once to its max-batch at startup, the "grown once"
-// buffer scheme of the batched path.
+// a caller sizes it once to its largest batch at startup, the "grown
+// once" buffer scheme of the batched path.
 func (n *Network) EnsureBatch(b int) {
 	for len(n.lanes) < b {
 		lane := n

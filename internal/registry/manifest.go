@@ -33,11 +33,6 @@ type ManifestEntry struct {
 	MaxQueue       int      `json:"max_queue,omitempty"`
 	RequestTimeout Duration `json:"request_timeout,omitempty"`
 
-	// Batch enables micro-batching with the given window/size caps.
-	Batch       bool     `json:"batch,omitempty"`
-	BatchWindow Duration `json:"batch_window,omitempty"`
-	MaxBatch    int      `json:"max_batch,omitempty"`
-
 	// Default marks the model the legacy single-model endpoints
 	// (/infer, /healthz model section) route to. At most one entry may
 	// set it; with none set, the first entry is the default.
@@ -118,10 +113,10 @@ func (m *Manifest) validate() error {
 		if e.Path == "" {
 			return fmt.Errorf("manifest: model %q: path is required", e.Name)
 		}
-		if e.Replicas < 0 || e.MaxQueue < 0 || e.MaxBatch < 0 {
+		if e.Replicas < 0 || e.MaxQueue < 0 {
 			return fmt.Errorf("manifest: model %q: negative capacity", e.Name)
 		}
-		if e.RequestTimeout < 0 || e.BatchWindow < 0 {
+		if e.RequestTimeout < 0 {
 			return fmt.Errorf("manifest: model %q: negative duration", e.Name)
 		}
 		if e.Default {

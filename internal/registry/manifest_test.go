@@ -10,8 +10,7 @@ func TestParseManifest(t *testing.T) {
 	m, err := ParseManifest(strings.NewReader(`{
 		"models": [
 			{"name": "vgg", "path": "/models/vgg.bflw", "version": "v3",
-			 "replicas": 4, "max_queue": 32, "request_timeout": "2s",
-			 "batch": true, "batch_window": "500us", "max_batch": 8},
+			 "replicas": 4, "max_queue": 32, "request_timeout": "2s"},
 			{"name": "tiny", "path": "/models/tiny.bflw", "default": true}
 		]
 	}`))
@@ -27,9 +26,6 @@ func TestParseManifest(t *testing.T) {
 	}
 	if time.Duration(vgg.RequestTimeout) != 2*time.Second {
 		t.Errorf("request_timeout %v", vgg.RequestTimeout)
-	}
-	if !vgg.Batch || time.Duration(vgg.BatchWindow) != 500*time.Microsecond || vgg.MaxBatch != 8 {
-		t.Errorf("batch config %+v", vgg)
 	}
 	if got := m.DefaultModel().Name; got != "tiny" {
 		t.Errorf("default %q", got)
@@ -63,6 +59,14 @@ func TestParseManifestRejections(t *testing.T) {
 	for name, body := range cases {
 		if _, err := ParseManifest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted %s", name, body)
+		}
+	}
+	// The request coalescer's three keys are gone: an ops file that still
+	// asks for it must fail loudly, not silently serve without it.
+	for _, key := range []string{`"batch": true`, `"batch_window": "2ms"`, `"max_batch": 8`} {
+		body := `{"models": [{"name": "a", "path": "/a", ` + key + `}]}`
+		if _, err := ParseManifest(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("removed key %s: err = %v, want an unknown-field rejection", key, err)
 		}
 	}
 }

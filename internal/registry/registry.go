@@ -27,7 +27,7 @@
 //
 // The package is deliberately free of HTTP and of the serving layer's
 // replica plumbing: a ReplicaSet is an opaque payload (internal/serve
-// wraps its replica pool + micro-batcher in one), so the swap protocol
+// wraps its replica pool in one), so the swap protocol
 // is testable with trivial fakes and reusable by future embedders.
 package registry
 
@@ -50,8 +50,8 @@ type ReplicaSet interface {
 	// Version labels the artifact this set was built from (name@version
 	// rendering is the caller's concern; this is just the version part).
 	Version() string
-	// Retire releases the set's resources (stops batch workers, drops
-	// replica references). The registry calls it exactly once, off the
+	// Retire releases the set's resources (drains and drops replica
+	// references). The registry calls it exactly once, off the
 	// request path, only after the set can no longer be pinned: either it
 	// drained after a swap, or it failed verification and never served.
 	Retire(ctx context.Context) error

@@ -27,8 +27,7 @@ import (
 // resize can never interleave with a hot reload's verify/flip/drain.
 
 // ResizableReplicaSet is the optional interface a ReplicaSet implements
-// to support live resizing. internal/serve's replica sets implement it
-// for both the pooled and the micro-batched serving modes.
+// to support live resizing. internal/serve's replica pools implement it.
 type ResizableReplicaSet interface {
 	ReplicaSet
 	// Replicas reports the current replica count.
@@ -80,16 +79,16 @@ func (m *Model) Resizes() int64 { return m.resize.resizes.Load() }
 func (m *Model) ResizeFailures() int64 { return m.resize.failures.Load() }
 
 // Resize retunes the model's serving geometry on a live process: the
-// current replica set is resized to `replicas` and the admission gate to
-// `gateCapacity` tokens, in the order that keeps admission ≤ serving
-// capacity at every instant (see the file comment). The whole operation
-// runs under resilience.Safe and the model's reload lock — a resize
-// racing a hot reload is serialized, and a panic in either actuator is
-// contained and reported as a failed resize, never a crash.
+// current replica set and the admission gate (one token per replica)
+// are both resized to `replicas`, in the order that keeps admission ≤
+// serving capacity at every instant (see the file comment). The whole
+// operation runs under resilience.Safe and the model's reload lock — a
+// resize racing a hot reload is serialized, and a panic in either
+// actuator is contained and reported as a failed resize, never a crash.
 //
 // The current replica set must implement ResizableReplicaSet; ctx bounds
 // the drain waits (gate shrink, replica shrink).
-func (m *Model) Resize(ctx context.Context, replicas, gateCapacity int) (*ResizeStatus, error) {
+func (m *Model) Resize(ctx context.Context, replicas int) (*ResizeStatus, error) {
 	m.reloadMu.Lock()
 	defer m.reloadMu.Unlock()
 	t0 := time.Now()
@@ -98,7 +97,7 @@ func (m *Model) Resize(ctx context.Context, replicas, gateCapacity int) (*Resize
 	st := &ResizeStatus{
 		Model:    m.name,
 		FromGate: m.gate.Capacity(),
-		ToGate:   gateCapacity,
+		ToGate:   replicas,
 	}
 	fail := func(cause error) (*ResizeStatus, error) {
 		st.Outcome = OutcomeResizeFailed
@@ -123,10 +122,10 @@ func (m *Model) Resize(ctx context.Context, replicas, gateCapacity int) (*Resize
 
 	var rerr error
 	if perr := resilience.Safe(func() {
-		if gateCapacity < st.FromGate {
+		if replicas < st.FromGate {
 			// Shrink: stop over-admitting first. This blocks until enough
 			// in-flight holders release — draining, never dropping.
-			if rerr = m.gate.Resize(ctx, gateCapacity); rerr != nil {
+			if rerr = m.gate.Resize(ctx, replicas); rerr != nil {
 				return
 			}
 			rerr = rs.Resize(ctx, replicas)
@@ -136,7 +135,7 @@ func (m *Model) Resize(ctx context.Context, replicas, gateCapacity int) (*Resize
 		if rerr = rs.Resize(ctx, replicas); rerr != nil {
 			return
 		}
-		rerr = m.gate.Resize(ctx, gateCapacity)
+		rerr = m.gate.Resize(ctx, replicas)
 	}); perr != nil {
 		rerr = perr
 	}

@@ -62,7 +62,7 @@ func TestResizeGrowOrdersReplicasBeforeGate(t *testing.T) {
 	var gateAtResize int
 	rs.onResize = func(n int) { gateAtResize = m.Gate().Capacity() }
 
-	st, err := m.Resize(context.Background(), 4, 4)
+	st, err := m.Resize(context.Background(), 4)
 	if err != nil {
 		t.Fatalf("Resize: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestResizeShrinkOrdersGateBeforeReplicas(t *testing.T) {
 	var gateAtResize int
 	rs.onResize = func(n int) { gateAtResize = m.Gate().Capacity() }
 
-	if _, err := m.Resize(context.Background(), 2, 2); err != nil {
+	if _, err := m.Resize(context.Background(), 2); err != nil {
 		t.Fatalf("Resize: %v", err)
 	}
 	if gateAtResize != 2 {
@@ -114,7 +114,7 @@ func TestResizeShrinkBelowInFlightDemandDrains(t *testing.T) {
 		defer wg.Done()
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 		defer cancel()
-		_, err := m.Resize(sctx, 2, 2)
+		_, err := m.Resize(sctx, 2)
 		done <- err
 	}()
 
@@ -141,17 +141,28 @@ func TestResizeShrinkBelowInFlightDemandDrains(t *testing.T) {
 }
 
 func TestResizeSerializesWithSwap(t *testing.T) {
-	m, _ := newResizableModel(2, 8, 4)
+	m, v1 := newResizableModel(2, 8, 4)
 
 	// Hold a Swap open mid-verification; a concurrent Resize must queue
-	// behind it on the reload lock, never interleave.
+	// behind it on the reload lock, never interleave. The assertions read
+	// state the lock protects — which set the resize landed on, and the
+	// swap ledger as the resize saw it from inside the lock — never the
+	// order in which the two goroutines return, which the lock does not
+	// decide.
 	verifying := make(chan struct{})
 	finish := make(chan struct{})
-	var swapDone, resizeDone atomic.Int64
-	seq := make(chan string, 2)
+	var resizeDone atomic.Int64
 
 	next := &resizableSet{fakeSet: fakeSet{ver: "v2"}}
 	next.replicas.Store(2)
+	var swapsAtResize int64 = -1
+	var versionAtResize string
+	next.onResize = func(int) {
+		swapsAtResize = m.Swaps()
+		versionAtResize = m.Version()
+	}
+	v1.onResize = func(int) { t.Error("resize landed on the retired v1 set") }
+
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -164,17 +175,14 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 		if err != nil {
 			t.Errorf("swap: %v", err)
 		}
-		swapDone.Store(1)
-		seq <- "swap"
 	}()
 	<-verifying
 	go func() {
 		defer wg.Done()
-		if _, err := m.Resize(context.Background(), 3, 3); err != nil {
+		if _, err := m.Resize(context.Background(), 3); err != nil {
 			t.Errorf("resize: %v", err)
 		}
 		resizeDone.Store(1)
-		seq <- "resize"
 	}()
 
 	// Give the resize a chance to (incorrectly) run while the swap's
@@ -185,18 +193,19 @@ func TestResizeSerializesWithSwap(t *testing.T) {
 	}
 	close(finish)
 	wg.Wait()
-	if first := <-seq; first != "swap" {
-		t.Fatalf("completion order started with %q, want swap then resize", first)
+	// The resize landed on the NEW version's set, after the swap was on
+	// the ledger: the swap finished before the resize started.
+	if next.Replicas() != 3 || v1.Replicas() != 2 {
+		t.Fatalf("post-reload resize: v1 replicas=%d v2 replicas=%d, want 2 and 3", v1.Replicas(), next.Replicas())
 	}
-	// The resize landed on the NEW version's set.
-	if next.Replicas() != 3 {
-		t.Fatalf("post-reload resize hit replicas=%d on v2, want 3", next.Replicas())
+	if swapsAtResize != 1 || versionAtResize != "v2" {
+		t.Fatalf("resize ran with swaps=%d version=%q on the ledger, want 1 and v2", swapsAtResize, versionAtResize)
 	}
 }
 
 func TestResizeNonResizableSetFails(t *testing.T) {
 	m, _ := newTestModel("v1")
-	st, err := m.Resize(context.Background(), 3, 3)
+	st, err := m.Resize(context.Background(), 3)
 	if err == nil {
 		t.Fatal("resize of a non-resizable set accepted")
 	}
@@ -211,7 +220,7 @@ func TestResizeNonResizableSetFails(t *testing.T) {
 func TestResizePanicIsContainedAndRecorded(t *testing.T) {
 	m, rs := newResizableModel(2, 8, 4)
 	rs.panics = true
-	st, err := m.Resize(context.Background(), 4, 4)
+	st, err := m.Resize(context.Background(), 4)
 	if err == nil {
 		t.Fatal("panicking resize reported success")
 	}
@@ -229,7 +238,7 @@ func TestResizeErrorRecordsLandedGeometry(t *testing.T) {
 	rs.resizeErr = errors.New("replicas wedged")
 	// Shrink path: the gate shrinks first and succeeds, then the replica
 	// shrink fails — the ledger must report where things actually landed.
-	st, err := m.Resize(context.Background(), 2, 2)
+	st, err := m.Resize(context.Background(), 2)
 	if err == nil {
 		t.Fatal("failing resize reported success")
 	}
@@ -243,7 +252,7 @@ func TestResizeErrorRecordsLandedGeometry(t *testing.T) {
 
 func TestResizeValidatesReplicaCount(t *testing.T) {
 	m, _ := newResizableModel(2, 8, 4)
-	if _, err := m.Resize(context.Background(), 0, 2); err == nil {
+	if _, err := m.Resize(context.Background(), 0); err == nil {
 		t.Fatal("resize to 0 replicas accepted")
 	}
 }
@@ -282,11 +291,10 @@ func TestResizeRaceWithAcquireAndSwap(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sizes := []struct{ r, g int }{{4, 4}, {1, 1}, {3, 3}, {2, 2}}
+		sizes := []int{4, 1, 3, 2}
 		for i := 0; i < 20; i++ {
-			s := sizes[i%len(sizes)]
 			rctx, cancel := context.WithTimeout(ctx, time.Second)
-			_, _ = m.Resize(rctx, s.r, s.g)
+			_, _ = m.Resize(rctx, sizes[i%len(sizes)])
 			cancel()
 		}
 	}()

@@ -4,8 +4,8 @@
 // always-on failure observability (Metrics with a latency ring buffer).
 //
 // The package is deliberately free of HTTP and graph dependencies so the
-// same primitives can front other subsystems (the bench harness, a future
-// batch scheduler, bitflow-train checkpoint serving).
+// same primitives can front other subsystems (the registry's swap and
+// resize protocol, the autoscale controller).
 package resilience
 
 import (
@@ -27,66 +27,10 @@ type Metrics struct {
 	QueueDepth      atomic.Int64 // requests currently waiting for admission
 	InFlight        atomic.Int64 // requests currently holding a resource
 
-	// Micro-batching counters (internal/batch). Occupancy is tracked as
-	// the (Batches, BatchItems, BatchMaxOccupancy) triple: mean occupancy
-	// is BatchItems/Batches, the max is kept directly.
-	Batches           atomic.Int64 // batches dispatched to a runner
-	BatchItems        atomic.Int64 // requests carried by those batches
-	BatchMaxOccupancy atomic.Int64 // largest batch dispatched so far
-	BatchFlushWindow  atomic.Int64 // flushes because the coalescing window expired
-	BatchFlushFull    atomic.Int64 // flushes because the batch hit the size cap
-	BatchFlushDrain   atomic.Int64 // flushes forced by shutdown drain
-
 	lat *LatencyRing
 	// layers holds the per-layer timing rings fed by the execution
 	// context's observer hook (graph.InferContext → exec.Observer).
 	layers *LayerStats
-}
-
-// ObserveBatch records one dispatched batch of n requests with the given
-// flush reason, maintaining the occupancy triple and flush-reason counters.
-func (m *Metrics) ObserveBatch(n int, reason FlushReason) {
-	m.Batches.Add(1)
-	m.BatchItems.Add(int64(n))
-	for {
-		cur := m.BatchMaxOccupancy.Load()
-		if int64(n) <= cur || m.BatchMaxOccupancy.CompareAndSwap(cur, int64(n)) {
-			break
-		}
-	}
-	switch reason {
-	case FlushWindow:
-		m.BatchFlushWindow.Add(1)
-	case FlushFull:
-		m.BatchFlushFull.Add(1)
-	case FlushDrain:
-		m.BatchFlushDrain.Add(1)
-	}
-}
-
-// FlushReason says why a batch left the coalescing window.
-type FlushReason int
-
-const (
-	// FlushWindow: the batching window expired with at least one request.
-	FlushWindow FlushReason = iota
-	// FlushFull: the batch reached the size cap before the window closed.
-	FlushFull
-	// FlushDrain: shutdown drain flushed whatever had accumulated.
-	FlushDrain
-)
-
-// String returns the reason's wire name, as used by /statusz.
-func (fr FlushReason) String() string {
-	switch fr {
-	case FlushWindow:
-		return "window-expired"
-	case FlushFull:
-		return "size-cap"
-	case FlushDrain:
-		return "drain"
-	}
-	return "unknown"
 }
 
 // NewMetrics builds a Metrics with a latency ring of the given capacity
@@ -121,14 +65,6 @@ type Snapshot struct {
 	QueueDepth      int64 `json:"queue_depth"`
 	InFlight        int64 `json:"in_flight"`
 
-	Batches            int64   `json:"batches,omitempty"`
-	BatchItems         int64   `json:"batch_items,omitempty"`
-	BatchMeanOccupancy float64 `json:"batch_mean_occupancy,omitempty"`
-	BatchMaxOccupancy  int64   `json:"batch_max_occupancy,omitempty"`
-	BatchFlushWindow   int64   `json:"batch_flush_window_expired,omitempty"`
-	BatchFlushFull     int64   `json:"batch_flush_size_cap,omitempty"`
-	BatchFlushDrain    int64   `json:"batch_flush_drain,omitempty"`
-
 	LatencySamples int    `json:"latency_samples"`
 	P50            string `json:"latency_p50"`
 	P99            string `json:"latency_p99"`
@@ -146,11 +82,6 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() Snapshot {
 	p50 := m.lat.Quantile(0.50)
 	p99 := m.lat.Quantile(0.99)
-	batches := m.Batches.Load()
-	var meanOcc float64
-	if batches > 0 {
-		meanOcc = float64(m.BatchItems.Load()) / float64(batches)
-	}
 	return Snapshot{
 		Requests:        m.Requests.Load(),
 		OK:              m.OK.Load(),
@@ -159,14 +90,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		PanicsRecovered: m.PanicsRecovered.Load(),
 		QueueDepth:      m.QueueDepth.Load(),
 		InFlight:        m.InFlight.Load(),
-
-		Batches:            batches,
-		BatchItems:         m.BatchItems.Load(),
-		BatchMeanOccupancy: meanOcc,
-		BatchMaxOccupancy:  m.BatchMaxOccupancy.Load(),
-		BatchFlushWindow:   m.BatchFlushWindow.Load(),
-		BatchFlushFull:     m.BatchFlushFull.Load(),
-		BatchFlushDrain:    m.BatchFlushDrain.Load(),
 
 		LatencySamples: m.lat.Len(),
 		P50:            p50.String(),

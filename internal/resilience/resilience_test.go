@@ -203,56 +203,6 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-func TestMetricsObserveBatch(t *testing.T) {
-	m := NewMetrics(16)
-	m.ObserveBatch(4, FlushFull)
-	m.ObserveBatch(2, FlushWindow)
-	m.ObserveBatch(1, FlushWindow)
-	m.ObserveBatch(3, FlushDrain)
-	s := m.Snapshot()
-	if s.Batches != 4 || s.BatchItems != 10 {
-		t.Errorf("batches=%d items=%d", s.Batches, s.BatchItems)
-	}
-	if s.BatchMeanOccupancy != 2.5 || s.BatchMaxOccupancy != 4 {
-		t.Errorf("mean=%v max=%d", s.BatchMeanOccupancy, s.BatchMaxOccupancy)
-	}
-	if s.BatchFlushWindow != 2 || s.BatchFlushFull != 1 || s.BatchFlushDrain != 1 {
-		t.Errorf("flushes %+v", s)
-	}
-}
-
-func TestMetricsObserveBatchConcurrentMax(t *testing.T) {
-	m := NewMetrics(16)
-	var wg sync.WaitGroup
-	for i := 1; i <= 32; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			m.ObserveBatch(n, FlushFull)
-		}(i)
-	}
-	wg.Wait()
-	if got := m.BatchMaxOccupancy.Load(); got != 32 {
-		t.Errorf("max occupancy %d, want 32", got)
-	}
-	if got := m.BatchItems.Load(); got != 32*33/2 {
-		t.Errorf("items %d", got)
-	}
-}
-
-func TestFlushReasonStrings(t *testing.T) {
-	for fr, want := range map[FlushReason]string{
-		FlushWindow:     "window-expired",
-		FlushFull:       "size-cap",
-		FlushDrain:      "drain",
-		FlushReason(99): "unknown",
-	} {
-		if fr.String() != want {
-			t.Errorf("%d → %q, want %q", int(fr), fr.String(), want)
-		}
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

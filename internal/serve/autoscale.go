@@ -1,14 +1,13 @@
 package serve
 
 // Adaptive serving: each autoscaled model runs a control.Controller that
-// observes the model's own gate/batch/latency signals and retunes the
-// serving geometry — batch window, max-batch, replica count — through
-// the exported actuation APIs (batch.Batcher.Retune, registry.Model.
-// Resize). This file holds the serve side of that loop: the Autoscale
-// configuration, the signal source and actuator, the replica-set resize
-// protocol, the congestion-derived Retry-After, and the admin pin/unpin
-// surface. The controller itself (hysteresis, cooldown, degrade to
-// static) lives in internal/control and never imports serve.
+// observes the model's own gate/latency signals and retunes its replica
+// count through the exported actuation API (registry.Model.Resize). This
+// file holds the serve side of that loop: the Autoscale configuration,
+// the signal source and actuator, the replica-set resize protocol, the
+// congestion-derived Retry-After, and the admin pin/unpin surface. The
+// controller itself (hysteresis, cooldown, degrade to static) lives in
+// internal/control and never imports serve.
 
 import (
 	"context"
@@ -32,15 +31,9 @@ type AutoscaleConfig struct {
 	// Interval is the control-tick period. Default 250ms.
 	Interval time.Duration
 
-	// MinReplicas/MaxReplicas bound the replica axis.
+	// MinReplicas/MaxReplicas bound the replica count.
 	// Defaults: 1 and 2×Replicas.
 	MinReplicas, MaxReplicas int
-	// MinBatch/MaxBatch bound the max-batch axis (batching only).
-	// Defaults: 1 and max(16, MaxBatch).
-	MinBatch, MaxBatch int
-	// MinWindow/MaxWindow bound the coalescing window (batching only).
-	// Defaults: min(500µs, BatchWindow) and max(4×BatchWindow, BatchWindow).
-	MinWindow, MaxWindow time.Duration
 
 	// HighLoad/LowLoad are the hysteresis thresholds; Cooldown,
 	// CorruptLimit, RecoverAfter, and LedgerSize pass through to
@@ -50,10 +43,8 @@ type AutoscaleConfig struct {
 	LedgerSize                           int
 }
 
-// withDefaults derives the unset bounds from the model's static
-// geometry. For an unbatched model the window/batch axes are pinned to a
-// nominal point so the bounds stay valid while the controller (Batching
-// false) never moves them.
+// withDefaults derives the unset bounds from the model's static replica
+// count.
 func (ac AutoscaleConfig) withDefaults(cfg Config) AutoscaleConfig {
 	if ac.MinReplicas == 0 {
 		ac.MinReplicas = 1
@@ -61,85 +52,32 @@ func (ac AutoscaleConfig) withDefaults(cfg Config) AutoscaleConfig {
 	if ac.MaxReplicas == 0 {
 		ac.MaxReplicas = 2 * cfg.Replicas
 	}
-	if !cfg.Batching {
-		ac.MinBatch, ac.MaxBatch = 1, 1
-		ac.MinWindow, ac.MaxWindow = time.Millisecond, time.Millisecond
-		return ac
-	}
-	if ac.MinBatch == 0 {
-		ac.MinBatch = 1
-	}
-	if ac.MaxBatch == 0 {
-		ac.MaxBatch = max(16, cfg.MaxBatch)
-	}
-	if ac.MinWindow == 0 {
-		ac.MinWindow = min(500*time.Microsecond, cfg.BatchWindow)
-	}
-	if ac.MaxWindow == 0 {
-		ac.MaxWindow = max(4*cfg.BatchWindow, cfg.BatchWindow)
-	}
 	return ac
 }
 
-// bounds converts to the controller's bounds type.
-func (ac AutoscaleConfig) bounds() control.Bounds {
-	return control.Bounds{
-		MinWindow: ac.MinWindow, MaxWindow: ac.MaxWindow,
-		MinBatch: ac.MinBatch, MaxBatch: ac.MaxBatch,
-		MinReplicas: ac.MinReplicas, MaxReplicas: ac.MaxReplicas,
-	}
-}
-
-// staticSetpoints is the startup-flag geometry the controller starts
-// from and reverts to when degraded.
-func staticSetpoints(cfg Config) control.Setpoints {
-	sp := control.Setpoints{Window: cfg.BatchWindow, MaxBatch: cfg.MaxBatch, Replicas: cfg.Replicas}
-	if !cfg.Batching {
-		// Match the pinned nominal axes from withDefaults.
-		sp.Window, sp.MaxBatch = time.Millisecond, 1
-	}
-	return sp
-}
-
-// validate rejects bound sets that are internally contradictory or that
-// exclude the model's own static geometry. cfg must already have
+// validate rejects bounds that are internally contradictory or that
+// exclude the model's own static replica count. cfg must already have
 // defaults applied (including ac itself).
 func (ac AutoscaleConfig) validate(cfg Config) error {
 	if ac.MinReplicas < 1 || ac.MaxReplicas < ac.MinReplicas {
 		return fmt.Errorf("serve: autoscale replica bounds [%d, %d] invalid", ac.MinReplicas, ac.MaxReplicas)
 	}
-	if ac.MinBatch < 1 || ac.MaxBatch < ac.MinBatch {
-		return fmt.Errorf("serve: autoscale max-batch bounds [%d, %d] invalid", ac.MinBatch, ac.MaxBatch)
-	}
-	if ac.MinWindow <= 0 || ac.MaxWindow < ac.MinWindow {
-		return fmt.Errorf("serve: autoscale window bounds [%v, %v] invalid", ac.MinWindow, ac.MaxWindow)
-	}
-	if sp := staticSetpoints(cfg); !ac.bounds().Contains(sp) {
-		return fmt.Errorf("serve: static geometry (window=%v max-batch=%d replicas=%d) outside autoscale bounds [%v-%v, %d-%d, %d-%d]",
-			sp.Window, sp.MaxBatch, sp.Replicas,
-			ac.MinWindow, ac.MaxWindow, ac.MinBatch, ac.MaxBatch, ac.MinReplicas, ac.MaxReplicas)
+	if cfg.Replicas < ac.MinReplicas || cfg.Replicas > ac.MaxReplicas {
+		return fmt.Errorf("serve: static replicas %d outside autoscale bounds [%d, %d]",
+			cfg.Replicas, ac.MinReplicas, ac.MaxReplicas)
 	}
 	return nil
 }
 
-// maxGateCapacity is gateCapacity at the autoscale bounds' ceiling — the
-// admission limit the resizable gate, batch queue, and replica pool are
-// provisioned for up front, so growth never reallocates on a live path.
-func maxGateCapacity(cfg Config) int {
-	ac := cfg.Autoscale
-	if cfg.Batching {
-		return ac.MaxReplicas * ac.MaxBatch
-	}
-	return ac.MaxReplicas
-}
-
-// gateLimit is the resizable gate's hard token limit: the bounds ceiling
-// when autoscaling, the static capacity otherwise.
-func gateLimit(cfg Config) int {
+// replicaCeiling is the replica count the resizable gate and the
+// replica pool are provisioned for up front, so growth never reallocates
+// on a live path: the bounds ceiling when autoscaling, the static count
+// otherwise.
+func replicaCeiling(cfg Config) int {
 	if cfg.Autoscale != nil {
-		return maxGateCapacity(cfg)
+		return cfg.Autoscale.MaxReplicas
 	}
-	return gateCapacity(cfg)
+	return cfg.Replicas
 }
 
 // ---------------------------------------------------------------------
@@ -162,17 +100,14 @@ func (m *model) signals() (control.Signals, error) {
 		Requests:     mt.Requests.Load(),
 		OK:           mt.OK.Load(),
 		Shed:         mt.Shed.Load(),
-		Batches:      mt.Batches.Load(),
-		BatchItems:   mt.BatchItems.Load(),
 	}, nil
 }
 
-// modelActuator applies controller setpoints to one model. Every step
-// goes through an exported API — Retune on the batcher, Resize on the
-// registry model (which orders gate vs replica changes so admission
-// never exceeds serving capacity). Apply bounds its own drain waits: the
-// controller's Run context lives for the whole server, and a shrink that
-// waited on it could wedge the loop.
+// modelActuator applies controller setpoints to one model through the
+// registry model's exported Resize (which orders gate vs replica changes
+// so admission never exceeds serving capacity). Apply bounds its own
+// drain waits: the controller's Run context lives for the whole server,
+// and a shrink that waited on it could wedge the loop.
 type modelActuator struct {
 	m       *model
 	timeout time.Duration
@@ -184,24 +119,13 @@ func (a *modelActuator) Apply(ctx context.Context, sp control.Setpoints) error {
 	if rs == nil {
 		return fmt.Errorf("serve: autoscale %s: no serving replica set", m.name)
 	}
-	actx, cancel := context.WithTimeout(ctx, a.timeout)
-	defer cancel()
-	gateCap := sp.Replicas
-	if m.cfg.Batching {
-		gateCap = sp.Replicas * sp.MaxBatch
-		if w, mb, _ := rs.batcher.Params(); w != sp.Window || mb != sp.MaxBatch {
-			if err := rs.batcher.Retune(sp.Window, sp.MaxBatch); err != nil {
-				return err
-			}
-		}
-	}
-	if rs.Replicas() == sp.Replicas && m.rm.Gate().Capacity() == gateCap {
+	if rs.Replicas() == sp.Replicas && m.rm.Gate().Capacity() == sp.Replicas {
 		return nil
 	}
-	if _, err := m.rm.Resize(actx, sp.Replicas, gateCap); err != nil {
-		return err
-	}
-	return nil
+	actx, cancel := context.WithTimeout(ctx, a.timeout)
+	defer cancel()
+	_, err := m.rm.Resize(actx, sp.Replicas)
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -211,21 +135,12 @@ func (a *modelActuator) Apply(ctx context.Context, sp control.Setpoints) error {
 func (rs *replicaSet) Replicas() int { return int(rs.replicas.Load()) }
 
 // Resize implements registry.ResizableReplicaSet: grow or shrink the
-// set's serving capacity to n replicas. Batched sets delegate to the
-// batcher's worker resize (growth verified through VerifyRunner);
-// unbatched sets grow by cloning the reference backend — each clone
-// proved bit-exact before it can serve — and shrink by withdrawing idle
-// replicas from the pool, all-or-nothing within ctx.
+// set's serving capacity to n replicas. Growth clones the reference
+// backend — each clone proved bit-exact before it can serve — and shrink
+// withdraws idle replicas from the pool, all-or-nothing within ctx.
 func (rs *replicaSet) Resize(ctx context.Context, n int) error {
 	if n < 1 {
 		return fmt.Errorf("serve: resize %s: replicas must be ≥ 1, got %d", rs.version, n)
-	}
-	if rs.batcher != nil {
-		if err := rs.batcher.Resize(ctx, n); err != nil {
-			return err
-		}
-		rs.replicas.Store(int64(n))
-		return nil
 	}
 	rs.resizeMu.Lock()
 	defer rs.resizeMu.Unlock()
@@ -298,23 +213,6 @@ func (rs *replicaSet) shrinkPool(ctx context.Context, remove int) error {
 	}
 	rs.replicas.Add(-int64(remove))
 	return nil
-}
-
-// verifyRunner is the batcher's grow-time verification hook: a freshly
-// built worker runner must reproduce the reference logits bit-for-bit.
-func (rs *replicaSet) verifyRunner(infer func([]*tensor.Tensor) ([][]float32, error)) error {
-	want, x, err := rs.refLogits()
-	if err != nil {
-		return err
-	}
-	outs, err := infer([]*tensor.Tensor{x})
-	if err != nil {
-		return fmt.Errorf("serve: resize %s: probing grown worker: %w", rs.version, err)
-	}
-	if len(outs) != 1 {
-		return fmt.Errorf("serve: resize %s: grown worker returned %d outputs for 1 input", rs.version, len(outs))
-	}
-	return logitsBitEqual(outs[0], want)
 }
 
 // refLogits lazily computes (and caches) the reference backend's logits
@@ -409,10 +307,10 @@ func (s *Server) ControlStatus(name string) *control.Status {
 	return &st
 }
 
-// PinModel pins the named model's setpoints (zero-valued axes keep their
-// current value), bypassing adaptation until UnpinModel. It is the
-// programmatic form of POST /admin/autoscale {"action":"pin"}.
-func (s *Server) PinModel(ctx context.Context, name string, window time.Duration, maxBatch, replicas int) (control.Setpoints, error) {
+// PinModel pins the named model's replica count (zero keeps the current
+// setpoint), bypassing adaptation until the controller is unpinned. It
+// is the programmatic form of POST /admin/autoscale {"action":"pin"}.
+func (s *Server) PinModel(ctx context.Context, name string, replicas int) (control.Setpoints, error) {
 	m, ok := s.lookup(name)
 	if !ok {
 		return control.Setpoints{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
@@ -421,29 +319,10 @@ func (s *Server) PinModel(ctx context.Context, name string, window time.Duration
 		return control.Setpoints{}, fmt.Errorf("serve: model %q is not autoscaled", m.name)
 	}
 	sp := m.ctrl.Setpoints()
-	if window > 0 {
-		sp.Window = window
-	}
-	if maxBatch > 0 {
-		sp.MaxBatch = maxBatch
-	}
 	if replicas > 0 {
 		sp.Replicas = replicas
 	}
 	return m.ctrl.Pin(ctx, sp)
-}
-
-// UnpinModel releases an operator pin on the named model.
-func (s *Server) UnpinModel(name string) error {
-	m, ok := s.lookup(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
-	}
-	if m.ctrl == nil {
-		return fmt.Errorf("serve: model %q is not autoscaled", m.name)
-	}
-	m.ctrl.Unpin()
-	return nil
 }
 
 // AutoscaleRequest is the POST /admin/autoscale body.
@@ -452,10 +331,8 @@ type AutoscaleRequest struct {
 	Model string `json:"model"`
 	// Action is "pin" or "unpin".
 	Action string `json:"action"`
-	// Pin targets; a zero-valued axis keeps its current setpoint.
-	Window   string `json:"window,omitempty"` // duration string, e.g. "2ms"
-	MaxBatch int    `json:"max_batch,omitempty"`
-	Replicas int    `json:"replicas,omitempty"`
+	// Replicas is the pin target; zero keeps the current setpoint.
+	Replicas int `json:"replicas,omitempty"`
 }
 
 // AutoscaleResponse reports one pin/unpin attempt.
@@ -498,16 +375,7 @@ func (s *Server) handleAdminAutoscale(w http.ResponseWriter, r *http.Request) {
 		}
 		switch req.Action {
 		case "pin":
-			var window time.Duration
-			if req.Window != "" {
-				d, err := time.ParseDuration(req.Window)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad window: %v", err))
-					return
-				}
-				window = d
-			}
-			if _, err := s.PinModel(r.Context(), m.name, window, req.MaxBatch, req.Replicas); err != nil {
+			if _, err := s.PinModel(r.Context(), m.name, req.Replicas); err != nil {
 				st := m.ctrl.Status()
 				writeJSON(w, http.StatusUnprocessableEntity, AutoscaleResponse{Model: m.name, Status: &st, Error: err.Error()})
 				return

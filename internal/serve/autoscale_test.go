@@ -37,8 +37,7 @@ func TestActuatorResizesUnbatchedPoolBitExact(t *testing.T) {
 	defer ts.Close()
 
 	act := &modelActuator{m: s.def, timeout: 5 * time.Second}
-	sp := staticSetpoints(s.def.cfg)
-	sp.Replicas = 3
+	sp := control.Setpoints{Replicas: 3}
 	if err := act.Apply(context.Background(), sp); err != nil {
 		t.Fatalf("grow: %v", err)
 	}
@@ -88,29 +87,6 @@ func TestActuatorResizesUnbatchedPoolBitExact(t *testing.T) {
 	in = s.Introspect()
 	if in.Replicas != 1 || in.GateCapacity != 1 || in.PoolAvailable != 1 {
 		t.Fatalf("after shrink: replicas=%d gate=%d pool=%d, want 1/1/1", in.Replicas, in.GateCapacity, in.PoolAvailable)
-	}
-}
-
-func TestActuatorRetunesBatchedGeometry(t *testing.T) {
-	net := seededNetwork(t, "m", 401)
-	s := NewWithConfig(net, Config{
-		Replicas: 1, Batching: true, BatchWindow: 2 * time.Millisecond, MaxBatch: 2,
-		Autoscale: &AutoscaleConfig{Interval: 2 * time.Millisecond, MaxReplicas: 2, MaxBatch: 8},
-	})
-	defer closeServer(t, s)
-
-	act := &modelActuator{m: s.def, timeout: 5 * time.Second}
-	sp := control.Setpoints{Window: 4 * time.Millisecond, MaxBatch: 8, Replicas: 2}
-	if err := act.Apply(context.Background(), sp); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	rs := s.def.currentSet()
-	w, mb, workers := rs.batcher.Params()
-	if w != 4*time.Millisecond || mb != 8 || workers != 2 {
-		t.Fatalf("batcher params (%v, %d, %d), want (4ms, 8, 2)", w, mb, workers)
-	}
-	if got := s.def.rm.Gate().Capacity(); got != 16 {
-		t.Fatalf("gate capacity %d, want replicas×max-batch = 16", got)
 	}
 	// A second Apply with identical setpoints is a no-op, not a resize.
 	before := s.def.rm.Resizes()
@@ -301,6 +277,19 @@ func TestAdminAutoscalePinUnpin(t *testing.T) {
 	if resp, _ = post(`{"action":"sideways"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad action: status %d", resp.StatusCode)
 	}
+	// The coalescer's window and max-batch axes are gone: a pin that still
+	// names them is rejected, not half-applied.
+	for _, body := range []string{
+		`{"action":"pin","replicas":2,"max_batch":16}`,
+		`{"action":"pin","window":"2ms"}`,
+	} {
+		if resp, _ = post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("pin with a removed axis %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st := s.ControlStatus(""); st.Setpoints.Replicas != 4 {
+		t.Fatalf("a rejected pin moved the setpoint: %+v", st.Setpoints)
+	}
 
 	// GET reports the controller.
 	getResp, err := http.Get(admin.URL + "/admin/autoscale")
@@ -341,13 +330,11 @@ func TestReloadBuildsCandidateAtLiveSetpoints(t *testing.T) {
 	defer closeServer(t, s)
 
 	act := &modelActuator{m: s.def, timeout: 5 * time.Second}
-	sp := staticSetpoints(s.def.cfg)
-	sp.Replicas = 2
-	if err := act.Apply(context.Background(), sp); err != nil {
+	if err := act.Apply(context.Background(), control.Setpoints{Replicas: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Pin so the (unstarted) controller's setpoints stay at 2.
-	if _, err := s.PinModel(context.Background(), "", 0, 0, 2); err != nil {
+	if _, err := s.PinModel(context.Background(), "", 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.ReloadModel(context.Background(), "", registry.FromNetwork("v2", netV2.Clone())); err != nil {
@@ -367,14 +354,6 @@ func TestAutoscaleConfigValidation(t *testing.T) {
 	}{
 		{"static replicas above max", Config{Replicas: 4, Autoscale: &AutoscaleConfig{MaxReplicas: 2}}},
 		{"min above max", Config{Replicas: 1, Autoscale: &AutoscaleConfig{MinReplicas: 3, MaxReplicas: 2}}},
-		{"static max-batch above bound", Config{
-			Replicas: 1, Batching: true, MaxBatch: 32,
-			Autoscale: &AutoscaleConfig{MaxReplicas: 2, MaxBatch: 16},
-		}},
-		{"static window above bound", Config{
-			Replicas: 1, Batching: true, BatchWindow: 10 * time.Millisecond,
-			Autoscale: &AutoscaleConfig{MaxReplicas: 2, MaxWindow: 4 * time.Millisecond},
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

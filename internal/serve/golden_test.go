@@ -46,8 +46,8 @@ func getStatuszRaw(t *testing.T, base string) map[string]any {
 }
 
 // TestGoldenStatuszFieldSet pins the /statusz JSON schema: the exact
-// top-level keys per serving mode, the exact exec and batch section keys,
-// and the metrics key set (required counters plus the known
+// top-level keys per serving mode, the exact exec and control section
+// keys, and the metrics key set (required counters plus the known
 // traffic-dependent omitempty fields — anything else is a schema change).
 func TestGoldenStatuszFieldSet(t *testing.T) {
 	metricsRequired := []string{
@@ -55,15 +55,8 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 		"queue_depth", "in_flight",
 		"latency_samples", "latency_p50", "latency_p99", "latency_p50_us", "latency_p99_us",
 	}
-	metricsOptional := map[string]bool{
-		"layers": true, "batches": true, "batch_items": true,
-		"batch_mean_occupancy": true, "batch_max_occupancy": true,
-		"batch_flush_window_expired": true, "batch_flush_size_cap": true,
-		"batch_flush_drain": true,
-	}
+	metricsOptional := map[string]bool{"layers": true}
 	execKeys := []string{"budget", "busy", "dispatches", "gomaxprocs", "num_cpu", "source", "workers"}
-	batchKeys := []string{"batches", "flush_drain", "flush_size_cap", "flush_window_expired",
-		"max_batch", "max_occupancy", "mean_occupancy", "window"}
 
 	checkMetrics := func(t *testing.T, m map[string]any) {
 		metrics, ok := m["metrics"].(map[string]any)
@@ -89,6 +82,11 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 	t.Run("unbatched", func(t *testing.T) {
 		ts := httptest.NewServer(New(testNetwork(t), 1).Handler())
 		defer ts.Close()
+		// One real request so the traffic-dependent fields are present.
+		x := workload.RandTensor(workload.NewRNG(160), 8, 8, 64)
+		if resp, _ := postInfer(t, ts, x.Data); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm request: status %d", resp.StatusCode)
+		}
 		m := getStatuszRaw(t, ts.URL)
 		want := []string{"exec", "max_queue", "metrics", "model", "models", "ready", "replicas",
 			"replicas_available", "request_timeout", "uptime", "uptime_seconds", "version"}
@@ -121,7 +119,7 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 		if got := sortedKeys(ctrl); fmt.Sprint(got) != fmt.Sprint(ctrlKeys) {
 			t.Errorf("control keys:\n got %v\nwant %v", got, ctrlKeys)
 		}
-		spKeys := []string{"max_batch", "replicas", "window"}
+		spKeys := []string{"replicas"}
 		for _, section := range []string{"setpoints", "static"} {
 			sp, ok := ctrl[section].(map[string]any)
 			if !ok {
@@ -131,35 +129,13 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 				t.Errorf("control.%s keys:\n got %v\nwant %v", section, got, spKeys)
 			}
 		}
-		boundsKeys := []string{"max_batch", "max_replicas", "max_window",
-			"min_batch", "min_replicas", "min_window"}
+		boundsKeys := []string{"max_replicas", "min_replicas"}
 		bounds, ok := ctrl["bounds"].(map[string]any)
 		if !ok {
 			t.Fatalf("control.bounds missing or not an object: %v", ctrl["bounds"])
 		}
 		if got := sortedKeys(bounds); fmt.Sprint(got) != fmt.Sprint(boundsKeys) {
 			t.Errorf("control.bounds keys:\n got %v\nwant %v", got, boundsKeys)
-		}
-		checkMetrics(t, m)
-	})
-
-	t.Run("batched", func(t *testing.T) {
-		srv := NewWithConfig(testNetwork(t), Config{Replicas: 1, Batching: true})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		// One real request so the batch counters carry traffic.
-		x := workload.RandTensor(workload.NewRNG(160), 8, 8, 64)
-		if resp, _ := postInfer(t, ts, x.Data); resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm request: status %d", resp.StatusCode)
-		}
-		m := getStatuszRaw(t, ts.URL)
-		want := []string{"batch", "exec", "max_queue", "metrics", "model", "models", "ready", "replicas",
-			"replicas_available", "request_timeout", "uptime", "uptime_seconds", "version"}
-		if got := sortedKeys(m); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("top-level keys:\n got %v\nwant %v", got, want)
-		}
-		if got := sortedKeys(m["batch"].(map[string]any)); fmt.Sprint(got) != fmt.Sprint(batchKeys) {
-			t.Errorf("batch keys:\n got %v\nwant %v", got, batchKeys)
 		}
 		checkMetrics(t, m)
 	})

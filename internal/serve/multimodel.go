@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bitflow/internal/batch"
 	"bitflow/internal/control"
 	"bitflow/internal/exec"
 	"bitflow/internal/graph"
@@ -40,9 +39,9 @@ type ModelSpec struct {
 	// Version labels the initial artifact in /statusz and reload
 	// statuses. Defaults to "boot".
 	Version string
-	// Cfg is the model's QoS envelope: replicas, queue bound, deadline,
-	// batching. Fixed for the model's lifetime — a version swap changes
-	// weights, not capacity.
+	// Cfg is the model's QoS envelope: replicas, queue bound, deadline.
+	// Fixed for the model's lifetime — a version swap changes weights,
+	// not capacity.
 	Cfg Config
 	// Default marks the model the legacy endpoints (/infer, /model)
 	// route to. With none marked, the first spec is the default.
@@ -66,9 +65,8 @@ type model struct {
 	ctrl *control.Controller
 }
 
-// replicaSet is one version's serving capacity: either a replica pool
-// (unbatched) or a micro-batcher whose workers own the replicas. It is
-// the registry.ReplicaSet payload the swap protocol manages.
+// replicaSet is one version's serving capacity: a pool of replicas. It
+// is the registry.ReplicaSet payload the swap protocol manages.
 type replicaSet struct {
 	version string
 	meta    Meta
@@ -76,13 +74,11 @@ type replicaSet struct {
 	// controller resizes it while statusz and the oracle read it.
 	replicas atomic.Int64
 	pool     chan backend
-	batcher  *batch.Batcher
 	// exec is the resolved base execution context shared by this set's
 	// replicas (nil for test backends that don't take one).
 	exec *exec.Ctx
 
-	// resizeMu serializes unbatched pool resizes (batched resizes
-	// serialize inside the batcher).
+	// resizeMu serializes pool resizes.
 	resizeMu sync.Mutex
 	// ref is the dedicated verification backend (autoscaled sets only):
 	// grown replicas are cloned from it and must reproduce refOut on refX
@@ -96,13 +92,10 @@ type replicaSet struct {
 // Version implements registry.ReplicaSet.
 func (rs *replicaSet) Version() string { return rs.version }
 
-// Retire implements registry.ReplicaSet: stop the batch workers or
-// drain the replica pool. The registry only calls it once the set can
-// no longer be pinned, so a non-full pool here means a replica leaked.
+// Retire implements registry.ReplicaSet: drain the replica pool. The
+// registry only calls it once the set can no longer be pinned, so a
+// non-full pool here means a replica leaked.
 func (rs *replicaSet) Retire(ctx context.Context) error {
-	if rs.batcher != nil {
-		return rs.batcher.Close(ctx)
-	}
 	n := rs.Replicas()
 	for i := 0; i < n; i++ {
 		select {
@@ -114,34 +107,20 @@ func (rs *replicaSet) Retire(ctx context.Context) error {
 	return nil
 }
 
-// available reports how many replicas are idle right now.
-func (rs *replicaSet) available() int {
-	if rs.batcher != nil {
-		// Batch workers never die (a panicked runner is replaced), so
-		// the replica count is also the available count.
-		return rs.Replicas()
-	}
-	return len(rs.pool)
-}
-
 // selfCheck runs the deterministic probe input through the set's real
-// serving path (a pooled replica, or the batcher when batching) and
-// requires logits bit-identical to the artifact's recorded probe — the
-// last rung of the reload verification ladder, proving the replicas
-// built from the artifact serve exactly what the prototype computed.
+// serving path (a pooled replica) and requires logits bit-identical to
+// the artifact's recorded probe — the last rung of the reload
+// verification ladder, proving the replicas built from the artifact
+// serve exactly what the prototype computed.
 func (rs *replicaSet) selfCheck(ctx context.Context, x *tensor.Tensor, want []float32) error {
 	var logits []float32
 	var err error
-	if rs.batcher != nil {
-		logits, err = rs.batcher.Submit(ctx, x)
-	} else {
-		select {
-		case b := <-rs.pool:
-			logits, err = b.infer(ctx, x)
-			rs.pool <- b
-		default:
-			return fmt.Errorf("serve: self-check: no idle replica in candidate set %s", rs.version)
-		}
+	select {
+	case b := <-rs.pool:
+		logits, err = b.infer(ctx, x)
+		rs.pool <- b
+	default:
+		return fmt.Errorf("serve: self-check: no idle replica in candidate set %s", rs.version)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: self-check inference on %s: %w", rs.version, err)
@@ -159,10 +138,10 @@ func (rs *replicaSet) selfCheck(ctx context.Context, x *tensor.Tensor, want []fl
 }
 
 // buildReplicaSet clones "first" out to the configured replica count and
-// wires the serving plumbing (pool or batcher) around the clones. cfg
-// must already have defaults applied. It allocates and clones but never
-// runs inference — verification is the caller's ladder.
-func buildReplicaSet(version string, meta Meta, first backend, cfg Config, metrics *resilience.Metrics) (*replicaSet, error) {
+// pools the clones. cfg must already have defaults applied. It allocates
+// and clones but never runs inference — verification is the caller's
+// ladder.
+func buildReplicaSet(version string, meta Meta, first backend, cfg Config, metrics *resilience.Metrics) *replicaSet {
 	rs := &replicaSet{version: version, meta: meta}
 	rs.replicas.Store(int64(cfg.Replicas))
 	// Attach the shared execution context (pool + budget + layer-stats
@@ -179,71 +158,14 @@ func buildReplicaSet(version string, meta Meta, first backend, cfg Config, metri
 	if cfg.Autoscale != nil {
 		rs.ref = first.clone()
 	}
-	// Queue, pool, and batch buffers are provisioned for the autoscale
-	// ceiling up front, so growth is a token-count change, never a
-	// reallocation under load.
-	poolCap, prep := cfg.Replicas, cfg.MaxBatch
-	queueCap := gateCapacity(cfg) + cfg.MaxQueue
-	if ac := cfg.Autoscale; ac != nil {
-		poolCap = ac.MaxReplicas
-		queueCap = maxGateCapacity(cfg) + cfg.MaxQueue
-		if cfg.Batching {
-			prep = ac.MaxBatch
-		}
-	}
-	if cfg.Batching {
-		// The batch workers own the backends: worker i gets the i-th
-		// replica (lane pools pre-grown to MaxBatch), and a worker whose
-		// runner panicked gets a fresh clone from the factory.
-		var mu sync.Mutex
-		handedFirst := false
-		bcfg := batch.Config{
-			Window:   cfg.BatchWindow,
-			MaxBatch: cfg.MaxBatch,
-			Workers:  cfg.Replicas,
-			QueueCap: queueCap,
-			Metrics:  metrics,
-			NewRunner: func() (batch.Runner, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				bk := first
-				if handedFirst {
-					bk = first.clone()
-				}
-				handedFirst = true
-				if bp, ok := bk.(batchPreparer); ok {
-					bp.prepareBatch(prep)
-				}
-				return backendRunner{b: bk}, nil
-			},
-		}
-		if cfg.Autoscale != nil {
-			bcfg.VerifyRunner = func(r batch.Runner) error { return rs.verifyRunner(r.InferBatch) }
-		}
-		b, err := batch.New(bcfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: building batcher for %s: %w", version, err)
-		}
-		rs.batcher = b
-		return rs, nil
-	}
-	rs.pool = make(chan backend, poolCap)
+	// The pool is provisioned for the autoscale ceiling up front, so
+	// growth is a token-count change, never a reallocation under load.
+	rs.pool = make(chan backend, replicaCeiling(cfg))
 	rs.pool <- first
 	for i := 1; i < cfg.Replicas; i++ {
 		rs.pool <- first.clone()
 	}
-	return rs, nil
-}
-
-// gateCapacity computes the admission budget: in batch mode a "slot" is
-// a seat in a forming batch, not a whole replica, so admission must
-// allow Replicas×MaxBatch concurrent requests or batches could never
-// fill.
-func gateCapacity(cfg Config) int {
-	if cfg.Batching {
-		return cfg.Replicas * cfg.MaxBatch
-	}
-	return cfg.Replicas
+	return rs
 }
 
 // currentSet returns the set a non-request-path reader (statusz, admin)
@@ -330,27 +252,21 @@ func (s *Server) addModel(name, version string, meta Meta, first backend, cfg Co
 	}
 	meta.Replicas = cfg.Replicas
 	metrics := resilience.NewMetrics(1024)
-	gate := resilience.NewResizableGate(gateCapacity(cfg), gateLimit(cfg), cfg.MaxQueue)
+	gate := resilience.NewResizableGate(cfg.Replicas, replicaCeiling(cfg), cfg.MaxQueue)
 	m := &model{name: name, cfg: cfg, meta: meta}
-	// Warm up on the first backend before it enters the pool (or the
-	// batch workers take ownership): a model that cannot infer must
-	// never be marked ready.
+	// Warm up on the first backend before it enters the pool: a model
+	// that cannot infer must never be marked ready.
 	x := tensor.New(meta.InputH, meta.InputW, meta.InputC)
 	var inferErr error
 	panicErr := resilience.Safe(func() { _, inferErr = first.infer(context.Background(), x) })
 	m.ready.Store(panicErr == nil && inferErr == nil)
 
-	rs, err := buildReplicaSet(version, meta, first, cfg, metrics)
-	if err != nil {
-		return nil, err
-	}
-	m.rm = registry.NewModel(name, gate, metrics, rs)
+	m.rm = registry.NewModel(name, gate, metrics, buildReplicaSet(version, meta, first, cfg, metrics))
 	if ac := cfg.Autoscale; ac != nil {
 		ctrl, err := control.New(control.Config{
 			Model:        name,
-			Bounds:       ac.bounds(),
-			Static:       staticSetpoints(cfg),
-			Batching:     cfg.Batching,
+			Bounds:       control.Bounds{MinReplicas: ac.MinReplicas, MaxReplicas: ac.MaxReplicas},
+			Static:       control.Setpoints{Replicas: cfg.Replicas},
 			Interval:     ac.Interval,
 			HighLoad:     ac.HighLoad,
 			LowLoad:      ac.LowLoad,
@@ -455,10 +371,9 @@ func (s *Server) IntrospectModel(name string) (Introspection, error) {
 		GateCapacity: gate.Capacity(),
 		GateMaxQueue: gate.MaxQueue(),
 		Replicas:     m.cfg.Replicas,
-		Batching:     m.cfg.Batching,
 	}
 	if rs := m.currentSet(); rs != nil {
-		in.PoolAvailable = rs.available()
+		in.PoolAvailable = len(rs.pool)
 		// The live count — under autoscaling it drifts from cfg.Replicas.
 		in.Replicas = rs.Replicas()
 	}
@@ -492,36 +407,26 @@ func (s *Server) ReloadModel(ctx context.Context, name string, art *registry.Art
 		}
 	}
 	// Build the candidate at the LIVE geometry: under autoscaling the
-	// controller's setpoints — not the boot flags — describe the gate
-	// capacity and worker count the candidate must match when it flips in.
-	// (A resize landing between this read and the swap is reconciled by
-	// the controller's next tick, which compares the served set against
-	// its setpoints and re-actuates.)
+	// controller's setpoint — not the boot flag — is the replica count
+	// the candidate must match when it flips in. (A resize landing
+	// between this read and the swap is reconciled by the controller's
+	// next tick, which compares the served set against its setpoint and
+	// re-actuates.)
 	cfg := m.cfg
 	if m.ctrl != nil {
-		sp := m.ctrl.Setpoints()
-		cfg.Replicas = sp.Replicas
-		if cfg.Batching {
-			cfg.BatchWindow, cfg.MaxBatch = sp.Window, sp.MaxBatch
-		}
+		cfg.Replicas = m.ctrl.Setpoints().Replicas
 	}
 	meta := metaFromNetwork(art.Net)
 	meta.Replicas = cfg.Replicas
 
 	// Build the candidate set under Safe: a crash while cloning replicas
-	// or starting batch workers must surface as a reload error, never
-	// take the serving process down.
-	var (
-		candidate *replicaSet
-		buildErr  error
-	)
+	// must surface as a reload error, never take the serving process
+	// down.
+	var candidate *replicaSet
 	if perr := resilience.Safe(func() {
-		candidate, buildErr = buildReplicaSet(art.Version, meta, netBackend{net: art.Net}, cfg, m.rm.Metrics())
+		candidate = buildReplicaSet(art.Version, meta, netBackend{net: art.Net}, cfg, m.rm.Metrics())
 	}); perr != nil {
-		buildErr = perr
-	}
-	if buildErr != nil {
-		return nil, fmt.Errorf("serve: reload %s: building candidate: %w", name, buildErr)
+		return nil, fmt.Errorf("serve: reload %s: building candidate: %w", name, perr)
 	}
 
 	verify := func(vset registry.ReplicaSet) error {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bitflow/internal/faultinject"
 	"bitflow/internal/graph"
@@ -163,123 +162,117 @@ func TestReloadRejectsGeometryChange(t *testing.T) {
 }
 
 // TestReloadSoakUnderLoad swaps versions repeatedly under sustained
-// concurrent traffic — batched and unbatched — and requires zero failed
-// requests, every response bit-exact against one of the versions in
-// play, and no leaked gate tokens or replicas afterwards.
+// concurrent traffic and requires zero failed requests, every response
+// bit-exact against one of the versions in play, and no leaked gate
+// tokens or replicas afterwards. The subtest keeps the unbatched name
+// it had when a batched pool was soaked beside it.
 func TestReloadSoakUnderLoad(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"unbatched", Config{Replicas: 2, MaxQueue: 32}},
-		{"batched", Config{Replicas: 2, MaxQueue: 32, Batching: true, BatchWindow: 200 * time.Microsecond, MaxBatch: 4}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			nets := []*graph.Network{
-				seededNetwork(t, "soak", 220),
-				seededNetwork(t, "soak", 221),
-				seededNetwork(t, "soak", 222),
-			}
-			xs := probeInputs(4, 230)
-			refs := make([][][]float32, len(nets))
-			for v, n := range nets {
-				refs[v] = referenceLogits(t, n, xs)
-			}
+	t.Run("unbatched", soakReload)
+}
 
-			s := NewWithConfig(nets[0], mode.cfg)
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+func soakReload(t *testing.T) {
+	nets := []*graph.Network{
+		seededNetwork(t, "soak", 220),
+		seededNetwork(t, "soak", 221),
+		seededNetwork(t, "soak", 222),
+	}
+	xs := probeInputs(4, 230)
+	refs := make([][][]float32, len(nets))
+	for v, n := range nets {
+		refs[v] = referenceLogits(t, n, xs)
+	}
 
-			stop := make(chan struct{})
-			var failures atomic.Int64
-			var served atomic.Int64
-			var wg sync.WaitGroup
-			const clients = 2 // ≤ replicas: admission can never shed
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := c; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						idx := i % len(xs)
-						body, _ := json.Marshal(InferRequest{Data: xs[idx].data})
-						resp, err := http.Post(ts.URL+"/infer", "application/json", bytes.NewReader(body))
-						if err != nil {
-							failures.Add(1)
-							t.Errorf("client %d: %v", c, err)
-							return
-						}
-						var out InferResponse
-						decErr := json.NewDecoder(resp.Body).Decode(&out)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK || decErr != nil {
-							failures.Add(1)
-							t.Errorf("client %d: status %d (decode %v)", c, resp.StatusCode, decErr)
-							return
-						}
-						match := false
-						for v := range refs {
-							if bitEqual(out.Logits, refs[v][idx]) {
-								match = true
-								break
-							}
-						}
-						if !match {
-							failures.Add(1)
-							t.Errorf("client %d input %d: logits match no version", c, idx)
-							return
-						}
-						served.Add(1)
-					}
-				}(c)
-			}
+	s := NewWithConfig(nets[0], Config{Replicas: 2, MaxQueue: 32})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-			const swapsWanted = 6
-			for i := 0; i < swapsWanted; i++ {
-				// Swap only while traffic is flowing: on a single-core box
-				// the swap loop can otherwise outrun client scheduling and
-				// finish before any request lands.
-				before := served.Load()
-				waitCond(t, func() bool { return served.Load() > before })
-				v := (i + 1) % len(nets)
-				art := registry.FromNetwork(fmt.Sprintf("v%d", i+1), nets[v].Clone())
-				st, err := s.ReloadModel(context.Background(), "", art)
+	stop := make(chan struct{})
+	var failures atomic.Int64
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	const clients = 2 // ≤ replicas: admission can never shed
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				idx := i % len(xs)
+				body, _ := json.Marshal(InferRequest{Data: xs[idx].data})
+				resp, err := http.Post(ts.URL+"/infer", "application/json", bytes.NewReader(body))
 				if err != nil {
-					t.Fatalf("swap %d: %v (status %+v)", i, err, st)
+					failures.Add(1)
+					t.Errorf("client %d: %v", c, err)
+					return
 				}
-				if st.Outcome != registry.OutcomeSwapped || st.Stage != "" {
-					t.Fatalf("swap %d: status %+v", i, st)
+				var out InferResponse
+				decErr := json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || decErr != nil {
+					failures.Add(1)
+					t.Errorf("client %d: status %d (decode %v)", c, resp.StatusCode, decErr)
+					return
 				}
+				match := false
+				for v := range refs {
+					if bitEqual(out.Logits, refs[v][idx]) {
+						match = true
+						break
+					}
+				}
+				if !match {
+					failures.Add(1)
+					t.Errorf("client %d input %d: logits match no version", c, idx)
+					return
+				}
+				served.Add(1)
 			}
-			close(stop)
-			wg.Wait()
+		}(c)
+	}
 
-			if failures.Load() != 0 {
-				t.Fatalf("%d failed requests during reload soak", failures.Load())
-			}
-			if served.Load() == 0 {
-				t.Fatal("soak served no traffic")
-			}
+	const swapsWanted = 6
+	for i := 0; i < swapsWanted; i++ {
+		// Swap only while traffic is flowing: on a single-core box
+		// the swap loop can otherwise outrun client scheduling and
+		// finish before any request lands.
+		before := served.Load()
+		waitCond(t, func() bool { return served.Load() > before })
+		v := (i + 1) % len(nets)
+		art := registry.FromNetwork(fmt.Sprintf("v%d", i+1), nets[v].Clone())
+		st, err := s.ReloadModel(context.Background(), "", art)
+		if err != nil {
+			t.Fatalf("swap %d: %v (status %+v)", i, err, st)
+		}
+		if st.Outcome != registry.OutcomeSwapped || st.Stage != "" {
+			t.Fatalf("swap %d: status %+v", i, st)
+		}
+	}
+	close(stop)
+	wg.Wait()
 
-			// Conservation after the dust settles: no tokens held, no
-			// replicas missing, the last version serving.
-			waitCond(t, func() bool {
-				in := s.Introspect()
-				return in.GateHeld == 0 && in.GateWaiting == 0 &&
-					(in.Batching || in.PoolAvailable == in.Replicas)
-			})
-			in := s.Introspect()
-			if in.Version != fmt.Sprintf("v%d", swapsWanted) {
-				t.Errorf("version %q after %d swaps", in.Version, swapsWanted)
-			}
-			if s.LastReload("").Outcome != registry.OutcomeSwapped {
-				t.Errorf("last reload %+v", s.LastReload(""))
-			}
-		})
+	if failures.Load() != 0 {
+		t.Fatalf("%d failed requests during reload soak", failures.Load())
+	}
+	if served.Load() == 0 {
+		t.Fatal("soak served no traffic")
+	}
+
+	// Conservation after the dust settles: no tokens held, no
+	// replicas missing, the last version serving.
+	waitCond(t, func() bool {
+		in := s.Introspect()
+		return in.GateHeld == 0 && in.GateWaiting == 0 && in.PoolAvailable == in.Replicas
+	})
+	in := s.Introspect()
+	if in.Version != fmt.Sprintf("v%d", swapsWanted) {
+		t.Errorf("version %q after %d swaps", in.Version, swapsWanted)
+	}
+	if s.LastReload("").Outcome != registry.OutcomeSwapped {
+		t.Errorf("last reload %+v", s.LastReload(""))
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bitflow/internal/batch"
 	"bitflow/internal/control"
 	"bitflow/internal/exec"
 	"bitflow/internal/faultinject"
@@ -63,34 +62,18 @@ type Config struct {
 	// Default 30s.
 	RequestTimeout time.Duration
 
-	// Batching enables dynamic micro-batching: concurrent requests
-	// coalesce (up to MaxBatch, waiting at most BatchWindow) and run
-	// through graph.InferBatch, which hands whole images to the pool
-	// workers: one dispatch per batch, not one per layer per image. Off
-	// by default — it trades a bounded amount of latency for throughput,
-	// a call the operator makes explicitly. The HTTP API is unchanged
-	// either way.
-	Batching bool
-	// BatchWindow bounds how long the first request of a batch waits
-	// for company. Default 2ms.
-	BatchWindow time.Duration
-	// MaxBatch caps how many requests share one forward pass. Default 8.
-	MaxBatch int
-
 	// Exec is the base execution context attached to every replica: the
 	// shared dispatch pool plus the per-inference thread budget. All
 	// replicas dispatch onto this one context, so total parallelism is
-	// bounded by its pool no matter how many replicas run. nil derives a
-	// context from the network's Threads field on the process-wide
-	// default pool (the legacy behavior).
+	// bounded by its pool no matter how many replicas run. nil runs every
+	// inference serially on its request goroutine (exec.Serial()).
 	Exec *exec.Ctx
 
 	// Autoscale, when non-nil, runs the adaptive serving loop for this
-	// model: a per-model controller retunes batch window, max-batch, and
-	// replica count within the declared bounds (see AutoscaleConfig).
-	// The Replicas/BatchWindow/MaxBatch fields above become the STATIC
-	// geometry: the starting point, and the configuration the controller
-	// reverts to if its signal source degrades.
+	// model: a per-model controller retunes the replica count within the
+	// declared bounds (see AutoscaleConfig). Replicas above becomes the
+	// STATIC geometry: the starting point, and the configuration the
+	// controller reverts to if its signal source degrades.
 	Autoscale *AutoscaleConfig
 }
 
@@ -109,14 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.Batching {
-		if c.BatchWindow <= 0 {
-			c.BatchWindow = 2 * time.Millisecond
-		}
-		if c.MaxBatch <= 0 {
-			c.MaxBatch = 8
-		}
 	}
 	if c.Autoscale != nil {
 		// Derive unset bounds from the (now-defaulted) static geometry;
@@ -158,41 +133,6 @@ func (b netBackend) attachExec(base *exec.Ctx, obs exec.Observer) *exec.Ctx {
 	ec := base.WithObserver(obs)
 	b.net.SetExec(ec)
 	return ec
-}
-
-func (b netBackend) inferBatch(xs []*tensor.Tensor) ([][]float32, error) { return b.net.InferBatch(xs) }
-func (b netBackend) prepareBatch(max int)                                { b.net.EnsureBatch(max) }
-
-// batchInferer marks backends with a true batched forward path; backends
-// without one (the test fakes) fall back to a per-item loop inside
-// backendRunner, which keeps the batcher's scheduling behavior testable
-// independently of graph.InferBatch.
-type batchInferer interface {
-	inferBatch(xs []*tensor.Tensor) ([][]float32, error)
-}
-
-// batchPreparer lets a backend pre-grow its batch buffers once, at
-// startup, instead of lazily on the first full batch.
-type batchPreparer interface {
-	prepareBatch(max int)
-}
-
-// backendRunner adapts a backend to batch.Runner.
-type backendRunner struct{ b backend }
-
-func (r backendRunner) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
-	if bi, ok := r.b.(batchInferer); ok {
-		return bi.inferBatch(xs)
-	}
-	outs := make([][]float32, len(xs))
-	for i, x := range xs {
-		out, err := r.b.infer(context.Background(), x)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-	}
-	return outs, nil
 }
 
 // Server hosts named models behind one HTTP handler. Each model owns
@@ -265,7 +205,6 @@ type Statusz struct {
 	ReplicasAvailable int                    `json:"replicas_available"`
 	MaxQueue          int                    `json:"max_queue"`
 	RequestTimeout    string                 `json:"request_timeout"`
-	Batch             *BatchStatus           `json:"batch,omitempty"`
 	Control           *control.Status        `json:"control,omitempty"`
 	Exec              *ExecStatus            `json:"exec,omitempty"`
 	Metrics           resilience.Snapshot    `json:"metrics"`
@@ -286,7 +225,6 @@ type ModelStatus struct {
 	Swaps             int64                  `json:"swaps"`
 	Rollbacks         int64                  `json:"rollbacks"`
 	LastReload        *registry.ReloadStatus `json:"last_reload,omitempty"`
-	Batch             *BatchStatus           `json:"batch,omitempty"`
 	// Control is the adaptive-serving section: state, live setpoints,
 	// bounds, and the decision ledger. Present only when autoscaled.
 	Control *control.Status     `json:"control,omitempty"`
@@ -300,20 +238,6 @@ type ExecStatus struct {
 	exec.Report
 	// Budget is the per-inference thread budget (callers included).
 	Budget int `json:"budget"`
-}
-
-// BatchStatus is the /statusz micro-batching section, present only when
-// batching is enabled: configuration plus the occupancy and flush-reason
-// counters that say whether the window/size-cap settings fit the traffic.
-type BatchStatus struct {
-	Window             string  `json:"window"`
-	MaxBatch           int     `json:"max_batch"`
-	Batches            int64   `json:"batches"`
-	MeanOccupancy      float64 `json:"mean_occupancy"`
-	MaxOccupancy       int64   `json:"max_occupancy"`
-	FlushWindowExpired int64   `json:"flush_window_expired"`
-	FlushSizeCap       int64   `json:"flush_size_cap"`
-	FlushDrain         int64   `json:"flush_drain"`
 }
 
 // ReadyStatus is the /readyz response: overall readiness plus each
@@ -362,9 +286,8 @@ func newServer(meta Meta, first backend, cfg Config) *Server {
 	}
 	m, err := s.addModel(meta.Name, "boot", meta, first, cfg)
 	if err != nil {
-		// addModel only fails on duplicate names or a batcher factory
-		// error, neither reachable for the first model with the in-tree
-		// factory; a future failure must not yield a half-built server.
+		// addModel only fails on a duplicate name or an invalid autoscale
+		// envelope; a failure must not yield a half-built server.
 		panic(fmt.Sprintf("serve: building server: %v", err))
 	}
 	m.isDefault = true
@@ -376,11 +299,6 @@ func newServer(meta Meta, first backend, cfg Config) *Server {
 // /statusz) so embedding code — tests, the bench harness — can assert on
 // them. Use ModelMetrics for a named model.
 func (s *Server) Metrics() *resilience.Metrics { return s.def.rm.Metrics() }
-
-// EffectiveConfig reports the default model's configuration after
-// defaulting — what it actually runs with, for startup banners and
-// diagnostics.
-func (s *Server) EffectiveConfig() Config { return s.def.cfg }
 
 // Introspection is a point-in-time view of one model's conservation
 // state, read by the fault-injection conformance oracle: on a quiet
@@ -395,7 +313,6 @@ type Introspection struct {
 	GateMaxQueue  int
 	PoolAvailable int
 	Replicas      int
-	Batching      bool
 }
 
 // Introspect snapshots the default model's admission gate and replica
@@ -457,14 +374,10 @@ func (s *Server) modelStatus(m *model) ModelStatus {
 	snap := metrics.Snapshot()
 	// Under autoscaling, report the LIVE geometry — the controller's
 	// setpoints — not the static boot flags.
-	replicas, window, maxBatch := m.cfg.Replicas, m.cfg.BatchWindow, m.cfg.MaxBatch
+	replicas := m.cfg.Replicas
 	var ctrlStatus *control.Status
 	if m.ctrl != nil {
-		sp := m.ctrl.Setpoints()
-		replicas = sp.Replicas
-		if m.cfg.Batching {
-			window, maxBatch = sp.Window, sp.MaxBatch
-		}
+		replicas = m.ctrl.Setpoints().Replicas
 		cs := m.ctrl.Status()
 		ctrlStatus = &cs
 	}
@@ -483,19 +396,7 @@ func (s *Server) modelStatus(m *model) ModelStatus {
 		Metrics:        snap,
 	}
 	if rs := m.currentSet(); rs != nil {
-		ms.ReplicasAvailable = rs.available()
-	}
-	if m.cfg.Batching {
-		ms.Batch = &BatchStatus{
-			Window:             window.String(),
-			MaxBatch:           maxBatch,
-			Batches:            snap.Batches,
-			MeanOccupancy:      snap.BatchMeanOccupancy,
-			MaxOccupancy:       snap.BatchMaxOccupancy,
-			FlushWindowExpired: snap.BatchFlushWindow,
-			FlushSizeCap:       snap.BatchFlushFull,
-			FlushDrain:         snap.BatchFlushDrain,
-		}
+		ms.ReplicasAvailable = len(rs.pool)
 	}
 	return ms
 }
@@ -516,7 +417,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		ReplicasAvailable: def.ReplicasAvailable,
 		MaxQueue:          def.MaxQueue,
 		RequestTimeout:    def.RequestTimeout,
-		Batch:             def.Batch,
 		Control:           def.Control,
 		Metrics:           def.Metrics,
 		Models:            models,
@@ -647,8 +547,7 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, m *model) {
 	x := tensor.FromSlice(m.meta.InputH, m.meta.InputW, m.meta.InputC, req.Data)
 
 	// Admission: wait for a slot inside the bounded queue, giving up
-	// when the per-request deadline (or the client) expires. In batch
-	// mode a slot is a seat in a forming batch rather than a replica.
+	// when the per-request deadline (or the client) expires.
 	ctx, cancel := context.WithTimeout(r.Context(), m.cfg.RequestTimeout)
 	defer cancel()
 	// serve.admit only delays (Sleep/Stall widen queue-pressure races); any
@@ -687,11 +586,6 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, m *model) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "not_ready",
 			fmt.Sprintf("model %q has no serving replica set", m.name))
-		return
-	}
-
-	if rs.batcher != nil {
-		s.inferBatched(w, ctx, m, rs, x)
 		return
 	}
 
@@ -745,60 +639,6 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, m *model) {
 	metrics.OK.Add(1)
 	metrics.ObserveLatency(elapsed)
 
-	best := 0
-	for i, v := range logits {
-		if v > logits[best] {
-			best = i
-		}
-	}
-	writeJSON(w, http.StatusOK, InferResponse{
-		Logits:  logits,
-		Class:   best,
-		Elapsed: elapsed.String(),
-	})
-}
-
-// inferBatched serves one admitted request through the pinned version's
-// micro-batcher: the request takes a seat in the forming batch and blocks
-// on its future. The error taxonomy (and HTTP API) is identical to the
-// unbatched path.
-func (s *Server) inferBatched(w http.ResponseWriter, ctx context.Context, m *model, rs *replicaSet, x *tensor.Tensor) {
-	metrics := m.rm.Metrics()
-	t0 := time.Now()
-	logits, err := rs.batcher.Submit(ctx, x)
-	elapsed := time.Since(t0)
-	if err != nil {
-		var pe *resilience.PanicError
-		var ie *batch.InputError
-		switch {
-		case errors.As(err, &pe):
-			// PanicsRecovered already counted by the batcher.
-			writeError(w, http.StatusInternalServerError, "panic",
-				fmt.Sprintf("inference failed: %v", pe))
-		case errors.Is(err, batch.ErrQueueFull):
-			metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", retryAfter(m))
-			writeError(w, http.StatusTooManyRequests, "queue_full", "batch queue full; retry later")
-		case errors.Is(err, batch.ErrClosed):
-			metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "not_ready", "server is draining")
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			metrics.Shed.Add(1)
-			w.Header().Set("Retry-After", retryAfter(m))
-			writeError(w, http.StatusServiceUnavailable, "deadline",
-				fmt.Sprintf("deadline expired after %s waiting for a batch slot", m.cfg.RequestTimeout))
-		case errors.As(err, &ie):
-			metrics.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_request", ie.Error())
-		default:
-			metrics.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		}
-		return
-	}
-	metrics.OK.Add(1)
-	metrics.ObserveLatency(elapsed)
 	best := 0
 	for i, v := range logits {
 		if v > logits[best] {
@@ -904,8 +744,7 @@ func (s *Server) ServeListener(ctx context.Context, l net.Listener, hc HTTPConfi
 		err := hs.Shutdown(sctx)
 		<-errc // always http.ErrServerClosed after Shutdown
 		// In-flight HTTP requests have finished (or been cut off); every
-		// model can now retire its replica set — the batchers flush their
-		// backlogs and stop their workers, the pools are drained and
+		// model can now retire its replica set — the pools are drained and
 		// leak-checked.
 		for _, m := range s.order {
 			if cerr := m.rm.Close(sctx); err == nil {
