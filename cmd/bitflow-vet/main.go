@@ -1,5 +1,8 @@
 // Command bitflow-vet runs the repo-native static-analysis suite
-// (internal/analysis) over the module and reports invariant violations.
+// (internal/analysis) over the module and prints its findings. The
+// zero-findings gate is internal/analysis's TestModuleIsClean, which
+// every `go test ./...` runs; this command is how to read the findings
+// and the discovered lock order.
 //
 // Usage:
 //
@@ -7,25 +10,14 @@
 //
 //	-dir string        module directory to analyze (default ".")
 //	-enable string     comma-separated analyzers to run (default: all)
-//	-disable string    comma-separated analyzers to skip
-//	-json              emit findings as JSON on stdout
-//	-findings-only     with -json, emit only the findings array (stable
-//	                   across file-count changes; the committed CI
-//	                   baseline is diffed against this form)
-//	-exit-zero         exit 0 even when there are findings (CI artifact
-//	                   collection; the gating step runs without it)
 //	-list              print the available analyzers and exit
 //	-lock-order        print the discovered canonical lock acquisition
 //	                   order and exit (no findings run)
 //
-// Exit codes: 0 no findings (or -exit-zero), 1 findings, 2 usage or
-// load error. The exit code does not depend on -json: a findings run
-// fails the same way whether a human or the CI artifact step is
-// reading it.
+// Exit codes: 0 no findings, 1 findings, 2 usage or load error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,10 +35,6 @@ func run(args []string) int {
 	var (
 		dir       = fs.String("dir", ".", "module directory to analyze")
 		enable    = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable   = fs.String("disable", "", "comma-separated analyzers to skip")
-		jsonOut   = fs.Bool("json", false, "emit findings as JSON on stdout")
-		findOnly  = fs.Bool("findings-only", false, "with -json, emit only the findings array")
-		exitZero  = fs.Bool("exit-zero", false, "exit 0 even when there are findings")
 		list      = fs.Bool("list", false, "print the available analyzers and exit")
 		lockOrder = fs.Bool("lock-order", false, "print the discovered lock acquisition order and exit")
 	)
@@ -59,7 +47,7 @@ func run(args []string) int {
 		}
 		return 0
 	}
-	analyzers, err := selectAnalyzers(*enable, *disable)
+	analyzers, err := selectAnalyzers(*enable)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bitflow-vet:", err)
 		return 2
@@ -89,86 +77,38 @@ func run(args []string) int {
 		}
 		return 0
 	}
+
 	findings := analysis.Run(prog, analyzers)
-
-	if *jsonOut {
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		var payload any = struct {
-			Findings []analysis.Finding `json:"findings"`
-			Files    int                `json:"files"`
-		}{Findings: findings, Files: prog.NumFiles()}
-		if *findOnly {
-			payload = findings
-		}
-		if err := enc.Encode(payload); err != nil {
-			fmt.Fprintln(os.Stderr, "bitflow-vet:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		fmt.Printf("bitflow-vet: %d findings, %d files checked\n", len(findings), prog.NumFiles())
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-
-	if len(findings) > 0 && !*exitZero {
+	fmt.Printf("bitflow-vet: %d findings, %d files checked\n", len(findings), prog.NumFiles())
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// selectAnalyzers applies -enable / -disable to the full suite.
-func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
+// selectAnalyzers resolves -enable against the full suite.
+func selectAnalyzers(enable string) ([]*analysis.Analyzer, error) {
+	if enable == "" {
+		return analysis.All(), nil
+	}
 	byName := map[string]*analysis.Analyzer{}
 	for _, a := range analysis.All() {
 		byName[a.Name] = a
 	}
-	names := func(csv string) ([]string, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		var out []string
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (use -list)", n)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	on, err := names(enable)
-	if err != nil {
-		return nil, err
-	}
-	off, err := names(disable)
-	if err != nil {
-		return nil, err
-	}
-	skip := map[string]bool{}
-	for _, n := range off {
-		skip[n] = true
-	}
 	var selected []*analysis.Analyzer
-	if len(on) == 0 {
-		for _, a := range analysis.All() {
-			if !skip[a.Name] {
-				selected = append(selected, a)
-			}
+	for _, n := range strings.Split(enable, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
 		}
-	} else {
-		for _, n := range on {
-			if !skip[n] {
-				selected = append(selected, byName[n])
-			}
+		a := byName[n]
+		if a == nil {
+			return nil, fmt.Errorf("unknown analyzer %q (use -list)", n)
 		}
+		selected = append(selected, a)
 	}
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("no analyzers selected")

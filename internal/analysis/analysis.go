@@ -1,31 +1,28 @@
 // Package analysis is bitflow-vet: a repo-native static-analysis suite
-// that turns the engine's written invariants into machine-checked ones.
-//
-// PRs 1–3 made correctness depend on three conventions the compiler
-// cannot see:
+// for the engine invariants that neither the compiler nor `go vet`
+// checks:
 //
 //   - all multi-core dispatch flows through internal/exec (no raw
-//     goroutines in operator code) — rawgo, threadsint;
+//     goroutines in operator code) — rawgo;
 //   - per-inference hot paths stay allocation-free (packed buffers are
 //     pre-allocated at load/Ensure* time, the whole point of the
 //     PressedConv/bgemm design) and never materialize a float tensor
 //     (activations between layers exist only as packed bits) — hotalloc;
 //   - every panic on a serving path is dominated by resilience.Safe so a
 //     replica re-clones instead of the process dying — panicpath;
-//   - the adaptive control loop stays mechanism-free and actuates only
-//     through the exported resize API — actuate;
 //   - the hot path is compiler-verified: no heap escapes in the hot
 //     graph and no surviving bounds checks in kernels, straight from
 //     `-gcflags='-m=2 -d=ssa/check_bce'` diagnostics — codegen;
-//   - a field touched through sync/atomic anywhere is touched atomically
-//     everywhere, and atomic-bearing values are never copied — atomics;
 //   - the whole-program mutex-acquisition graph (reload lock, gates,
 //     replica pools, control ledger) stays acyclic — lockorder.
 //
+// Copies of typed atomics are go vet's copylocks check, and
+// internal/control's layering is a test in that package.
+//
 // Each analyzer walks the fully type-checked module (stdlib go/ast +
 // go/types; packages are loaded via `go list -export`, so no external
-// dependencies) and reports findings that cmd/bitflow-vet turns into a
-// non-zero exit for verify.sh / CI.
+// dependencies). TestModuleIsClean, which every `go test ./...` runs,
+// holds the module at zero findings; cmd/bitflow-vet prints them.
 //
 // Intentional exceptions are annotated in the source, never configured
 // out of the analyzer:
@@ -33,9 +30,7 @@
 //	//bitflow:alloc-ok <justification>   (hotalloc, codegen escapes)
 //	//bitflow:go-ok <justification>      (rawgo)
 //	//bitflow:panic-ok <justification>   (panicpath)
-//	//bitflow:actuate-ok <justification> (actuate)
 //	//bitflow:bce-ok <justification>     (codegen bounds checks; on a line or a whole function)
-//	//bitflow:atomic-ok <justification>  (atomics)
 //	//bitflow:lock-ok <justification>    (lockorder)
 //	//bitflow:hot                        (extra hotalloc/codegen root)
 //
@@ -51,14 +46,13 @@ import (
 	"strings"
 )
 
-// Finding is one rule violation, addressable for both humans
-// (file:line:col) and machines (-json).
+// Finding is one rule violation at file:line:col.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -89,8 +83,8 @@ type Program struct {
 	// directives maps file name -> line -> parsed //bitflow: directive.
 	directives map[string]map[int]*Directive
 
-	// cg is the lazily built whole-program call graph shared by hotalloc
-	// and panicpath.
+	// cg is the lazily built whole-program call graph every rule but
+	// rawgo walks.
 	cg *callGraph
 
 	// diagSource produces the compiler diagnostics codegen consumes.
@@ -103,7 +97,7 @@ type Program struct {
 }
 
 // Analyzer is one named rule over a Program. Unlike go/analysis this is
-// whole-program by design: two of the four rules need a cross-package
+// whole-program by design: four of the five rules need a cross-package
 // call graph, which per-package passes cannot express.
 type Analyzer struct {
 	Name string
@@ -113,11 +107,11 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{RawGo, ThreadsInt, HotAlloc, PanicPath, Actuate, Codegen, Atomics, LockOrder}
+	return []*Analyzer{RawGo, HotAlloc, PanicPath, Codegen, LockOrder}
 }
 
-// Run executes the given analyzers and returns their findings sorted by
-// position then analyzer name.
+// Run executes the given analyzers and returns their findings in a total
+// order: position, then analyzer, then message.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, a := range analyzers {
@@ -134,7 +128,10 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // The call graph is a static, conservative approximation shared by
-// hotalloc and panicpath:
+// hotalloc, codegen, panicpath and lockorder:
 //
 //   - direct calls (package functions, methods on concrete types) become
 //     edges to the callee's node;

@@ -49,19 +49,7 @@ func runCodegen(p *Program) []Finding {
 		return nil
 	}
 
-	g := p.graph()
-	var roots []*funcNode
-	for _, n := range g.nodes {
-		if hotRoot(p, n) {
-			roots = append(roots, n)
-		}
-	}
-	boundary := func(n *funcNode) bool {
-		name := n.name()
-		return strings.HasPrefix(name, "Ensure") || name == "Clone"
-	}
-	reached := g.reach(roots, reachOpts{boundary: boundary})
-
+	g, hot := p.graph(), p.hotFuncs()
 	idx := p.fileIndex()
 	var out []Finding
 	bareDecl := map[token.Pos]bool{} // function-level bare bce-ok reported once
@@ -71,7 +59,7 @@ func runCodegen(p *Program) []Finding {
 			continue // diagnostic for a file outside the loaded program
 		}
 		fn := p.enclosingFunc(g, loc, d.Line)
-		if fn == nil || !reached[fn] || boundary(fn) {
+		if !hot[fn] {
 			continue
 		}
 		pos := p.linePos(loc.file, d.Line)

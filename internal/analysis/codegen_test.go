@@ -21,19 +21,6 @@ func TestCodegenFixture(t *testing.T) {
 	}
 }
 
-func TestAtomicsFixture(t *testing.T) {
-	findings := checkFixture(t, "fixture/internal/core", "testdata/atomics")
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f.Message, "atomic-ok needs a justification") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("bare //bitflow:atomic-ok was not reported as an unjustified annotation")
-	}
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	findings := checkFixture(t, "fixture/internal/core", "testdata/lockorder")
 	// Cycle findings must carry the discovered canonical order so the

@@ -30,6 +30,20 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(p *Program) []Finding {
+	hot := p.hotFuncs()
+	var out []Finding
+	for _, n := range p.graph().nodes {
+		if hot[n] {
+			out = append(out, scanAllocs(p, n)...)
+		}
+	}
+	return out
+}
+
+// hotFuncs returns the per-inference hot graph hotalloc and codegen
+// police: every node reachable from a hotRoot, minus the Ensure*/Clone
+// boundaries, which are visited but neither descended into nor checked.
+func (p *Program) hotFuncs() map[*funcNode]bool {
 	g := p.graph()
 	var roots []*funcNode
 	for _, n := range g.nodes {
@@ -41,16 +55,13 @@ func runHotAlloc(p *Program) []Finding {
 		name := n.name()
 		return strings.HasPrefix(name, "Ensure") || name == "Clone"
 	}
-	reached := g.reach(roots, reachOpts{boundary: boundary})
-
-	var out []Finding
-	for _, n := range g.nodes {
-		if !reached[n] || boundary(n) {
-			continue
+	hot := g.reach(roots, reachOpts{boundary: boundary})
+	for n := range hot {
+		if boundary(n) {
+			delete(hot, n)
 		}
-		out = append(out, scanAllocs(p, n)...)
 	}
-	return out
+	return hot
 }
 
 // hotRoot reports whether the node anchors the per-inference graph.

@@ -225,10 +225,7 @@ func (p *Program) lockOrder() ([]Finding, *lockGraph) {
 		})
 	}
 
-	findings := append([]Finding(nil), bare...)
-	findings = append(findings, p.lockCycles(lg)...)
-	sortFindings(findings)
-	return findings, lg
+	return append(bare, p.lockCycles(lg)...), lg
 }
 
 // lockCycles detects cycles in the class graph, fills in lg.order /

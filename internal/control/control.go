@@ -7,8 +7,8 @@
 // it reads through a Source function and acts through an Actuator
 // interface, both injected at construction, and imports none of the
 // serving packages. Actuation therefore can only go through the exported
-// resize API the actuator wraps — an invariant bitflow-vet's
-// `actuate` rule enforces statically.
+// resize API the actuator wraps; TestControlImportsNoMechanism holds the
+// import side.
 //
 // Stability over cleverness:
 //
@@ -116,8 +116,8 @@ func (s Signals) regressed(prev Signals) bool {
 type Source func() (Signals, error)
 
 // Actuator applies a new geometry to the serving stack. Implementations
-// must go through the exported resize API (registry.Model.Resize) —
-// bitflow-vet enforces that they never poke fields directly.
+// must go through the exported resize API (registry.Model.Resize), never
+// poke serving fields directly.
 type Actuator interface {
 	Apply(ctx context.Context, sp Setpoints) error
 }

@@ -3,6 +3,8 @@ package control
 import (
 	"context"
 	"errors"
+	"go/build"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -458,5 +460,27 @@ func TestRunTicksAndStops(t *testing.T) {
 	c.Run(ctx) // returns on ctx expiry
 	if st := c.Status(); st.Ticks == 0 {
 		t.Fatalf("Run produced no ticks")
+	}
+}
+
+// TestControlImportsNoMechanism holds the controller's layering: it
+// computes setpoints and acts only through Actuator, so its non-test
+// code may not import the packages it steers. serve imports control, so
+// a control → serve import would already be a cycle; registry and graph
+// are what this test adds.
+func TestControlImportsNoMechanism(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Imports) == 0 {
+		t.Fatal("no imports found; the scan did not read the package")
+	}
+	for _, imp := range pkg.Imports {
+		for _, forbidden := range []string{"internal/serve", "internal/registry", "internal/graph"} {
+			if imp == forbidden || strings.HasSuffix(imp, "/"+forbidden) {
+				t.Errorf("internal/control imports %s: mechanism belongs behind control.Actuator", imp)
+			}
+		}
 	}
 }

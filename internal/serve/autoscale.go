@@ -83,7 +83,8 @@ func replicaCeiling(cfg Config) int {
 // ---------------------------------------------------------------------
 // Signal source and actuator: the two dependency-injected halves the
 // controller drives. Both touch serving state only through exported
-// APIs; bitflow-vet's actuate rule rejects field writes in Apply.
+// APIs; control's TestControlImportsNoMechanism keeps the controller
+// from reaching past them.
 
 // signals is the model's control.Source: one consistent-enough
 // observation of the gate, latency quantiles, and cumulative counters.

@@ -4,6 +4,10 @@
 #
 #   ./verify.sh          # full: build + vet + tests + race on serving layer
 #   ./verify.sh -short   # skips VGG-scale builds and training loops
+#
+# go vet's copylocks check covers typed-atomic copies. The bitflow-vet
+# suite (rawgo hotalloc panicpath codegen lockorder) runs inside the
+# test step, in both modes, as internal/analysis's TestModuleIsClean.
 set -eu
 
 cd "$(dirname "$0")"
@@ -14,15 +18,7 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-# The analyzer gate runs in BOTH modes: -short must never skip
-# bitflow-vet, or analyzer regressions land and only CI catches them.
-# This includes the compiler-backed codegen pass (escape analysis +
-# check_bce over the hot call graph) and the concurrency-discipline
-# passes (atomics, lockorder).
-echo "== bitflow-vet ./... (repo invariants: rawgo threadsint hotalloc panicpath actuate codegen atomics lockorder ...)"
-go run ./cmd/bitflow-vet ./...
-
-echo "== go test -shuffle=on $* ./..."
+echo "== go test -shuffle=on $* ./... (includes the bitflow-vet gate, TestModuleIsClean)"
 go test -shuffle=on "$@" ./...
 
 # The pure-Go kernel tier is what every machine without AVX2/AVX-512
