@@ -21,16 +21,8 @@ func base() flagValues {
 	}
 }
 
-func setOf(names ...string) map[string]bool {
-	m := map[string]bool{}
-	for _, n := range names {
-		m[n] = true
-	}
-	return m
-}
-
 func TestValidateFlagsAcceptsDefaults(t *testing.T) {
-	if err := validateFlags(base(), setOf()); err != nil {
+	if err := validateFlags(base()); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
 }
@@ -39,7 +31,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 	cases := []struct {
 		name    string
 		mutate  func(*flagValues)
-		set     []string
 		wantSub string
 	}{
 		{
@@ -50,55 +41,16 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{
 			name:    "non-positive request timeout",
 			mutate:  func(v *flagValues) { v.requestTimeout = 0 },
-			set:     []string{"request-timeout"},
 			wantSub: "-request-timeout must be positive",
-		},
-		{
-			name:    "autoscale bound without -autoscale",
-			mutate:  func(v *flagValues) { v.asMaxReplicas = 8 },
-			set:     []string{"autoscale-max-replicas"},
-			wantSub: "-autoscale-max-replicas has no effect without -autoscale",
-		},
-		{
-			name:    "autoscale interval without -autoscale",
-			mutate:  func(v *flagValues) { v.asInterval = time.Second },
-			set:     []string{"autoscale-interval"},
-			wantSub: "-autoscale-interval has no effect without -autoscale",
-		},
-		{
-			name:    "non-positive autoscale interval",
-			mutate:  func(v *flagValues) { v.autoscale = true; v.asInterval = -time.Second },
-			set:     []string{"autoscale", "autoscale-interval"},
-			wantSub: "-autoscale-interval must be positive",
-		},
-		{
-			name: "replica bounds inverted",
-			mutate: func(v *flagValues) {
-				v.autoscale = true
-				v.asMinReplicas, v.asMaxReplicas = 4, 2
-				v.replicas = 4
-			},
-			set:     []string{"autoscale", "autoscale-min-replicas", "autoscale-max-replicas"},
-			wantSub: "-autoscale-min-replicas 4 exceeds -autoscale-max-replicas 2",
-		},
-		{
-			name: "replica ceiling below static count",
-			mutate: func(v *flagValues) {
-				v.autoscale = true
-				v.replicas = 4
-				v.asMaxReplicas = 2
-			},
-			set:     []string{"autoscale", "autoscale-max-replicas"},
-			wantSub: "excludes the static -replicas 4",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v := base()
 			tc.mutate(&v)
-			err := validateFlags(v, setOf(tc.set...))
+			err := validateFlags(v)
 			if err == nil {
-				t.Fatalf("flag combination accepted, want error containing %q", tc.wantSub)
+				t.Fatalf("invalid flag value accepted, want error containing %q", tc.wantSub)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
@@ -111,58 +63,36 @@ func TestValidateFlagsAccepts(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*flagValues)
-		set    []string
 	}{
 		{
-			name:   "autoscale with defaulted bounds",
-			mutate: func(v *flagValues) { v.autoscale = true },
-			set:    []string{"autoscale"},
+			name:   "one replica",
+			mutate: func(v *flagValues) { v.replicas = 1 },
 		},
 		{
-			name: "autoscale with a full explicit envelope",
-			mutate: func(v *flagValues) {
-				v.autoscale = true
-				v.asInterval = 100 * time.Millisecond
-				v.asMinReplicas, v.asMaxReplicas = 1, 8
-			},
-			set: []string{"autoscale", "autoscale-interval",
-				"autoscale-min-replicas", "autoscale-max-replicas"},
+			name:   "short request timeout",
+			mutate: func(v *flagValues) { v.requestTimeout = time.Millisecond },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v := base()
 			tc.mutate(&v)
-			if err := validateFlags(v, setOf(tc.set...)); err != nil {
-				t.Fatalf("valid flag combination rejected: %v", err)
+			if err := validateFlags(v); err != nil {
+				t.Fatalf("valid flag values rejected: %v", err)
 			}
 		})
 	}
 }
 
-func TestEffectiveMaxReplicasTracksAutoscaleBound(t *testing.T) {
-	*flagAutoscale = false
-	if got := effectiveMaxReplicas(4); got != 4 {
-		t.Errorf("static mode: %d, want 4", got)
-	}
-	*flagAutoscale = true
-	defer func() { *flagAutoscale = false }()
-	if got := effectiveMaxReplicas(4); got != 8 {
-		t.Errorf("autoscale default ceiling: %d, want 8 (2x static)", got)
-	}
-	*flagAutoscaleMaxReplicas = 6
-	defer func() { *flagAutoscaleMaxReplicas = 0 }()
-	if got := effectiveMaxReplicas(4); got != 6 {
-		t.Errorf("explicit ceiling: %d, want 6", got)
-	}
-}
-
-// removedFlags are the request coalescer's flags. They are gone, and
-// passing one must stop the command at the flag parser.
+// removedFlags are the request coalescer's and the autoscaler's flags.
+// They are gone, and passing one must stop the command at the flag
+// parser.
 var removedFlags = []string{
 	"batch", "batch-window", "max-batch",
 	"autoscale-min-batch", "autoscale-max-batch",
 	"autoscale-min-window", "autoscale-max-window",
+	"autoscale", "autoscale-interval",
+	"autoscale-min-replicas", "autoscale-max-replicas",
 }
 
 // TestRemovedFlagsExitTwo parses each removed flag with the command's

@@ -28,16 +28,12 @@
 // request's deadline expires in the queue (503), and drains in-flight
 // requests for -shutdown-grace after SIGINT/SIGTERM. Shed responses
 // carry a Retry-After derived from the live queue depth and observed
-// service rate.
-//
-// -autoscale turns the static -replicas into the starting point of a
-// per-model control loop that retunes the replica count within the
-// -autoscale-* bounds (see /statusz's control section for the live
-// setpoint and decision ledger; pin it via POST /admin/autoscale on
-// -admin-addr).
+// service rate. Each model's replica count is fixed at startup
+// (-replicas, or the manifest entry's replicas); nothing retunes it at
+// runtime.
 //
 // Loaded models run the fused conv+pool data-flow plan (see DESIGN.md
-// §11): a conv followed by an eligible max-pool is one layer whose
+// §10): a conv followed by an eligible max-pool is one layer whose
 // threshold bits OR straight into the pooled output. The startup banner
 // reports the fused pair count per model, and /model exposes it as
 // "fused_layers". The benchmark's graph.fusion_gain measures the plan
@@ -103,7 +99,6 @@ func flagConfig(ex *exec.Ctx) serve.Config {
 		Replicas:       *flagReplicas,
 		MaxQueue:       *flagMaxQueue,
 		RequestTimeout: *flagRequestTimeout,
-		Autoscale:      autoscaleConfig(),
 		Exec:           ex,
 	}
 }
@@ -192,7 +187,7 @@ func main() {
 	if *flagLoad != "" && *flagModels != "" {
 		fatalf("-load and -models are mutually exclusive")
 	}
-	if err := validateFlags(currentFlagValues(), explicitFlags()); err != nil {
+	if err := validateFlags(currentFlagValues()); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -218,7 +213,7 @@ func main() {
 				maxReplicas = e.Replicas
 			}
 		}
-		threads = clampThreads(threads, effectiveMaxReplicas(maxReplicas))
+		threads = clampThreads(threads, maxReplicas)
 		base := flagConfig(exec.Pooled(pool, threads))
 		specs := make([]serve.ModelSpec, 0, len(man.Models))
 		served = make(map[string]registry.ManifestEntry, len(man.Models))
@@ -258,7 +253,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		threads = clampThreads(threads, effectiveMaxReplicas(*flagReplicas))
+		threads = clampThreads(threads, *flagReplicas)
 		srv = serve.NewWithConfig(net, flagConfig(exec.Pooled(pool, threads)))
 	}
 	if !srv.Ready() {
@@ -326,9 +321,6 @@ func main() {
 				fmt.Printf("kernel compression %q: %d layer(s) dedupe repeated packed filter words\n",
 					name, mm.CompressedLayers)
 			}
-		}
-		if st := srv.ControlStatus(name); st != nil {
-			fmt.Printf("autoscale %q: replicas [%d, %d]\n", name, st.Bounds.MinReplicas, st.Bounds.MaxReplicas)
 		}
 	}
 	rep := pool.Report()

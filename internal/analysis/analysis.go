@@ -13,11 +13,10 @@
 //   - the hot path is compiler-verified: no heap escapes in the hot
 //     graph and no surviving bounds checks in kernels, straight from
 //     `-gcflags='-m=2 -d=ssa/check_bce'` diagnostics — codegen;
-//   - the whole-program mutex-acquisition graph (reload lock, gates,
-//     replica pools, control ledger) stays acyclic — lockorder.
+//   - the whole-program mutex-acquisition graph stays acyclic —
+//     lockorder.
 //
-// Copies of typed atomics are go vet's copylocks check, and
-// internal/control's layering is a test in that package.
+// Copies of typed atomics are go vet's copylocks check.
 //
 // Each analyzer walks the fully type-checked module (stdlib go/ast +
 // go/types; packages are loaded via `go list -export`, so no external

@@ -8,13 +8,15 @@ import (
 	"strings"
 )
 
-// LockOrder keeps the whole-program mutex-acquisition graph acyclic.
-// The serving stack holds several locks with real nesting — the registry
-// reload lock serializes against per-model state, a replica-set resize
-// nests its pool lock under it, the control loop's ledger lock is taken
-// under actuation — and the only thing standing between that nesting and
-// a deadlock is a consistent global acquisition order. This analyzer
-// discovers the order instead of trusting it:
+// LockOrder keeps the whole-program mutex-acquisition graph acyclic: a
+// consistent global acquisition order is the only thing standing between
+// nested locks and a deadlock, and this analyzer discovers the order
+// instead of trusting it. It currently finds no nesting at all. The one
+// nesting the serving stack has at runtime — a hot reload holds
+// registry.Model.reloadMu across the candidate's verification inference,
+// which takes exec.job.mu — runs through Swap's verify parameter, a
+// function value the call graph does not resolve (see callgraph.go).
+// The analysis:
 //
 //   - every sync.Mutex / sync.RWMutex field or package-level variable is
 //     a lock class (all instances of registry.Model.mu are one class —

@@ -49,11 +49,16 @@ func seedRun(seed int64) string {
 	return fmt.Sprintf("seed=%d/batching=false", seed)
 }
 
+// pinnedSeeds is TestConformanceSeeds' sweep; -short runs the first two.
+// Together the generated scripts arm every injection point, which
+// TestPinnedSeedsCoverEveryPoint checks.
+var pinnedSeeds = []int64{1, 2, 3, 7, 10, 15}
+
 // TestConformanceSeeds sweeps generated fault schedules. Every schedule
 // must leave all invariants intact; a failure prints the seed and the
 // exact fault script for replay.
 func TestConformanceSeeds(t *testing.T) {
-	seeds := []int64{1, 2, 3, 7}
+	seeds := pinnedSeeds
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
@@ -61,6 +66,28 @@ func TestConformanceSeeds(t *testing.T) {
 		t.Run(seedRun(seed), func(t *testing.T) {
 			mustRun(t, Defaults(seed))
 		})
+	}
+}
+
+// TestPinnedSeedsCoverEveryPoint keeps the pinned sweep from going blind:
+// Generate draws points from the registry, so adding or removing a point
+// remaps every seed's script, and a point no pinned script arms is one
+// the sweep never faults.
+func TestPinnedSeedsCoverEveryPoint(t *testing.T) {
+	armed := map[string]bool{}
+	for _, seed := range pinnedSeeds {
+		for _, r := range faultinject.Generate(seed).Rules {
+			armed[r.Point] = true
+		}
+	}
+	for _, p := range faultinject.Points() {
+		if !armed[p.Name()] {
+			t.Errorf("no pinned seed's script arms %s", p.Name())
+		}
+		delete(armed, p.Name())
+	}
+	for name := range armed {
+		t.Errorf("a pinned script arms %s, which is not a registered point", name)
 	}
 }
 
@@ -118,34 +145,6 @@ func TestConformanceMultiModelReload(t *testing.T) {
 			}
 			if len(res.ModelSnapshots) != 2 {
 				t.Fatalf("per-model snapshots: %d, want 2", len(res.ModelSnapshots))
-			}
-		})
-	}
-}
-
-// TestConformanceAutoscale sweeps generated fault schedules (which may
-// hit any point, including control.tick) over servers running the
-// adaptive control loop at a fast tick. Setpoint changes and replica
-// resizes interleave with the faulted workload; every conservation law
-// plus setpoint containment must hold, and the harness additionally
-// requires the controller to have actually ticked — an autoscale sweep
-// where the loop never ran would be vacuous.
-func TestConformanceAutoscale(t *testing.T) {
-	seeds := []int64{1, 7}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(seedRun(seed), func(t *testing.T) {
-			cfg := Defaults(seed)
-			cfg.Autoscale = true
-			res := mustRun(t, cfg)
-			st := res.ControlStatuses["conformance"]
-			if st == nil {
-				t.Fatal("no controller status for the autoscaled model")
-			}
-			if st.Ticks == 0 {
-				t.Error("controller never ticked during the workload")
 			}
 		})
 	}

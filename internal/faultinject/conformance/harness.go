@@ -2,7 +2,7 @@
 // serving stack's fault tolerance: it drives a seeded, randomized request
 // workload through a live server while a seed-derived fault script
 // (internal/faultinject) injects panics, stalls, and errors into serve,
-// exec, graph, registry, and control — then a model-based oracle checks
+// exec, graph, and registry — then a model-based oracle checks
 // the stack's conservation invariants, which must hold after EVERY
 // schedule:
 //
@@ -15,10 +15,7 @@
 //   - recovery: after the script is disarmed, a full-width probe wave
 //     must succeed — replicas are restored, not merely limping;
 //   - correctness: every 200 carries logits bit-identical to a serial
-//     reference inference of the same input;
-//   - setpoint containment (autoscaled runs): the control loop's terminal
-//     setpoints lie inside the declared bounds, and a corruption-degraded
-//     controller has reverted to exactly the static geometry.
+//     reference inference of the same input.
 //
 // A violation fails with the seed and the full fault script, so any
 // failure replays exactly. The suite runs under -race in verify.sh.
@@ -37,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"bitflow/internal/control"
 	"bitflow/internal/faultinject"
 	"bitflow/internal/graph"
 	"bitflow/internal/registry"
@@ -69,11 +65,6 @@ type Config struct {
 	// workload round-robins over /v1/models/{name}/infer, and the
 	// conservation laws are checked per model.
 	Models int
-	// Autoscale runs every model under the adaptive control loop with a
-	// fast tick, so fault schedules (including control.tick corruption)
-	// interleave with live setpoint changes and replica resizes. The
-	// oracle then additionally checks the setpoint-containment law.
-	Autoscale bool
 	// Reloads is the number of hot version swaps performed on the
 	// default model while the workload runs. The reload artifacts carry
 	// the same weights under new version labels, so the bit-exactness
@@ -145,11 +136,6 @@ type Result struct {
 	// run has one entry mirroring Snapshot/State.
 	ModelStates    map[string]serve.Introspection
 	ModelSnapshots map[string]resilience.Snapshot
-
-	// ControlStatuses is each autoscaled model's terminal controller
-	// state, sampled after drain (the controllers are halted, so the
-	// snapshot cannot race a tick). Nil entries mean "not autoscaled".
-	ControlStatuses map[string]*control.Status
 
 	Violations []string
 }
@@ -295,16 +281,6 @@ func Run(cfg Config) (*Result, error) {
 		MaxQueue:       cfg.MaxQueue,
 		RequestTimeout: cfg.RequestTimeout,
 	}
-	if cfg.Autoscale {
-		// A fast tick and a short cooldown so the controller actuates many
-		// times within one CI-budget workload; every other bound defaults
-		// from the static geometry.
-		srvCfg.Autoscale = &serve.AutoscaleConfig{
-			Interval:    2 * time.Millisecond,
-			MaxReplicas: cfg.Replicas + 2,
-			Cooldown:    1,
-		}
-	}
 	var srv *serve.Server
 	if cfg.Models == 1 {
 		srv = serve.NewWithConfig(nets[0], srvCfg)
@@ -440,10 +416,6 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("conformance: introspecting %s: %w", name, err)
 			}
 			res.ModelStates[name] = in
-			// The pool is compared against the LIVE replica count: under
-			// autoscale the controller may still be resizing the set while
-			// we quiesce, and conservation means "every current replica is
-			// home", not "the boot-time count is home".
 			if in.GateHeld != 0 || in.GateWaiting != 0 || in.PoolAvailable != in.Replicas {
 				quiet = false
 			}
@@ -463,16 +435,6 @@ func Run(cfg Config) (*Result, error) {
 	// Phase 4: drain. A wedged worker or an unfinished request shows up
 	// here as a shutdown-grace timeout.
 	res.DrainErr = drain()
-
-	// Controller state is sampled only now, after drain halted every
-	// control loop: a mid-tick snapshot could otherwise race the tick
-	// that a fault script is stalling.
-	if cfg.Autoscale {
-		res.ControlStatuses = map[string]*control.Status{}
-		for _, name := range names {
-			res.ControlStatuses[name] = srv.ControlStatus(name)
-		}
-	}
 
 	oracle(res, refLogits)
 	return res, nil
@@ -696,25 +658,5 @@ func oracle(res *Result, refLogits map[string][][]float32) {
 	// res.State is the default model — the one the reload driver targets.
 	if len(res.Reloads) > 0 && res.State.Version != expect {
 		res.violatef("reload ledger: serving version %q, ledger says %q", res.State.Version, expect)
-	}
-
-	// Law 9: setpoint containment — no matter what the fault schedule did
-	// to the control loop, every model's terminal setpoints lie inside the
-	// operator-declared bounds, and a controller degraded by signal
-	// corruption has reverted to exactly the static geometry (adaptive
-	// serving degrades to static config, never to an arbitrary point).
-	for name, st := range res.ControlStatuses {
-		if st == nil {
-			res.violatef("control (%s): autoscale run has no controller status", name)
-			continue
-		}
-		if !st.Bounds.Contains(st.Setpoints) {
-			res.violatef("control (%s): replicas setpoint %d outside bounds [%d, %d]",
-				name, st.Setpoints.Replicas, st.Bounds.MinReplicas, st.Bounds.MaxReplicas)
-		}
-		if st.State == control.StateDegraded && st.Setpoints != st.Static {
-			res.violatef("control (%s): degraded but serving %+v instead of the static geometry %+v",
-				name, st.Setpoints, st.Static)
-		}
 	}
 }

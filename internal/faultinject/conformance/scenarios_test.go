@@ -7,11 +7,9 @@ package conformance
 // and the matching test here fails.
 
 import (
-	"net/http"
 	"testing"
 	"time"
 
-	"bitflow/internal/control"
 	"bitflow/internal/faultinject"
 )
 
@@ -132,65 +130,6 @@ func TestScenarioRegistryVerifyFailRollsBack(t *testing.T) {
 	if res.State.Version != "boot" {
 		t.Fatalf("serving version %q changed by a rolled-back reload", res.State.Version)
 	}
-}
-
-// TestScenarioControlSignalCorruptionDegrades corrupts every control
-// tick while the adaptive loop serves live traffic. The controller must
-// count the corruption and degrade to the static geometry instead of
-// oscillating — and the data plane must never notice: every good request
-// still returns 200, and the setpoint-containment law holds. After the
-// script is disarmed the controller may legally recover (clean ticks),
-// so the terminal state is either degraded or adapting-with-a-recovery
-// ledger entry; anything else is a verdict failure.
-func TestScenarioControlSignalCorruptionDegrades(t *testing.T) {
-	t.Run("unbatched", func(t *testing.T) {
-		cfg := Defaults(109)
-		cfg.Autoscale = true
-		cfg.Script = &faultinject.Script{Rules: []faultinject.Rule{{
-			Point:  "control.tick",
-			Action: faultinject.Fail,
-			Index:  faultinject.AnyIndex, // every tick, until the script is disarmed
-		}}}
-		res := mustRun(t, cfg)
-
-		st := res.ControlStatuses["conformance"]
-		if st == nil {
-			t.Fatal("no controller status for the autoscaled model")
-		}
-		if st.CorruptTicks == 0 {
-			t.Fatal("corrupt_ticks is 0; the control.tick injection did not land")
-		}
-		degraded, recovered := false, false
-		for _, d := range st.Decisions {
-			switch d.Action {
-			case control.ActionDegrade:
-				degraded = true
-			case control.ActionRecover:
-				recovered = true
-			}
-		}
-		if !degraded {
-			t.Error("no degrade decision in the ledger after persistent signal corruption")
-		}
-		switch st.State {
-		case control.StateDegraded:
-			if st.Setpoints != st.Static {
-				t.Errorf("degraded controller serving %+v, want the static geometry %+v", st.Setpoints, st.Static)
-			}
-		case control.StateAdapting:
-			if !recovered {
-				t.Errorf("controller is adapting with no recovery ledger entry after corruption")
-			}
-		default:
-			t.Errorf("controller terminal state %q, want degraded or adapting", st.State)
-		}
-		for i, o := range res.Outcomes {
-			if o.Kind == kindGood && o.Status != http.StatusOK {
-				t.Errorf("request %d: good request got %d (%s) while the control loop was corrupted — degradation must be invisible to the data plane",
-					i, o.Status, o.Code)
-			}
-		}
-	})
 }
 
 // TestScenarioCompressedModelPanicRecovery replays the panic-reclone

@@ -1,7 +1,7 @@
 // Package faultinject is the serving stack's deterministic
 // fault-injection seam: a fixed registry of named injection points wired
-// into internal/serve, internal/exec, internal/graph, internal/registry,
-// and internal/control, plus a seed-driven Script layer that arms them
+// into internal/serve, internal/exec, internal/graph and internal/registry,
+// plus a seed-driven Script layer that arms them
 // with reproducible fault schedules (panic mid-inference, stalled worker,
 // injected errors).
 //

@@ -45,19 +45,9 @@ var (
 	// half-state; Sleep/Stall widen the window in which requests race the
 	// pointer flip.
 	RegistrySwap = newPoint("registry.swap", Panic, Fail, Sleep, Stall)
-
-	// ControlTick fires at the top of every autoscale controller tick,
-	// inside the controller's Safe scope, with the model name and tick
-	// ordinal — entirely off the request path. Fail corrupts the tick's
-	// signal read (the controller must count it and degrade to the static
-	// configuration, never oscillate on garbage); Panic models a
-	// controller crash absorbed without touching serving; Sleep/Stall
-	// delay ticks (the serving path must be unaffected — the control loop
-	// is advisory, not load-bearing).
-	ControlTick = newPoint("control.tick", Panic, Fail, Sleep, Stall)
 )
 
-var registry = []*Point{ServeAdmit, ServeClone, GraphLayer, ExecChunk, RegistryLoad, RegistrySwap, ControlTick}
+var registry = []*Point{ServeAdmit, ServeClone, GraphLayer, ExecChunk, RegistryLoad, RegistrySwap}
 
 // Points returns the full registry in request order.
 func Points() []*Point { return append([]*Point(nil), registry...) }

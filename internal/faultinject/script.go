@@ -19,7 +19,7 @@ const (
 	Panic Action = "panic"
 	// Fail returns an ErrInjected-wrapped error; meaningful only at
 	// points whose site propagates hook errors (graph.layer,
-	// registry.load, registry.swap, control.tick).
+	// registry.load, registry.swap).
 	Fail Action = "fail"
 	// Sleep delays the firing site by Rule.For (default 10ms) — a slow
 	// stage that still completes.

@@ -131,11 +131,6 @@ type Model struct {
 	last      atomic.Pointer[ReloadStatus]
 	swaps     atomic.Int64
 	rollbacks atomic.Int64
-
-	// resize is the QoS-resizing ledger (see resize.go); resizes share
-	// reloadMu with Swap/Close so geometry changes and version changes
-	// are strictly serialized per model.
-	resize resizeLedger
 }
 
 // NewModel registers initial as the model's first serving version. The

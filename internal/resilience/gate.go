@@ -3,7 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 )
 
@@ -17,12 +16,8 @@ var ErrQueueFull = errors.New("resilience: admission queue full")
 // beyond that is rejected instantly with ErrQueueFull, and waiters give up
 // when their context expires. This bounds both the resource pool AND the
 // goroutine backlog, the two ways an inference server dies under overload.
-//
-// A gate built with NewResizableGate can additionally have its concurrency
-// retuned at runtime with Resize, up to the limit fixed at construction.
 type Gate struct {
-	slots    chan struct{} // cap(slots) is the resize limit
-	capacity atomic.Int64  // current logical concurrency, ≤ cap(slots)
+	slots    chan struct{} // cap(slots) is the concurrency
 	maxQueue int64
 	waiting  atomic.Int64
 	held     atomic.Int64
@@ -30,34 +25,21 @@ type Gate struct {
 
 // NewGate builds a gate admitting `concurrency` concurrent holders
 // (minimum 1) with up to `maxQueue` waiters (minimum 0). The concurrency
-// is fixed for the gate's lifetime; use NewResizableGate for a gate the
-// control loop may retune.
+// is fixed for the gate's lifetime.
 func NewGate(concurrency, maxQueue int) *Gate {
-	return NewResizableGate(concurrency, concurrency, maxQueue)
-}
-
-// NewResizableGate builds a gate admitting `concurrency` holders that
-// Resize may later retune anywhere in [1, limit]. The limit is fixed: it
-// is the token-channel capacity, so growth never allocates and Release
-// never blocks.
-func NewResizableGate(concurrency, limit, maxQueue int) *Gate {
 	if concurrency < 1 {
 		concurrency = 1
-	}
-	if limit < concurrency {
-		limit = concurrency
 	}
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
 	g := &Gate{
-		slots:    make(chan struct{}, limit),
+		slots:    make(chan struct{}, concurrency),
 		maxQueue: int64(maxQueue),
 	}
 	for i := 0; i < concurrency; i++ {
 		g.slots <- struct{}{}
 	}
-	g.capacity.Store(int64(concurrency))
 	return g
 }
 
@@ -100,62 +82,14 @@ func (g *Gate) Release() {
 	}
 }
 
-// Resize retunes the concurrency to n ∈ [1, limit]. Growing is instant:
-// new tokens are pushed and waiters wake immediately. Shrinking is
-// all-or-nothing and never drops work: tokens are withdrawn as current
-// holders Release them, so in-flight requests always finish; if ctx
-// expires before enough tokens return, everything withdrawn so far is put
-// back and the gate is left at its old capacity.
-//
-// Concurrent Resize calls must be serialized by the caller (the registry
-// does this under its per-model reload lock).
-func (g *Gate) Resize(ctx context.Context, n int) error {
-	if n < 1 {
-		return fmt.Errorf("resilience: gate resize to %d: concurrency must be ≥ 1", n)
-	}
-	if n > cap(g.slots) {
-		return fmt.Errorf("resilience: gate resize to %d exceeds limit %d", n, cap(g.slots))
-	}
-	cur := int(g.capacity.Load())
-	if n == cur {
-		return nil
-	}
-	if n > cur {
-		// Total tokens outstanding never exceeds capacity ≤ cap(slots),
-		// so these sends cannot block.
-		for i := 0; i < n-cur; i++ {
-			g.slots <- struct{}{}
-		}
-		g.capacity.Store(int64(n))
-		return nil
-	}
-	taken := 0
-	for taken < cur-n {
-		select {
-		case <-g.slots:
-			taken++
-		case <-ctx.Done():
-			for i := 0; i < taken; i++ {
-				g.slots <- struct{}{}
-			}
-			return fmt.Errorf("resilience: gate shrink %d→%d interrupted with %d withdrawn: %w", cur, n, taken, ctx.Err())
-		}
-	}
-	g.capacity.Store(int64(n))
-	return nil
-}
-
 // Waiting reports the current queue depth.
 func (g *Gate) Waiting() int64 { return g.waiting.Load() }
 
 // Held reports how many slots are currently held.
 func (g *Gate) Held() int64 { return g.held.Load() }
 
-// Capacity reports the current concurrency limit.
-func (g *Gate) Capacity() int { return int(g.capacity.Load()) }
-
-// Limit reports the maximum concurrency Resize may grow to.
-func (g *Gate) Limit() int { return cap(g.slots) }
+// Capacity reports the concurrency limit.
+func (g *Gate) Capacity() int { return cap(g.slots) }
 
 // MaxQueue reports the wait-queue bound.
 func (g *Gate) MaxQueue() int { return int(g.maxQueue) }

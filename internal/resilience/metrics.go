@@ -4,8 +4,8 @@
 // always-on failure observability (Metrics with a latency ring buffer).
 //
 // The package is deliberately free of HTTP and graph dependencies so the
-// same primitives can front other subsystems (the registry's swap and
-// resize protocol, the autoscale controller).
+// same primitives can front other subsystems (the registry's swap
+// protocol).
 package resilience
 
 import (
@@ -43,8 +43,8 @@ func NewMetrics(ringSize int) *Metrics {
 func (m *Metrics) ObserveLatency(d time.Duration) { m.lat.Observe(d) }
 
 // LatencyQuantile reads one quantile from the latency ring without
-// assembling a full Snapshot — cheap enough for the control loop and the
-// congestion-derived Retry-After hint to call per decision. Returns 0
+// assembling a full Snapshot — cheap enough for the congestion-derived
+// Retry-After hint to call on every shed response. Returns 0
 // when no samples have been observed yet.
 func (m *Metrics) LatencyQuantile(q float64) time.Duration { return m.lat.Quantile(q) }
 

@@ -46,8 +46,8 @@ func getStatuszRaw(t *testing.T, base string) map[string]any {
 }
 
 // TestGoldenStatuszFieldSet pins the /statusz JSON schema: the exact
-// top-level keys per serving mode, the exact exec and control section
-// keys, and the metrics key set (required counters plus the known
+// top-level keys, the exact exec and per-model section keys, and the
+// metrics key set (required counters plus the known
 // traffic-dependent omitempty fields — anything else is a schema change).
 func TestGoldenStatuszFieldSet(t *testing.T) {
 	metricsRequired := []string{
@@ -97,47 +97,22 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 			t.Errorf("exec keys:\n got %v\nwant %v", got, execKeys)
 		}
 		checkMetrics(t, m)
-	})
-
-	t.Run("autoscaled", func(t *testing.T) {
-		srv := NewWithConfig(testNetwork(t), Config{Replicas: 1, Autoscale: quickAutoscale(2)})
-		ts := httptest.NewServer(srv.Handler())
-		defer closeServer(t, srv)
-		defer ts.Close()
-		m := getStatuszRaw(t, ts.URL)
-		want := []string{"control", "exec", "max_queue", "metrics", "model", "models", "ready", "replicas",
-			"replicas_available", "request_timeout", "uptime", "uptime_seconds", "version"}
-		if got := sortedKeys(m); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("top-level keys:\n got %v\nwant %v", got, want)
+		models, ok := m["models"].(map[string]any)
+		if !ok || len(models) != 1 {
+			t.Fatalf("models section: %v, want one model", m["models"])
 		}
-		ctrl, ok := m["control"].(map[string]any)
-		if !ok {
-			t.Fatalf("control section missing or not an object: %v", m["control"])
-		}
-		ctrlKeys := []string{"actuations", "bounds", "corrupt_ticks", "setpoints", "state", "static", "ticks"}
-		delete(ctrl, "decisions") // tick-dependent omitempty ledger
-		if got := sortedKeys(ctrl); fmt.Sprint(got) != fmt.Sprint(ctrlKeys) {
-			t.Errorf("control keys:\n got %v\nwant %v", got, ctrlKeys)
-		}
-		spKeys := []string{"replicas"}
-		for _, section := range []string{"setpoints", "static"} {
-			sp, ok := ctrl[section].(map[string]any)
+		for name, v := range models {
+			ms, ok := v.(map[string]any)
 			if !ok {
-				t.Fatalf("control.%s missing or not an object: %v", section, ctrl[section])
+				t.Fatalf("models.%s is not an object: %v", name, v)
 			}
-			if got := sortedKeys(sp); fmt.Sprint(got) != fmt.Sprint(spKeys) {
-				t.Errorf("control.%s keys:\n got %v\nwant %v", section, got, spKeys)
+			modelKeys := []string{"default", "max_queue", "metrics", "name", "ready", "replicas",
+				"replicas_available", "request_timeout", "rollbacks", "swaps", "version"}
+			if got := sortedKeys(ms); fmt.Sprint(got) != fmt.Sprint(modelKeys) {
+				t.Errorf("models.%s keys:\n got %v\nwant %v", name, got, modelKeys)
 			}
+			checkMetrics(t, ms)
 		}
-		boundsKeys := []string{"max_replicas", "min_replicas"}
-		bounds, ok := ctrl["bounds"].(map[string]any)
-		if !ok {
-			t.Fatalf("control.bounds missing or not an object: %v", ctrl["bounds"])
-		}
-		if got := sortedKeys(bounds); fmt.Sprint(got) != fmt.Sprint(boundsKeys) {
-			t.Errorf("control.bounds keys:\n got %v\nwant %v", got, boundsKeys)
-		}
-		checkMetrics(t, m)
 	})
 }
 

@@ -15,11 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"bitflow/internal/control"
 	"bitflow/internal/exec"
 	"bitflow/internal/graph"
 	"bitflow/internal/registry"
@@ -60,33 +58,18 @@ type model struct {
 	meta      Meta
 	isDefault bool
 	ready     atomic.Bool
-	// ctrl is the adaptive-serving controller, nil unless cfg.Autoscale
-	// is set. Its Run loop is owned by ServeListener.
-	ctrl *control.Controller
 }
 
 // replicaSet is one version's serving capacity: a pool of replicas. It
 // is the registry.ReplicaSet payload the swap protocol manages.
 type replicaSet struct {
-	version string
-	meta    Meta
-	// replicas is the live replica count; atomic because the autoscale
-	// controller resizes it while statusz and the oracle read it.
-	replicas atomic.Int64
+	version  string
+	meta     Meta
+	replicas int // fixed at build; the pool holds exactly this many
 	pool     chan backend
 	// exec is the resolved base execution context shared by this set's
 	// replicas (nil for test backends that don't take one).
 	exec *exec.Ctx
-
-	// resizeMu serializes pool resizes.
-	resizeMu sync.Mutex
-	// ref is the dedicated verification backend (autoscaled sets only):
-	// grown replicas are cloned from it and must reproduce refOut on refX
-	// bit-for-bit before they may serve. Guarded by refMu.
-	refMu  sync.Mutex
-	ref    backend
-	refX   *tensor.Tensor
-	refOut []float32
 }
 
 // Version implements registry.ReplicaSet.
@@ -96,7 +79,7 @@ func (rs *replicaSet) Version() string { return rs.version }
 // registry only calls it once the set can no longer be pinned, so a
 // non-full pool here means a replica leaked.
 func (rs *replicaSet) Retire(ctx context.Context) error {
-	n := rs.Replicas()
+	n := rs.replicas
 	for i := 0; i < n; i++ {
 		select {
 		case <-rs.pool:
@@ -142,8 +125,7 @@ func (rs *replicaSet) selfCheck(ctx context.Context, x *tensor.Tensor, want []fl
 // and clones but never runs inference — verification is the caller's
 // ladder.
 func buildReplicaSet(version string, meta Meta, first backend, cfg Config, metrics *resilience.Metrics) *replicaSet {
-	rs := &replicaSet{version: version, meta: meta}
-	rs.replicas.Store(int64(cfg.Replicas))
+	rs := &replicaSet{version: version, meta: meta, replicas: cfg.Replicas}
 	// Attach the shared execution context (pool + budget + layer-stats
 	// observer) before cloning so the first backend — and every clone
 	// taken from it below — dispatches onto the same pool.
@@ -152,15 +134,7 @@ func buildReplicaSet(version string, meta Meta, first backend, cfg Config, metri
 	} else {
 		rs.exec = cfg.Exec
 	}
-	// Autoscaled sets keep a dedicated reference backend aside: resize
-	// growth clones from it and verifies against its logits, without
-	// ever competing with traffic for a pooled replica.
-	if cfg.Autoscale != nil {
-		rs.ref = first.clone()
-	}
-	// The pool is provisioned for the autoscale ceiling up front, so
-	// growth is a token-count change, never a reallocation under load.
-	rs.pool = make(chan backend, replicaCeiling(cfg))
+	rs.pool = make(chan backend, cfg.Replicas)
 	rs.pool <- first
 	for i := 1; i < cfg.Replicas; i++ {
 		rs.pool <- first.clone()
@@ -245,14 +219,9 @@ func orBoot(version string) string {
 // warm-up that arms readiness, and registers it.
 func (s *Server) addModel(name, version string, meta Meta, first backend, cfg Config) (*model, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Autoscale != nil {
-		if err := cfg.Autoscale.validate(cfg); err != nil {
-			return nil, fmt.Errorf("%w (model %q)", err, name)
-		}
-	}
 	meta.Replicas = cfg.Replicas
 	metrics := resilience.NewMetrics(1024)
-	gate := resilience.NewResizableGate(cfg.Replicas, replicaCeiling(cfg), cfg.MaxQueue)
+	gate := resilience.NewGate(cfg.Replicas, cfg.MaxQueue)
 	m := &model{name: name, cfg: cfg, meta: meta}
 	// Warm up on the first backend before it enters the pool: a model
 	// that cannot infer must never be marked ready.
@@ -262,30 +231,6 @@ func (s *Server) addModel(name, version string, meta Meta, first backend, cfg Co
 	m.ready.Store(panicErr == nil && inferErr == nil)
 
 	m.rm = registry.NewModel(name, gate, metrics, buildReplicaSet(version, meta, first, cfg, metrics))
-	if ac := cfg.Autoscale; ac != nil {
-		ctrl, err := control.New(control.Config{
-			Model:        name,
-			Bounds:       control.Bounds{MinReplicas: ac.MinReplicas, MaxReplicas: ac.MaxReplicas},
-			Static:       control.Setpoints{Replicas: cfg.Replicas},
-			Interval:     ac.Interval,
-			HighLoad:     ac.HighLoad,
-			LowLoad:      ac.LowLoad,
-			Cooldown:     ac.Cooldown,
-			CorruptLimit: ac.CorruptLimit,
-			RecoverAfter: ac.RecoverAfter,
-			LedgerSize:   ac.LedgerSize,
-			Source:       m.signals,
-			// Apply bounds its own drain waits past the request deadline:
-			// every in-flight holder either finishes or sheds within
-			// RequestTimeout, so a shrink that cannot complete by then is
-			// stuck, not draining.
-			Actuator: &modelActuator{m: m, timeout: cfg.RequestTimeout + 5*time.Second},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: autoscale %q: %w", name, err)
-		}
-		m.ctrl = ctrl
-	}
 	if err := s.reg.Add(m.rm); err != nil {
 		return nil, err
 	}
@@ -374,8 +319,6 @@ func (s *Server) IntrospectModel(name string) (Introspection, error) {
 	}
 	if rs := m.currentSet(); rs != nil {
 		in.PoolAvailable = len(rs.pool)
-		// The live count — under autoscaling it drifts from cfg.Replicas.
-		in.Replicas = rs.Replicas()
 	}
 	return in, nil
 }
@@ -406,25 +349,15 @@ func (s *Server) ReloadModel(ctx context.Context, name string, art *registry.Art
 				cur.meta.InputH, cur.meta.InputW, cur.meta.InputC, cur.meta.Classes)
 		}
 	}
-	// Build the candidate at the LIVE geometry: under autoscaling the
-	// controller's setpoint — not the boot flag — is the replica count
-	// the candidate must match when it flips in. (A resize landing
-	// between this read and the swap is reconciled by the controller's
-	// next tick, which compares the served set against its setpoint and
-	// re-actuates.)
-	cfg := m.cfg
-	if m.ctrl != nil {
-		cfg.Replicas = m.ctrl.Setpoints().Replicas
-	}
 	meta := metaFromNetwork(art.Net)
-	meta.Replicas = cfg.Replicas
+	meta.Replicas = m.cfg.Replicas
 
 	// Build the candidate set under Safe: a crash while cloning replicas
 	// must surface as a reload error, never take the serving process
 	// down.
 	var candidate *replicaSet
 	if perr := resilience.Safe(func() {
-		candidate = buildReplicaSet(art.Version, meta, netBackend{net: art.Net}, cfg, m.rm.Metrics())
+		candidate = buildReplicaSet(art.Version, meta, netBackend{net: art.Net}, m.cfg, m.rm.Metrics())
 	}); perr != nil {
 		return nil, fmt.Errorf("serve: reload %s: building candidate: %w", name, perr)
 	}
@@ -477,12 +410,8 @@ type ReloadResponse struct {
 //	                        the rollback status on any verification
 //	                        failure.
 //	GET  /admin/models    → per-model reload ledger.
-//	GET  /admin/autoscale → per-model controller state (autoscaled only).
-//	POST /admin/autoscale → {"model","action":"pin"|"unpin",...} — pin
-//	                        setpoints or resume adaptation.
 func (s *Server) AdminHandler(load ArtifactLoader) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/admin/autoscale", s.handleAdminAutoscale)
 	mux.HandleFunc("/admin/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", "POST")

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bitflow/internal/faultinject"
 	"bitflow/internal/graph"
@@ -34,6 +35,35 @@ func seededNetwork(t *testing.T, name string, seed uint64) *graph.Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// closeServer retires every model's replica set (ServeListener does this
+// after drain; tests that never start a listener do it directly).
+func closeServer(t *testing.T, s *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, m := range s.order {
+		if err := m.rm.Close(ctx); err != nil {
+			t.Errorf("closing %s: %v", m.name, err)
+		}
+	}
+}
+
+// TestReloadBuildsCandidateAtConfiguredReplicas: the candidate set a
+// reload flips in has the model's configured replica count, all of them
+// home in its pool, and /model reports that count.
+func TestReloadBuildsCandidateAtConfiguredReplicas(t *testing.T) {
+	s := NewWithConfig(seededNetwork(t, "m", 407), Config{Replicas: 3})
+	defer closeServer(t, s)
+	if _, err := s.ReloadModel(context.Background(), "", registry.FromNetwork("v2", seededNetwork(t, "m", 408))); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	rs := s.def.currentSet()
+	if rs.version != "v2" || rs.replicas != 3 || len(rs.pool) != 3 || rs.meta.Replicas != 3 {
+		t.Fatalf("post-reload set %s: %d replicas, %d pooled, meta %d; want v2 with 3/3/3",
+			rs.version, rs.replicas, len(rs.pool), rs.meta.Replicas)
+	}
 }
 
 // referenceLogits computes ground-truth logits on a private clone, so
@@ -501,6 +531,32 @@ func TestMultiModelRoutingAndIsolation(t *testing.T) {
 	}
 	if mr := rs.Models["alpha"]; !mr.Ready || mr.Version != "boot" {
 		t.Errorf("alpha readiness %+v", mr)
+	}
+}
+
+// TestAdminAutoscaleIsGone: replica counts are static, so the admin mux
+// has no autoscale endpoint; a GET or POST there must be a 404, not a
+// silently accepted pin.
+func TestAdminAutoscaleIsGone(t *testing.T) {
+	s := NewWithConfig(seededNetwork(t, "m", 272), Config{Replicas: 1})
+	admin := httptest.NewServer(s.AdminHandler(func(path, version string) (*registry.Artifact, error) {
+		return nil, fmt.Errorf("no loads in this test")
+	}))
+	defer admin.Close()
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		req, err := http.NewRequest(method, admin.URL+"/admin/autoscale",
+			bytes.NewReader([]byte(`{"action":"pin","replicas":2}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s /admin/autoscale: status %d, want 404", method, resp.StatusCode)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -523,4 +524,55 @@ func waitCond(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+func TestRetryAfterDerivedFromCongestion(t *testing.T) {
+	net := seededNetwork(t, "m", 411)
+	s := NewWithConfig(net, Config{Replicas: 1, MaxQueue: 8})
+	defer closeServer(t, s)
+	m := s.def
+
+	// No latency history: the estimate degrades to the legacy "1".
+	if got := retryAfter(m); got != "1" {
+		t.Fatalf("cold retryAfter = %q, want 1", got)
+	}
+
+	// 2s typical service time, 1 token held, 2 waiting → ceil(3×2s/1) = 6s.
+	for i := 0; i < 8; i++ {
+		m.rm.Metrics().ObserveLatency(2 * time.Second)
+	}
+	g := m.rm.Gate()
+	ctx := context.Background()
+	if err := g.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wctx, wcancel := context.WithCancel(ctx)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = g.Acquire(wctx)
+		}()
+	}
+	waitCond(t, func() bool { return g.Waiting() == 2 })
+	got, err := strconv.Atoi(retryAfter(m))
+	if err != nil || got != 6 {
+		t.Fatalf("retryAfter = %v (err %v), want 6", got, err)
+	}
+	wcancel()
+	wg.Wait()
+	g.Release()
+
+	// The hint is clamped to a minute no matter how deep the backlog.
+	for i := 0; i < 64; i++ {
+		m.rm.Metrics().ObserveLatency(90 * time.Second)
+	}
+	if err := g.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := retryAfter(m); got != "60" {
+		t.Fatalf("clamped retryAfter = %q, want 60", got)
+	}
+	g.Release()
 }

@@ -34,12 +34,11 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"bitflow/internal/control"
 	"bitflow/internal/exec"
 	"bitflow/internal/faultinject"
 	"bitflow/internal/graph"
@@ -68,13 +67,6 @@ type Config struct {
 	// bounded by its pool no matter how many replicas run. nil runs every
 	// inference serially on its request goroutine (exec.Serial()).
 	Exec *exec.Ctx
-
-	// Autoscale, when non-nil, runs the adaptive serving loop for this
-	// model: a per-model controller retunes the replica count within the
-	// declared bounds (see AutoscaleConfig). Replicas above becomes the
-	// STATIC geometry: the starting point, and the configuration the
-	// controller reverts to if its signal source degrades.
-	Autoscale *AutoscaleConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -92,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.Autoscale != nil {
-		// Derive unset bounds from the (now-defaulted) static geometry;
-		// a fresh pointer so the caller's struct is never mutated.
-		ac := c.Autoscale.withDefaults(c)
-		c.Autoscale = &ac
 	}
 	return c
 }
@@ -205,7 +191,6 @@ type Statusz struct {
 	ReplicasAvailable int                    `json:"replicas_available"`
 	MaxQueue          int                    `json:"max_queue"`
 	RequestTimeout    string                 `json:"request_timeout"`
-	Control           *control.Status        `json:"control,omitempty"`
 	Exec              *ExecStatus            `json:"exec,omitempty"`
 	Metrics           resilience.Snapshot    `json:"metrics"`
 	Models            map[string]ModelStatus `json:"models"`
@@ -225,10 +210,7 @@ type ModelStatus struct {
 	Swaps             int64                  `json:"swaps"`
 	Rollbacks         int64                  `json:"rollbacks"`
 	LastReload        *registry.ReloadStatus `json:"last_reload,omitempty"`
-	// Control is the adaptive-serving section: state, live setpoints,
-	// bounds, and the decision ledger. Present only when autoscaled.
-	Control *control.Status     `json:"control,omitempty"`
-	Metrics resilience.Snapshot `json:"metrics"`
+	Metrics           resilience.Snapshot    `json:"metrics"`
 }
 
 // ExecStatus is the /statusz execution-layer section: the shared pool's
@@ -286,8 +268,8 @@ func newServer(meta Meta, first backend, cfg Config) *Server {
 	}
 	m, err := s.addModel(meta.Name, "boot", meta, first, cfg)
 	if err != nil {
-		// addModel only fails on a duplicate name or an invalid autoscale
-		// envelope; a failure must not yield a half-built server.
+		// addModel only fails on a duplicate name, which a fresh
+		// single-model server cannot have.
 		panic(fmt.Sprintf("serve: building server: %v", err))
 	}
 	m.isDefault = true
@@ -372,27 +354,17 @@ func (s *Server) modelStatus(m *model) ModelStatus {
 	metrics.QueueDepth.Store(m.rm.Gate().Waiting())
 	metrics.InFlight.Store(m.rm.Gate().Held())
 	snap := metrics.Snapshot()
-	// Under autoscaling, report the LIVE geometry — the controller's
-	// setpoints — not the static boot flags.
-	replicas := m.cfg.Replicas
-	var ctrlStatus *control.Status
-	if m.ctrl != nil {
-		replicas = m.ctrl.Setpoints().Replicas
-		cs := m.ctrl.Status()
-		ctrlStatus = &cs
-	}
 	ms := ModelStatus{
 		Name:           m.name,
 		Version:        m.rm.Version(),
 		Ready:          m.ready.Load(),
 		Default:        m.isDefault,
-		Replicas:       replicas,
+		Replicas:       m.cfg.Replicas,
 		MaxQueue:       m.cfg.MaxQueue,
 		RequestTimeout: m.cfg.RequestTimeout.String(),
 		Swaps:          m.rm.Swaps(),
 		Rollbacks:      m.rm.Rollbacks(),
 		LastReload:     m.rm.LastReload(),
-		Control:        ctrlStatus,
 		Metrics:        snap,
 	}
 	if rs := m.currentSet(); rs != nil {
@@ -417,7 +389,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		ReplicasAvailable: def.ReplicasAvailable,
 		MaxQueue:          def.MaxQueue,
 		RequestTimeout:    def.RequestTimeout,
-		Control:           def.Control,
 		Metrics:           def.Metrics,
 		Models:            models,
 	}
@@ -707,38 +678,13 @@ func (s *Server) ServeListener(ctx context.Context, l net.Listener, hc HTTPConfi
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 
-	// Start each autoscaled model's control loop. The controllers stop —
-	// and their in-flight actuation contexts cancel — before the models
-	// close, so a drain never races a resize.
-	cctx, stopControllers := context.WithCancel(context.Background())
-	var cwg sync.WaitGroup
-	for _, m := range s.order {
-		if m.ctrl == nil {
-			continue
-		}
-		ctrl := m.ctrl
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			ctrl.Run(cctx)
-		}()
-	}
-	haltControl := func() {
-		stopControllers()
-		cwg.Wait()
-	}
-
 	select {
 	case err := <-errc:
-		haltControl()
 		return err
 	case <-ctx.Done():
 		// Flip readiness first so health-checked balancers drain us, then
-		// let in-flight requests finish inside the grace window. The
-		// controllers stop first: setpoints freeze where they are, and no
-		// new resize can start while models retire.
+		// let in-flight requests finish inside the grace window.
 		s.draining.Store(true)
-		haltControl()
 		sctx, cancel := context.WithTimeout(context.Background(), hc.ShutdownGrace)
 		defer cancel()
 		err := hs.Shutdown(sctx)
@@ -753,6 +699,30 @@ func (s *Server) ServeListener(ctx context.Context, l net.Listener, hc HTTPConfi
 		}
 		return err
 	}
+}
+
+// retryAfter estimates, from the live queue and the observed service
+// rate, how many seconds until a retrying client plausibly finds a free
+// slot: backlog ahead of it (waiters + in-flight) times the per-slot
+// service time (p50 / admission concurrency), rounded up and clamped to
+// [1, 60]. With no latency history yet there is no rate to project, so
+// it falls back to "1".
+func retryAfter(m *model) string {
+	g := m.rm.Gate()
+	p50 := m.rm.Metrics().LatencyQuantile(0.50)
+	if p50 <= 0 {
+		return "1"
+	}
+	backlog := g.Waiting() + g.Held()
+	est := time.Duration(backlog) * p50 / time.Duration(g.Capacity())
+	secs := int64((est + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	if secs > 60 {
+		secs = 60
+	}
+	return strconv.FormatInt(secs, 10)
 }
 
 // validateFinite rejects NaN/±Inf inputs before they reach the binarizer —

@@ -27,8 +27,8 @@ go test -shuffle=on "$@" ./...
 echo "== go test -short -tags purego ./internal/kernels/... ./internal/core/... ./internal/graph/..."
 go test -short -tags purego ./internal/kernels/... ./internal/core/... ./internal/graph/...
 
-echo "== go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/..."
-go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/core/... ./internal/faultinject/... ./internal/registry/... ./internal/control/...
+echo "== go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/core/... ./internal/faultinject/... ./internal/registry/..."
+go test -race -shuffle=on ./internal/exec/... ./internal/serve/... ./internal/resilience/... ./internal/core/... ./internal/faultinject/... ./internal/registry/...
 
 # InferBatch runs whole lanes on pool workers concurrently, so graph is
 # raced too; -short keeps the VGG-scale builds out of the race run.
