@@ -185,7 +185,7 @@ func benchDenseBitFlow(b *testing.B, name string, threads int) {
 	db := denseFor(b, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.d.Forward(db.packed, db.out, exec.Threads(threads))
+		db.d.Forward(db.packed, core.DenseOut{Acc: db.out}, exec.Threads(threads))
 	}
 }
 
@@ -520,30 +520,7 @@ func benchConvThresholds(b *testing.B, withBN bool) {
 func BenchmarkAblationPlainSign(b *testing.B)       { benchConvThresholds(b, false) }
 func BenchmarkAblationFoldedThreshold(b *testing.B) { benchConvThresholds(b, true) }
 
-// Ablation 8 — multi-base conv: cost scales ~linearly with the base
-// count while the weight approximation tightens (ABC-Net direction).
-func benchMultiBase(b *testing.B, m int) {
-	r := workload.NewRNG(benchSeed)
-	shape, _ := sched.InferConv(28, 28, 256, 64, 3, 3, 1, 1)
-	plan := sched.Select(256, detect())
-	mc, err := core.NewMultiBaseConv(shape, plan, workload.RandFilter(r, 64, 3, 3, 256), m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := mc.NewInput()
-	bitpack.PackTensorInto(workload.PM1Tensor(r, 28, 28, 256), in)
-	out := tensor.New(shape.OutH, shape.OutW, shape.OutC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mc.Forward(in, out, exec.Serial())
-	}
-}
-
-func BenchmarkAblationMultiBase1(b *testing.B) { benchMultiBase(b, 1) }
-func BenchmarkAblationMultiBase2(b *testing.B) { benchMultiBase(b, 2) }
-func BenchmarkAblationMultiBase4(b *testing.B) { benchMultiBase(b, 4) }
-
-// Ablation 9 — mixed-precision first layer vs binarized first layer on
+// Ablation 8 — mixed-precision first layer vs binarized first layer on
 // the VGG conv1.1 geometry (C = 3): the float stem costs real FLOPs but
 // avoids the 61 wasted pad lanes and the input information loss.
 func BenchmarkAblationFirstLayerBinary(b *testing.B) {
@@ -577,29 +554,6 @@ func BenchmarkAblationFirstLayerFloat(b *testing.B) {
 		fc.Forward(in, out, exec.Serial())
 	}
 }
-
-// Ablation 10 — multi-bit activations (DoReFa direction): B-bit
-// activations cost B binary convolutions.
-func benchMultiBit(b *testing.B, bits int) {
-	r := workload.NewRNG(benchSeed)
-	shape, _ := sched.InferConv(28, 28, 256, 64, 3, 3, 1, 1)
-	plan := sched.Select(256, detect())
-	mb, err := core.NewMultiBitConv(shape, plan, workload.RandFilter(r, 64, 3, 3, 256), bits, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	planes := mb.NewPlanes()
-	mb.PackPlanes(workload.RandTensor(r, 28, 28, 256), planes)
-	out := tensor.New(shape.OutH, shape.OutW, shape.OutC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mb.Forward(planes, out, exec.Serial())
-	}
-}
-
-func BenchmarkAblationMultiBit1(b *testing.B) { benchMultiBit(b, 1) }
-func BenchmarkAblationMultiBit2(b *testing.B) { benchMultiBit(b, 2) }
-func BenchmarkAblationMultiBit4(b *testing.B) { benchMultiBit(b, 4) }
 
 // ---------------------------------------------------------------------
 // Batch lanes: per-image cost of InferBatch, serial and on a 2-worker

@@ -90,7 +90,7 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		}
 		packedIn := d.NewInput()
 		bitpack.PackVectorInto(packedIn, inVals)
-		out := make([]int32, cfg.K)
+		out := core.DenseOut{Acc: d.NewScratch()}
 		or.bitflow = func(threads int) { d.Forward(packedIn, out, exec.Threads(threads)) }
 
 		// Unoptimized binary fc: pack the activation vector at run time

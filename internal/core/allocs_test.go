@@ -16,9 +16,10 @@ import (
 // //go:noescape and reached by static calls), so a conv forward allocates
 // only the closure it hands to ParallelFor — the one sanctioned
 // per-dispatch allocation — and a dense forward, which runs its serial
-// path without a closure, allocates nothing. Each operator is pinned
-// twice: sweeping its bank, and walking a forced compression plan over
-// the same scratch.
+// path without a closure, allocates nothing. The conv is pinned twice,
+// sweeping its bank and walking a forced compression plan over the same
+// scratch; the dense forward once per finished output form, logits and
+// bits.
 func TestPlainForwardAllocations(t *testing.T) {
 	r := workload.NewRNG(1)
 	ec := exec.Serial()
@@ -63,15 +64,13 @@ func TestPlainForwardAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		din, dout, tmp := d.NewInput(), make([]uint64, 2), d.NewScratch()
-		for _, planned := range []bool{false, true} {
-			if planned {
-				if err := d.SetCompression(kernels.BuildCompressPlan(d.weights.Words, 70, d.Plan.Words)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := testing.AllocsPerRun(20, func() { d.ForwardPacked(din, dout, tmp, ec) }); n != 0 {
-				t.Errorf("%v planned=%v: Dense.ForwardPacked allocates %v times per call, want 0", w, planned, n)
+		din := d.NewInput()
+		for form, out := range map[string]DenseOut{
+			"logits": {Acc: d.NewScratch(), Logits: make([]float32, 70)},
+			"bits":   {Acc: d.NewScratch(), Bits: make([]uint64, 2)},
+		} {
+			if n := testing.AllocsPerRun(20, func() { d.Forward(din, out, ec) }); n != 0 {
+				t.Errorf("%v %s: Dense.Forward allocates %v times per call, want 0", w, form, n)
 			}
 		}
 	}

@@ -8,16 +8,16 @@ import (
 
 // Kernel compression (Silfa & Arnau, "Exploiting Kernel Compression on
 // BNNs") changes only how one window's popcounts are accumulated, so it
-// is a step inside the ordinary forward methods, not a family beside
-// them: an operator whose packed weight bank repeats words across output
-// channels holds a CompressPlan (built at construction, see
-// NewConvPacked/NewDensePacked, or forced with SetCompression), and
-// Conv.ForwardPacked and Dense.Forward then walk the plan's
-// distinct-word table over the same gathered window the plain sweep
-// would read. The plan's accumulators sum the same integer popcounts and
-// finish through the same Epilogue, so a planned operator is
-// bit-identical to its plan-less twin (Uncompressed), which is what the
-// differential tests compare.
+// is a step inside the ordinary conv forward, not a family beside it: a
+// conv whose packed filter bank repeats words across output channels
+// holds a CompressPlan (built at construction, see NewConvPacked, or
+// forced with SetCompression), and Conv.ForwardPacked then walks the
+// plan's distinct-word table over the same gathered window the plain
+// sweep would read. The plan's accumulators sum the same integer
+// popcounts and finish through the same Epilogue, so a planned operator
+// is bit-identical to its plan-less twin (Uncompressed), which is what
+// the differential tests compare. Dense measures its duplication
+// (Dense.CompressionStats) but always sweeps.
 
 // Compression returns the conv's kernel-compression plan, or nil when
 // the filter bank's duplication ratio did not clear the selection
@@ -49,34 +49,6 @@ func (cv *Conv) SetCompression(cp *kernels.CompressPlan) error {
 // sweep, whatever plan is later set on cv.
 func (cv *Conv) Uncompressed() *Conv {
 	c := *cv
-	c.press = nil
-	return &c
-}
-
-// Compression returns the dense operator's kernel-compression plan, or
-// nil when the weight matrix's duplication ratio did not clear the
-// selection threshold (and none was forced via SetCompression).
-func (d *Dense) Compression() *kernels.CompressPlan { return d.press }
-
-// CompressionStats returns the duplication analysis of the packed
-// weight matrix, measured at construction regardless of selection.
-func (d *Dense) CompressionStats() kernels.CompressStats { return d.pressStats }
-
-// SetCompression forces a kernel-compression plan (or clears it with
-// nil), overriding the load-time threshold selection — a hook for
-// differential tests and benchmarks; see Conv.SetCompression.
-func (d *Dense) SetCompression(cp *kernels.CompressPlan) error {
-	if cp != nil && (cp.K != d.Shape.K || cp.S != d.Plan.Words) {
-		return fmt.Errorf("core: compression plan %dx%d does not match dense bank %dx%d", cp.K, cp.S, d.Shape.K, d.Plan.Words)
-	}
-	d.press = cp
-	return nil
-}
-
-// Uncompressed returns the operator's plan-less twin: a shallow copy
-// sharing the packed weight words; see Conv.Uncompressed.
-func (d *Dense) Uncompressed() *Dense {
-	c := *d
 	c.press = nil
 	return &c
 }

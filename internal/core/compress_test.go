@@ -156,84 +156,6 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	}
 }
 
-// TestDenseCompressedMatches pins every dense entry point — int32, float
-// (with affine) and packed — of an operator holding a plan against its
-// plan-less twin.
-func TestDenseCompressedMatches(t *testing.T) {
-	r := workload.NewRNG(203)
-	n, k := 256, 70
-	shape, err := sched.InferFC(n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := sched.Select(n, feat())
-	w := workload.PM1Matrix(r, n, k)
-	// Duplicate columns so the packed-transposed rows repeat: output unit
-	// k's weights are column k, so repeating columns duplicates rows of Bᵀ.
-	for row := 0; row < n; row++ {
-		for col := 3; col < k; col++ {
-			w.Data[row*k+col] = w.Data[row*k+col%3]
-		}
-	}
-	d, err := NewDense(shape, plan, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Compression() == nil {
-		t.Fatalf("duplicated dense bank (ratio %v) not selected", d.CompressionStats().Ratio())
-	}
-	if err := d.SetThresholds(randThresholds(r, k, n)); err != nil {
-		t.Fatal(err)
-	}
-	aff := make([]float32, k)
-	for i := range aff {
-		aff[i] = r.PM1()
-	}
-	if err := d.SetAffine(NewAffineFromBias(aff)); err != nil {
-		t.Fatal(err)
-	}
-
-	plain := d.Uncompressed()
-	if plain.Compression() != nil || d.Compression() == nil {
-		t.Fatal("Uncompressed did not return a plan-less copy")
-	}
-	for trial := 0; trial < 5; trial++ {
-		vals := make([]float32, n)
-		for i := range vals {
-			vals[i] = r.PM1()
-		}
-		in := d.NewInput()
-		bitpack.PackVectorInto(in, vals)
-		for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
-			want, got := make([]int32, k), make([]int32, k)
-			plain.Forward(in, want, ec)
-			d.Forward(in, got, ec)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("planned Forward[%d]=%d want %d", i, got[i], want[i])
-				}
-			}
-			wf, gf := make([]float32, k), make([]float32, k)
-			plain.ForwardFloat(in, wf, d.NewScratch(), ec)
-			d.ForwardFloat(in, gf, d.NewScratch(), ec)
-			for i := range wf {
-				if wf[i] != gf[i] {
-					t.Fatalf("planned ForwardFloat[%d]=%v want %v", i, gf[i], wf[i])
-				}
-			}
-			wp := make([]uint64, bitpack.WordsFor(k))
-			gp := make([]uint64, bitpack.WordsFor(k))
-			plain.ForwardPacked(in, wp, d.NewScratch(), ec)
-			d.ForwardPacked(in, gp, d.NewScratch(), ec)
-			for i := range wp {
-				if wp[i] != gp[i] {
-					t.Fatalf("planned ForwardPacked word %d = %016x want %016x", i, gp[i], wp[i])
-				}
-			}
-		}
-	}
-}
-
 // TestSetCompressionValidates pins the geometry check and the nil-clear.
 func TestSetCompressionValidates(t *testing.T) {
 	r := workload.NewRNG(204)
@@ -243,17 +165,6 @@ func TestSetCompressionValidates(t *testing.T) {
 	}
 	if err := cv.SetCompression(nil); err != nil || cv.Compression() != nil {
 		t.Fatal("nil did not clear the conv plan")
-	}
-	shape, _ := sched.InferFC(128, 10)
-	d, err := NewDense(shape, sched.Select(128, feat()), workload.PM1Matrix(r, 128, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetCompression(kernels.BuildCompressPlan(make([]uint64, 4*2), 4, 2)); err == nil {
-		t.Fatal("mismatched dense plan accepted")
-	}
-	if err := d.SetCompression(nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

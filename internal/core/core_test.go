@@ -298,7 +298,7 @@ func TestDenseMatchesFloatReference(t *testing.T) {
 		in := d.NewInput()
 		bitpack.PackVectorInto(in, inVals)
 		got := make([]int32, tc.k)
-		d.Forward(in, got, exec.Serial())
+		d.Forward(in, DenseOut{Acc: got}, exec.Serial())
 		want := make([]float32, tc.k)
 		baseline.DenseFloat(inVals, w, want, 1)
 		for i := range want {
@@ -309,46 +309,68 @@ func TestDenseMatchesFloatReference(t *testing.T) {
 	}
 }
 
+// TestDenseForwardVariants checks each output form of the one
+// Dense.Forward against Equation 1's float reference: the accumulators
+// against baseline.DenseFloat, the logits against it plus the bias, and
+// the bits against the sign of that sum — with K off the 64-bit grid,
+// serial and split over K.
 func TestDenseForwardVariants(t *testing.T) {
 	r := workload.NewRNG(50)
-	n, k := 256, 70
+	n, k := 200, 70
 	shape, _ := sched.InferFC(n, k)
-	plan := sched.Select(n, feat())
 	w := workload.PM1Matrix(r, n, k)
-	d, _ := NewDense(shape, plan, w)
+	d, err := NewDense(shape, sched.Select(n, feat()), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bias := make([]float32, k)
+	for c := range bias {
+		bias[c] = float32(c%9-4) * 1.5 // integers and halves: ties included
+	}
+	if err := d.SetThresholds(FoldBias(bias)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetAffine(NewAffineFromBias(bias)); err != nil {
+		t.Fatal(err)
+	}
 	inVals := make([]float32, n)
 	for i := range inVals {
 		inVals[i] = r.PM1()
 	}
 	in := d.NewInput()
 	bitpack.PackVectorInto(in, inVals)
+	ref := make([]float32, k)
+	baseline.DenseFloat(inVals, w, ref, 1)
 
-	ints := make([]int32, k)
-	d.Forward(in, ints, exec.Threads(2))
-
-	floats := make([]float32, k)
-	d.ForwardFloat(in, floats, d.NewScratch(), exec.Threads(2))
-	for i := range ints {
-		if floats[i] != float32(ints[i]) {
-			t.Fatalf("ForwardFloat[%d] = %v want %v", i, floats[i], ints[i])
+	for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(2)} {
+		acc := DenseOut{Acc: d.NewScratch()}
+		d.Forward(in, acc, ec)
+		logits := DenseOut{Acc: d.NewScratch(), Logits: make([]float32, k)}
+		d.Forward(in, logits, ec)
+		bits := DenseOut{Acc: d.NewScratch(), Bits: make([]uint64, bitpack.WordsFor(k)+1)}
+		for i := range bits.Bits {
+			bits.Bits[i] = ^uint64(0)
 		}
-	}
-
-	packedOut := make([]uint64, bitpack.WordsFor(k)+1)
-	d.ForwardPacked(in, packedOut, d.NewScratch(), exec.Threads(2))
-	back := bitpack.UnpackVector(packedOut, k)
-	for i := range ints {
-		want := float32(1)
-		if ints[i] < 0 {
-			want = -1
+		d.Forward(in, bits, ec)
+		signs := bitpack.UnpackVector(bits.Bits, k)
+		for c := range ref {
+			if float32(acc.Acc[c]) != ref[c] {
+				t.Fatalf("budget %d: Acc[%d] = %d, want %v", ec.Budget(), c, acc.Acc[c], ref[c])
+			}
+			if want := ref[c] + bias[c]; logits.Logits[c] != want {
+				t.Fatalf("budget %d: Logits[%d] = %v, want %v", ec.Budget(), c, logits.Logits[c], want)
+			}
+			want := float32(-1)
+			if ref[c]+bias[c] >= 0 {
+				want = 1
+			}
+			if signs[c] != want {
+				t.Fatalf("budget %d: Bits[%d] = %v, want %v", ec.Budget(), c, signs[c], want)
+			}
 		}
-		if back[i] != want {
-			t.Fatalf("ForwardPacked[%d] = %v want %v", i, back[i], want)
+		if bits.Bits[bitpack.WordsFor(k)-1]>>(k%64) != 0 || bits.Bits[len(bits.Bits)-1] != 0 {
+			t.Errorf("budget %d: Bits left dirty trailing lanes", ec.Budget())
 		}
-	}
-	// Trailing word must be cleared.
-	if packedOut[len(packedOut)-1] != 0 {
-		t.Error("ForwardPacked left dirty trailing word")
 	}
 }
 

@@ -13,31 +13,43 @@ import (
 // Dense is the binary fully connected operator: a binary matrix-matrix
 // multiplication with M = 1 (paper §III-C). Vector parallelism runs over
 // the N dimension (inside the XOR+popcount kernel), multi-core
-// parallelism over the K dimension.
+// parallelism over the K dimension. Dense always sweeps its packed
+// weight rows: a kernel-compression plan pays off only on banks that
+// repeat words heavily, and no fc layer of the networks this engine runs
+// does (CompressionStats keeps the measurement).
 type Dense struct {
 	Shape sched.FCShape
 	Plan  sched.Plan // selected over N
 
 	weights *bitpack.PackedMatrix // K rows × Plan.Words, fused transform
-	// act is the folded activation of the packed path; nil = plain sign.
+	// act is the folded activation of the Bits output; nil = plain sign.
 	act *Thresholds
-	// epi is act pre-compiled into the branchless fused epilogue
-	// ForwardPacked runs; rebuilt by SetThresholds, never per inference.
+	// epi is act pre-compiled into the branchless fused epilogue the
+	// Bits output runs; rebuilt by SetThresholds, never per inference.
 	epi *kernels.Epilogue
-	// affine post-processes the float path (ForwardFloat); nil = raw
-	// inner products.
+	// affine post-processes the Logits output; nil = raw inner products.
 	affine *Affine
-	// press is the kernel-compression plan compiled from the packed
-	// weight matrix at construction when its duplication ratio clears
-	// kernels.CompressMinRatio (nil otherwise): when set, Forward runs
-	// the compressed bgemm. pressStats always holds the measured
-	// analysis. Pure runtime state, never serialized.
-	press      *kernels.CompressPlan
+	// pressStats is the duplication analysis of the packed weight
+	// matrix, measured at construction. Pure runtime state, never
+	// serialized.
 	pressStats kernels.CompressStats
 }
 
+// DenseOut is where Dense.Forward writes, a value the caller fixes once
+// (at build time) and passes on every call. Acc (len K) always receives
+// the K inner products: on its own it is the accumulators-only form.
+// Logits (len K), when set, receives them through the affine — the float
+// classifier output. Bits (≥ WordsFor(K) words), when set, receives
+// their signs through the folded activation, trailing lanes cleared — the
+// packed input of the next fc layer (fc6 → sign → fc7).
+type DenseOut struct {
+	Acc    []int32
+	Logits []float32
+	Bits   []uint64
+}
+
 // SetThresholds installs a folded activation (batch-norm or bias) for
-// ForwardPacked. Pass nil to restore the plain sign.
+// the Bits output. Pass nil to restore the plain sign.
 func (d *Dense) SetThresholds(th *Thresholds) error {
 	if th != nil {
 		if err := th.validate(d.Shape.K); err != nil {
@@ -49,8 +61,8 @@ func (d *Dense) SetThresholds(th *Thresholds) error {
 	return nil
 }
 
-// SetAffine installs a float affine (batch-norm or bias) applied by
-// ForwardFloat — the classifier-layer counterpart of SetThresholds.
+// SetAffine installs a float affine (batch-norm or bias) applied to the
+// Logits output — the classifier-layer counterpart of SetThresholds.
 func (d *Dense) SetAffine(a *Affine) error {
 	if a != nil {
 		if err := a.validate(d.Shape.K); err != nil {
@@ -86,12 +98,11 @@ func NewDensePacked(shape sched.FCShape, plan sched.Plan, pm *bitpack.PackedMatr
 	if pm.WPR != plan.Words {
 		return nil, fmt.Errorf("core: packed dense wpr=%d, plan wants %d", pm.WPR, plan.Words)
 	}
-	d := &Dense{Shape: shape, Plan: plan, weights: pm, epi: (*Thresholds)(nil).Epilogue(shape.K, plan.Tier)}
-	d.pressStats = kernels.AnalyzeCompression(pm.Words, shape.K, pm.WPR)
-	if d.pressStats.Selectable() {
-		d.press = kernels.BuildCompressPlan(pm.Words, shape.K, pm.WPR)
-	}
-	return d, nil
+	return &Dense{
+		Shape: shape, Plan: plan, weights: pm,
+		epi:        (*Thresholds)(nil).Epilogue(shape.K, plan.Tier),
+		pressStats: kernels.AnalyzeCompression(pm.Words, shape.K, pm.WPR),
+	}, nil
 }
 
 // Weights exposes the packed weight matrix (read-only use).
@@ -100,65 +111,45 @@ func (d *Dense) Weights() *bitpack.PackedMatrix { return d.weights }
 // Activation returns the folded activation, or nil for the plain sign.
 func (d *Dense) Activation() *Thresholds { return d.act }
 
-// OutAffine returns the float-path affine, or nil for raw products.
+// OutAffine returns the Logits output's affine, or nil for raw products.
 func (d *Dense) OutAffine() *Affine { return d.affine }
+
+// CompressionStats returns the duplication analysis of the packed
+// weight matrix, measured at construction.
+func (d *Dense) CompressionStats() kernels.CompressStats { return d.pressStats }
 
 // NewInput allocates a packed activation row for this operator.
 func (d *Dense) NewInput() []uint64 { return make([]uint64, d.Plan.Words) }
 
-// NewScratch allocates the K-length pre-activation scratch ForwardFloat
-// and ForwardPacked require. Allocate once at build time and reuse per
-// call — the per-inference path itself stays allocation-free.
+// NewScratch allocates the K-length accumulators DenseOut.Acc holds.
+// Allocate once at build time and reuse per call — the per-inference
+// path itself stays allocation-free.
 func (d *Dense) NewScratch() []int32 { return make([]int32, d.Shape.K) }
 
 // Forward computes the K inner products of the packed activation row in
-// (Plan.Words words, N valid bits) into out (len K). ec splits the
-// K dimension; an operator holding a compression plan walks it instead
-// (one row, so serially).
-func (d *Dense) Forward(in []uint64, out []int32, ec *exec.Ctx) {
+// (Plan.Words words, N valid bits) into out.Acc, then finishes them into
+// out.Logits and out.Bits where those are set (see DenseOut). Every
+// slice is checked before the bgemm runs; ec splits the K dimension.
+func (d *Dense) Forward(in []uint64, out DenseOut, ec *exec.Ctx) {
+	k := d.Shape.K
 	if len(in) != d.Plan.Words {
 		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.Plan.Words))
 	}
-	if len(out) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense output len %d, want K=%d", len(out), d.Shape.K))
+	if len(out.Acc) != k {
+		panic(fmt.Sprintf("core: dense accumulators len %d, want K=%d", len(out.Acc), k))
 	}
-	if d.press != nil {
-		kernels.BGemmCompressedExec(in, 1, d.press, d.Plan.Words, d.Shape.N, out, ec)
-		return
+	if out.Logits != nil && len(out.Logits) != k {
+		panic(fmt.Sprintf("core: dense logits len %d, want K=%d", len(out.Logits), k))
+	}
+	if out.Bits != nil && len(out.Bits) < bitpack.WordsFor(k) {
+		panic(fmt.Sprintf("core: dense bits %d words, want at least %d", len(out.Bits), bitpack.WordsFor(k)))
 	}
 	opts := kernels.BGemmOpts{Width: d.Plan.Tier}
-	kernels.BGemmExec(in, 1, d.weights.Words, d.Shape.K, d.Plan.Words, d.Shape.N, out, opts, ec)
-}
-
-// ForwardFloat is Forward plus a float conversion and the optional
-// affine (batch-norm/bias) post-processing — the final classifier path.
-// tmp is caller-owned pre-activation scratch (len K, see NewScratch), so
-// repeated inferences allocate nothing.
-func (d *Dense) ForwardFloat(in []uint64, out []float32, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
+	kernels.BGemmExec(in, 1, d.weights.Words, k, d.Plan.Words, d.Shape.N, out.Acc, opts, ec)
+	if out.Logits != nil {
+		d.affine.Apply(out.Acc, out.Logits)
 	}
-	d.Forward(in, tmp, ec)
-	if d.affine != nil {
-		d.affine.Apply(tmp, out)
-		return
+	if out.Bits != nil {
+		d.epi.Pack(out.Acc, out.Bits)
 	}
-	for i, v := range tmp {
-		out[i] = float32(v)
-	}
-}
-
-// ForwardPacked computes the K inner products and writes their sign bits
-// into out (≥ WordsFor(K) words, trailing lanes cleared) — the fused
-// activation for fc→fc chains (fc6 → sign → fc7). tmp is caller-owned
-// pre-activation scratch (len K, see NewScratch).
-func (d *Dense) ForwardPacked(in []uint64, out []uint64, tmp []int32, ec *exec.Ctx) {
-	if len(tmp) != d.Shape.K {
-		panic(fmt.Sprintf("core: dense scratch len %d, want K=%d", len(tmp), d.Shape.K))
-	}
-	d.Forward(in, tmp, ec)
-	if len(out) < bitpack.WordsFor(d.Shape.K) {
-		panic("core: dense packed output too short")
-	}
-	d.epi.Pack(tmp, out)
 }

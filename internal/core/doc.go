@@ -19,15 +19,17 @@
 // buffers and writing convolution results into the interior (Fig. 5);
 // margin words stay all-zero.
 //
-// Each operator has one forward body per output form (Conv: the raw
-// Forward reference and ForwardPacked; Dense: Forward, ForwardFloat,
-// ForwardPacked), every one a single image wide. What varies inside a
-// body is an argument or a step, not a twin method: Conv.ForwardPacked
-// takes an optional max-pool, whose windows OR threshold bits together
-// (binary max-pool is a bitwise OR of sign bits, §III-C), so a pooled
-// conv is the same body with windows wider than one position; an
-// operator holding a kernel-compression plan (compress.go) accumulates a
-// window through the plan instead of sweeping its bank; and batches are
-// the graph's business — it runs these same bodies once per image,
-// across workers.
+// The forward bodies are Conv.Forward (the raw reference),
+// Conv.ForwardPacked, Dense.Forward, Pool.Forward and FloatConv.Forward,
+// every one a single image wide. What varies inside a body is an
+// argument or a step, not a twin method: Conv.ForwardPacked takes an
+// optional max-pool, whose windows OR threshold bits together (binary
+// max-pool is a bitwise OR of sign bits, §III-C), so a pooled conv is
+// the same body with windows wider than one position; Dense.Forward
+// takes its output form (accumulators, float logits through the affine,
+// or packed sign bits) as a DenseOut value fixed at build time; a conv
+// holding a kernel-compression plan (compress.go) accumulates a window
+// through the plan instead of sweeping its bank; and batches are the
+// graph's business — it runs these same bodies once per image, across
+// workers.
 package core

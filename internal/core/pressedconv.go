@@ -10,8 +10,7 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// maxKH bounds the filter height (the multi-base variant keeps its
-// per-pixel row slices in a fixed stack array).
+// maxKH bounds the filter height NewConvPacked accepts.
 const maxKH = 16
 
 // Conv is a PressedConv binary convolution operator: filters are packed

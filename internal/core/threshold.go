@@ -179,8 +179,15 @@ func NewAffineFromBias(bias []float32) *Affine {
 	return a
 }
 
-// Apply evaluates the affine over integer pre-activations.
+// Apply evaluates the affine over integer pre-activations. A nil affine
+// is the identity: out receives d as floats.
 func (a *Affine) Apply(d []int32, out []float32) {
+	if a == nil {
+		for c, v := range d {
+			out[c] = float32(v)
+		}
+		return
+	}
 	for c, v := range d {
 		out[c] = a.Scale[c]*(float32(v)-a.Mean[c]) + a.Shift[c]
 	}

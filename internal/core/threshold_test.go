@@ -208,7 +208,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 	in := d.NewInput()
 	bitpack.PackVectorInto(in, inVals)
 	raw := make([]int32, k)
-	d.Forward(in, raw, exec.Serial())
+	d.Forward(in, DenseOut{Acc: raw}, exec.Serial())
 
 	gamma, beta, mean, variance := randBN(r, k)
 
@@ -221,7 +221,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 		t.Fatal(err)
 	}
 	packedOut := make([]uint64, bitpack.WordsFor(k))
-	d.ForwardPacked(in, packedOut, d.NewScratch(), exec.Serial())
+	d.Forward(in, DenseOut{Acc: d.NewScratch(), Bits: packedOut}, exec.Serial())
 	bits := bitpack.UnpackVector(packedOut, k)
 	for c := 0; c < k; c++ {
 		want := float32(-1)
@@ -242,7 +242,7 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 		t.Fatal(err)
 	}
 	logits := make([]float32, k)
-	d.ForwardFloat(in, logits, d.NewScratch(), exec.Serial())
+	d.Forward(in, DenseOut{Acc: d.NewScratch(), Logits: logits}, exec.Serial())
 	for c := 0; c < k; c++ {
 		sigma := float32(math.Sqrt(float64(variance[c]) + eps))
 		want := gamma[c]/sigma*(float32(raw[c])-mean[c]) + beta[c]

@@ -38,8 +38,8 @@ type Builder struct {
 	specs         []spec
 	// noFuse disables the conv→pool fusion planning pass (see fuse.go).
 	noFuse bool
-	// noPress disables kernel-compression planning: layers get plan-less
-	// operators (see press.go).
+	// noPress disables kernel-compression planning: conv layers get
+	// plan-less operators (see press.go).
 	noPress bool
 }
 
@@ -382,7 +382,7 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 			case prevDense != nil:
 				in = make([]uint64, plan.Words)
 				n.activationWords += int64(plan.Words)
-				prevDense.packedOut = in
+				prevDense.out.Bits = in
 				prevDense = nil
 			default:
 				return nil, fmt.Errorf("graph: dense %q has no producer", sp.name)
@@ -390,9 +390,6 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 			op, err := src.dense(sp.name, shape, plan)
 			if err != nil {
 				return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
-			}
-			if b.noPress {
-				op = op.Uncompressed()
 			}
 			if bias, err := src.denseBias(sp.name, sp.units); err != nil {
 				return nil, fmt.Errorf("graph: bias for dense %q: %w", sp.name, err)
@@ -408,11 +405,11 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 				}
 				actFolded = true
 			}
-			l := &denseLayer{lname: sp.name, op: op, in: in, tmp: op.NewScratch()}
+			l := &denseLayer{lname: sp.name, op: op, in: in, out: core.DenseOut{Acc: op.NewScratch()}}
 			n.layers = append(n.layers, l)
 			if last {
-				l.floatOut = make([]float32, sp.units)
-				n.output = l.floatOut
+				l.out.Logits = make([]float32, sp.units)
+				n.output = l.out.Logits
 				n.Classes = sp.units
 			} else {
 				prevDense = l

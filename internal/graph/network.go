@@ -365,27 +365,18 @@ type denseLayer struct {
 	op    *core.Dense
 	in    []uint64
 
-	// Exactly one of packedOut / floatOut is set: hidden dense layers
-	// fuse the sign activation and write bits; the final classifier
-	// emits float logits.
-	packedOut []uint64
-	floatOut  []float32
-
-	// tmp is the K-length pre-activation scratch, allocated at build
-	// time (per clone — the shared operator carries no mutable state).
-	tmp []int32
+	// out is the operator's output form, fixed at build time (per
+	// clone — the shared operator carries no mutable state): Acc is the
+	// K-length accumulator scratch, and hidden dense layers set Bits
+	// (the fused sign activation) where the final classifier sets
+	// Logits.
+	out core.DenseOut
 }
 
-func (l *denseLayer) name() string    { return l.lname }
-func (l *denseLayer) kind() string    { return "fc" }
-func (l *denseLayer) outDims() string { return fmt.Sprintf("%d", l.op.Shape.K) }
-func (l *denseLayer) forward(ec *exec.Ctx) {
-	if l.floatOut != nil {
-		l.op.ForwardFloat(l.in, l.floatOut, l.tmp, ec)
-		return
-	}
-	l.op.ForwardPacked(l.in, l.packedOut, l.tmp, ec)
-}
+func (l *denseLayer) name() string         { return l.lname }
+func (l *denseLayer) kind() string         { return "fc" }
+func (l *denseLayer) outDims() string      { return fmt.Sprintf("%d", l.op.Shape.K) }
+func (l *denseLayer) forward(ec *exec.Ctx) { l.op.Forward(l.in, l.out, ec) }
 func (l *denseLayer) weightStats() (int64, int64) {
 	s := l.op.Shape
 	return int64(s.N) * int64(s.K), 8 * int64(len(l.op.Weights().Words))

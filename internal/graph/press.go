@@ -8,15 +8,16 @@ import (
 
 // Kernel-compression planning (Silfa & Arnau, "Exploiting Kernel
 // Compression on BNNs"): packed binary weight banks repeat 64-bit words
-// across output channels, and an operator whose duplication ratio clears
+// across output channels, and a conv whose duplication ratio clears
 // kernels.CompressMinRatio holds a CompressPlan compiled at construction
-// (see core.NewConvPacked / core.NewDensePacked). The plan is held by
-// the operator and is the accumulate step of its ordinary forward, so
-// this file has no pass to run: a network is compressed wherever its
-// operators hold plans, and an uncompressed network (CloneUncompressed)
-// is one built over plan-less shallow copies of the
-// operators — sharing the packed words — which is what the differential
-// harness compares against.
+// (see core.NewConvPacked). The plan is held by the operator and is the
+// accumulate step of its ordinary forward, so this file has no pass to
+// run: a network is compressed wherever its convs hold plans, and an
+// uncompressed network (CloneUncompressed) is one built over plan-less
+// shallow copies of the convs — sharing the packed words — which is what
+// the differential harness compares against. Dense layers are analyzed
+// but always sweep: every fc layer of VGG-16, TinyVGG and DupNet
+// measures a duplication ratio of 1.00, where a plan only adds a scatter.
 //
 // Like fusion, compression is pure runtime planning: it happens at build
 // *and* load time off the packed weights, the serialized format carries
@@ -39,7 +40,8 @@ type LayerCompression struct {
 	// Ratio is TotalWords/DistinctWords; Selected reports whether the
 	// layer's operator holds a plan, i.e. its forward accumulates
 	// through the distinct-word table (ratio cleared the threshold, or a
-	// plan was forced, and planning was not disabled).
+	// plan was forced, and planning was not disabled). Dense layers
+	// always report false.
 	Ratio    float64
 	Selected bool
 }
@@ -50,24 +52,21 @@ type LayerCompression struct {
 func (n *Network) Compression() []LayerCompression {
 	out := make([]LayerCompression, 0, len(n.layers))
 	for _, l := range n.layers {
-		var op interface {
-			CompressionStats() kernels.CompressStats
-			Compression() *kernels.CompressPlan
-		}
+		var st kernels.CompressStats
+		selected := false
 		switch t := l.(type) {
 		case *convLayer:
-			op = t.op
+			st, selected = t.op.CompressionStats(), t.op.Compression() != nil
 		case *denseLayer:
-			op = t.op
+			st = t.op.CompressionStats()
 		default:
 			continue
 		}
-		st := op.CompressionStats()
 		out = append(out, LayerCompression{
 			Layer: l.name(), Kind: l.kind(),
 			Channels: st.Channels, Positions: st.Positions,
 			TotalWords: st.TotalWords, DistinctWords: st.DistinctWords,
-			Ratio: st.Ratio(), Selected: op.Compression() != nil,
+			Ratio: st.Ratio(), Selected: selected,
 		})
 	}
 	return out

@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math/bits"
-
-	"bitflow/internal/exec"
-)
+import "math/bits"
 
 // This file implements kernel compression (Silfa & Arnau, "Exploiting
 // Kernel Compression on BNNs"): packed BNN filter banks draw their
@@ -331,12 +327,12 @@ func CompressedAccum(cp *CompressPlan, p0 int, seg []uint64, acc []int32) {
 }
 
 // CompressedPreacts is the compressed accumulate step of one window: it
-// walks win (cp.S words — a conv's gathered receptive field or a dense
-// input row) through the plan's effective word table and leaves the K
-// Equation 1 pre-activations N - 2·popcount in acc (len K), expanding a
-// folded result to every duplicate filter. It is what a conv or dense
-// operator holding a plan runs in place of the plain sweep; the
-// threshold/pack epilogue that follows is the same either way.
+// walks win (cp.S words — a conv's gathered receptive field) through the
+// plan's effective word table and leaves the K Equation 1
+// pre-activations N - 2·popcount in acc (len K), expanding a folded
+// result to every duplicate filter. It is what a conv holding a plan
+// runs in place of the plain sweep; the threshold/pack epilogue that
+// follows is the same either way.
 func CompressedPreacts(cp *CompressPlan, win []uint64, n32 int32, acc []int32) {
 	if len(acc) != cp.K {
 		panicSize("CompressedPreacts", "acc", len(acc), cp.K)
@@ -347,55 +343,4 @@ func CompressedPreacts(cp *CompressPlan, win []uint64, n32 int32, acc []int32) {
 	CompressedAccum(eff, 0, win, head)
 	preacts(head, n32)
 	cp.Expand(acc)
-}
-
-// BGemmCompressed is the kernel-compressed binary GEMM: C = A × Bᵀ where
-// B's packed-transposed rows were compiled into cp. Identical contract
-// to BGemm — a holds M packed rows of wpr words (wpr == cp.S), out
-// receives M×K inner products — but each distinct weight word pays one
-// XOR+popcount per input row instead of one per (row, channel).
-func BGemmCompressed(a []uint64, m int, cp *CompressPlan, wpr, n int, out []int32) {
-	if wpr != cp.S {
-		panicSize("BGemmCompressed", "wpr", wpr, cp.S)
-	}
-	if len(a) != m*wpr {
-		panicSize("BGemmCompressed", "a", len(a), m*wpr)
-	}
-	if len(out) != m*cp.K {
-		panicSize("BGemmCompressed", "out", len(out), m*cp.K)
-	}
-	k := cp.K
-	for mi := 0; mi < m; mi++ {
-		//bitflow:bce-ok one slice pair per output row; shapes pinned by the panicSize preamble
-		CompressedPreacts(cp, a[mi*wpr:(mi+1)*wpr], int32(n), out[mi*k:(mi+1)*k])
-	}
-}
-
-// BGemmCompressedExec runs BGemmCompressed with the M dimension split
-// across the execution context's thread budget. The compressed
-// accumulate scatters into all K channels of a row, so the split runs
-// over rows (images), not output columns; row chunks are disjoint, so
-// results are bit-identical at any budget. M = 1 (the serial inference
-// path) always runs serially.
-func BGemmCompressedExec(a []uint64, m int, cp *CompressPlan, wpr, n int, out []int32, ec *exec.Ctx) {
-	if threads := ec.Budget(); threads <= 1 || m < 2 {
-		BGemmCompressed(a, m, cp, wpr, n, out)
-		return
-	}
-	if wpr != cp.S {
-		panicSize("BGemmCompressedExec", "wpr", wpr, cp.S)
-	}
-	if len(a) != m*wpr {
-		panicSize("BGemmCompressedExec", "a", len(a), m*wpr)
-	}
-	if len(out) != m*cp.K {
-		panicSize("BGemmCompressedExec", "out", len(out), m*cp.K)
-	}
-	k := cp.K
-	ec.ParallelFor(m, func(m0, m1 int) {
-		if m0 < 0 || m1 > m || m0 >= m1 {
-			return
-		}
-		BGemmCompressed(a[m0*wpr:m1*wpr], m1-m0, cp, wpr, n, out[m0*k:m1*k]) //bitflow:bce-ok one slice pair per worker chunk; chunk range guarded above
-	})
 }

@@ -1,10 +1,8 @@
 package kernels
 
 import (
-	"math/bits"
 	"testing"
 
-	"bitflow/internal/exec"
 	"bitflow/internal/workload"
 )
 
@@ -216,78 +214,6 @@ func TestCompressStatsRatio(t *testing.T) {
 	st = AnalyzeCompression(bank, K, S)
 	if st.DistinctWords != K*S || st.Ratio() != 1 || st.Selectable() {
 		t.Fatalf("all-distinct bank: stats %+v ratio %v selectable=%v", st, st.Ratio(), st.Selectable())
-	}
-}
-
-// naiveProducts is the reference: out[mi*K+k] = n - 2*popcount(arow XOR brow).
-func naiveProducts(a []uint64, m int, bank []uint64, K, S, n int) []int32 {
-	out := make([]int32, m*K)
-	for mi := 0; mi < m; mi++ {
-		for k := 0; k < K; k++ {
-			acc := 0
-			for p := 0; p < S; p++ {
-				acc += bits.OnesCount64(a[mi*S+p] ^ bank[k*S+p])
-			}
-			out[mi*K+k] = int32(n) - 2*int32(acc)
-		}
-	}
-	return out
-}
-
-func TestBGemmCompressedMatchesBGemm(t *testing.T) {
-	for _, c := range []struct {
-		name           string
-		K, S, distinct int
-		m              int
-		bases          int // > 0: whole-filter duplication (folded plan)
-	}{
-		{"dup-m1", 64, 8, 4, 1, 0},
-		{"dup-m5", 32, 12, 2, 5, 0},
-		{"distinct-m3", 48, 6, 500, 3, 0},
-		{"one-word-rows", 16, 1, 3, 4, 0},
-		{"folded-m3", 64, 8, 0, 3, 4},
-		{"folded-one-base-m2", 24, 5, 0, 2, 1},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			var bank []uint64
-			if c.bases > 0 {
-				bank = dupFilterBank(78, c.K, c.S, c.bases)
-			} else {
-				bank = randBank(77, c.K, c.S, c.distinct)
-			}
-			cp := BuildCompressPlan(bank, c.K, c.S)
-			r := workload.NewRNG(99)
-			a := make([]uint64, c.m*c.S)
-			for i := range a {
-				a[i] = r.Uint64()
-			}
-			n := c.S * 64
-			want := make([]int32, c.m*c.K)
-			BGemm(a, c.m, bank, c.K, c.S, n, want, BGemmOpts{})
-			got := make([]int32, c.m*c.K)
-			BGemmCompressed(a, c.m, cp, c.S, n, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("BGemmCompressed[%d]=%d, BGemm=%d", i, got[i], want[i])
-				}
-			}
-			ref := naiveProducts(a, c.m, bank, c.K, c.S, n)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("BGemmCompressed[%d]=%d, naive=%d", i, got[i], ref[i])
-				}
-			}
-			// The exec split over rows must stay bit-identical at any budget.
-			for _, threads := range []int{1, 2, 3, 8} {
-				par := make([]int32, c.m*c.K)
-				BGemmCompressedExec(a, c.m, cp, c.S, n, par, exec.Threads(threads))
-				for i := range want {
-					if par[i] != want[i] {
-						t.Fatalf("threads=%d: BGemmCompressedExec[%d]=%d, want %d", threads, i, par[i], want[i])
-					}
-				}
-			}
-		})
 	}
 }
 

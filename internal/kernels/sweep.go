@@ -70,13 +70,15 @@ func ForWidth(w Width) XorPopFunc {
 }
 
 // RowsForWidth returns the row-batched kernel for the given width: one
-// one-filter sweep per row segment.
+// one-filter sweep per row segment. No operator calls it; its only
+// reader is the benchmark's kernels.xorpop_rows_l1_words_per_ns, and it
+// goes when that metric leaves the contract.
 func RowsForWidth(w Width) XorPopRowsFunc {
 	tier := ladderTier(w)
 	if tier == W64 {
 		return XorPopRows64
 	}
-	return func(rows [][]uint64, filt []uint64) int { //bitflow:alloc-ok the closure is built once, when an operator picks its kernel, never per call
+	return func(rows [][]uint64, filt []uint64) int { //bitflow:alloc-ok the closure is built once, when a benchmark picks its kernel, never per call
 		var acc [1]int32
 		total := 0
 		for _, r := range rows {

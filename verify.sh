@@ -2,7 +2,8 @@
 # Tier-1 verify recipe (see ROADMAP.md). One command, run it before
 # every commit:
 #
-#   ./verify.sh          # full: build + vet + tests + race on serving layer
+#   ./verify.sh          # full: build + vet + tests + one pass of every
+#                        # root benchmark + race on serving layer
 #   ./verify.sh -short   # skips VGG-scale builds and training loops
 #
 # go vet's copylocks check covers typed-atomic copies. The bitflow-vet
@@ -20,6 +21,11 @@ go vet ./...
 
 echo "== go test -shuffle=on $* ./... (includes the bitflow-vet gate, TestModuleIsClean)"
 go test -shuffle=on "$@" ./...
+
+# go test only compiles the benchmarks; run each root benchmark once so
+# one that panics on a changed operator fails here, in both modes.
+echo "== go test -run '^\$' -bench . -benchtime 1x ."
+go test -run '^$' -bench . -benchtime 1x .
 
 # The pure-Go kernel tier is what every machine without AVX2/AVX-512
 # (and every non-amd64 build) executes; on an AVX host only this line
