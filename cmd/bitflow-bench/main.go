@@ -14,11 +14,13 @@
 // End-to-end throughput, latency and the fusion/compression gains are
 // measured by `go run ./benchmark` (see benchmark/README.md).
 //
-// Flags:
+// Usage:
 //
-//	-quick      use scaled-down operator shapes (fast smoke run)
-//	-runs N     median-of-N timing (default 5)
-//	-seed S     workload seed
+//	bitflow-bench [flags] {fig7|fig8|fig9|fig10|fig11|table5|ait|sweep|all}
+//
+//	-quick       use scaled-down operator shapes (fast smoke run)
+//	-runs int    median-of-N timing (default 5)
+//	-seed uint   workload seed (default 2018)
 package main
 
 import (

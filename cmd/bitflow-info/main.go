@@ -3,6 +3,13 @@
 // Table I analogue), and the operator→kernel mapping for the VGG channel
 // ladder (the paper's Fig. 6). With -model it instead loads a .bflw
 // artifact and prints its per-layer kernel-compression report.
+//
+// Usage:
+//
+//	bitflow-info [flags]
+//
+//	-model string   path to a .bflw artifact: print its kernel-compression
+//	                report and exit
 package main
 
 import (

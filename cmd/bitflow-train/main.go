@@ -8,6 +8,20 @@
 //
 // The exported model's logits are bit-exact with the trainer's: the
 // engine folds the trained biases into integer sign thresholds.
+//
+// Usage:
+//
+//	bitflow-train [flags]
+//
+//	-task string     dataset: clusters, rings, hard (MLP) or stripes
+//	                 (ConvNet) (default "clusters")
+//	-out string      output model file (default "model.bflw")
+//	-dim int         input dimensionality (default 16)
+//	-classes int     class count (default 4)
+//	-hidden string   comma-separated hidden layer sizes (default "48,48")
+//	-epochs int      training epochs (default 40)
+//	-samples int     dataset size (default 2400)
+//	-seed uint       data/init seed (default 1)
 package main
 
 import (

@@ -1,8 +1,7 @@
 // Command bitflow-vet runs the repo-native static-analysis suite
 // (internal/analysis) over the module and prints its findings. The
 // zero-findings gate is internal/analysis's TestModuleIsClean, which
-// every `go test ./...` runs; this command is how to read the findings
-// and the discovered lock order.
+// every `go test ./...` runs; this command is how to read the findings.
 //
 // Usage:
 //
@@ -11,8 +10,6 @@
 //	-dir string        module directory to analyze (default ".")
 //	-enable string     comma-separated analyzers to run (default: all)
 //	-list              print the available analyzers and exit
-//	-lock-order        print the discovered canonical lock acquisition
-//	                   order and exit (no findings run)
 //
 // Exit codes: 0 no findings, 1 findings, 2 usage or load error.
 package main
@@ -33,10 +30,9 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("bitflow-vet", flag.ContinueOnError)
 	var (
-		dir       = fs.String("dir", ".", "module directory to analyze")
-		enable    = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		list      = fs.Bool("list", false, "print the available analyzers and exit")
-		lockOrder = fs.Bool("lock-order", false, "print the discovered lock acquisition order and exit")
+		dir    = fs.String("dir", ".", "module directory to analyze")
+		enable = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		list   = fs.Bool("list", false, "print the available analyzers and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -62,22 +58,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "bitflow-vet:", err)
 		return 2
 	}
-	if *lockOrder {
-		ordered, isolated := analysis.DiscoveredLockOrder(prog)
-		if len(ordered) == 0 {
-			fmt.Println("no nested lock acquisitions: any order is safe")
-		} else {
-			fmt.Println("canonical lock acquisition order (acquire earlier classes first):")
-			for i, c := range ordered {
-				fmt.Printf("  %d. %s\n", i+1, c)
-			}
-		}
-		for _, c := range isolated {
-			fmt.Printf("  isolated (never nested): %s\n", c)
-		}
-		return 0
-	}
-
 	findings := analysis.Run(prog, analyzers)
 	for _, f := range findings {
 		fmt.Println(f)

@@ -53,9 +53,11 @@ func capture(t *testing.T, stream **os.File, fn func()) string {
 const goMod = "module tmpvet\n\ngo 1.24\n"
 
 // dirtyCore has a raw goroutine in a package whose import-path suffix
-// puts it under the rawgo rule.
+// puts it under the rawgo rule. The module has no main, so the keep
+// marker is what keeps fanOut live for reach.
 const dirtyCore = `package core
 
+//bitflow:keep called by the test harness
 func fanOut(done chan struct{}) {
 	go func() { done <- struct{}{} }()
 }
@@ -63,14 +65,16 @@ func fanOut(done chan struct{}) {
 
 const cleanCore = `package core
 
+//bitflow:keep called by the test harness
 func fanOut(done chan struct{}) {
 	done <- struct{}{}
 }
 `
 
 // removedFlags were used only by the CI report and baseline steps the
-// zero-findings test replaced; each must now be a usage error.
-var removedFlags = []string{"json", "findings-only", "exit-zero", "disable"}
+// zero-findings test replaced, or by an analyzer since deleted;
+// each must now be a usage error.
+var removedFlags = []string{"json", "findings-only", "exit-zero", "disable", "lock-order"}
 
 // TestExitCodes pins the driver's exit-code contract: findings mean a
 // non-zero exit, and usage or load errors are distinct from findings.
@@ -137,7 +141,7 @@ func TestAnalyzerSelection(t *testing.T) {
 		"internal/core/core.go": dirtyCore,
 	})
 	var code int
-	capture(t, &os.Stdout, func() { code = run([]string{"-dir", dirty, "-enable", "hotalloc,lockorder"}) })
+	capture(t, &os.Stdout, func() { code = run([]string{"-dir", dirty, "-enable", "hotalloc,reach"}) })
 	if code != 0 {
 		t.Errorf("with rawgo not enabled, exit = %d, want 0", code)
 	}

@@ -4,6 +4,19 @@
 //
 //	bitflow -model vgg16 -threads 4 -repeat 3
 //	bitflow -model tiny
+//
+// Usage:
+//
+//	bitflow [flags]
+//
+//	-model string    model to run: vgg16, vgg19, tiny (default "vgg16")
+//	-load string     load a packed model file instead of building -model
+//	-save string     write the packed model to this file and exit
+//	-threads int     worker threads (default: physical cores)
+//	-repeat int      timed inference passes (default 3)
+//	-seed uint       weight/input seed (default 1)
+//	-layers          print per-layer timing (default true)
+//	-trace string    write a Chrome trace of the timed passes to this file
 package main
 
 import (

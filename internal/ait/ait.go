@@ -97,17 +97,6 @@ func (b Binary) Im2colAIT() float64 {
 	return b.Ops() / (2*b.UnfoldedSize() + b.WeightSize() + b.OutputSize())
 }
 
-// Im2colFraction returns the achievable fraction of intrinsic AIT for the
-// binary image-to-column path. Note the paper's claim (§III-A) is about
-// the *absolute* AIT: packing divides the op count by Factor while the
-// output term |O| does not shrink, so Im2colAIT drops well below the
-// float Im2colAIT ("makes AIT even lower") even though the fraction of
-// the (also lower) intrinsic AIT can rise.
-func (b Binary) Im2colFraction() float64 {
-	return (b.InputSize() + b.WeightSize() + b.OutputSize()) /
-		(2*b.UnfoldedSize() + b.WeightSize() + b.OutputSize())
-}
-
 // String renders the geometry.
 func (c Conv) String() string {
 	return fmt.Sprintf("conv %dx%dx%d K=%d %dx%d", c.H, c.W, c.C, c.K, c.KH, c.KW)

@@ -13,8 +13,9 @@
 //   - the hot path is compiler-verified: no heap escapes in the hot
 //     graph and no surviving bounds checks in kernels, straight from
 //     `-gcflags='-m=2 -d=ssa/check_bce'` diagnostics — codegen;
-//   - the whole-program mutex-acquisition graph stays acyclic —
-//     lockorder.
+//   - every function is reachable from a program: a main, an init, the
+//     root package's API, an external interface, or a justified keep —
+//     reach.
 //
 // Copies of typed atomics are go vet's copylocks check.
 //
@@ -30,7 +31,7 @@
 //	//bitflow:go-ok <justification>      (rawgo)
 //	//bitflow:panic-ok <justification>   (panicpath)
 //	//bitflow:bce-ok <justification>     (codegen bounds checks; on a line or a whole function)
-//	//bitflow:lock-ok <justification>    (lockorder)
+//	//bitflow:keep <justification>       (reach root; on a declaration or a package clause)
 //	//bitflow:hot                        (extra hotalloc/codegen root)
 //
 // A marker with an empty justification is itself a finding.
@@ -79,6 +80,9 @@ type Program struct {
 	// working directory codegen's `go build` driver compiles from.
 	Dir string
 
+	// Module is the module path; its root package's API is a reach root.
+	Module string
+
 	// directives maps file name -> line -> parsed //bitflow: directive.
 	directives map[string]map[int]*Directive
 
@@ -106,7 +110,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{RawGo, HotAlloc, PanicPath, Codegen, LockOrder}
+	return []*Analyzer{RawGo, HotAlloc, PanicPath, Codegen, Reach}
 }
 
 // Run executes the given analyzers and returns their findings in a total
@@ -180,21 +184,23 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 // (package function, method, or qualified import), or nil for builtins,
 // conversions, and calls through function-typed values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	return funcOf(info, ast.Unparen(call.Fun))
+}
+
+// funcOf resolves an identifier or selector naming a function or method
+// to its *types.Func, or nil for anything else.
+func funcOf(info *types.Info, expr ast.Expr) *types.Func {
+	switch x := expr.(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
+		fn, _ := info.Uses[x].(*types.Func)
+		return fn
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+		if sel, ok := info.Selections[x]; ok {
+			fn, _ := sel.Obj().(*types.Func)
 			return fn
 		}
+		fn, _ := info.Uses[x.Sel].(*types.Func)
+		return fn
 	}
 	return nil
 }

@@ -141,6 +141,23 @@ func TestPanicPathFixture(t *testing.T) {
 	}
 }
 
+// TestReachFixture checks the dead-code rule: functions reached only by
+// reference, from init, a var initializer, an external interface or a
+// keep marker are live; the rest are reported, and a bare keep marker
+// is reported as an unjustified annotation.
+func TestReachFixture(t *testing.T) {
+	findings := checkFixture(t, "fixture/cmd/reach", "testdata/reach")
+	bare := 0
+	for _, f := range findings {
+		if strings.Contains(f.Message, "keep needs a justification") {
+			bare++
+		}
+	}
+	if bare != 1 {
+		t.Errorf("got %d keep needs-a-justification findings, want 1", bare)
+	}
+}
+
 func TestKernelsPanicFixture(t *testing.T) {
 	checkFixture(t, "fixture/internal/kernels", "testdata/kernelspanic")
 }

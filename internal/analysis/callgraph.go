@@ -7,20 +7,21 @@ import (
 )
 
 // The call graph is a static, conservative approximation shared by
-// hotalloc, codegen, panicpath and lockorder:
+// hotalloc, codegen, panicpath and reach:
 //
 //   - direct calls (package functions, methods on concrete types) become
 //     edges to the callee's node;
 //   - calls through an interface method become edges to every concrete
 //     method in the module that implements that interface;
-//   - a function literal gets its own node with an edge from the
-//     function it appears in (wherever the literal ends up being
-//     invoked, that is the path the panic or allocation travels);
+//   - a function referenced without being called (passed by name, a
+//     method value, stored in a field) gets an edge from the function
+//     the reference appears in, just as a function literal does:
+//     wherever the value ends up being invoked, that is the path the
+//     panic or allocation travels;
 //   - an edge created by passing a function to resilience.Safe is marked
 //     guarded — panics below it are captured, not fatal;
-//   - calls through plain function-typed values (fields, parameters) are
-//     not resolved; rules relying on the graph treat the literal-edge
-//     approximation above as their coverage of callbacks.
+//   - references in package-level var initializers are edges from one
+//     synthetic node, vars, which reach uses as a root.
 
 // funcNode is one function, method, or function literal.
 type funcNode struct {
@@ -72,14 +73,11 @@ type callGraph struct {
 	byObj map[*types.Func]*funcNode
 	byLit map[*ast.FuncLit]*funcNode
 	nodes []*funcNode
+	vars  *funcNode // package-level var initializers (not in nodes)
 
 	// pendingIface holds interface-method calls seen during the walk,
 	// expanded once every node exists.
 	pendingIface []ifaceCall
-	// safeLit marks literals already connected through a guarded
-	// resilience.Safe edge so the generic literal walk does not add a
-	// second, unguarded one.
-	safeLit map[*ast.FuncLit]bool
 }
 
 // graph returns the module call graph, building it on first use.
@@ -92,9 +90,9 @@ func (p *Program) graph() *callGraph {
 
 func buildCallGraph(p *Program) *callGraph {
 	g := &callGraph{
-		byObj:   map[*types.Func]*funcNode{},
-		byLit:   map[*ast.FuncLit]*funcNode{},
-		safeLit: map[*ast.FuncLit]bool{},
+		byObj: map[*types.Func]*funcNode{},
+		byLit: map[*ast.FuncLit]*funcNode{},
+		vars:  &funcNode{},
 	}
 	// Pass 1: a node per function declaration.
 	for _, pkg := range p.Pkgs {
@@ -114,16 +112,24 @@ func buildCallGraph(p *Program) *callGraph {
 			}
 		}
 	}
-	// Pass 2: walk bodies, creating literal nodes and edges.
+	// Pass 2: walk bodies and var initializers, adding literals and edges.
 	for _, pkg := range p.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Body != nil {
+						g.walkBody(p, pkg, g.byObj[pkg.Info.Defs[d.Name].(*types.Func)], d.Body)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, v := range vs.Values {
+								g.walkBody(p, pkg, g.vars, v)
+							}
+						}
+					}
 				}
-				obj := pkg.Info.Defs[fd.Name].(*types.Func)
-				g.walkBody(p, pkg, g.byObj[obj], fd.Body)
 			}
 		}
 	}
@@ -161,27 +167,35 @@ type ifaceCall struct {
 	pos    token.Pos
 }
 
-// walkBody scans one function body (excluding nested literals, which get
-// their own nodes) for calls and panic statements.
-func (g *callGraph) walkBody(p *Program, pkg *Package, from *funcNode, body *ast.BlockStmt) {
+// walkBody scans one function body (or var initializer), excluding
+// nested literals, which get their own nodes, for calls, function
+// references and panic statements.
+func (g *callGraph) walkBody(p *Program, pkg *Package, from *funcNode, body ast.Node) {
 	info := pkg.Info
+	// called holds what recordCall already made edges of (a call's
+	// function, Safe's argument): no second, unguarded reference edge.
+	called := map[ast.Expr]bool{}
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
 			// The literal's own statements belong to the literal node;
-			// give the enclosing function an (unguarded) edge to it,
-			// unless a Safe call below claims it first — guarded edges
-			// are added where the literal is an argument to Safe, and
-			// the duplicate unguarded edge is suppressed there.
-			g.addLitEdge(p, pkg, from, node, false)
+			// the enclosing function gets an (unguarded) edge to it,
+			// unless a Safe call claimed it first with a guarded one.
+			if !called[node] {
+				g.addLitEdge(p, pkg, from, node, false)
+			}
 			return false
 		case *ast.CallExpr:
-			g.recordCall(p, pkg, from, node)
-			// Continue into arguments, but literal arguments to Safe
-			// were handled in recordCall; recordCall marks them so the
-			// FuncLit case above can skip duplicates.
-			return true
+			g.recordCall(p, pkg, from, node, called)
+		case *ast.Ident, *ast.SelectorExpr:
+			if fn := funcOf(info, node.(ast.Expr)); fn != nil && !called[node.(ast.Expr)] {
+				g.addEdge(from, fn, node.Pos(), false)
+			}
+			if sel, ok := node.(*ast.SelectorExpr); ok {
+				ast.Inspect(sel.X, walk)
+				return false // sel.Sel names the function just handled
+			}
 		}
 		return true
 	}
@@ -200,47 +214,43 @@ func (g *callGraph) walkBody(p *Program, pkg *Package, from *funcNode, body *ast
 
 // addLitEdge connects from -> lit (creating the literal node).
 func (g *callGraph) addLitEdge(p *Program, pkg *Package, from *funcNode, lit *ast.FuncLit, guarded bool) {
-	if !guarded && g.safeLit[lit] {
-		return
-	}
 	n := g.litNode(p, pkg, lit)
 	from.edges = append(from.edges, edge{to: n, pos: lit.Pos(), guarded: guarded})
 }
 
-// recordCall resolves one call expression into edges.
-func (g *callGraph) recordCall(p *Program, pkg *Package, from *funcNode, call *ast.CallExpr) {
-	info := pkg.Info
-	fn := calleeFunc(info, call)
+// recordCall resolves one call expression into edges, marking the
+// expressions it consumed in called.
+func (g *callGraph) recordCall(p *Program, pkg *Package, from *funcNode, call *ast.CallExpr, called map[ast.Expr]bool) {
+	fn := calleeFunc(pkg.Info, call)
 	if fn == nil {
 		return
 	}
+	called[ast.Unparen(call.Fun)] = true
 	// resilience.Safe(f): the function value f runs under recover — mark
 	// the edge guarded.
 	if fn.Name() == "Safe" && fn.Pkg() != nil && pathSuffix(fn.Pkg().Path(), "internal/resilience") {
 		if len(call.Args) == 1 {
-			switch arg := ast.Unparen(call.Args[0]).(type) {
-			case *ast.FuncLit:
-				g.safeLit[arg] = true
-				g.addLitEdge(p, pkg, from, arg, true)
-			case *ast.Ident:
-				if target, ok := info.Uses[arg].(*types.Func); ok {
-					if n := g.byObj[target]; n != nil {
-						from.edges = append(from.edges, edge{to: n, pos: call.Pos(), guarded: true})
-					}
-				}
+			arg := ast.Unparen(call.Args[0])
+			called[arg] = true
+			if lit, ok := arg.(*ast.FuncLit); ok {
+				g.addLitEdge(p, pkg, from, lit, true)
+			} else if target := funcOf(pkg.Info, arg); target != nil {
+				g.addEdge(from, target, call.Pos(), true)
 			}
 		}
+	}
+	g.addEdge(from, fn, call.Pos(), false)
+}
+
+// addEdge connects from -> fn. A call through an interface method is
+// resolved after every node exists.
+func (g *callGraph) addEdge(from *funcNode, fn *types.Func, pos token.Pos, guarded bool) {
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+		g.pendingIface = append(g.pendingIface, ifaceCall{from: from, method: fn, pos: pos})
 		return
 	}
-	// Interface method call? Resolve after all nodes exist.
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if types.IsInterface(sig.Recv().Type()) {
-			g.pendingIface = append(g.pendingIface, ifaceCall{from: from, method: fn, pos: call.Pos()})
-			return
-		}
-	}
 	if n := g.byObj[fn]; n != nil {
-		from.edges = append(from.edges, edge{to: n, pos: call.Pos()})
+		from.edges = append(from.edges, edge{to: n, pos: pos, guarded: guarded})
 	}
 }
 

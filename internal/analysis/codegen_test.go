@@ -21,45 +21,6 @@ func TestCodegenFixture(t *testing.T) {
 	}
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	findings := checkFixture(t, "fixture/internal/core", "testdata/lockorder")
-	// Cycle findings must carry the discovered canonical order so the
-	// fix is legible from the report alone.
-	cycles := 0
-	for _, f := range findings {
-		if strings.Contains(f.Message, "lock-order cycle") {
-			cycles++
-			if !strings.Contains(f.Message, "canonical order:") {
-				t.Errorf("cycle finding missing the canonical order: %s", f)
-			}
-		}
-	}
-	if cycles != 3 {
-		t.Errorf("got %d cycle findings, want 3 (two edges of the A/B cycle, one self-edge)", cycles)
-	}
-
-	prog, err := LoadFixture(moduleRoot, "fixture/internal/core", "testdata/lockorder")
-	if err != nil {
-		t.Fatalf("LoadFixture: %v", err)
-	}
-	ordered, isolated := DiscoveredLockOrder(prog)
-	di, ei := -1, -1
-	for i, name := range ordered {
-		switch name {
-		case "lockorder.D.mu":
-			di = i
-		case "lockorder.E.mu":
-			ei = i
-		}
-	}
-	if di < 0 || ei < 0 || di >= ei {
-		t.Errorf("canonical order %v does not place lockorder.D.mu before lockorder.E.mu", ordered)
-	}
-	if len(isolated) != 0 {
-		t.Errorf("isolated = %v, want none (every fixture class participates in an edge)", isolated)
-	}
-}
-
 // TestHotLoopsCompilerVerified pins the kernel discipline at its source:
 // compiling internal/kernels under the gate's gcflags must yield zero
 // codegen findings — every surviving bounds check is explicitly

@@ -10,7 +10,7 @@ import (
 // stays strict and every exception carries its justification next to
 // the code it excuses.
 type Directive struct {
-	Kind   string // "alloc-ok", "go-ok", "panic-ok", "bce-ok", "lock-ok", "hot"
+	Kind   string // "alloc-ok", "go-ok", "panic-ok", "bce-ok", "keep", "hot"
 	Reason string // justification text after the marker
 	Line   int
 	Pos    token.Pos

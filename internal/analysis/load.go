@@ -30,6 +30,7 @@ type listPkg struct {
 	GoFiles    []string
 	Standard   bool
 	Export     string
+	Module     struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -67,6 +68,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			return nil, fmt.Errorf("analysis: %s: %w", lp.ImportPath, err)
 		}
 		imp.checked[lp.ImportPath] = pkg.Types
+		prog.Module = lp.Module.Path
 		prog.Pkgs = append(prog.Pkgs, pkg)
 		prog.scanDirectives(pkg)
 	}
@@ -86,44 +88,6 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	return m.base.Import(path)
-}
-
-// LoadFixture type-checks one directory of fixture files as a package
-// with the given (fake) import path, resolving its imports against the
-// real module's export data rooted at moduleDir. Tests use it to feed
-// seeded violations through the analyzers under package paths like
-// "fixture/internal/core" without the fixtures ever being part of the
-// module build.
-func LoadFixture(moduleDir, pkgPath, fixtureDir string) (*Program, error) {
-	exports, _, err := goList(moduleDir, []string{"./..."})
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no fixture files in %s", fixtureDir)
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	pkg, err := checkPackage(fset, imp, pkgPath, fixtureDir, files)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: fixture %s: %w", pkgPath, err)
-	}
-	prog := &Program{Fset: fset, Pkgs: []*Package{pkg}, directives: map[string]map[int]*Directive{}}
-	// Fixtures never shell out to the compiler: codegen diagnostics are
-	// synthesized from //codegen: markers in the fixture source.
-	prog.diagSource = fixtureDiagSource
-	prog.scanDirectives(pkg)
-	return prog, nil
 }
 
 // goList runs `go list -export -deps -json` and splits the result into

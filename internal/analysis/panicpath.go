@@ -12,7 +12,7 @@ import (
 //
 // Zone roots (internal/serve, internal/registry): every function with an
 // http.ResponseWriter parameter (an HTTP handler), every exported
-// Model/Registry method (the swap protocol runs under SIGHUP with no
+// registry.Model method (the swap protocol runs under SIGHUP with no
 // recovering caller), and
 // the target of every go statement in the zone (a worker goroutine's
 // panic kills the process). From those roots the call graph is walked,
@@ -114,15 +114,14 @@ func handlerFunc(n *funcNode) bool {
 }
 
 // exportedRegistryMethod reports whether the node is an exported method
-// on registry.Model or registry.Registry. The swap protocol is driven
+// on registry.Model. The swap protocol is driven
 // from a SIGHUP goroutine as well as HTTP handlers, so a panic escaping
 // it has no recovering caller.
 func exportedRegistryMethod(n *funcNode) bool {
 	if !pathSuffix(n.pkg.Path, "internal/registry") {
 		return false
 	}
-	recv := n.recvTypeName()
-	return (recv == "Model" || recv == "Registry") && n.obj != nil && n.obj.Exported()
+	return n.recvTypeName() == "Model" && n.obj != nil && n.obj.Exported()
 }
 
 // goTargets resolves the functions and literals launched by go

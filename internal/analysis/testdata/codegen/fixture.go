@@ -7,6 +7,8 @@
 // `-m=2 -d=ssa/check_bce` diagnostic at that position, so the fixture
 // exercises the diagnostic→finding mapping, the carve-outs, and the
 // escape hatches without shelling out to the compiler.
+//
+//bitflow:keep fixture: the codegen test feeds these functions straight to the analyzers
 package codegen
 
 // HotKernel is a hot root by package role; the markers inside simulate

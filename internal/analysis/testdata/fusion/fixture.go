@@ -5,6 +5,8 @@
 // //bitflow:hot, so hotalloc governs it: activations between layers exist
 // only as packed bits, and a float tensor materialized anywhere on the
 // pooled or unpooled path is a finding.
+//
+//bitflow:keep fixture: the fusion test feeds these functions straight to the analyzers
 package fusion
 
 import "bitflow/internal/tensor"

@@ -1,7 +1,11 @@
 // Package hotalloc is a seeded-violation fixture loaded under the fake
 // import path "fixture/internal/core". HotPath is rooted with
 // //bitflow:hot; everything reachable from it must be allocation-free.
+//
+//bitflow:keep fixture: the hotalloc test feeds these functions straight to the analyzers
 package hotalloc
+
+import "bitflow/internal/exec"
 
 type result struct {
 	vals []int32
@@ -41,6 +45,20 @@ func helper(in []int32) int32 {
 		total += v
 	}
 	return total
+}
+
+// HotChunks hands a named helper to ParallelFor: the helper runs per
+// inference wherever ParallelFor invokes it, so it is hot too.
+//
+//bitflow:hot
+func HotChunks(ec *exec.Ctx, n int) {
+	ec.ParallelFor(n, fillChunk)
+}
+
+// fillChunk is reached only through the reference above.
+func fillChunk(start, end int) {
+	chunk := make([]int32, end-start) // want:hotalloc
+	_ = chunk
 }
 
 // EnsureScratch is a sanctioned allocation point: the Ensure* name prefix

@@ -1,6 +1,8 @@
 // Package kernelspanic is a seeded-violation fixture loaded under the
 // fake import path "fixture/internal/kernels": kernels code may only
 // panic inside the sanctioned panic* helper functions.
+//
+//bitflow:keep fixture: the kernelspanic test feeds these functions straight to the analyzers
 package kernelspanic
 
 // Apply panics inline instead of going through a helper: flagged.

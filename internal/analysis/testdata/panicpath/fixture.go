@@ -2,6 +2,8 @@
 // import path "fixture/internal/serve": handler-shaped functions and
 // goroutine targets are zone roots, and any panic they can reach without
 // a resilience.Safe guard must be flagged.
+//
+//bitflow:keep fixture: the panicpath test feeds these functions straight to the analyzers
 package panicpath
 
 import (
@@ -46,6 +48,18 @@ func guardedDecode(r *http.Request) {
 	if r.Body == nil {
 		panic("no body")
 	}
+}
+
+// handleGuardedByName hands Safe a function by name: the guarded edge is
+// the reference's only edge, so guardedReset's panic is clean too.
+func handleGuardedByName(w http.ResponseWriter, r *http.Request) {
+	if err := resilience.Safe(guardedReset); err != nil {
+		http.Error(w, "replica panic", http.StatusInternalServerError)
+	}
+}
+
+func guardedReset() {
+	panic("reset failed")
 }
 
 // handlePruned prunes one call edge with a justified //bitflow:panic-ok:

@@ -2,6 +2,8 @@
 // the fake import path "fixture/internal/core" (not a concurrency-owner
 // package), so every raw goroutine below must be flagged. Lines carry
 // "// want:<analyzer>" markers the test harness checks exactly.
+//
+//bitflow:keep fixture: the rawgo test feeds these functions straight to the analyzers
 package rawgo
 
 import "sync"

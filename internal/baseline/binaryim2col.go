@@ -48,11 +48,6 @@ func NewBinaryIm2colConv(f *tensor.Filter, stride, pad int) *BinaryIm2colConv {
 	}
 }
 
-// Words reports the packed unfolded row length in 64-bit words; the
-// harness prints it to show why the wide tiers rarely apply (paper:
-// "N won't be multiple of 32 in most cases").
-func (b *BinaryIm2colConv) Words() int { return b.wpr }
-
 // Forward runs the baseline convolution on a ±1-valued input tensor and
 // returns raw integer inner products as float32 (NHWC). Binarized zero
 // padding pads the bit 0 (= feature −1). threads splits the unfolded

@@ -53,19 +53,6 @@ func ConvDirect(in *tensor.Tensor, f *tensor.Filter, stride, pad int, padVal flo
 	return out
 }
 
-// ConvIm2col computes a full-precision convolution with the conventional
-// image-to-column method: unfold, then sgemm against the flattened weight
-// matrix (paper §II-B). Returns the output in NHWC. The unfold runs at
-// call time — its cost is part of what Fig. 7's baseline pays.
-func ConvIm2col(in *tensor.Tensor, f *tensor.Filter, stride, pad int, padVal float32, threads int) *tensor.Tensor {
-	u := Im2col(in, f.KH, f.KW, stride, pad, padVal) // (outH*outW) × (kh*kw*C)
-	w := FilterMatrix(f)                             // K × (kh*kw*C)
-	prod := SgemmParallel(u, w.T(), threads)         // (outH*outW) × K
-	outH := (in.H+2*pad-f.KH)/stride + 1
-	outW := (in.W+2*pad-f.KW)/stride + 1
-	return tensor.FromSlice(outH, outW, f.K, prod.Data)
-}
-
 // dotF32 returns the inner product of equal-length slices, unrolled by 4.
 func dotF32(a, b []float32) float32 {
 	n := len(a)

@@ -63,3 +63,19 @@ func MaxPoolFloat(in *tensor.Tensor, kh, kw, stride, threads int) *tensor.Tensor
 	})
 	return out
 }
+
+// axpy computes dst += alpha*src, unrolled by 4.
+func axpy(dst, src []float32, alpha float32) {
+	n := len(dst)
+	_ = src[n-1]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i] += alpha * src[i]
+		dst[i+1] += alpha * src[i+1]
+		dst[i+2] += alpha * src[i+2]
+		dst[i+3] += alpha * src[i+3]
+	}
+	for ; i < n; i++ {
+		dst[i] += alpha * src[i]
+	}
+}

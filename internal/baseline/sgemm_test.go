@@ -7,8 +7,12 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// sgemm block sizes: a modest cache-blocking scheme (the paper's float
-// baseline rides MKL/OpenBLAS; ours is a portable blocked kernel).
+// The float image-to-column convolution (paper §II-B): unfold, then a
+// blocked sgemm against the flattened weights. No program times it; the
+// tests keep it as a second, independent float convolution that
+// ConvDirect — the oracle of every binary path — must agree with.
+
+// sgemm block sizes.
 const (
 	sgemmMC = 64  // rows of A per block
 	sgemmKC = 256 // inner dimension per block
@@ -22,8 +26,7 @@ func Sgemm(a, b *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
-// SgemmInto computes C += A×B into the (pre-zeroed by caller if desired)
-// matrix c. c must be a.Rows × b.Cols.
+// SgemmInto computes C += A×B into c, which must be a.Rows × b.Cols.
 func SgemmInto(a, b, c *tensor.Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("baseline: Sgemm %v × %v -> %v shape mismatch", a, b, c))
@@ -47,7 +50,7 @@ func SgemmParallel(a, b *tensor.Matrix, threads int) *tensor.Matrix {
 	return c
 }
 
-// sgemmRows computes rows [r0, r1) of C = A×B with k-blocking.
+// sgemmRows computes rows [r0, r1) of C += A×B with k-blocking.
 func sgemmRows(a, b, c *tensor.Matrix, r0, r1 int) {
 	n := b.Cols
 	for kc := 0; kc < a.Cols; kc += sgemmKC {
@@ -58,30 +61,25 @@ func sgemmRows(a, b, c *tensor.Matrix, r0, r1 int) {
 				arow := a.Row(i)
 				crow := c.Row(i)
 				for k := kc; k < kEnd; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
+					if av := arow[k]; av != 0 {
+						axpy(crow, b.Data[k*n:(k+1)*n], av)
 					}
-					brow := b.Data[k*n : (k+1)*n]
-					axpy(crow, brow, av)
 				}
 			}
 		}
 	}
 }
 
-// axpy computes dst += alpha*src, unrolled by 4.
-func axpy(dst, src []float32, alpha float32) {
-	n := len(dst)
-	_ = src[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
-	}
+// ConvIm2col computes a full-precision convolution by unfolding in and
+// multiplying by the flattened weight matrix. Returns the output in NHWC.
+func ConvIm2col(in *tensor.Tensor, f *tensor.Filter, stride, pad int, padVal float32, threads int) *tensor.Tensor {
+	u := Im2col(in, f.KH, f.KW, stride, pad, padVal) // (outH*outW) × (kh*kw*C)
+	w := FilterMatrix(f)                             // K × (kh*kw*C)
+	prod := SgemmParallel(u, w.T(), threads)         // (outH*outW) × K
+	outH := (in.H+2*pad-f.KH)/stride + 1
+	outW := (in.W+2*pad-f.KW)/stride + 1
+	return tensor.FromSlice(outH, outW, f.K, prod.Data)
 }
+
+// Words reports the packed unfolded row length in 64-bit words.
+func (b *BinaryIm2colConv) Words() int { return b.wpr }

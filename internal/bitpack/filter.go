@@ -54,14 +54,9 @@ func (pf *PackedFilter) TapWords(k, i, j int) []uint64 {
 	return pf.Words[off : off+pf.WPP : off+pf.WPP]
 }
 
-// FilterWords returns the dense KH*KW*WPP-word block of filter k.
-func (pf *PackedFilter) FilterWords(k int) []uint64 {
-	sz := pf.KH * pf.KW * pf.WPP
-	off := k * sz
-	return pf.Words[off : off+sz : off+sz]
-}
-
 // UnpackFilter expands pf back into a ±1-valued float filter bank.
+//
+//bitflow:keep test oracle: bitpack and core tests read packed filters back through it
 func UnpackFilter(pf *PackedFilter) *tensor.Filter {
 	f := tensor.NewFilter(pf.K, pf.KH, pf.KW, pf.C)
 	for k := 0; k < pf.K; k++ {

@@ -71,6 +71,8 @@ func PackMatrixBT(b *tensor.Matrix, wpr int) *PackedMatrix {
 // separate passes (binarize to a ±1 matrix, transpose it, then pack each
 // row), materializing both intermediates. It exists as the ablation
 // baseline quantifying what Table III's fusion buys.
+//
+//bitflow:keep paper ablation: bench_test.go's AblationStagedTransform times it against PackMatrixBT
 func StagedPackMatrixBT(b *tensor.Matrix, wpr int) *PackedMatrix {
 	signed := b.Sign()
 	bt := signed.T() // K×N
@@ -79,17 +81,6 @@ func StagedPackMatrixBT(b *tensor.Matrix, wpr int) *PackedMatrix {
 		packChannels(pm.RowWords(k), bt.Row(k))
 	}
 	return pm
-}
-
-// PackVector binarizes and packs a float vector into wpr words (trailing
-// lanes zero). Used for the FC activation vector (M = 1).
-func PackVector(v []float32, wpr int) []uint64 {
-	if wpr < WordsFor(len(v)) {
-		panic(fmt.Sprintf("bitpack: vector wpr %d < WordsFor(%d)=%d", wpr, len(v), WordsFor(len(v))))
-	}
-	dst := make([]uint64, wpr)
-	packChannels(dst, v)
-	return dst
 }
 
 // PackVectorInto binarizes and packs v into dst, clearing trailing words.
@@ -101,6 +92,8 @@ func PackVectorInto(dst []uint64, v []float32) {
 }
 
 // UnpackVector expands n bits from words into a ±1 float vector.
+//
+//bitflow:keep test oracle: bitpack and core tests read packed vectors back through it
 func UnpackVector(words []uint64, n int) []float32 {
 	out := make([]float32, n)
 	for i := 0; i < n; i++ {

@@ -77,7 +77,8 @@ func TestPackVectorRoundtrip(t *testing.T) {
 		for i := range v {
 			v[i] = r.PM1()
 		}
-		words := PackVector(v, WordsFor(n)+1)
+		words := make([]uint64, WordsFor(n)+1)
+		PackVectorInto(words, v)
 		back := UnpackVector(words, n)
 		for i := range v {
 			if v[i] != back[i] {
@@ -96,10 +97,10 @@ func TestPackVectorRoundtrip(t *testing.T) {
 func TestPackVectorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("PackVector with short wpr did not panic")
+			t.Error("PackVectorInto with a short dst did not panic")
 		}
 	}()
-	PackVector(make([]float32, 65), 1)
+	PackVectorInto(make([]uint64, 1), make([]float32, 65))
 }
 
 func TestPackedFilterRoundtrip(t *testing.T) {
@@ -112,6 +113,13 @@ func TestPackedFilterRoundtrip(t *testing.T) {
 			t.Fatalf("filter roundtrip differs at %d", i)
 		}
 	}
+}
+
+// FilterWords returns the dense KH*KW*WPP-word block of filter k.
+func (pf *PackedFilter) FilterWords(k int) []uint64 {
+	sz := pf.KH * pf.KW * pf.WPP
+	off := k * sz
+	return pf.Words[off : off+sz : off+sz]
 }
 
 func TestFilterWordsContiguity(t *testing.T) {

@@ -81,6 +81,8 @@ func PackTensorInto(t *tensor.Tensor, p *Packed) {
 
 // Unpack expands p's interior back into a ±1-valued float tensor:
 // bit 1 ↦ +1, bit 0 ↦ −1. Only the true C channels are produced.
+//
+//bitflow:keep test oracle: bitpack, core and graph tests read packed tensors back through it
 func Unpack(p *Packed) *tensor.Tensor {
 	t := tensor.New(p.H, p.W, p.C)
 	for h := 0; h < p.H; h++ {
@@ -97,14 +99,4 @@ func Unpack(p *Packed) *tensor.Tensor {
 		}
 	}
 	return t
-}
-
-// PackPixel binarizes vals and writes them into interior pixel (h, w) of
-// p; len(vals) must equal p.C. Used by the graph executor to fuse the
-// sign activation with packing of the next layer's input.
-func (p *Packed) PackPixel(h, w int, vals []float32) {
-	if len(vals) != p.C {
-		panic(fmt.Sprintf("bitpack: PackPixel got %d values, want C=%d", len(vals), p.C))
-	}
-	packChannels(p.PixelWords(h, w), vals)
 }

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,48 @@ func TestPackRoundtripQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Bit reports channel bit c of interior pixel (h, w).
+func (p *Packed) Bit(h, w, c int) uint64 {
+	words := p.PixelWords(h, w)
+	return (words[c/WordBits] >> (uint(c) % WordBits)) & 1
+}
+
+// SetBit sets channel bit c of interior pixel (h, w) to v (0 or 1).
+func (p *Packed) SetBit(h, w, c int, v uint64) {
+	words := p.PixelWords(h, w)
+	mask := uint64(1) << (uint(c) % WordBits)
+	if v != 0 {
+		words[c/WordBits] |= mask
+	} else {
+		words[c/WordBits] &^= mask
+	}
+}
+
+// Row returns the word slice covering the full padded row that contains
+// interior row h, starting at the row's leftmost margin pixel.
+func (p *Packed) Row(h int) []uint64 {
+	off := (h + p.MarginH) * p.RowStride
+	return p.Words[off : off+p.RowStride : off+p.RowStride]
+}
+
+// Zero clears the whole buffer, margins included.
+func (p *Packed) Zero() { clear(p.Words) }
+
+// SameShape reports whether p and q agree in every structural field.
+func (p *Packed) SameShape(q *Packed) bool {
+	return p.H == q.H && p.W == q.W && p.C == q.C && p.WPP == q.WPP &&
+		p.MarginH == q.MarginH && p.MarginW == q.MarginW
+}
+
+// PackPixel binarizes vals and writes them into interior pixel (h, w) of
+// p; len(vals) must equal p.C.
+func (p *Packed) PackPixel(h, w int, vals []float32) {
+	if len(vals) != p.C {
+		panic(fmt.Sprintf("bitpack: PackPixel got %d values, want C=%d", len(vals), p.C))
+	}
+	packChannels(p.PixelWords(h, w), vals)
 }
 
 func TestSignSemantics(t *testing.T) {

@@ -80,42 +80,11 @@ func (p *Packed) PixelWords(h, w int) []uint64 {
 	return p.Words[off : off+p.WPP : off+p.WPP]
 }
 
-// Row returns the word slice covering the full padded row that contains
-// interior row h, starting at the row's leftmost margin pixel.
-func (p *Packed) Row(h int) []uint64 {
-	off := (h + p.MarginH) * p.RowStride
-	return p.Words[off : off+p.RowStride : off+p.RowStride]
-}
-
-// Bit reports channel bit c of interior pixel (h, w).
-func (p *Packed) Bit(h, w, c int) uint64 {
-	words := p.PixelWords(h, w)
-	return (words[c/WordBits] >> (uint(c) % WordBits)) & 1
-}
-
-// SetBit sets channel bit c of interior pixel (h, w) to v (0 or 1).
-func (p *Packed) SetBit(h, w, c int, v uint64) {
-	words := p.PixelWords(h, w)
-	mask := uint64(1) << (uint(c) % WordBits)
-	if v != 0 {
-		words[c/WordBits] |= mask
-	} else {
-		words[c/WordBits] &^= mask
-	}
-}
-
-// Zero clears the whole buffer, margins included.
-func (p *Packed) Zero() { clear(p.Words) }
-
-// SameShape reports whether p and q agree in every structural field.
-func (p *Packed) SameShape(q *Packed) bool {
-	return p.H == q.H && p.W == q.W && p.C == q.C && p.WPP == q.WPP &&
-		p.MarginH == q.MarginH && p.MarginW == q.MarginW
-}
-
 // MarginsAllZero reports whether every margin word is zero. The graph
 // executor's invariant tests use this to prove that zero-cost padding
 // margins are never clobbered.
+//
+//bitflow:keep test oracle: the margin invariant core and graph tests assert
 func (p *Packed) MarginsAllZero() bool {
 	paddedW := p.W + 2*p.MarginW
 	paddedH := p.H + 2*p.MarginH
@@ -140,6 +109,8 @@ func (p *Packed) MarginsAllZero() bool {
 // TailClean reports whether every interior pixel has zero bits in lanes
 // [C, WPP*64). Kernels rely on this to keep Equation 1 exact under
 // channel padding.
+//
+//bitflow:keep test oracle: the tail invariant core and graph tests assert
 func (p *Packed) TailClean() bool {
 	full := p.C / WordBits
 	rem := p.C % WordBits

@@ -34,6 +34,8 @@ func (cv *Conv) CompressionStats() kernels.CompressStats { return cv.pressStats 
 // on banks below the ratio threshold. It takes effect on the operator's
 // next forward, in every network sharing it. The plan must match the
 // filter bank's geometry.
+//
+//bitflow:keep test hook: core and graph differential tests force the compressed accumulate through it
 func (cv *Conv) SetCompression(cp *kernels.CompressPlan) error {
 	if cp != nil {
 		if s := cv.Shape.KH * cv.rowLen; cp.K != cv.Shape.K || cp.S != s {

@@ -181,6 +181,8 @@ func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
 // controls the multi-core split over the fused OutH·OutW dimension.
 // Forward always sweeps the packed bank: it is the reference the packed
 // path (and a compression plan) is checked against.
+//
+//bitflow:keep test oracle: core tests check ForwardPacked and compression plans against it
 func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	cv.checkInput(in)
 	s := cv.Shape

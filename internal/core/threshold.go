@@ -33,17 +33,6 @@ func NewThresholds(k int) *Thresholds {
 	return &Thresholds{T: make([]int32, k), Flip: make([]bool, k)}
 }
 
-// bit evaluates the folded activation for channel c at integer
-// pre-activation d. The hot paths never call this per element any more —
-// they run the pre-compiled branchless Epilogue — but it remains the
-// readable reference the epilogue is tested against.
-func (th *Thresholds) bit(c int, d int32) bool {
-	if th.Flip[c] {
-		return d <= th.T[c]
-	}
-	return d >= th.T[c]
-}
-
 // Epilogue compiles the activation into the fused form the kernels
 // consume, to run on the given kernel tier (the operator's Plan.Tier). A
 // nil receiver yields the plain sign over k channels. Called once at
@@ -116,27 +105,6 @@ func FoldBias(bias []float32) *Thresholds {
 		th.T[c] = int32(math.Ceil(float64(-b)))
 	}
 	return th
-}
-
-// Compose merges a later fold into an existing activation. It is only
-// defined when the first activation is the identity (plain sign was not
-// yet customized); BNN stacks apply at most one affine between the
-// matmul and the sign, so composition beyond that is rejected.
-func (th *Thresholds) Compose(next *Thresholds) (*Thresholds, error) {
-	if th == nil {
-		return next, nil
-	}
-	identity := true
-	for c := range th.T {
-		if th.T[c] != 0 || th.Flip[c] {
-			identity = false
-			break
-		}
-	}
-	if !identity {
-		return nil, fmt.Errorf("core: layer already has a folded activation")
-	}
-	return next, nil
 }
 
 // Affine is the float counterpart used on the final (logit-emitting)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,32 @@ import (
 	"bitflow/internal/tensor"
 	"bitflow/internal/workload"
 )
+
+// bit evaluates the folded activation for channel c at integer
+// pre-activation d. The hot paths run the pre-compiled branchless
+// Epilogue instead; this is the readable reference it is tested against.
+func (th *Thresholds) bit(c int, d int32) bool {
+	if th.Flip[c] {
+		return d <= th.T[c]
+	}
+	return d >= th.T[c]
+}
+
+// Compose merges a later fold into an existing activation. It is only
+// defined when the first activation is the identity (plain sign was not
+// yet customized); BNN stacks apply at most one affine between the
+// matmul and the sign, so composition beyond that is rejected.
+func (th *Thresholds) Compose(next *Thresholds) (*Thresholds, error) {
+	if th == nil {
+		return next, nil
+	}
+	for c := range th.T {
+		if th.T[c] != 0 || th.Flip[c] {
+			return nil, fmt.Errorf("core: layer already has a folded activation")
+		}
+	}
+	return next, nil
+}
 
 // bnSignRef computes sign(γ(d−μ)/σ+β) in float64 — the reference the
 // folded thresholds must match on integer pre-activations.

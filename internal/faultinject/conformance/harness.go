@@ -19,6 +19,8 @@
 //
 // A violation fails with the seed and the full fault script, so any
 // failure replays exactly. The suite runs under -race in verify.sh.
+//
+//bitflow:keep test harness: conformance_test.go and scenarios_test.go run it; no program arms faults
 package conformance
 
 import (

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// Allowed lists the script actions that are meaningful at this point —
+// the ones whose failure mode the consuming site is built to absorb.
+func (p *Point) Allowed() []Action { return append([]Action(nil), p.allowed...) }
+
+// Enabled reports whether a hook is currently installed.
+func (p *Point) Enabled() bool { return p.hook.Load() != nil }
+
 func TestDisarmedFireIsNil(t *testing.T) {
 	for _, p := range Points() {
 		if p.Enabled() {

@@ -65,14 +65,9 @@ type Point struct {
 }
 
 // Name returns the registered point name.
+//
+//bitflow:keep test harness: the faultinject and conformance tests name points through it
 func (p *Point) Name() string { return p.name }
-
-// Allowed lists the script actions that are meaningful at this point —
-// the ones whose failure mode the consuming site is built to absorb.
-func (p *Point) Allowed() []Action { return append([]Action(nil), p.allowed...) }
-
-// Enabled reports whether a hook is currently installed.
-func (p *Point) Enabled() bool { return p.hook.Load() != nil }
 
 // Set installs h as the point's hook (nil disarms). Installation is
 // atomic: in-flight Fire calls see either the old or the new hook.

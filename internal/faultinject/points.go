@@ -50,6 +50,8 @@ var (
 var registry = []*Point{ServeAdmit, ServeClone, GraphLayer, ExecChunk, RegistryLoad, RegistrySwap}
 
 // Points returns the full registry in request order.
+//
+//bitflow:keep test harness: the faultinject and conformance tests walk every point through it
 func Points() []*Point { return append([]*Point(nil), registry...) }
 
 // Lookup resolves a point by name, or nil.

@@ -1,3 +1,4 @@
+//bitflow:keep test harness: the faultinject and conformance tests arm points through scripts
 package faultinject
 
 import (

@@ -35,6 +35,7 @@ func (e *BatchInputError) Error() string {
 	return fmt.Sprintf("graph: batch item %d: %v", e.Index, e.Err)
 }
 
+//bitflow:keep external interface: errors.Is and errors.As unwrap through it
 func (e *BatchInputError) Unwrap() error { return e.Err }
 
 // CheckInputFinite is CheckInput plus a NaN/Inf scan — the validation the

@@ -87,6 +87,8 @@ type FormatError struct {
 }
 
 func (e *FormatError) Error() string { return fmt.Sprintf("graph: invalid model file: %v", e.Err) }
+
+//bitflow:keep external interface: errors.Is and errors.As unwrap through it
 func (e *FormatError) Unwrap() error { return e.Err }
 
 // LoadInfo describes the integrity metadata observed while loading.

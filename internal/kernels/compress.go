@@ -118,14 +118,6 @@ func (cp *CompressPlan) Expand(acc []int32) {
 	}
 }
 
-// Stats returns the duplication analysis the plan was built from.
-func (cp *CompressPlan) Stats() CompressStats {
-	return CompressStats{
-		Channels: cp.K, Positions: cp.S,
-		TotalWords: cp.K * cp.S, DistinctWords: len(cp.Words),
-	}
-}
-
 // AnalyzeCompression measures the duplication of a packed weight bank —
 // K filters of S words each, filter-major — without building the full
 // plan (no scatter lists are materialized). words must hold K*S words.
@@ -260,24 +252,6 @@ func wordBlocksEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Reconstruct expands the plan back into the K*S filter-major packed
-// word bank it was built from — the round-trip the plan property tests
-// pin bit-exact.
-//
-//bitflow:bce-ok diagnostic/test reconstruction, never per inference
-func Reconstruct(cp *CompressPlan) []uint64 {
-	out := make([]uint64, cp.K*cp.S) //bitflow:alloc-ok diagnostic/test reconstruction, never per inference
-	for p := 0; p < cp.S; p++ {
-		for wi := cp.Starts[p]; wi < cp.Starts[p+1]; wi++ {
-			w := cp.Words[wi]
-			for _, k := range cp.Channels[cp.ChanStarts[wi]:cp.ChanStarts[wi+1]] {
-				out[int(k)*cp.S+p] = w
-			}
-		}
-	}
-	return out
 }
 
 // CompressedAccum adds the XOR+popcount contributions of input-word

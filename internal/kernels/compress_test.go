@@ -6,6 +6,30 @@ import (
 	"bitflow/internal/workload"
 )
 
+// Stats returns the duplication analysis the plan was built from.
+func (cp *CompressPlan) Stats() CompressStats {
+	return CompressStats{
+		Channels: cp.K, Positions: cp.S,
+		TotalWords: cp.K * cp.S, DistinctWords: len(cp.Words),
+	}
+}
+
+// Reconstruct expands the plan back into the K*S filter-major packed
+// word bank it was built from — the round-trip the plan property tests
+// pin bit-exact.
+func Reconstruct(cp *CompressPlan) []uint64 {
+	out := make([]uint64, cp.K*cp.S)
+	for p := 0; p < cp.S; p++ {
+		for wi := cp.Starts[p]; wi < cp.Starts[p+1]; wi++ {
+			w := cp.Words[wi]
+			for _, k := range cp.Channels[cp.ChanStarts[wi]:cp.ChanStarts[wi+1]] {
+				out[int(k)*cp.S+p] = w
+			}
+		}
+	}
+	return out
+}
+
 // randBank builds a deterministic filter-major K×S word bank drawing
 // each word from an alphabet of `distinct` values, so tests dial the
 // duplication ratio precisely.

@@ -125,7 +125,7 @@ func (e *Epilogue) words(fn string, d []int32, dst []uint64) []uint64 {
 
 // Pack writes the threshold bits of the K pre-activations d into dst,
 // overwriting it and clearing trailing words — the fused replacement for
-// a per-element Thresholds.bit pass.
+// a per-element threshold compare.
 func (e *Epilogue) Pack(d []int32, dst []uint64) {
 	out := e.words("Epilogue.Pack", d, dst)
 	t := e.T

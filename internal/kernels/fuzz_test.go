@@ -59,20 +59,5 @@ func FuzzXorPopcount(f *testing.F) {
 				t.Errorf("%s: got %d, want %d (n=%d words)", w, got, want, len(a))
 			}
 		}
-		var mask uint64
-		if len(data) > 0 {
-			mask = uint64(data[0]) * 0x0101010101010101
-		} else {
-			mask = ^uint64(0)
-		}
-		wantMasked := 0
-		for i := range a {
-			if i < 64 && mask>>uint(i)&1 == 1 {
-				wantMasked += refXorPopBits(a[i:i+1], b[i:i+1])
-			}
-		}
-		if got := XorPopMasked(mask, a, b); got != wantMasked {
-			t.Errorf("XorPopMasked: got %d, want %d", got, wantMasked)
-		}
 	})
 }

@@ -29,22 +29,6 @@ func XorPopRows64(rows [][]uint64, filt []uint64) int {
 	return acc
 }
 
-// XorPopMasked is the analogue of _mm512_maskz_xor_epi64 +
-// _mm512_maskz_popcnt_epi64 (paper Table I): only words whose bit is set
-// in the 64-bit zeromask contribute. Used by tail handling when a shape
-// cannot be padded.
-//
-//bitflow:bce-ok masked tail helper, called once per ragged edge, not per lane; the mask test dominates anyway
-func XorPopMasked(mask uint64, a, b []uint64) int {
-	acc := 0
-	for i := range a {
-		if mask>>uint(i)&1 == 1 {
-			acc += bits.OnesCount64(a[i] ^ b[i])
-		}
-	}
-	return acc
-}
-
 // OrInto computes dst[i] |= src[i]; binary max-pooling reduces windows
 // with bitwise OR ("which is used to get the max of a sequence of ones
 // and zeros", paper §III-C). Unrolled by 4 to match the vector tiers.
@@ -63,13 +47,4 @@ func OrInto(dst, src []uint64) {
 		dst = dst[1:]
 		src = src[1:]
 	}
-}
-
-// Popcount returns Σ popcount(a[i]).
-func Popcount(a []uint64) int {
-	acc := 0
-	for _, v := range a {
-		acc += bits.OnesCount64(v)
-	}
-	return acc
 }

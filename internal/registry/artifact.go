@@ -62,6 +62,7 @@ func (e *LoadError) Error() string {
 	return fmt.Sprintf("registry: loading %s: %s failed: %v", e.Path, e.Stage, e.Err)
 }
 
+//bitflow:keep external interface: errors.Is and errors.As unwrap through it
 func (e *LoadError) Unwrap() error { return e.Err }
 
 // LoadArtifact opens, checksums, and decodes one model file. It runs

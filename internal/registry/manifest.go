@@ -129,16 +129,6 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// DefaultModel returns the entry the legacy endpoints route to.
-func (m *Manifest) DefaultModel() ManifestEntry {
-	for _, e := range m.Models {
-		if e.Default {
-			return e
-		}
-	}
-	return m.Models[0]
-}
-
 // ValidName reports whether a model name can sit inside a URL path
 // segment without escaping ([a-zA-Z0-9._-], non-empty).
 func ValidName(s string) bool {

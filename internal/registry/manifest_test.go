@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// DefaultModel returns the entry the legacy endpoints route to.
+func (m *Manifest) DefaultModel() ManifestEntry {
+	for _, e := range m.Models {
+		if e.Default {
+			return e
+		}
+	}
+	return m.Models[0]
+}
+
 func TestParseManifest(t *testing.T) {
 	m, err := ParseManifest(strings.NewReader(`{
 		"models": [

@@ -1,5 +1,5 @@
-// Package registry is the multi-model serving control plane: it maps
-// model names to versioned replica sets and owns the atomic hot-reload
+// Package registry is the multi-model serving control plane: it holds
+// each model's versioned replica sets and owns the atomic hot-reload
 // protocol that swaps a model's version under live traffic without
 // dropping a request, leaking a replica, or ever exposing a half-state.
 //
@@ -34,7 +34,6 @@ package registry
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +110,7 @@ func (e *ReloadError) Error() string {
 	return fmt.Sprintf("registry: reload %s: %s→%s rolled back at %s: %v", e.Model, e.From, e.To, e.Stage, e.Err)
 }
 
+//bitflow:keep external interface: errors.Is and errors.As unwrap through it
 func (e *ReloadError) Unwrap() error { return e.Err }
 
 // Model is one registered name: the current version behind an atomic
@@ -125,7 +125,12 @@ type Model struct {
 	cur atomic.Pointer[version]
 
 	// reloadMu serializes Swap/Close per model; request-path methods
-	// never take it.
+	// never take it. It is the one lock the module holds across another:
+	// a reload holds it through the candidate's verify inference, which
+	// takes exec.job.mu when it dispatches onto the pool. The reverse
+	// order cannot occur: registry imports graph, which imports exec, so
+	// exec cannot import registry (the compiler rejects the cycle) and no
+	// code running under exec.job.mu can reach reloadMu.
 	reloadMu sync.Mutex
 
 	last      atomic.Pointer[ReloadStatus]
@@ -140,9 +145,6 @@ func NewModel(name string, gate *resilience.Gate, metrics *resilience.Metrics, i
 	m.cur.Store(&version{set: initial})
 	return m
 }
-
-// Name returns the registered model name.
-func (m *Model) Name() string { return m.name }
 
 // Gate returns the model's admission gate.
 func (m *Model) Gate() *resilience.Gate { return m.gate }
@@ -333,60 +335,4 @@ func (m *Model) Close(ctx context.Context) error {
 		rerr = perr
 	}
 	return rerr
-}
-
-// Registry maps model names to Models. Lookups are cheap and concurrent;
-// registration is rare (startup, manifest reload).
-type Registry struct {
-	mu     sync.RWMutex
-	models map[string]*Model
-	order  []string
-}
-
-// New returns an empty registry.
-func New() *Registry {
-	return &Registry{models: map[string]*Model{}}
-}
-
-// Add registers m under its name. Duplicate names are an error — a
-// version change goes through Model.Swap, not re-registration.
-func (r *Registry) Add(m *Model) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.models[m.Name()]; dup {
-		return fmt.Errorf("registry: model %q already registered", m.Name())
-	}
-	r.models[m.Name()] = m
-	r.order = append(r.order, m.Name())
-	return nil
-}
-
-// Get resolves a model by name.
-func (r *Registry) Get(name string) (*Model, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, ok := r.models[name]
-	return m, ok
-}
-
-// Names lists registered models in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
-// SortedNames lists registered models alphabetically — for stable
-// status output.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
-}
-
-// Len reports the number of registered models.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.models)
 }

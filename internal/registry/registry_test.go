@@ -423,27 +423,3 @@ func TestCloseRetiresCurrent(t *testing.T) {
 		t.Error("Close did not retire the set")
 	}
 }
-
-func TestRegistryAddGet(t *testing.T) {
-	r := New()
-	ma, _ := newTestModel("v1")
-	if err := r.Add(ma); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add(ma); err == nil {
-		t.Error("duplicate Add accepted")
-	}
-	got, ok := r.Get("m")
-	if !ok || got != ma {
-		t.Errorf("Get => %v, %v", got, ok)
-	}
-	if _, ok := r.Get("nope"); ok {
-		t.Error("Get of unknown name succeeded")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if names := r.SortedNames(); len(names) != 1 || names[0] != "m" {
-		t.Errorf("SortedNames = %v", names)
-	}
-}

@@ -221,15 +221,13 @@ func TestDetectReportsAnExecutableTier(t *testing.T) {
 	}
 }
 
+// TestKernelTable pins the operator→kernel mapping of paper Fig. 6 for
+// VGG's channel counts.
 func TestKernelTable(t *testing.T) {
-	plans := KernelTable([]int{3, 64, 128, 256, 512}, allWidths())
-	if len(plans) != 5 {
-		t.Fatalf("got %d plans", len(plans))
-	}
 	wantWidths := []kernels.Width{kernels.W64, kernels.W64, kernels.W128, kernels.W256, kernels.W512}
-	for i, p := range plans {
-		if p.Width != wantWidths[i] {
-			t.Errorf("plan %d width %v want %v", i, p.Width, wantWidths[i])
+	for i, c := range []int{3, 64, 128, 256, 512} {
+		if p := Select(c, allWidths()); p.Width != wantWidths[i] {
+			t.Errorf("C=%d width %v want %v", c, p.Width, wantWidths[i])
 		}
 	}
 }

@@ -84,13 +84,3 @@ func (p Plan) PadLanes() int { return p.PaddedC - p.C }
 func (p Plan) String() string {
 	return fmt.Sprintf("C=%d → %s (words=%d, pad=%d lanes)", p.C, p.Width, p.Words, p.PadLanes())
 }
-
-// KernelTable returns the operator→kernel mapping of paper Fig. 6 for a
-// set of channel counts, e.g. VGG's {3, 64, 128, 256, 512}.
-func KernelTable(channels []int, feat Features) []Plan {
-	plans := make([]Plan, 0, len(channels))
-	for _, c := range channels {
-		plans = append(plans, Select(c, feat))
-	}
-	return plans
-}

@@ -80,7 +80,7 @@ func TestGoldenStatuszFieldSet(t *testing.T) {
 	}
 
 	t.Run("unbatched", func(t *testing.T) {
-		ts := httptest.NewServer(New(testNetwork(t), 1).Handler())
+		ts := httptest.NewServer(NewWithConfig(testNetwork(t), Config{Replicas: 1}).Handler())
 		defer ts.Close()
 		// One real request so the traffic-dependent fields are present.
 		x := workload.RandTensor(workload.NewRNG(160), 8, 8, 64)

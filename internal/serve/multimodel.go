@@ -2,7 +2,7 @@ package serve
 
 // Multi-model serving: the Server routes /v1/models/{model}/infer (and
 // the legacy single-model endpoints, aimed at the default model) onto
-// named models held in an internal/registry.Registry. Each model owns
+// named models, each a registry.Model. Each model owns
 // its admission gate and metrics — QoS isolation — while every replica
 // of every model dispatches onto the one shared exec pool. Versions hot
 // reload through registry.Model.Swap: the candidate replica set is
@@ -173,7 +173,6 @@ func NewMulti(specs []ModelSpec) (*Server, error) {
 		return nil, fmt.Errorf("serve: no models")
 	}
 	s := &Server{
-		reg:     registry.New(),
 		byName:  map[string]*model{},
 		started: time.Now(),
 	}
@@ -218,6 +217,9 @@ func orBoot(version string) string {
 // addModel builds the model around its first replica set, runs the
 // warm-up that arms readiness, and registers it.
 func (s *Server) addModel(name, version string, meta Meta, first backend, cfg Config) (*model, error) {
+	if _, dup := s.byName[name]; dup {
+		return nil, fmt.Errorf("serve: model %q already registered", name)
+	}
 	cfg = cfg.withDefaults()
 	meta.Replicas = cfg.Replicas
 	metrics := resilience.NewMetrics(1024)
@@ -231,9 +233,6 @@ func (s *Server) addModel(name, version string, meta Meta, first backend, cfg Co
 	m.ready.Store(panicErr == nil && inferErr == nil)
 
 	m.rm = registry.NewModel(name, gate, metrics, buildReplicaSet(version, meta, first, cfg, metrics))
-	if err := s.reg.Add(m.rm); err != nil {
-		return nil, err
-	}
 	s.byName[name] = m
 	s.order = append(s.order, m)
 	return m, nil
@@ -265,25 +264,6 @@ func (s *Server) ModelMetrics(name string) *resilience.Metrics {
 		return nil
 	}
 	return m.rm.Metrics()
-}
-
-// ModelVersion reports the named model's currently-serving version.
-func (s *Server) ModelVersion(name string) (string, error) {
-	m, ok := s.lookup(name)
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownModel, name)
-	}
-	return m.rm.Version(), nil
-}
-
-// LastReload returns the named model's most recent reload status, nil
-// if it never reloaded.
-func (s *Server) LastReload(name string) *registry.ReloadStatus {
-	m, ok := s.lookup(name)
-	if !ok {
-		return nil
-	}
-	return m.rm.LastReload()
 }
 
 // ModelMeta returns the live /model metadata for a named model

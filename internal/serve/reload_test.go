@@ -21,6 +21,25 @@ import (
 	"bitflow/internal/workload"
 )
 
+// ModelVersion reports the named model's currently-serving version.
+func (s *Server) ModelVersion(name string) (string, error) {
+	m, ok := s.lookup(name)
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrUnknownModel, name)
+	}
+	return m.rm.Version(), nil
+}
+
+// LastReload returns the named model's most recent reload status, nil
+// if it never reloaded.
+func (s *Server) LastReload(name string) *registry.ReloadStatus {
+	m, ok := s.lookup(name)
+	if !ok {
+		return nil
+	}
+	return m.rm.LastReload()
+}
+
 // seededNetwork builds the standard 8x8x64 test topology with chosen
 // weights, so different seeds are genuinely different versions of the
 // same request contract.

@@ -361,7 +361,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestReadyzGatedByWarmup(t *testing.T) {
 	net := testNetwork(t)
 
-	good := httptest.NewServer(New(net, 1).Handler())
+	good := httptest.NewServer(NewWithConfig(net, Config{Replicas: 1}).Handler())
 	defer good.Close()
 	resp, err := http.Get(good.URL + "/readyz")
 	if err != nil {
@@ -396,7 +396,7 @@ func TestReadyzGatedByWarmup(t *testing.T) {
 
 func TestStatuszCounters(t *testing.T) {
 	net := testNetwork(t)
-	ts := httptest.NewServer(New(net, 2).Handler())
+	ts := httptest.NewServer(NewWithConfig(net, Config{Replicas: 2}).Handler())
 	defer ts.Close()
 
 	x := workload.RandTensor(workload.NewRNG(154), 8, 8, 64)
@@ -424,7 +424,7 @@ func TestStatuszCounters(t *testing.T) {
 
 func TestNonFiniteInputRejected(t *testing.T) {
 	net := testNetwork(t)
-	ts := httptest.NewServer(New(net, 1).Handler())
+	ts := httptest.NewServer(NewWithConfig(net, Config{Replicas: 1}).Handler())
 	defer ts.Close()
 
 	for name, poison := range map[string]float64{
@@ -482,7 +482,7 @@ func TestNonFiniteInputRejected(t *testing.T) {
 
 func TestMethodAndContentTypeChecks(t *testing.T) {
 	net := testNetwork(t)
-	ts := httptest.NewServer(New(net, 1).Handler())
+	ts := httptest.NewServer(NewWithConfig(net, Config{Replicas: 1}).Handler())
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/model", "application/json", bytes.NewReader(nil))

@@ -125,7 +125,6 @@ func (b netBackend) attachExec(base *exec.Ctx, obs exec.Observer) *exec.Ctx {
 // its admission gate, metrics, and versioned replica sets (hot reload);
 // the legacy single-model endpoints route to the default model.
 type Server struct {
-	reg     *registry.Registry
 	byName  map[string]*model
 	order   []*model
 	def     *model
@@ -245,12 +244,6 @@ type ModelInfo struct {
 	Default bool   `json:"default,omitempty"`
 }
 
-// New builds a server around net with `replicas` clones for concurrent
-// requests (minimum 1) and default admission-control settings.
-func New(net *graph.Network, replicas int) *Server {
-	return NewWithConfig(net, Config{Replicas: replicas})
-}
-
 // NewWithConfig builds a single-model server with explicit resilience
 // settings and runs the warm-up inference that arms /readyz.
 func NewWithConfig(net *graph.Network, cfg Config) *Server {
@@ -262,7 +255,6 @@ func NewWithConfig(net *graph.Network, cfg Config) *Server {
 // NewWithConfig so tests can inject faulty backends.
 func newServer(meta Meta, first backend, cfg Config) *Server {
 	s := &Server{
-		reg:     registry.New(),
 		byName:  map[string]*model{},
 		started: time.Now(),
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +27,16 @@ func testNetwork(t *testing.T) *graph.Network {
 	return net
 }
 
+// TestNewMultiRejectsDuplicateNames: two specs may not share a model
+// name, or routing by name would be ambiguous.
+func TestNewMultiRejectsDuplicateNames(t *testing.T) {
+	net := testNetwork(t)
+	_, err := NewMulti([]ModelSpec{{Name: "m", Net: net}, {Name: "m", Net: net}})
+	if err == nil || !strings.Contains(err.Error(), `model "m" already registered`) {
+		t.Fatalf("duplicate names: err = %v, want already registered", err)
+	}
+}
+
 func postInfer(t *testing.T, ts *httptest.Server, data []float32) (*http.Response, InferResponse) {
 	t.Helper()
 	body, _ := json.Marshal(InferRequest{Data: data})
@@ -44,7 +55,7 @@ func postInfer(t *testing.T, ts *httptest.Server, data []float32) (*http.Respons
 }
 
 func TestHealthz(t *testing.T) {
-	ts := httptest.NewServer(New(testNetwork(t), 1).Handler())
+	ts := httptest.NewServer(NewWithConfig(testNetwork(t), Config{Replicas: 1}).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -57,7 +68,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestModelMetadata(t *testing.T) {
-	ts := httptest.NewServer(New(testNetwork(t), 2).Handler())
+	ts := httptest.NewServer(NewWithConfig(testNetwork(t), Config{Replicas: 2}).Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/model")
 	if err != nil {
@@ -82,7 +93,7 @@ func TestModelMetadata(t *testing.T) {
 
 func TestInferMatchesDirectCall(t *testing.T) {
 	net := testNetwork(t)
-	ts := httptest.NewServer(New(net, 1).Handler())
+	ts := httptest.NewServer(NewWithConfig(net, Config{Replicas: 1}).Handler())
 	defer ts.Close()
 	x := workload.RandTensor(workload.NewRNG(131), 8, 8, 64)
 	resp, out := postInfer(t, ts, x.Data)
@@ -110,7 +121,7 @@ func TestInferMatchesDirectCall(t *testing.T) {
 }
 
 func TestInferRejectsBadInput(t *testing.T) {
-	ts := httptest.NewServer(New(testNetwork(t), 1).Handler())
+	ts := httptest.NewServer(NewWithConfig(testNetwork(t), Config{Replicas: 1}).Handler())
 	defer ts.Close()
 
 	resp, _ := postInfer(t, ts, make([]float32, 7)) // wrong length
@@ -139,7 +150,7 @@ func TestInferRejectsBadInput(t *testing.T) {
 
 func TestConcurrentInference(t *testing.T) {
 	net := testNetwork(t)
-	ts := httptest.NewServer(New(net, 4).Handler())
+	ts := httptest.NewServer(NewWithConfig(net, Config{Replicas: 4}).Handler())
 	defer ts.Close()
 
 	const clients = 8

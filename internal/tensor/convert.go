@@ -7,6 +7,8 @@ package tensor
 
 // FromNCHW builds an NHWC tensor from data laid out as NCHW
 // (c-major: index (c*H+h)*W + w), batch 1.
+//
+//bitflow:keep paper ablation: bench_test.go's AblationPackFromNCHW times the NCHW → NHWC conversion
 func FromNCHW(h, w, c int, data []float32) *Tensor {
 	if len(data) != h*w*c {
 		panic("tensor: FromNCHW length mismatch")
@@ -29,25 +31,6 @@ func (t *Tensor) ToNCHW() []float32 {
 		for h := 0; h < t.H; h++ {
 			for w := 0; w < t.W; w++ {
 				out[(c*t.H+h)*t.W+w] = t.Data[(h*t.W+w)*t.C+c]
-			}
-		}
-	}
-	return out
-}
-
-// FilterFromKCHW builds a Filter (K,KH,KW,C innermost-C layout) from data
-// laid out as K,C,KH,KW (the common framework filter layout).
-func FilterFromKCHW(k, c, kh, kw int, data []float32) *Filter {
-	if len(data) != k*c*kh*kw {
-		panic("tensor: FilterFromKCHW length mismatch")
-	}
-	out := NewFilter(k, kh, kw, c)
-	for ki := 0; ki < k; ki++ {
-		for ci := 0; ci < c; ci++ {
-			for i := 0; i < kh; i++ {
-				for j := 0; j < kw; j++ {
-					out.Set(ki, i, j, ci, data[((ki*c+ci)*kh+i)*kw+j])
-				}
 			}
 		}
 	}

@@ -20,6 +20,8 @@ func NewMatrix(r, c int) *Matrix {
 }
 
 // MatrixFromSlice wraps data (length must be r*c) without copying.
+//
+//bitflow:keep test oracle: tensor and baseline tests build fixture matrices with it
 func MatrixFromSlice(r, c int, data []float32) *Matrix {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("tensor: MatrixFromSlice length %d != %d*%d", len(data), r, c))
@@ -74,9 +76,10 @@ func (m *Matrix) Sign() *Matrix {
 	return out
 }
 
-// MatMul computes a × b with a naive triple loop. It is the correctness
-// reference for both sgemm and bgemm paths; performance-sensitive callers
-// use internal/baseline's blocked sgemm or internal/kernels' bgemm.
+// MatMul computes a × b with a naive triple loop: the correctness
+// reference for float GEMM tests.
+//
+//bitflow:keep test oracle: baseline's GEMM tests compare against it
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %v × %v inner dim mismatch", a, b))

@@ -131,6 +131,25 @@ func TestFilterIndexing(t *testing.T) {
 	}
 }
 
+// FilterFromKCHW builds a Filter (K,KH,KW,C innermost-C layout) from data
+// laid out as K,C,KH,KW (the common framework filter layout).
+func FilterFromKCHW(k, c, kh, kw int, data []float32) *Filter {
+	if len(data) != k*c*kh*kw {
+		panic("tensor: FilterFromKCHW length mismatch")
+	}
+	out := NewFilter(k, kh, kw, c)
+	for ki := 0; ki < k; ki++ {
+		for ci := 0; ci < c; ci++ {
+			for i := 0; i < kh; i++ {
+				for j := 0; j < kw; j++ {
+					out.Set(ki, i, j, ci, data[((ki*c+ci)*kh+i)*kw+j])
+				}
+			}
+		}
+	}
+	return out
+}
+
 func TestFilterFromKCHW(t *testing.T) {
 	// K=1, C=2, KH=1, KW=2 in KCHW order: [c0j0, c0j1, c1j0, c1j1]
 	f := FilterFromKCHW(1, 2, 1, 2, []float32{10, 11, 20, 21})

@@ -63,6 +63,8 @@ func PaperOps() []OpConfig {
 }
 
 // FindOp returns the Table IV config with the given name.
+//
+//bitflow:keep test helper: bench_test.go's paper-figure benchmarks look Table IV layers up by name
 func FindOp(name string) (OpConfig, bool) {
 	for _, op := range PaperOps() {
 		if op.Name == name {
@@ -85,34 +87,6 @@ func SmallOps() []OpConfig {
 		{Name: "fc7s", Kind: OpFC, N: 1024, K: 256},
 		{Name: "pool4s", Kind: OpPool, H: 8, W: 8, C: 512, KH: 2, KW: 2, Stride: 2},
 		{Name: "pool5s", Kind: OpPool, H: 6, W: 6, C: 512, KH: 2, KW: 2, Stride: 2},
-	}
-}
-
-// OutH returns the output height of the operator.
-func (c OpConfig) OutH() int {
-	if c.Kind == OpFC {
-		return 1
-	}
-	return (c.H+2*c.Pad-c.KH)/c.Stride + 1
-}
-
-// OutW returns the output width of the operator.
-func (c OpConfig) OutW() int {
-	if c.Kind == OpFC {
-		return c.K
-	}
-	return (c.W+2*c.Pad-c.KW)/c.Stride + 1
-}
-
-// OutC returns the output channel count of the operator.
-func (c OpConfig) OutC() int {
-	switch c.Kind {
-	case OpConv:
-		return c.K
-	case OpPool:
-		return c.C
-	default:
-		return c.K
 	}
 }
 

@@ -5,6 +5,34 @@ import (
 	"testing"
 )
 
+// OutH returns the output height of the operator.
+func (c OpConfig) OutH() int {
+	if c.Kind == OpFC {
+		return 1
+	}
+	return (c.H+2*c.Pad-c.KH)/c.Stride + 1
+}
+
+// OutW returns the output width of the operator.
+func (c OpConfig) OutW() int {
+	if c.Kind == OpFC {
+		return c.K
+	}
+	return (c.W+2*c.Pad-c.KW)/c.Stride + 1
+}
+
+// OutC returns the output channel count of the operator.
+func (c OpConfig) OutC() int {
+	switch c.Kind {
+	case OpConv:
+		return c.K
+	case OpPool:
+		return c.C
+	default:
+		return c.K
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {

@@ -4,8 +4,10 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -75,4 +77,47 @@ func isMainPackage(t *testing.T, dir string) bool {
 		}
 	}
 	return false
+}
+
+// TestCommandUsageBlocks holds the usage block of each command's package
+// comment to the flags its -h prints, both ways. bitflow-serve and
+// bitflow-vet hold theirs to README in their own packages.
+func TestCommandUsageBlocks(t *testing.T) {
+	bin := t.TempDir()
+	for _, cmd := range []string{"bitflow", "bitflow-bench", "bitflow-info", "bitflow-train"} {
+		t.Run(cmd, func(t *testing.T) {
+			exe := filepath.Join(bin, cmd)
+			if out, err := exec.Command("go", "build", "-o", exe, "./cmd/"+cmd).CombinedOutput(); err != nil {
+				t.Fatalf("go build: %v\n%s", err, out)
+			}
+			help, _ := exec.Command(exe, "-h").CombinedOutput()
+			printed := flagNames(`(?m)^  -([a-z][a-z-]*)`, string(help))
+			if len(printed) == 0 {
+				t.Fatalf("no flags in -h output:\n%s", help)
+			}
+			src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, usage, ok := strings.Cut(string(src), "// Usage:\n")
+			if !ok {
+				t.Fatal("package comment has no Usage block")
+			}
+			usage, _, _ = strings.Cut(usage, "\npackage main")
+			if documented := flagNames(`(?m)^//\t-([a-z][a-z-]*)`, usage); !slices.Equal(documented, printed) {
+				t.Errorf("usage block names flags %v, -h prints %v", documented, printed)
+			}
+		})
+	}
+}
+
+// flagNames returns the sorted, deduplicated first submatches of pattern
+// in s.
+func flagNames(pattern, s string) []string {
+	var out []string
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(s, -1) {
+		out = append(out, m[1])
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -7,7 +7,7 @@
 #   ./verify.sh -short   # skips VGG-scale builds and training loops
 #
 # go vet's copylocks check covers typed-atomic copies. The bitflow-vet
-# suite (rawgo hotalloc panicpath codegen lockorder) runs inside the
+# suite (rawgo hotalloc panicpath codegen reach) runs inside the
 # test step, in both modes, as internal/analysis's TestModuleIsClean.
 set -eu
 
