@@ -117,7 +117,7 @@ func modelReport(path string, feat sched.Features) error {
 	fmt.Printf("model %q (%dx%dx%d → %d classes, %d layers, %d fused pair(s))\n",
 		net.Name, net.InH, net.InW, net.InC, net.Classes, len(net.Layers()), net.Fusion().Pairs)
 	fmt.Println()
-	fmt.Printf("kernel compression (threshold ratio ≥ %.1f):\n", kernels.CompressMinRatio)
+	fmt.Printf("kernel compression (threshold ratio ≥ %.1f, conv layers of ≥ 64 input channels):\n", kernels.CompressMinRatio)
 	ct := bench.NewTable("layer", "kind", "channels", "positions", "words", "distinct", "ratio", "compressed")
 	for _, lc := range net.Compression() {
 		ct.Row(lc.Layer, lc.Kind, lc.Channels, lc.Positions,
@@ -127,7 +127,7 @@ func modelReport(path string, feat sched.Features) error {
 	}
 	ct.Render(os.Stdout)
 	fmt.Println()
-	fmt.Printf("compressed layers: %d — each distinct word's XOR+popcount runs once and scatters to all duplicates\n",
+	fmt.Printf("compressed layers: %d — banks of repeated filters sweep only the distinct ones; other banks run each distinct word's XOR+popcount once\n",
 		net.CompressedLayers())
 	return nil
 }

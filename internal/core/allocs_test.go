@@ -12,24 +12,20 @@ import (
 
 // TestPlainForwardAllocations pins the drivers' per-call heap traffic
 // under exec.Serial() on every kernel tier: the gather window and the
-// accumulators live in the worker chunk's frame (the assembly stubs are
-// //go:noescape and reached by static calls), so a conv forward allocates
-// only the closure it hands to ParallelFor — the one sanctioned
-// per-dispatch allocation — and a dense forward, which runs its serial
-// path without a closure, allocates nothing. The conv is pinned twice,
-// sweeping its bank and walking a forced compression plan over the same
-// scratch; the dense forward once per finished output form, logits and
-// bits.
+// accumulators live in the chunk's frame (the assembly stubs are
+// //go:noescape and reached by static calls), and a serial forward runs
+// its one chunk without building a dispatch closure, so neither a conv
+// nor a dense forward allocates. The conv is pinned on all three
+// accumulate steps over the same scratch — sweeping its bank, sweeping
+// the distinct filters of a folded plan, and walking a forced
+// compression plan — plain and pooled; the dense forward once per
+// finished output form, logits and bits.
 func TestPlainForwardAllocations(t *testing.T) {
 	r := workload.NewRNG(1)
 	ec := exec.Serial()
 	for _, w := range []kernels.Width{kernels.W64, kernels.W256, kernels.W512} {
 		feat := sched.Detect().WithMaxWidth(w)
 		shape, err := sched.InferConv(8, 8, 64, 72, 3, 3, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cv, err := NewConv(shape, sched.Select(64, feat), workload.RandFilter(r, 72, 3, 3, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,18 +37,34 @@ func TestPlainForwardAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := cv.NewInput()
 		full := bitpack.NewPacked(8, 8, 72, 2, 1, 1)
 		pooled := bitpack.NewPacked(4, 4, 72, 2, 0, 0)
-		for _, planned := range []bool{false, true} {
-			if planned {
+		for _, path := range []string{"sweep", "folded", "word-walk"} {
+			f := workload.RandFilter(r, 72, 3, 3, 64)
+			if path == "folded" {
+				dupFilter(f, 4)
+			}
+			cv, err := NewConv(shape, sched.Select(64, feat), f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch path {
+			case "folded":
+				if cp := cv.Compression(); cp == nil || cp.FoldedBank == nil {
+					t.Fatalf("%v: four-filter bank did not select a folded plan", w)
+				}
+			case "word-walk":
 				forcePlan(t, cv)
+				if cv.Compression().FoldedBank != nil {
+					t.Fatalf("%v: random bank folded", w)
+				}
 			}
-			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, nil, full, ec) }); n > 1 {
-				t.Errorf("%v planned=%v: Conv.ForwardPacked allocates %v times per call, want at most the dispatch closure", w, planned, n)
+			in := cv.NewInput()
+			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, nil, full, ec) }); n != 0 {
+				t.Errorf("%v %s: Conv.ForwardPacked allocates %v times per call, want 0", w, path, n)
 			}
-			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, pl, pooled, ec) }); n > 1 {
-				t.Errorf("%v planned=%v: pooled Conv.ForwardPacked allocates %v times per call, want at most the dispatch closure", w, planned, n)
+			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, pl, pooled, ec) }); n != 0 {
+				t.Errorf("%v %s: pooled Conv.ForwardPacked allocates %v times per call, want 0", w, path, n)
 			}
 		}
 

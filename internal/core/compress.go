@@ -9,15 +9,18 @@ import (
 // Kernel compression (Silfa & Arnau, "Exploiting Kernel Compression on
 // BNNs") changes only how one window's popcounts are accumulated, so it
 // is a step inside the ordinary conv forward, not a family beside it: a
-// conv whose packed filter bank repeats words across output channels
-// holds a CompressPlan (built at construction, see NewConvPacked, or
-// forced with SetCompression), and Conv.ForwardPacked then walks the
-// plan's distinct-word table over the same gathered window the plain
-// sweep would read. The plan's accumulators sum the same integer
-// popcounts and finish through the same Epilogue, so a planned operator
-// is bit-identical to its plan-less twin (Uncompressed), which is what
-// the differential tests compare. Dense measures its duplication
-// (Dense.CompressionStats) but always sweeps.
+// conv of at least 64 input channels whose packed filter bank repeats
+// words across output channels holds a CompressPlan (built at
+// construction, see NewConvPacked, or forced with SetCompression). When
+// the plan folds whole filters, Conv.ForwardPacked sweeps the gathered
+// window over the plan's distinct filters only and copies their counts
+// out to every duplicate; otherwise it walks the plan's distinct-word
+// table over the same window the plain sweep would read. Either way the
+// accumulators sum the same integer popcounts and finish through the
+// operator's epilogues, so a planned operator is bit-identical to its
+// plan-less twin (Uncompressed), which is what the differential tests
+// compare. Dense measures its duplication (Dense.CompressionStats) but
+// always sweeps.
 
 // Compression returns the conv's kernel-compression plan, or nil when
 // the filter bank's duplication ratio did not clear the selection

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"bitflow/internal/bitpack"
@@ -72,8 +74,9 @@ func buildDupConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw int, bases i
 
 // TestCompressionAutoSelection pins the load-time threshold: a heavily
 // duplicated bank selects the plan, a random wide bank does not (stats
-// are still measured), and low-channel banks (the conv1.1 case, ≤ 2^C
-// possible words per tap) auto-select.
+// are still measured), and a low-channel bank (the conv1.1 case, ≤ 2^C
+// possible words per tap) clears the ratio but is not selected: below
+// 64 channels the ratio counts dead bits, and the bank sweeps.
 func TestCompressionAutoSelection(t *testing.T) {
 	r := workload.NewRNG(200)
 	dup, _ := buildDupConv(t, r, 8, 8, 64, 64, 3, 3, 4)
@@ -91,8 +94,126 @@ func TestCompressionAutoSelection(t *testing.T) {
 		t.Fatalf("stats not measured on unselected bank: %+v", st)
 	}
 	lowC, _ := buildDupConv(t, r, 8, 8, 3, 64, 3, 3, 0)
-	if lowC.Compression() == nil {
-		t.Fatalf("C=3 bank (≤8 distinct words/position, ratio %v) not selected", lowC.CompressionStats().Ratio())
+	if got := lowC.CompressionStats().Ratio(); got < 8 {
+		t.Fatalf("C=3 bank ratio %v, want ≥ 8 (≤ 8 distinct words per position)", got)
+	}
+	if lowC.Compression() != nil {
+		t.Fatalf("C=3 bank (ratio %v) selected below the 64-channel floor", lowC.CompressionStats().Ratio())
+	}
+}
+
+// TestFoldedSweepMatchesUncompressed pins the folded accumulate step:
+// a bank repeating F whole filters selects a plan that folds, and its
+// ForwardPacked — one sweep over the F distinct filters, the counts
+// copied out to all K channels — equals the plan-less twin word for
+// word, plain and pooled, on every kernel tier. K = 72 is off the
+// 64-lane grid, K = 512 is VGG's widest bank; the thresholds flip
+// channels and pin some at ±MaxInt32, so duplicate channels threshold
+// the same count differently.
+func TestFoldedSweepMatchesUncompressed(t *testing.T) {
+	r := workload.NewRNG(205)
+	for _, w := range []kernels.Width{kernels.W64, kernels.W256, kernels.W512} {
+		ft := sched.Detect().WithMaxWidth(w)
+		for _, K := range []int{72, 512} {
+			for _, F := range []int{1, 3, 4, 5} {
+				label := fmt.Sprintf("%v K=%d F=%d", w, K, F)
+				shape, err := sched.InferConv(6, 6, 64, K, 3, 3, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := workload.PM1Filter(r, K, 3, 3, 64)
+				dupFilter(f, F)
+				cv, err := NewConv(shape, sched.Select(64, ft), f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp := cv.Compression(); cp == nil || cp.FoldedBank == nil || cp.Folded.K != F {
+					t.Fatalf("%s: bank did not select a plan folding to %d filters", label, F)
+				}
+				th := randThresholds(r, K, cv.validLanes)
+				th.T[0], th.Flip[0] = math.MaxInt32, false
+				th.T[1], th.Flip[1] = math.MinInt32, true
+				th.T[2], th.Flip[2] = math.MaxInt32, true
+				th.T[3], th.Flip[3] = math.MinInt32, false
+				if err := cv.SetThresholds(th); err != nil {
+					t.Fatal(err)
+				}
+				in := workload.PM1Tensor(r, 6, 6, 64)
+				packed := cv.NewInput()
+				bitpack.PackTensorInto(in, packed)
+				checkAgainstUncompressed(t, label, cv, packed)
+			}
+		}
+	}
+}
+
+// TestWordRepeatsWithoutFilterRepeatsWalk pins the other side of the
+// fold: a bank whose words repeat at every position (four per tap) but
+// whose 64 filters are all distinct selects a plan that does not fold,
+// so its forward walks the distinct-word table — and still equals the
+// plan-less twin word for word.
+func TestWordRepeatsWithoutFilterRepeatsWalk(t *testing.T) {
+	r := workload.NewRNG(206)
+	const K, C = 64, 64
+	shape, err := sched.InferConv(6, 6, C, K, 3, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := workload.PM1Filter(r, 4, 3, 3, C)
+	f := workload.PM1Filter(r, K, 3, 3, C)
+	// Filter k's tap p copies base digit p%3 of k written in base 4: the
+	// 64 filters differ in at least one tap, each tap has 4 words.
+	per := 3 * 3 * C
+	for k := 0; k < K; k++ {
+		for p := 0; p < 9; p++ {
+			b := k >> (2 * (p % 3)) & 3
+			copy(f.Data[k*per+p*C:k*per+(p+1)*C], bases.Data[b*per+p*C:b*per+(p+1)*C])
+		}
+	}
+	cv, err := NewConv(shape, sched.Select(C, feat()), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := cv.Compression()
+	if cp == nil || cp.FilterReps != nil || cp.FoldedBank != nil {
+		t.Fatalf("want an unfolded plan, got %+v (ratio %v)", cp, cv.CompressionStats().Ratio())
+	}
+	if err := cv.SetThresholds(randThresholds(r, K, cv.validLanes)); err != nil {
+		t.Fatal(err)
+	}
+	in := workload.PM1Tensor(r, 6, 6, C)
+	packed := cv.NewInput()
+	bitpack.PackTensorInto(in, packed)
+	checkAgainstUncompressed(t, "word repeats", cv, packed)
+}
+
+// checkAgainstUncompressed runs cv's ForwardPacked, plain and through a
+// fused 2×2 pool, serial and threaded, and compares each output with
+// cv.Uncompressed()'s word for word.
+func checkAgainstUncompressed(t *testing.T, label string, cv *Conv, in *bitpack.Packed) {
+	t.Helper()
+	plain := cv.Uncompressed()
+	s := cv.Shape
+	wpp := bitpack.WordsFor(s.K)
+	ps, err := sched.InferPool(s.OutH, s.OutW, s.OutC, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPool(ps, wpp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
+		want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
+		got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
+		plain.ForwardPacked(in, nil, want, ec)
+		cv.ForwardPacked(in, nil, got, ec)
+		equalPacked(t, label+"/packed", want, got)
+		fwant := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
+		fgot := bitpack.NewPacked(ps.OutH, ps.OutW, ps.OutC, wpp, 0, 0)
+		plain.ForwardPacked(in, pl, fwant, ec)
+		cv.ForwardPacked(in, pl, fgot, ec)
+		equalPacked(t, label+"/pooled", fwant, fgot)
 	}
 }
 

@@ -18,8 +18,9 @@ const maxKH = 16
 // every multiply-accumulate is an XOR + popcount. Each output pixel is
 // one gather of its receptive field into a contiguous window, one
 // accumulate step over that window — a kernel sweep over all K packed
-// filters, read in place, on the machine's widest tier (Plan.Tier), or a
-// walk of the operator's compression plan when it holds one — and one
+// filters, read in place, on the machine's widest tier (Plan.Tier), or,
+// when the operator holds a compression plan, a sweep over the plan's
+// distinct filters or a walk of its distinct-word table — and one
 // threshold-pack epilogue.
 type Conv struct {
 	Shape sched.ConvShape
@@ -44,8 +45,9 @@ type Conv struct {
 	epi, popEpi *kernels.Epilogue
 	// press is the kernel-compression plan compiled from the packed
 	// filter bank at construction when its duplication ratio clears
-	// kernels.CompressMinRatio (nil otherwise): when set, it replaces the
-	// sweep as the accumulate step of ForwardPacked.
+	// kernels.CompressMinRatio and the bank has at least 64 input
+	// channels (nil otherwise): when set, it replaces the full sweep as
+	// the accumulate step of ForwardPacked.
 	// pressStats always holds the measured analysis. Pure runtime state,
 	// never serialized.
 	press      *kernels.CompressPlan
@@ -113,7 +115,10 @@ func NewConvPacked(shape sched.ConvShape, plan sched.Plan, pf *bitpack.PackedFil
 	}
 	fstride := shape.KH * cv.rowLen
 	cv.pressStats = kernels.AnalyzeCompression(pf.Words, shape.K, fstride)
-	if cv.pressStats.Selectable() {
+	// A bank narrower than one word per tap (C < 64) has at most 2^C
+	// words per position, so its ratio counts dead bits, not repeated
+	// filters: it sweeps.
+	if cv.pressStats.Selectable() && shape.InC >= 64 {
 		cv.press = kernels.BuildCompressPlan(pf.Words, shape.K, fstride)
 	}
 	return cv, nil
@@ -217,12 +222,18 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 // materializes. pl must satisfy CanFusePool, and out takes its output
 // geometry; a nil pl makes every conv position its own 1×1 window, with
 // out OutH×OutW and C = K.
+//
+// A budget of one runs the whole plane as one inline chunk without
+// building the dispatch closure, so a serial forward allocates nothing.
 func (cv *Conv) ForwardPacked(in *bitpack.Packed, pl *Pool, out *bitpack.Packed, ec *exec.Ctx) {
 	p := cv.checkWindow(in, pl, out)
-	ec.ParallelFor(p.OutH*p.OutW, func(start, end int) {
-		var sc convScratch
-		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
-		cv.windowRange(in, p, out, win, acc, start, end)
+	total := p.OutH * p.OutW
+	if ec.InlineChunk(total) {
+		cv.windowRange(in, p, out, 0, total)
+		return
+	}
+	ec.ParallelFor(total, func(start, end int) {
+		cv.windowRange(in, p, out, start, end)
 	})
 }
 
@@ -244,10 +255,12 @@ func (cv *Conv) checkWindow(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) s
 	return p
 }
 
-// windowRange is ForwardPacked over output pixels [start, end): the
-// first position of each window overwrites, the rest OR in. win and acc
-// are the worker chunk's scratch.
-func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, win []uint64, acc []int32, start, end int) {
+// windowRange is ForwardPacked over output pixels [start, end), one
+// worker chunk on its own stack scratch: the first position of each
+// window overwrites, the rest OR in.
+func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, start, end int) {
+	var sc convScratch
+	win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
 	s := cv.Shape
 	for idx := start; idx < end; idx++ {
 		py := idx / p.OutW
@@ -265,20 +278,28 @@ func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.
 }
 
 // thresholdWindow is the accumulate → threshold → set-bit pass for one
-// gathered window. The accumulate step is one sweep of win over the K
-// packed filters, thresholded in the count domain, or — when the operator
-// holds a compression plan — one walk of the plan's distinct-word table,
-// thresholded as pre-activations; both sum the same integer popcounts, so
-// the bits are identical. The bits overwrite dst (trailing words
-// cleared), or OR into it when or is set: the remaining positions of a
-// pool window, max-pool commuting with sign.
+// gathered window. The accumulate step is one of three, all summing the
+// same integer popcounts, so the bits are identical:
+//   - no plan: one sweep of win over the K packed filters;
+//   - a plan that folds whole filters: one sweep over its F distinct
+//     filters, the F counts then copied out to all K channels;
+//   - any other plan: one walk of its distinct-word table.
+//
+// The sweeps are thresholded in the count domain, the walk as
+// pre-activations. The bits overwrite dst (trailing words cleared), or
+// OR into it when or is set: the remaining positions of a pool window,
+// max-pool commuting with sign.
 func (cv *Conv) thresholdWindow(win []uint64, acc []int32, dst []uint64, or bool) {
 	epi := cv.popEpi
-	if cv.press != nil {
-		kernels.CompressedPreacts(cv.press, win, int32(cv.validLanes), acc)
-		epi = cv.epi
-	} else {
+	switch cp := cv.press; {
+	case cp == nil:
 		kernels.Sweep(cv.Plan.Tier, win, cv.filter.Words, acc)
+	case cp.FoldedBank != nil:
+		kernels.Sweep(cv.Plan.Tier, win, cp.FoldedBank, acc[:cp.Folded.K])
+		cp.Expand(acc)
+	default:
+		kernels.CompressedPreacts(cp, win, int32(cv.validLanes), acc)
+		epi = cv.epi
 	}
 	if or {
 		epi.PackOr(acc, dst)

@@ -84,8 +84,12 @@ func (c *Ctx) WithObserver(obs Observer) *Ctx {
 // Inline returns a copy of c that runs every ParallelFor on the caller's
 // goroutine, keeping c's cancellation context and observer — what the
 // body of an outer ParallelFor runs whole layers under, so a worker
-// chunk never dispatches onto the pool it is running on.
+// chunk never dispatches onto the pool it is running on. A context that
+// already runs inline (budget 1) is returned as it is.
 func (c *Ctx) Inline() *Ctx {
+	if c.Budget() <= 1 {
+		return c
+	}
 	d := c.derive()
 	d.pool, d.threads, d.spawn = nil, 1, false
 	return d
@@ -144,6 +148,19 @@ func (c *Ctx) Err() error {
 	return c.ctx.Err()
 }
 
+// InlineChunk reports whether ParallelFor(total, …) would run its body
+// as the single chunk [0, total) on the caller's goroutine and, when it
+// would, fires the exec.chunk fault point for that chunk as ParallelFor
+// does. A caller whose serial body needs no closure asks first and runs
+// the chunk itself, so a serial dispatch builds no closure at all.
+func (c *Ctx) InlineChunk(total int) bool {
+	if c.Budget() > 1 && total > 1 {
+		return false
+	}
+	_ = faultinject.ExecChunk.Fire(c.Context(), "", 0)
+	return true
+}
+
 // ParallelFor splits [0, total) into at most Budget() contiguous chunks
 // and runs body over them, blocking until all complete — the multi-core
 // engine for the paper's fused-H·W (conv/pool) and K (dense) splits.
@@ -155,22 +172,16 @@ func (c *Ctx) Err() error {
 // recover/resilience.Safe above this call observes it and the process
 // survives. A nil or serial context runs body(0, total) inline.
 func (c *Ctx) ParallelFor(total int, body func(start, end int)) {
-	threads := c.Budget()
-	if threads <= 1 || total <= 1 {
-		_ = faultinject.ExecChunk.Fire(c.Context(), "", 0)
+	if c.InlineChunk(total) {
 		body(0, total)
 		return
 	}
+	threads := c.Budget()
 	if threads > total {
 		threads = total
 	}
 	chunk := (total + threads - 1) / threads
-	nchunks := (total + chunk - 1) / chunk
-	if nchunks <= 1 {
-		_ = faultinject.ExecChunk.Fire(c.Context(), "", 0)
-		body(0, total)
-		return
-	}
+	nchunks := (total + chunk - 1) / chunk // ≥ 2, as threads and total are both ≥ 2
 	//bitflow:alloc-ok one job header + completion channel per parallel region, needed for claim-loop state and panic propagation
 	j := &job{body: body, total: total, chunk: chunk, fctx: c.Context(), fin: make(chan struct{})}
 	j.pending.Store(int64(nchunks))

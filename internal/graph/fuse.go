@@ -55,7 +55,7 @@ func (n *Network) fuse() {
 		n.activationWords -= eliminated
 		n.fusion.Pairs++
 		n.fusion.EliminatedWords += eliminated
-		cl.pool, cl.poolName, cl.out = pl.op, pl.lname, pl.out
+		cl.pool, cl.joined, cl.out = pl.op, cl.lname+"+"+pl.lname, pl.out
 		i++ // the pool is now the conv's window
 	}
 	n.layers = fused

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"bitflow/internal/exec"
 	"bitflow/internal/tensor"
 )
 
@@ -101,28 +102,35 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 		}
 	}
 	n.EnsureBatch(B)
-	lanes, errs := n.lanes[:B], n.laneErrs[:B]
 	// across dispatches the lanes, within runs each lane's layers.
 	across := n.ec
 	within := across.Inline()
 	if B < across.Budget() {
 		across, within = within, across
 	}
-	//bitflow:alloc-ok one dispatch closure per batch; it replaces one per layer per image
-	across.ParallelFor(B, func(start, end int) {
-		for b := start; b < end; b++ {
-			errs[b] = lanes[b].pass(within, xs[b])
-		}
-	})
-	for _, err := range errs {
+	if across.InlineChunk(B) {
+		n.passLanes(within, xs, 0, B)
+	} else {
+		//bitflow:alloc-ok one dispatch closure per parallel batch; it replaces one per layer per image
+		across.ParallelFor(B, func(start, end int) { n.passLanes(within, xs, start, end) })
+	}
+	for _, err := range n.laneErrs[:B] {
 		if err != nil {
 			return nil, err
 		}
 	}
 	//bitflow:alloc-ok result slices escape to the caller; lane buffers are reused by the next batch
 	outs := make([][]float32, B)
-	for b, lane := range lanes {
+	for b, lane := range n.lanes[:B] {
 		outs[b] = lane.logits()
 	}
 	return outs, nil
+}
+
+// passLanes runs images [start, end) of the batch xs, each through its
+// own lane under within, recording each lane's outcome in laneErrs.
+func (n *Network) passLanes(within *exec.Ctx, xs []*tensor.Tensor, start, end int) {
+	for b := start; b < end; b++ {
+		n.laneErrs[b] = n.lanes[b].pass(within, xs[b])
+	}
 }

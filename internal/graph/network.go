@@ -41,7 +41,9 @@ type Network struct {
 	Feat          sched.Features
 
 	// ec is the attached execution context (SetExec); nil runs serially.
-	ec *exec.Ctx
+	// bg is ec under context.Background(), what InferChecked runs under:
+	// derived by its first call, dropped by SetExec.
+	ec, bg *exec.Ctx
 
 	layers []layer
 	input  *bitpack.Packed
@@ -125,7 +127,7 @@ func (n *Network) CheckInput(x *tensor.Tensor) error {
 // shares a single worker pool no matter how many replicas run; a command
 // line tool attaches exec.Threads(n). Passing nil detaches: the network
 // then runs serially on the caller's goroutine.
-func (n *Network) SetExec(ec *exec.Ctx) { n.ec = ec }
+func (n *Network) SetExec(ec *exec.Ctx) { n.ec, n.bg = ec, nil }
 
 // Exec returns the attached execution context, or nil when the network
 // runs serially.
@@ -133,9 +135,14 @@ func (n *Network) Exec() *exec.Ctx { return n.ec }
 
 // InferChecked is Infer with the shape panic converted into a returned
 // error, so untrusted user input can never reach a panic path. A non-nil
-// error means no forward pass ran.
+// error means no forward pass ran. The pass observes
+// context.Background(), as InferContext(context.Background(), x) would,
+// under a context derived once rather than per call.
 func (n *Network) InferChecked(x *tensor.Tensor) ([]float32, error) {
-	return n.InferContext(context.Background(), x)
+	if n.bg == nil {
+		n.bg = n.ec.WithContext(context.Background())
+	}
+	return n.infer(n.bg, x)
 }
 
 // InferContext is InferChecked under a cancellation context: the pass
@@ -149,12 +156,17 @@ func (n *Network) InferChecked(x *tensor.Tensor) ([]float32, error) {
 // A non-nil ctx replaces any context carried by the attached execution
 // context for this pass; a nil ctx leaves the attached one in force.
 func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32, error) {
-	if err := n.CheckInput(x); err != nil {
-		return nil, err
-	}
 	ec := n.ec
 	if ctx != nil {
 		ec = ec.WithContext(ctx)
+	}
+	return n.infer(ec, x)
+}
+
+// infer validates x and runs one pass under ec, returning fresh logits.
+func (n *Network) infer(ec *exec.Ctx, x *tensor.Tensor) ([]float32, error) {
+	if err := n.CheckInput(x); err != nil {
+		return nil, err
 	}
 	if err := n.pass(ec, x); err != nil {
 		return nil, err
@@ -298,14 +310,15 @@ type convLayer struct {
 	op      *core.Conv
 	in, out *bitpack.Packed
 
-	// pool and poolName are set by fuse(); nil pool is a plain conv.
-	pool     *core.Pool
-	poolName string
+	// pool is set by fuse(), which also builds joined, the fused node's
+	// "conv+pool" name, once; nil pool is a plain conv.
+	pool   *core.Pool
+	joined string
 }
 
 func (l *convLayer) name() string {
 	if l.pool != nil {
-		return l.lname + "+" + l.poolName
+		return l.joined
 	}
 	return l.lname
 }

@@ -8,14 +8,15 @@ import (
 
 // Kernel-compression planning (Silfa & Arnau, "Exploiting Kernel
 // Compression on BNNs"): packed binary weight banks repeat 64-bit words
-// across output channels, and a conv whose duplication ratio clears
-// kernels.CompressMinRatio holds a CompressPlan compiled at construction
-// (see core.NewConvPacked). The plan is held by the operator and is the
-// accumulate step of its ordinary forward, so this file has no pass to
-// run: a network is compressed wherever its convs hold plans, and an
-// uncompressed network (CloneUncompressed) is one built over plan-less
-// shallow copies of the convs — sharing the packed words — which is what
-// the differential harness compares against. Dense layers are analyzed
+// across output channels, and a conv of at least 64 input channels whose
+// duplication ratio clears kernels.CompressMinRatio holds a CompressPlan
+// compiled at construction (see core.NewConvPacked). The plan is held
+// by the operator and is the accumulate step of its ordinary forward, so
+// this file has no pass to run: a network is compressed wherever its
+// convs hold plans, and an uncompressed network (CloneUncompressed) is
+// one built over plan-less shallow copies of the convs — sharing the
+// packed words — which is what the differential harness compares
+// against. Dense layers are analyzed
 // but always sweep: every fc layer of VGG-16, TinyVGG and DupNet
 // measures a duplication ratio of 1.00, where a plan only adds a scatter.
 //
@@ -38,10 +39,11 @@ type LayerCompression struct {
 	Channels, Positions       int
 	TotalWords, DistinctWords int
 	// Ratio is TotalWords/DistinctWords; Selected reports whether the
-	// layer's operator holds a plan, i.e. its forward accumulates
-	// through the distinct-word table (ratio cleared the threshold, or a
-	// plan was forced, and planning was not disabled). Dense layers
-	// always report false.
+	// layer's operator holds a plan, i.e. its forward sweeps only the
+	// plan's distinct filters or walks its distinct-word table (ratio
+	// cleared the threshold on a bank of ≥ 64 input channels, or a plan
+	// was forced, and planning was not disabled). Dense layers always
+	// report false.
 	Ratio    float64
 	Selected bool
 }

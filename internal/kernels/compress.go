@@ -5,12 +5,16 @@ import "math/bits"
 // This file implements kernel compression (Silfa & Arnau, "Exploiting
 // Kernel Compression on BNNs"): packed BNN filter banks draw their
 // 64-bit words from a small alphabet — across output channels the word
-// at one input-word position repeats heavily (trained binary filters
-// correlate, and low-channel layers have only 2^C possible words per
-// tap). Instead of paying one XOR+popcount per (filter, word), the
-// compressed path computes each *distinct* word's XOR+popcount once per
-// input window and scatters the count into every output channel that
-// consumes it.
+// at one input-word position repeats heavily when trained binary
+// filters correlate. Instead of paying one XOR+popcount per (filter,
+// word), the compressed path computes each *distinct* word's
+// XOR+popcount once per input window and scatters the count into every
+// output channel that consumes it; when whole filters repeat, the plan
+// folds them and keeps the distinct filters as a bank the ordinary
+// sweep runs over. Low-channel layers (C < 64) are excluded by the
+// operator: a tap word with only C live bits has at most 2^C values, so
+// such a bank's ratio is high whatever its filters are, and sweeping it
+// is faster than walking its table.
 //
 // The plan is pure runtime state derived from the packed weights at
 // model-load time — serialized artifacts carry no compression metadata
@@ -21,14 +25,17 @@ import "math/bits"
 
 // CompressMinRatio is the duplication ratio (total packed words /
 // distinct packed words) a weight bank must clear before the load-time
-// planner selects the compressed path. The compressed inner loop trades
-// one fused XOR+popcount+accumulate per (channel, position) for one
-// popcount per distinct word plus one scatter-add per (channel,
-// position); the scatter-add costs roughly a third to a half of the
-// fused op, so break-even sits near ratio 2–3. Requiring 4× keeps a
-// comfortable margin: layers at the threshold still shed ≥75% of their
-// popcount work, and low-duplication layers (ratio ≈ 1, e.g. random
-// 64-channel banks) keep the streaming uncompressed kernels.
+// planner selects the compressed path. The word walk trades one fused
+// XOR+popcount+accumulate per (channel, position) for one popcount per
+// distinct word plus one scatter-add per (channel, position); the
+// scatter-add costs roughly a third to a half of the fused op, so
+// break-even sits near ratio 2–3. Requiring 4× keeps a comfortable
+// margin: layers at the threshold still shed ≥75% of their popcount
+// work, and low-duplication layers (ratio ≈ 1, e.g. random 64-channel
+// banks) keep the streaming uncompressed kernels. The ratio is only
+// meaningful over full tap words: core.NewConvPacked also requires at
+// least 64 input channels, since a C-channel tap word has at most 2^C
+// values and the ratio of a narrow bank counts its dead bits.
 const CompressMinRatio = 4.0
 
 // CompressStats summarizes one weight bank's duplication analysis.
@@ -77,20 +84,23 @@ type CompressPlan struct {
 	// ChanStarts indexes Channels per distinct word (len(Words)+1).
 	ChanStarts []int32
 
-	// FilterReps and Folded carry the filter-level fold: when whole
-	// filter blocks repeat (the common duplication mode of trained binary
-	// banks), FilterReps maps each channel to its filter's index in the
-	// folded bank of distinct filters (first-appearance order, so
-	// FilterReps[c] ≤ c), and Folded is the plan compiled over just those
-	// distinct blocks. The compute paths then accumulate Folded.K
-	// channels — scatter work scales with distinct filters, not K — and
-	// Expand copies the finished pre-activations out to every duplicate.
-	// Both are nil when every filter block is distinct.
+	// FilterReps, Folded and FoldedBank carry the filter-level fold:
+	// when whole filter blocks repeat (the common duplication mode of
+	// trained binary banks), FilterReps maps each channel to its
+	// filter's index in the folded bank of distinct filters
+	// (first-appearance order, so FilterReps[c] ≤ c), FoldedBank holds
+	// those distinct filters, Folded.K blocks of S words in fold-index
+	// order, and Folded is the plan compiled over them. A conv sweeps
+	// FoldedBank in place of its full K filters — work scales with
+	// distinct filters, not K — and Expand copies the counts out to
+	// every duplicate. All three are nil when every filter block is
+	// distinct.
 	FilterReps []int32
 	Folded     *CompressPlan
+	FoldedBank []uint64
 }
 
-// Eff returns the plan the accumulation kernels actually walk: the
+// Eff returns the smallest plan a word walk over this bank needs: the
 // folded distinct-filter plan when whole filters duplicate, the plan
 // itself otherwise. Eff().K ≤ K always.
 func (cp *CompressPlan) Eff() *CompressPlan {
@@ -101,8 +111,9 @@ func (cp *CompressPlan) Eff() *CompressPlan {
 }
 
 // Expand scatters the folded per-filter results out to all K channels:
-// on entry acc[0:Folded.K] holds one value per distinct filter, on exit
-// acc[c] holds channel c's value. The descending walk is safe because a
+// on entry acc[0:Folded.K] holds one value per distinct filter — raw
+// counts or pre-activations, Expand only copies — and on exit acc[c]
+// holds channel c's value. The descending walk is safe because a
 // channel's fold index never exceeds the channel index (first-appearance
 // order). No-op on an unfolded plan.
 func (cp *CompressPlan) Expand(acc []int32) {
@@ -240,6 +251,7 @@ func (cp *CompressPlan) fold(words []uint64) {
 	// The folded bank's filters are all distinct, so this recursion
 	// bottoms out immediately (the child's fold finds nothing).
 	cp.Folded = BuildCompressPlan(folded, len(repChans), S)
+	cp.FoldedBank = folded
 }
 
 func wordBlocksEqual(a, b []uint64) bool {
@@ -300,21 +312,17 @@ func CompressedAccum(cp *CompressPlan, p0 int, seg []uint64, acc []int32) {
 	}
 }
 
-// CompressedPreacts is the compressed accumulate step of one window: it
+// CompressedPreacts is the word-walk accumulate step of one window: it
 // walks win (cp.S words — a conv's gathered receptive field) through the
-// plan's effective word table and leaves the K Equation 1
-// pre-activations N - 2·popcount in acc (len K), expanding a folded
-// result to every duplicate filter. It is what a conv holding a plan
-// runs in place of the plain sweep; the threshold/pack epilogue that
-// follows is the same either way.
+// plan's distinct-word table and leaves the K Equation 1
+// pre-activations N - 2·popcount in acc (len K). It is what a conv
+// holding a plan that does not fold runs in place of the plain sweep; a
+// plan that folds whole filters sweeps its FoldedBank instead.
 func CompressedPreacts(cp *CompressPlan, win []uint64, n32 int32, acc []int32) {
 	if len(acc) != cp.K {
 		panicSize("CompressedPreacts", "acc", len(acc), cp.K)
 	}
-	eff := cp.Eff()
-	head := acc[:eff.K] //bitflow:bce-ok Eff().K ≤ K by fold construction
-	clear(head)
-	CompressedAccum(eff, 0, win, head)
-	preacts(head, n32)
-	cp.Expand(acc)
+	clear(acc)
+	CompressedAccum(cp, 0, win, acc)
+	preacts(acc, n32)
 }

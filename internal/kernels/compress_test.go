@@ -125,15 +125,17 @@ func checkPlanProperties(t *testing.T, words []uint64, K, S int) {
 	checkFoldProperties(t, cp, words, K, S)
 }
 
-// checkFoldProperties pins the filter-level fold invariants: FilterReps
-// and Folded exist iff whole filter blocks repeat, fold indices are
-// first-appearance ordered (so FilterReps[c] ≤ c), the folded bank is
-// exactly the distinct blocks, its own fold bottoms out, and Expand
-// copies each distinct filter's value to every duplicate channel.
+// checkFoldProperties pins the filter-level fold invariants: FilterReps,
+// Folded and FoldedBank exist iff whole filter blocks repeat, fold
+// indices are first-appearance ordered (so FilterReps[c] ≤ c), the
+// folded plan and FoldedBank both hold exactly the distinct blocks, the
+// folded plan's own fold bottoms out, and Expand copies each distinct
+// filter's value to every duplicate channel.
 func checkFoldProperties(t *testing.T, cp *CompressPlan, words []uint64, K, S int) {
 	t.Helper()
-	if (cp.Folded == nil) != (cp.FilterReps == nil) {
-		t.Fatalf("fold fields out of sync: Folded=%v FilterReps=%v", cp.Folded != nil, cp.FilterReps != nil)
+	if (cp.Folded == nil) != (cp.FilterReps == nil) || (cp.Folded == nil) != (cp.FoldedBank == nil) {
+		t.Fatalf("fold fields out of sync: Folded=%v FilterReps=%v FoldedBank=%v",
+			cp.Folded != nil, cp.FilterReps != nil, cp.FoldedBank != nil)
 	}
 	if cp.Folded == nil {
 		for i := 0; i < K; i++ {
@@ -153,6 +155,9 @@ func checkFoldProperties(t *testing.T, cp *CompressPlan, words []uint64, K, S in
 		t.Fatal("folded plan folds again: distinct banks must bottom out")
 	}
 	foldedWords := Reconstruct(cp.Folded)
+	if !wordBlocksEqual(cp.FoldedBank, foldedWords) {
+		t.Fatal("FoldedBank differs from the folded plan's bank")
+	}
 	next := int32(0)
 	for c, fi := range cp.FilterReps {
 		if fi < 0 || fi > next || int(fi) > c {
