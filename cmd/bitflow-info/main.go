@@ -101,9 +101,9 @@ func main() {
 }
 
 // modelReport loads an artifact and prints the load-time planning view
-// the serving stack acts on: the per-layer kernel-compression analysis
-// (duplicated packed filter words per Silfa & Arnau) and which layers'
-// forwards actually run the compressed path.
+// the serving stack acts on: each layer's filters and distinct filters
+// (kernel compression per Silfa & Arnau) and which layers' forwards
+// fold onto their distinct filters.
 func modelReport(path string, feat sched.Features) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -117,17 +117,17 @@ func modelReport(path string, feat sched.Features) error {
 	fmt.Printf("model %q (%dx%dx%d → %d classes, %d layers, %d fused pair(s))\n",
 		net.Name, net.InH, net.InW, net.InC, net.Classes, len(net.Layers()), net.Fusion().Pairs)
 	fmt.Println()
-	fmt.Printf("kernel compression (threshold ratio ≥ %.1f, conv layers of ≥ 64 input channels):\n", kernels.CompressMinRatio)
-	ct := bench.NewTable("layer", "kind", "channels", "positions", "words", "distinct", "ratio", "compressed")
+	fmt.Printf("kernel compression (conv banks fold at filters / distinct filters ≥ %.1f; dense layers always sweep):\n", kernels.CompressMinRatio)
+	ct := bench.NewTable("layer", "kind", "filters", "words/filter", "distinct filters", "ratio", "folded")
 	for _, lc := range net.Compression() {
 		ct.Row(lc.Layer, lc.Kind, lc.Channels, lc.Positions,
-			lc.TotalWords, lc.DistinctWords,
+			lc.DistinctWords/lc.Positions,
 			fmt.Sprintf("%.2f", lc.Ratio),
 			map[bool]string{true: "yes", false: "no"}[lc.Selected])
 	}
 	ct.Render(os.Stdout)
 	fmt.Println()
-	fmt.Printf("compressed layers: %d — banks of repeated filters sweep only the distinct ones; other banks run each distinct word's XOR+popcount once\n",
+	fmt.Printf("compressed layers: %d — a folded bank sweeps only its distinct filters and copies their counts out\n",
 		net.CompressedLayers())
 	return nil
 }

@@ -318,7 +318,7 @@ func main() {
 					name, mm.FusedLayers)
 			}
 			if mm.CompressedLayers > 0 {
-				fmt.Printf("kernel compression %q: %d layer(s) dedupe repeated packed filter words\n",
+				fmt.Printf("kernel compression %q: %d layer(s) sweep only their distinct filters\n",
 					name, mm.CompressedLayers)
 			}
 		}

@@ -12,16 +12,17 @@ import (
 )
 
 func main() {
-	// 1. Probe the platform. The vector execution scheduler uses this to
-	// pick a kernel tier per layer.
+	// 1. Probe the platform. Every sweep runs at the widest kernel tier
+	// this machine has; the scheduler picks only each layer's packing
+	// width (paper §III-B).
 	feat := bitflow.Detect()
 	fmt.Println("platform:", feat)
 
 	// 2. Describe the network. Convolutions and hidden dense layers fuse
 	// the sign activation; the final dense layer emits float logits.
 	net, err := bitflow.NewBuilder("quickstart", 32, 32, 64, feat).
-		Conv3x3("conv1", 128). // 64 input channels → scalar64 kernel
-		Conv3x3("conv2", 128). // 128 channels → sse128 kernel
+		Conv3x3("conv1", 128). // 64 input channels → one 64-bit word per pixel
+		Conv3x3("conv2", 128). // 128 channels → two words per pixel
 		Pool("pool1", 2, 2, 2).
 		Flatten().
 		Dense("hidden", 256).

@@ -39,7 +39,7 @@ func TestPlainForwardAllocations(t *testing.T) {
 		}
 		full := bitpack.NewPacked(8, 8, 72, 2, 1, 1)
 		pooled := bitpack.NewPacked(4, 4, 72, 2, 0, 0)
-		for _, path := range []string{"sweep", "folded", "word-walk"} {
+		for _, path := range []string{"sweep", "folded"} {
 			f := workload.RandFilter(r, 72, 3, 3, 64)
 			if path == "folded" {
 				dupFilter(f, 4)
@@ -48,16 +48,8 @@ func TestPlainForwardAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch path {
-			case "folded":
-				if cp := cv.Compression(); cp == nil || cp.FoldedBank == nil {
-					t.Fatalf("%v: four-filter bank did not select a folded plan", w)
-				}
-			case "word-walk":
-				forcePlan(t, cv)
-				if cv.Compression().FoldedBank != nil {
-					t.Fatalf("%v: random bank folded", w)
-				}
+			if cv.Folded() != (path == "folded") {
+				t.Fatalf("%v %s: folded=%v", w, path, cv.Folded())
 			}
 			in := cv.NewInput()
 			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, nil, full, ec) }); n != 0 {

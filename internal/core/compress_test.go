@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bitflow/internal/bitpack"
@@ -23,17 +24,6 @@ func dupFilter(f *tensor.Filter, bases int) {
 	}
 }
 
-// forcePlan installs a compression plan regardless of the measured
-// duplication ratio, so low-duplication banks exercise the compressed
-// path too.
-func forcePlan(t testing.TB, cv *Conv) {
-	t.Helper()
-	s := cv.Shape.KH * cv.rowLen // fstride: words per filter
-	if err := cv.SetCompression(kernels.BuildCompressPlan(cv.filter.Words, cv.Shape.K, s)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // equalPacked compares the interiors of two packed planes word for word.
 func equalPacked(t testing.TB, label string, want, got *bitpack.Packed) {
 	t.Helper()
@@ -47,6 +37,26 @@ func equalPacked(t testing.TB, label string, want, got *bitpack.Packed) {
 				}
 			}
 		}
+	}
+}
+
+// scatterFilter is dupFilter with the channels shuffled: filter k
+// repeats base pattern b_k, where b is a random permutation of k%bases,
+// so repeats come before first appearances and a channel's filter index
+// is not k%bases.
+func scatterFilter(r *workload.RNG, f *tensor.Filter, bases int) {
+	per := f.KH * f.KW * f.C
+	base := slices.Clone(f.Data[:bases*per])
+	b := make([]int, f.K)
+	for k := range b {
+		b[k] = k % bases
+	}
+	for k := len(b) - 1; k > 0; k-- {
+		j := r.Intn(k + 1)
+		b[k], b[j] = b[j], b[k]
+	}
+	for k, bk := range b {
+		copy(f.Data[k*per:(k+1)*per], base[bk*per:(bk+1)*per])
 	}
 }
 
@@ -72,39 +82,68 @@ func buildDupConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw int, bases i
 	return cv, packed
 }
 
-// TestCompressionAutoSelection pins the load-time threshold: a heavily
-// duplicated bank selects the plan, a random wide bank does not (stats
-// are still measured), and a low-channel bank (the conv1.1 case, ≤ 2^C
-// possible words per tap) clears the ratio but is not selected: below
-// 64 channels the ratio counts dead bits, and the bank sweeps.
+// TestCompressionAutoSelection pins the load-time rule: a bank repeating
+// 4 whole filters folds onto them, a random bank keeps its K distinct
+// filters and sweeps them all, and a low-channel bank (the conv1.1 case)
+// folds when its filters repeat and sweeps when they do not — a whole
+// filter has no dead bits, so no channel floor applies.
 func TestCompressionAutoSelection(t *testing.T) {
 	r := workload.NewRNG(200)
-	dup, _ := buildDupConv(t, r, 8, 8, 64, 64, 3, 3, 4)
-	if dup.Compression() == nil {
-		t.Fatalf("duplicated bank (ratio %v) not selected", dup.CompressionStats().Ratio())
+	for _, c := range []int{64, 3} {
+		dup, _ := buildDupConv(t, r, 8, 8, c, 64, 3, 3, 4)
+		if !dup.Folded() || dup.DistinctFilters() != 4 {
+			t.Fatalf("C=%d: four-filter bank folded=%v with %d distinct filters, want folded onto 4",
+				c, dup.Folded(), dup.DistinctFilters())
+		}
+		rnd, _ := buildDupConv(t, r, 8, 8, c, 64, 3, 3, 0)
+		if rnd.Folded() || rnd.DistinctFilters() != 64 {
+			t.Fatalf("C=%d: random bank folded=%v with %d distinct filters, want 64 swept",
+				c, rnd.Folded(), rnd.DistinctFilters())
+		}
 	}
-	if got := dup.CompressionStats().Ratio(); got < 16 {
-		t.Fatalf("duplicated bank ratio %v, want ≥ 16 (K/bases)", got)
-	}
-	rnd, _ := buildDupConv(t, r, 8, 8, 64, 64, 3, 3, 0)
-	if rnd.Compression() != nil {
-		t.Fatalf("random 64-channel bank (ratio %v) unexpectedly selected", rnd.CompressionStats().Ratio())
-	}
-	if st := rnd.CompressionStats(); st.TotalWords == 0 || st.DistinctWords == 0 {
-		t.Fatalf("stats not measured on unselected bank: %+v", st)
-	}
-	lowC, _ := buildDupConv(t, r, 8, 8, 3, 64, 3, 3, 0)
-	if got := lowC.CompressionStats().Ratio(); got < 8 {
-		t.Fatalf("C=3 bank ratio %v, want ≥ 8 (≤ 8 distinct words per position)", got)
-	}
-	if lowC.Compression() != nil {
-		t.Fatalf("C=3 bank (ratio %v) selected below the 64-channel floor", lowC.CompressionStats().Ratio())
+}
+
+// TestFoldThreshold pins kernels.CompressMinRatio as a ratio of filters:
+// a bank of K filters with F = K/4 distinct ones, in shuffled channel
+// order, folds and one with F = K/4 + 1 sweeps, at sub-word, one-word
+// and eight-word channel counts and K on and off the 64-lane grid;
+// either way ForwardPacked equals the unfolded twin word for word,
+// pooled and unpooled, serial and threaded.
+func TestFoldThreshold(t *testing.T) {
+	r := workload.NewRNG(207)
+	for _, C := range []int{3, 64, 512} {
+		for _, K := range []int{64, 72} {
+			for _, F := range []int{K / 4, K/4 + 1} {
+				label := fmt.Sprintf("C=%d K=%d F=%d", C, K, F)
+				shape, err := sched.InferConv(6, 6, C, K, 3, 3, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := workload.PM1Filter(r, K, 3, 3, C)
+				scatterFilter(r, f, F)
+				cv, err := NewConv(shape, sched.Select(C, feat()), f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := cv.NewInput()
+				bitpack.PackTensorInto(workload.PM1Tensor(r, 6, 6, C), in)
+				if cv.DistinctFilters() != F {
+					t.Fatalf("%s: %d distinct filters", label, cv.DistinctFilters())
+				}
+				if want := F == K/4; cv.Folded() != want {
+					t.Fatalf("%s: folded=%v, want %v", label, cv.Folded(), want)
+				}
+				if err := cv.SetThresholds(randThresholds(r, K, cv.validLanes)); err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstUncompressed(t, label, cv, in)
+			}
+		}
 	}
 }
 
 // TestFoldedSweepMatchesUncompressed pins the folded accumulate step:
-// a bank repeating F whole filters selects a plan that folds, and its
-// ForwardPacked — one sweep over the F distinct filters, the counts
+// a bank repeating F whole filters folds, and its ForwardPacked — one sweep over the F distinct filters, the counts
 // copied out to all K channels — equals the plan-less twin word for
 // word, plain and pooled, on every kernel tier. K = 72 is off the
 // 64-lane grid, K = 512 is VGG's widest bank; the thresholds flip
@@ -127,8 +166,8 @@ func TestFoldedSweepMatchesUncompressed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cp := cv.Compression(); cp == nil || cp.FoldedBank == nil || cp.Folded.K != F {
-					t.Fatalf("%s: bank did not select a plan folding to %d filters", label, F)
+				if !cv.Folded() || cv.DistinctFilters() != F {
+					t.Fatalf("%s: bank did not fold to %d filters", label, F)
 				}
 				th := randThresholds(r, K, cv.validLanes)
 				th.T[0], th.Flip[0] = math.MaxInt32, false
@@ -147,12 +186,11 @@ func TestFoldedSweepMatchesUncompressed(t *testing.T) {
 	}
 }
 
-// TestWordRepeatsWithoutFilterRepeatsWalk pins the other side of the
+// TestWordRepeatsWithoutFilterRepeatsSweeps pins the other side of the
 // fold: a bank whose words repeat at every position (four per tap) but
-// whose 64 filters are all distinct selects a plan that does not fold,
-// so its forward walks the distinct-word table — and still equals the
-// plan-less twin word for word.
-func TestWordRepeatsWithoutFilterRepeatsWalk(t *testing.T) {
+// whose 64 filters are all distinct does not fold, so its forward sweeps
+// all 64 filters — and equals the unfolded twin word for word.
+func TestWordRepeatsWithoutFilterRepeatsSweeps(t *testing.T) {
 	r := workload.NewRNG(206)
 	const K, C = 64, 64
 	shape, err := sched.InferConv(6, 6, C, K, 3, 3, 1, 1)
@@ -174,9 +212,8 @@ func TestWordRepeatsWithoutFilterRepeatsWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := cv.Compression()
-	if cp == nil || cp.FilterReps != nil || cp.FoldedBank != nil {
-		t.Fatalf("want an unfolded plan, got %+v (ratio %v)", cp, cv.CompressionStats().Ratio())
+	if cv.Folded() || cv.DistinctFilters() != K {
+		t.Fatalf("folded=%v with %d distinct filters, want all %d swept", cv.Folded(), cv.DistinctFilters(), K)
 	}
 	if err := cv.SetThresholds(randThresholds(r, K, cv.validLanes)); err != nil {
 		t.Fatal(err)
@@ -189,7 +226,7 @@ func TestWordRepeatsWithoutFilterRepeatsWalk(t *testing.T) {
 
 // checkAgainstUncompressed runs cv's ForwardPacked, plain and through a
 // fused 2×2 pool, serial and threaded, and compares each output with
-// cv.Uncompressed()'s word for word.
+// the unfolded twin cv.Uncompressed()'s word for word.
 func checkAgainstUncompressed(t *testing.T, label string, cv *Conv, in *bitpack.Packed) {
 	t.Helper()
 	plain := cv.Uncompressed()
@@ -218,10 +255,10 @@ func checkAgainstUncompressed(t *testing.T, label string, cv *Conv, in *bitpack.
 }
 
 // TestConvCompressedMatchesUncompressed is the core differential pin:
-// ForwardPacked, plain and pooled, of a conv with a forced plan equal its
-// plan-less twin (Uncompressed) word for word, on high- and
-// low-duplication banks, with and without folded thresholds, serial and
-// threaded.
+// ForwardPacked, plain and pooled, of a folded conv equals its unfolded
+// twin (Uncompressed) word for word, on banks repeating from 2 to K/4
+// filters at sub-word to multi-word channel counts, with and without
+// folded thresholds, serial and threaded.
 func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	r := workload.NewRNG(201)
 	cases := []struct {
@@ -232,8 +269,8 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 		pkh, pkw, pstr int
 	}{
 		{"high-dup", 8, 8, 64, 70, 3, 3, 4, 2, 2, 2},
-		{"low-dup", 8, 8, 128, 64, 3, 3, 0, 2, 2, 2},
-		{"low-channel", 10, 10, 3, 64, 3, 3, 0, 2, 2, 2},
+		{"at-threshold", 8, 8, 128, 64, 3, 3, 16, 2, 2, 2},
+		{"low-channel", 10, 10, 3, 64, 3, 3, 4, 2, 2, 2},
 		{"ragged", 9, 7, 100, 33, 3, 3, 3, 2, 2, 2},
 		{"1x1", 8, 8, 256, 128, 1, 1, 2, 2, 2, 2},
 		{"5x5", 9, 9, 64, 32, 5, 5, 2, 3, 3, 3},
@@ -246,7 +283,9 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			forcePlan(t, cv)
+			if !cv.Folded() {
+				t.Fatalf("%s: bank of %d filters repeating %d did not fold", tc.name, tc.k, tc.bases)
+			}
 			plain := cv.Uncompressed()
 			s := cv.Shape
 			wpp := sched.Select(tc.k, feat()).Words
@@ -277,41 +316,26 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	}
 }
 
-// TestSetCompressionValidates pins the geometry check and the nil-clear.
-func TestSetCompressionValidates(t *testing.T) {
-	r := workload.NewRNG(204)
-	cv, _ := buildDupConv(t, r, 8, 8, 64, 32, 3, 3, 2)
-	if err := cv.SetCompression(kernels.BuildCompressPlan(make([]uint64, 4*2), 4, 2)); err == nil {
-		t.Fatal("mismatched conv plan accepted")
-	}
-	if err := cv.SetCompression(nil); err != nil || cv.Compression() != nil {
-		t.Fatal("nil did not clear the conv plan")
-	}
-}
-
 // FuzzCompressedConv is the differential fuzz harness: arbitrary
-// geometries and weight banks — including adversarially low- and
-// high-duplication ones — must produce, with a forced plan, output equal
-// to the plan-less PressedConv word for word, packed and fused. The seed
-// corpus pins an all-words-identical bank (every filter the same, one
-// distinct word per position) and an all-words-distinct one.
+// geometries and banks repeating 1 to K/4 whole filters — so every bank
+// of at least 4 filters folds — must produce output equal to the
+// unfolded PressedConv word for word, packed and fused. The seed corpus
+// pins an all-filters-identical bank, a wide one near the threshold and
+// a two-filter bank below it.
 func FuzzCompressedConv(f *testing.F) {
-	// seed, h, w, c, k, bases (0 = independent random filters,
-	// 1 = all filters identical), withThresholds.
-	f.Add(uint64(1), uint8(8), uint8(8), uint8(64), uint8(32), uint8(1), true)  // all words identical
-	f.Add(uint64(2), uint8(8), uint8(8), uint8(255), uint8(16), uint8(0), true) // wide random: words distinct
-	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(0), false)  // conv1.1-style low channel
-	f.Add(uint64(4), uint8(9), uint8(7), uint8(100), uint8(33), uint8(3), true) // ragged + 3 bases
-	f.Add(uint64(5), uint8(5), uint8(5), uint8(64), uint8(1), uint8(0), false)  // single filter
+	// seed, h, w, c, k, bases (repeated filters: 1 + bases % (k/4)),
+	// withThresholds.
+	f.Add(uint64(1), uint8(8), uint8(8), uint8(64), uint8(32), uint8(0), true)  // all filters identical
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(255), uint8(16), uint8(3), true) // wide, 17 filters repeating 4
+	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(5), false)  // conv1.1-style low channel
+	f.Add(uint64(4), uint8(9), uint8(7), uint8(100), uint8(33), uint8(2), true) // ragged, 34 filters repeating 3
+	f.Add(uint64(5), uint8(5), uint8(5), uint8(64), uint8(1), uint8(0), false)  // 2 identical filters: K/F = 2 sweeps
 	f.Fuzz(func(t *testing.T, seed uint64, hh, ww, cc, kk, bb uint8, withTh bool) {
 		h := int(hh)%8 + 3
 		w := int(ww)%8 + 3
 		c := int(cc)%200 + 1
 		k := int(kk)%72 + 1
-		bases := 0
-		if bb > 0 {
-			bases = int(bb)%k + 1
-		}
+		bases := 1 + int(bb)%max(k/4, 1)
 		r := workload.NewRNG(seed)
 		shape, err := sched.InferConv(h, w, c, k, 3, 3, 1, 1)
 		if err != nil {
@@ -319,19 +343,19 @@ func FuzzCompressedConv(f *testing.F) {
 		}
 		plan := sched.Select(c, feat())
 		fl := workload.PM1Filter(r, k, 3, 3, c)
-		if bases > 0 {
-			dupFilter(fl, bases)
-		}
+		dupFilter(fl, bases)
 		cv, err := NewConv(shape, plan, fl)
 		if err != nil {
 			t.Skip()
+		}
+		if k >= 4 && !cv.Folded() {
+			t.Fatalf("bank of %d filters repeating %d did not fold", k, bases)
 		}
 		if withTh {
 			if err := cv.SetThresholds(randThresholds(r, k, cv.validLanes)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		forcePlan(t, cv)
 		in := workload.PM1Tensor(r, h, w, c)
 		packed := cv.NewInput()
 		bitpack.PackTensorInto(in, packed)

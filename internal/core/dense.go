@@ -14,9 +14,7 @@ import (
 // multiplication with M = 1 (paper §III-C). Vector parallelism runs over
 // the N dimension (inside the XOR+popcount kernel), multi-core
 // parallelism over the K dimension. Dense always sweeps its packed
-// weight rows: a kernel-compression plan pays off only on banks that
-// repeat words heavily, and no fc layer of the networks this engine runs
-// does (CompressionStats keeps the measurement).
+// weight rows.
 type Dense struct {
 	Shape sched.FCShape
 	Plan  sched.Plan // selected over N
@@ -29,10 +27,6 @@ type Dense struct {
 	epi *kernels.Epilogue
 	// affine post-processes the Logits output; nil = raw inner products.
 	affine *Affine
-	// pressStats is the duplication analysis of the packed weight
-	// matrix, measured at construction. Pure runtime state, never
-	// serialized.
-	pressStats kernels.CompressStats
 }
 
 // DenseOut is where Dense.Forward writes, a value the caller fixes once
@@ -100,8 +94,7 @@ func NewDensePacked(shape sched.FCShape, plan sched.Plan, pm *bitpack.PackedMatr
 	}
 	return &Dense{
 		Shape: shape, Plan: plan, weights: pm,
-		epi:        (*Thresholds)(nil).Epilogue(shape.K, plan.Tier),
-		pressStats: kernels.AnalyzeCompression(pm.Words, shape.K, pm.WPR),
+		epi: (*Thresholds)(nil).Epilogue(shape.K, plan.Tier),
 	}, nil
 }
 
@@ -113,10 +106,6 @@ func (d *Dense) Activation() *Thresholds { return d.act }
 
 // OutAffine returns the Logits output's affine, or nil for raw products.
 func (d *Dense) OutAffine() *Affine { return d.affine }
-
-// CompressionStats returns the duplication analysis of the packed
-// weight matrix, measured at construction.
-func (d *Dense) CompressionStats() kernels.CompressStats { return d.pressStats }
 
 // NewInput allocates a packed activation row for this operator.
 func (d *Dense) NewInput() []uint64 { return make([]uint64, d.Plan.Words) }

@@ -28,8 +28,8 @@
 // the same body with windows wider than one position; Dense.Forward
 // takes its output form (accumulators, float logits through the affine,
 // or packed sign bits) as a DenseOut value fixed at build time; a conv
-// holding a kernel-compression plan (compress.go) accumulates a window
-// through the plan instead of sweeping its bank; and batches are the
+// whose bank folds onto its distinct filters (compress.go) sweeps those
+// and copies the counts out; and batches are the
 // graph's business — it runs these same bodies once per image, across
 // workers.
 package core

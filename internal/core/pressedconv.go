@@ -16,12 +16,10 @@ const maxKH = 16
 // Conv is a PressedConv binary convolution operator: filters are packed
 // once at construction, inputs arrive as channel-packed bit tensors, and
 // every multiply-accumulate is an XOR + popcount. Each output pixel is
-// one gather of its receptive field into a contiguous window, one
-// accumulate step over that window — a kernel sweep over all K packed
-// filters, read in place, on the machine's widest tier (Plan.Tier), or,
-// when the operator holds a compression plan, a sweep over the plan's
-// distinct filters or a walk of its distinct-word table — and one
-// threshold-pack epilogue.
+// one gather of its receptive field into a contiguous window, one kernel
+// sweep of that window over the packed filters, read in place, on the
+// machine's widest tier (Plan.Tier) — over the bank's distinct filters
+// only when it folds (compress.go) — and one threshold-pack epilogue.
 type Conv struct {
 	Shape sched.ConvShape
 	Plan  sched.Plan
@@ -37,21 +35,18 @@ type Conv struct {
 	// act is the folded activation of the packed path; nil means the
 	// plain Equation 3 sign.
 	act *Thresholds
-	// epi is act pre-compiled into the fused epilogue over
-	// pre-activations (what the compression plan's accumulate step
-	// produces); popEpi is the same activation over raw XOR+popcount
-	// sums, which the sweep's counts are thresholded from directly. Both
-	// are rebuilt by SetThresholds, never per inference.
-	epi, popEpi *kernels.Epilogue
-	// press is the kernel-compression plan compiled from the packed
-	// filter bank at construction when its duplication ratio clears
-	// kernels.CompressMinRatio and the bank has at least 64 input
-	// channels (nil otherwise): when set, it replaces the full sweep as
-	// the accumulate step of ForwardPacked.
-	// pressStats always holds the measured analysis. Pure runtime state,
-	// never serialized.
-	press      *kernels.CompressPlan
-	pressStats kernels.CompressStats
+	// epi is act pre-compiled into the fused epilogue over raw
+	// XOR+popcount sums, which the sweep's counts are thresholded from
+	// directly. Rebuilt by SetThresholds, never per inference.
+	epi *kernels.Epilogue
+	// distinct is the bank's distinct-filter count F, measured at
+	// construction. When K/F reaches kernels.CompressMinRatio the bank
+	// folds: folded holds the F distinct filters and reps maps each
+	// channel to its filter there (kernels.DistinctFilters); both are nil
+	// otherwise. Pure runtime state, never serialized.
+	distinct int
+	folded   []uint64
+	reps     []int32
 }
 
 // SetThresholds installs a folded activation (batch-norm or bias) for
@@ -63,8 +58,7 @@ func (cv *Conv) SetThresholds(th *Thresholds) error {
 		}
 	}
 	cv.act = th
-	cv.epi = th.Epilogue(cv.Shape.K, cv.Plan.Tier)
-	cv.popEpi = cv.epi.ForPopcounts(int32(cv.validLanes))
+	cv.epi = th.Epilogue(cv.Shape.K, cv.Plan.Tier).ForPopcounts(int32(cv.validLanes))
 	return nil
 }
 
@@ -114,12 +108,10 @@ func NewConvPacked(shape sched.ConvShape, plan sched.Plan, pf *bitpack.PackedFil
 		return nil, err
 	}
 	fstride := shape.KH * cv.rowLen
-	cv.pressStats = kernels.AnalyzeCompression(pf.Words, shape.K, fstride)
-	// A bank narrower than one word per tap (C < 64) has at most 2^C
-	// words per position, so its ratio counts dead bits, not repeated
-	// filters: it sweeps.
-	if cv.pressStats.Selectable() && shape.InC >= 64 {
-		cv.press = kernels.BuildCompressPlan(pf.Words, shape.K, fstride)
+	reps, firsts := kernels.DistinctFilters(pf.Words, shape.K, fstride)
+	cv.distinct = len(firsts)
+	if float64(shape.K) >= kernels.CompressMinRatio*float64(cv.distinct) {
+		cv.folded, cv.reps = kernels.GatherFilters(pf.Words, fstride, firsts), reps
 	}
 	return cv, nil
 }
@@ -184,10 +176,10 @@ func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
 // Forward computes raw pre-activation outputs into out (OutH×OutW×K).
 // Outputs are exact integer inner products stored as float32. ec
 // controls the multi-core split over the fused OutH·OutW dimension.
-// Forward always sweeps the packed bank: it is the reference the packed
-// path (and a compression plan) is checked against.
+// Forward always sweeps the whole packed bank: it is the reference the
+// packed path (folded or not) is checked against.
 //
-//bitflow:keep test oracle: core tests check ForwardPacked and compression plans against it
+//bitflow:keep test oracle: core tests check ForwardPacked and the filter fold against it
 func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	cv.checkInput(in)
 	s := cv.Shape
@@ -278,33 +270,22 @@ func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.
 }
 
 // thresholdWindow is the accumulate → threshold → set-bit pass for one
-// gathered window. The accumulate step is one of three, all summing the
-// same integer popcounts, so the bits are identical:
-//   - no plan: one sweep of win over the K packed filters;
-//   - a plan that folds whole filters: one sweep over its F distinct
-//     filters, the F counts then copied out to all K channels;
-//   - any other plan: one walk of its distinct-word table.
-//
-// The sweeps are thresholded in the count domain, the walk as
-// pre-activations. The bits overwrite dst (trailing words cleared), or
-// OR into it when or is set: the remaining positions of a pool window,
-// max-pool commuting with sign.
+// gathered window: one sweep of win over the conv's bank — all K filters,
+// or the F distinct ones with their counts then copied out to all K
+// channels — thresholded in the count domain. The bits overwrite dst
+// (trailing words cleared), or OR into it when or is set: the remaining
+// positions of a pool window, max-pool commuting with sign.
 func (cv *Conv) thresholdWindow(win []uint64, acc []int32, dst []uint64, or bool) {
-	epi := cv.popEpi
-	switch cp := cv.press; {
-	case cp == nil:
+	if cv.reps == nil {
 		kernels.Sweep(cv.Plan.Tier, win, cv.filter.Words, acc)
-	case cp.FoldedBank != nil:
-		kernels.Sweep(cv.Plan.Tier, win, cp.FoldedBank, acc[:cp.Folded.K])
-		cp.Expand(acc)
-	default:
-		kernels.CompressedPreacts(cp, win, int32(cv.validLanes), acc)
-		epi = cv.epi
+	} else {
+		kernels.Sweep(cv.Plan.Tier, win, cv.folded, acc[:cv.distinct])
+		kernels.Expand(cv.reps, acc)
 	}
 	if or {
-		epi.PackOr(acc, dst)
+		cv.epi.PackOr(acc, dst)
 	} else {
-		epi.Pack(acc, dst)
+		cv.epi.Pack(acc, dst)
 	}
 }
 

@@ -38,8 +38,8 @@ type Builder struct {
 	specs         []spec
 	// noFuse disables the conv→pool fusion planning pass (see fuse.go).
 	noFuse bool
-	// noPress disables kernel-compression planning: conv layers get
-	// plan-less operators (see press.go).
+	// noPress disables kernel compression: conv layers get unfolded
+	// operators (see press.go).
 	noPress bool
 }
 

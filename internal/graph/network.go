@@ -63,8 +63,8 @@ type Network struct {
 	fusion  FusionStats
 	unfused bool
 
-	// uncompressed marks a network built with the kernel-compression
-	// planner disabled (CloneUncompressed); see press.go.
+	// uncompressed marks a network built over unfolded convs
+	// (CloneUncompressed); see press.go.
 	uncompressed bool
 
 	// lanes is the batched-inference buffer pool (see inferbatch.go):

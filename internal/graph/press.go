@@ -1,80 +1,71 @@
 package graph
 
-import (
-	"fmt"
+import "fmt"
 
-	"bitflow/internal/kernels"
-)
-
-// Kernel-compression planning (Silfa & Arnau, "Exploiting Kernel
-// Compression on BNNs"): packed binary weight banks repeat 64-bit words
-// across output channels, and a conv of at least 64 input channels whose
-// duplication ratio clears kernels.CompressMinRatio holds a CompressPlan
-// compiled at construction (see core.NewConvPacked). The plan is held
-// by the operator and is the accumulate step of its ordinary forward, so
-// this file has no pass to run: a network is compressed wherever its
-// convs hold plans, and an uncompressed network (CloneUncompressed) is
-// one built over plan-less shallow copies of the convs — sharing the
-// packed words — which is what the differential harness compares
-// against. Dense layers are analyzed
-// but always sweep: every fc layer of VGG-16, TinyVGG and DupNet
-// measures a duplication ratio of 1.00, where a plan only adds a scatter.
+// Kernel compression (Silfa & Arnau, "Exploiting Kernel Compression on
+// BNNs") is one filter fold: a conv whose K packed filters hold only F
+// distinct ones, with K/F ≥ kernels.CompressMinRatio, sweeps the F and
+// copies their counts out (see core.NewConvPacked). The fold is held by
+// the operator and is a step of its ordinary forward, so this file has
+// no pass to run: a network is compressed wherever its convs fold, and
+// an uncompressed network (CloneUncompressed) is one built over unfolded
+// shallow copies of the convs — sharing the packed words — which is what
+// the differential harness compares against. Dense layers always sweep.
 //
-// Like fusion, compression is pure runtime planning: it happens at build
+// Like fusion, the fold is pure runtime planning: it happens at build
 // *and* load time off the packed weights, the serialized format carries
 // no plan metadata, and save→load keeps artifacts byte-identical. The
-// plan's accumulators sum the same integer popcounts as the sweep and
+// folded sweep's counts are the same integers as the full sweep's and
 // finish through the same epilogue, so logits are bit-identical either
 // way.
 
-// LayerCompression reports one layer's duplication analysis and whether
-// this network's forward runs it compressed.
+// LayerCompression reports one layer's filter duplication and whether
+// this network's forward runs it folded.
 type LayerCompression struct {
 	// Layer and Kind identify the node ("conv3.1", "conv", …). Fused
 	// conv+pool nodes report under their joined name.
 	Layer string
 	Kind  string
-	// Channels × Positions is the packed bank geometry; DistinctWords of
-	// the TotalWords survive deduplication.
+	// Channels × Positions is the packed bank geometry: K filters of S
+	// words. TotalWords is K·S; DistinctWords is F·S over the F distinct
+	// filters, the words a folded accumulate streams (K·S for a dense
+	// layer).
 	Channels, Positions       int
 	TotalWords, DistinctWords int
-	// Ratio is TotalWords/DistinctWords; Selected reports whether the
-	// layer's operator holds a plan, i.e. its forward sweeps only the
-	// plan's distinct filters or walks its distinct-word table (ratio
-	// cleared the threshold on a bank of ≥ 64 input channels, or a plan
-	// was forced, and planning was not disabled). Dense layers always
-	// report false.
+	// Ratio is K/F (1 for a dense layer); Selected reports whether the
+	// layer's operator folds, i.e. its forward sweeps only the distinct
+	// filters (ratio ≥ kernels.CompressMinRatio and planning was not
+	// disabled). Dense layers always report false.
 	Ratio    float64
 	Selected bool
 }
 
-// Compression reports the per-layer kernel-compression analysis of every
+// Compression reports the per-layer filter duplication of every
 // weighted binary layer (the mixed-precision float stem has no packed
 // bank and is omitted).
 func (n *Network) Compression() []LayerCompression {
 	out := make([]LayerCompression, 0, len(n.layers))
 	for _, l := range n.layers {
-		var st kernels.CompressStats
-		selected := false
+		var lc LayerCompression
 		switch t := l.(type) {
 		case *convLayer:
-			st, selected = t.op.CompressionStats(), t.op.Compression() != nil
+			K, F := t.op.Shape.K, t.op.DistinctFilters()
+			S := len(t.op.Filter().Words) / K
+			lc = LayerCompression{Channels: K, Positions: S, TotalWords: K * S, DistinctWords: F * S,
+				Ratio: float64(K) / float64(F), Selected: t.op.Folded()}
 		case *denseLayer:
-			st = t.op.CompressionStats()
+			K, S := t.op.Shape.K, t.op.Plan.Words
+			lc = LayerCompression{Channels: K, Positions: S, TotalWords: K * S, DistinctWords: K * S, Ratio: 1}
 		default:
 			continue
 		}
-		out = append(out, LayerCompression{
-			Layer: l.name(), Kind: l.kind(),
-			Channels: st.Channels, Positions: st.Positions,
-			TotalWords: st.TotalWords, DistinctWords: st.DistinctWords,
-			Ratio: st.Ratio(), Selected: selected,
-		})
+		lc.Layer, lc.Kind = l.name(), l.kind()
+		out = append(out, lc)
 	}
 	return out
 }
 
-// CompressedLayers counts the layers whose operator holds a plan — the
+// CompressedLayers counts the layers whose operator folds — the
 // headline number bitflow-info and /model report.
 func (n *Network) CompressedLayers() int {
 	c := 0
@@ -87,10 +78,10 @@ func (n *Network) CompressedLayers() int {
 }
 
 // CloneUncompressed is Clone with compression planning disabled: an
-// independent buffer chain over plan-less copies of the operators — the
-// *same* packed words — sweeping everywhere. It inherits the fusion plan, so a
-// fused network compares fused-compressed against fused-uncompressed —
-// one variable at a time.
+// independent buffer chain over unfolded copies of the operators — the
+// *same* packed words — sweeping all filters everywhere. It inherits the
+// fusion plan, so a fused network compares fused-compressed against
+// fused-uncompressed — one variable at a time.
 func (n *Network) CloneUncompressed() *Network {
 	b := &Builder{name: n.Name, feat: n.Feat, inH: n.InH, inW: n.InW, inC: n.InC,
 		specs: n.arch, noFuse: n.unfused, noPress: true}

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"testing"
 
-	"bitflow/internal/core"
 	"bitflow/internal/kernels"
 	"bitflow/internal/tensor"
 	"bitflow/internal/workload"
 )
 
-// dupWeights is a WeightSource producing adversarially duplicated banks
-// for chosen layers: layer weights repeat one of `bases` base patterns
-// per output channel, so the packed words duplicate with ratio ≥
-// K/bases and the layer crosses the compression threshold. Unlisted
-// layers fall through to plain RandomWeights (ratio ≈ 1 for wide
-// random banks).
+// dupWeights is a WeightSource producing duplicated banks for chosen
+// layers: layer weights repeat one of `bases` base patterns per output
+// channel, so a conv bank holds at most `bases` distinct filters and
+// folds when K/bases ≥ kernels.CompressMinRatio. Unlisted layers fall
+// through to plain RandomWeights (all filters distinct, ratio 1).
 type dupWeights struct {
 	RandomWeights
 	dup map[string]int // layer name → base pattern count
@@ -48,9 +46,9 @@ func (d dupWeights) DenseMatrix(name string, n, k int) (*tensor.Matrix, error) {
 
 // straddleNet builds a mixed-precision net whose layers straddle the
 // compression-ratio threshold: a float stem (never compressed), a
-// duplicated conv→pool pair (fuses AND compresses), a random conv→pool
-// pair (fuses, stays uncompressed), a duplicated hidden dense (measured,
-// never planned: dense layers always sweep), and a random classifier.
+// duplicated conv→pool pair (fuses AND folds), a random conv→pool pair
+// (fuses, sweeps every filter), a duplicated hidden dense (dense layers
+// always sweep), and a random classifier.
 func straddleNet(t *testing.T, seed uint64) *Network {
 	t.Helper()
 	ws := dupWeights{
@@ -73,10 +71,9 @@ func straddleNet(t *testing.T, seed uint64) *Network {
 }
 
 // TestCompressionPlanSelectivity pins the per-layer compressed split of
-// the straddle net: exactly the duplicated conv selects, the random,
-// float and dense layers do not — the duplicated dense clears the ratio
-// threshold and still sweeps — and the report carries the measured
-// ratios.
+// the straddle net: exactly the duplicated conv folds, the random,
+// float and dense layers do not — the duplicated dense still sweeps —
+// and the report carries the measured ratios.
 func TestCompressionPlanSelectivity(t *testing.T) {
 	net := straddleNet(t, 80)
 	report := net.Compression()
@@ -106,9 +103,6 @@ func TestCompressionPlanSelectivity(t *testing.T) {
 		if !sel && lc.Kind != "fc" && lc.Ratio >= kernels.CompressMinRatio {
 			t.Errorf("layer %s not selected above threshold: ratio %.2f", lc.Layer, lc.Ratio)
 		}
-		if lc.Layer == "ddup" && lc.Ratio < kernels.CompressMinRatio {
-			t.Errorf("duplicated dense measured ratio %.2f, want ≥ %v", lc.Ratio, kernels.CompressMinRatio)
-		}
 	}
 	if got := net.CompressedLayers(); got != 1 {
 		t.Errorf("CompressedLayers = %d, want 1", got)
@@ -126,9 +120,9 @@ func TestCompressionPlanSelectivity(t *testing.T) {
 }
 
 // TestTinyVGGAutoCompression pins the real-topology case: conv1.1 reads
-// C=3 inputs, so each packed tap word has ≤ 2³ possible values and the
-// 64-filter bank measures a ratio ≥ 8 — but those are dead bits, not
-// repeated filters, so the 64-channel floor keeps it on the sweep.
+// C=3 inputs, so each packed tap word has ≤ 2³ possible values, but the
+// rule reads whole filters: the 64 random filters are distinct, the
+// filter ratio is 1 and the bank sweeps.
 func TestTinyVGGAutoCompression(t *testing.T) {
 	net, err := TinyVGG(feat(), RandomWeights{Seed: 81})
 	if err != nil {
@@ -139,8 +133,9 @@ func TestTinyVGGAutoCompression(t *testing.T) {
 		t.Fatalf("unexpected report head: %+v", report)
 	}
 	first := report[0]
-	if first.Selected || first.Ratio < 8 {
-		t.Errorf("conv1.1: selected=%v ratio=%.2f, want ratio ≥ 8 and not selected", first.Selected, first.Ratio)
+	if first.Selected || first.Ratio != 1 || first.DistinctWords != first.TotalWords {
+		t.Errorf("conv1.1: selected=%v ratio=%.2f distinct words %d of %d, want ratio 1 and not selected",
+			first.Selected, first.Ratio, first.DistinctWords, first.TotalWords)
 	}
 }
 
@@ -149,19 +144,20 @@ func TestTinyVGGAutoCompression(t *testing.T) {
 // InferBatch for B = 1..8, on fused and unfused data-flow, including
 // the mixed-precision float stem. The straddle net's duplicated conv
 // folds, so it sweeps its distinct filters; TinyVGG's conv1.1 is given
-// a forced plan, so the word walk runs on a sub-word (C = 3) bank.
+// 4 repeated filters, so a sub-word (C = 3) bank folds.
 func TestCompressionLogitsBitIdentical(t *testing.T) {
 	fused := straddleNet(t, 82)
-	tiny := mustTinyVGG(t, 83)
-	conv11 := tiny.layers[0].(*convLayer).op
-	pf := conv11.Filter()
-	if err := conv11.SetCompression(kernels.BuildCompressPlan(pf.Words, pf.K, len(pf.Words)/pf.K)); err != nil {
+	tiny, err := TinyVGG(feat(), dupWeights{
+		RandomWeights: RandomWeights{Seed: 83},
+		dup:           map[string]int{"conv1.1": 4},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	variants := map[string]*Network{
-		"fused":         fused,
-		"unfused":       fused.CloneUnfused(),
-		"tinyvgg-force": tiny,
+		"fused":        fused,
+		"unfused":      fused.CloneUnfused(),
+		"tinyvgg-fold": tiny,
 	}
 	for name, pressed := range variants {
 		if pressed.CompressedLayers() == 0 {
@@ -266,56 +262,5 @@ func TestCompressionBatchLanesInherit(t *testing.T) {
 		if lane.CompressedLayers() != 0 {
 			t.Fatalf("uncompressed lane %d has %d compressed layers", i, lane.CompressedLayers())
 		}
-	}
-}
-
-// TestSetCompressionTakesEffect pins the test/bench hook: a plan forced
-// on a shared operator is what the network's next forward runs, and
-// clearing it reverts — while an uncompressed clone, holding plan-less
-// copies of the operators, is not touched by either.
-func TestSetCompressionTakesEffect(t *testing.T) {
-	net := mixedNet(t, 88) // all wide random banks: nothing auto-selects
-	if net.CompressedLayers() != 0 {
-		t.Fatalf("mixed net unexpectedly auto-selected %d layers", net.CompressedLayers())
-	}
-	var target *core.Conv
-	for _, l := range net.layers {
-		if cl, ok := l.(*convLayer); ok && cl.pool != nil {
-			target = cl.op
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no fused conv found")
-	}
-	// Force a plan below threshold and compare logits against an
-	// uncompressed clone taken beforehand — the low-duplication plan must
-	// still be bit-exact end to end.
-	plain := net.CloneUncompressed()
-	pf := target.Filter()
-	fstride := len(pf.Words) / target.Shape.K
-	plan := kernels.BuildCompressPlan(pf.Words, target.Shape.K, fstride)
-	if err := target.SetCompression(plan); err != nil {
-		t.Fatal(err)
-	}
-	if net.CompressedLayers() != 1 {
-		t.Fatalf("forced plan not picked up: %d compressed layers", net.CompressedLayers())
-	}
-	if plain.CompressedLayers() != 0 || net.CloneUncompressed().CompressedLayers() != 0 {
-		t.Fatal("forced plan reached an uncompressed clone")
-	}
-	x := workload.RandTensor(workload.NewRNG(89), net.InH, net.InW, net.InC)
-	want := plain.Infer(x)
-	got := net.Infer(x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("forced-plan logit %d: compressed %v uncompressed %v", i, got[i], want[i])
-		}
-	}
-	if err := target.SetCompression(nil); err != nil {
-		t.Fatal(err)
-	}
-	if net.CompressedLayers() != 0 {
-		t.Fatal("cleared plan still selected")
 	}
 }

@@ -94,8 +94,8 @@ func benchDupWeights(seed uint64) WeightSource {
 // SIMD kernels: faster plain kernels, same plan. On the three benchmark
 // networks the fusion and compression planners must pick exactly the
 // layers they picked with the scalar ladder — DupNet's four duplicated
-// banks, and nothing on the C=3 networks, whose conv1.1 sits below the
-// 64-channel floor — whatever tier the kernels run at.
+// banks, and nothing on the random-weight C=3 networks, whose filters
+// are all distinct — whatever tier the kernels run at.
 func TestPlannerSelectionsUnchangedByKernelTiers(t *testing.T) {
 	cases := []struct {
 		name       string

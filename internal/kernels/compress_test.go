@@ -1,18 +1,11 @@
 package kernels
 
 import (
+	"slices"
 	"testing"
 
 	"bitflow/internal/workload"
 )
-
-// Stats returns the duplication analysis the plan was built from.
-func (cp *CompressPlan) Stats() CompressStats {
-	return CompressStats{
-		Channels: cp.K, Positions: cp.S,
-		TotalWords: cp.K * cp.S, DistinctWords: len(cp.Words),
-	}
-}
 
 // Reconstruct expands the plan back into the K*S filter-major packed
 // word bank it was built from — the round-trip the plan property tests
@@ -117,73 +110,73 @@ func checkPlanProperties(t *testing.T, words []uint64, K, S int) {
 			t.Fatalf("round-trip mismatch at word %d: got %#x want %#x", i, got[i], words[i])
 		}
 	}
-	// Stats agree between the cheap analysis pass and the full build.
-	st := AnalyzeCompression(words, K, S)
-	if st != cp.Stats() {
-		t.Fatalf("AnalyzeCompression %+v != plan stats %+v", st, cp.Stats())
-	}
 	checkFoldProperties(t, cp, words, K, S)
 }
 
-// checkFoldProperties pins the filter-level fold invariants: FilterReps,
-// Folded and FoldedBank exist iff whole filter blocks repeat, fold
-// indices are first-appearance ordered (so FilterReps[c] ≤ c), the
-// folded plan and FoldedBank both hold exactly the distinct blocks, the
-// folded plan's own fold bottoms out, and Expand copies each distinct
-// filter's value to every duplicate channel.
+// checkFoldProperties pins the filter-level fold invariants:
+// DistinctFilters numbers the filters in first-appearance order (so
+// reps[c] ≤ c), firsts[i] is the first channel holding filter i, every
+// channel's words equal its filter's, the gathered bank holds exactly
+// the distinct filters, the plan folds iff some filter repeats (onto a
+// plan that does not fold again), and Expand copies each distinct
+// filter's value to every channel holding it.
 func checkFoldProperties(t *testing.T, cp *CompressPlan, words []uint64, K, S int) {
 	t.Helper()
-	if (cp.Folded == nil) != (cp.FilterReps == nil) || (cp.Folded == nil) != (cp.FoldedBank == nil) {
-		t.Fatalf("fold fields out of sync: Folded=%v FilterReps=%v FoldedBank=%v",
-			cp.Folded != nil, cp.FilterReps != nil, cp.FoldedBank != nil)
+	reps, firsts := DistinctFilters(words, K, S)
+	if len(reps) != K || len(firsts) == 0 || len(firsts) > K {
+		t.Fatalf("fold geometry: reps=%d firsts=%d (bank K=%d)", len(reps), len(firsts), K)
 	}
-	if cp.Folded == nil {
-		for i := 0; i < K; i++ {
-			for j := i + 1; j < K; j++ {
-				if wordBlocksEqual(words[i*S:(i+1)*S], words[j*S:(j+1)*S]) {
-					t.Fatalf("filters %d and %d are identical but the plan did not fold", i, j)
-				}
-			}
-		}
-		return
-	}
-	if len(cp.FilterReps) != K || cp.Folded.S != S || cp.Folded.K >= K {
-		t.Fatalf("fold geometry: reps=%d folded K=%d S=%d (bank K=%d S=%d)",
-			len(cp.FilterReps), cp.Folded.K, cp.Folded.S, K, S)
-	}
-	if cp.Folded.Folded != nil {
-		t.Fatal("folded plan folds again: distinct banks must bottom out")
-	}
-	foldedWords := Reconstruct(cp.Folded)
-	if !wordBlocksEqual(cp.FoldedBank, foldedWords) {
-		t.Fatal("FoldedBank differs from the folded plan's bank")
+	bank := GatherFilters(words, S, firsts)
+	if len(bank) != len(firsts)*S {
+		t.Fatalf("gathered bank has %d words, want %d", len(bank), len(firsts)*S)
 	}
 	next := int32(0)
-	for c, fi := range cp.FilterReps {
+	for c, fi := range reps {
 		if fi < 0 || fi > next || int(fi) > c {
-			t.Fatalf("channel %d: fold index %d breaks first-appearance order (next=%d)", c, fi, next)
+			t.Fatalf("channel %d: filter index %d breaks first-appearance order (next=%d)", c, fi, next)
 		}
 		if fi == next {
+			if int(firsts[fi]) != c {
+				t.Fatalf("filter %d first appears at channel %d, firsts says %d", fi, c, firsts[fi])
+			}
 			next++
 		}
-		for p := 0; p < S; p++ {
-			if words[c*S+p] != foldedWords[int(fi)*S+p] {
-				t.Fatalf("channel %d word %d: bank %#x != folded filter %d %#x",
-					c, p, words[c*S+p], fi, foldedWords[int(fi)*S+p])
+		if !slices.Equal(words[c*S:(c+1)*S], bank[int(fi)*S:(int(fi)+1)*S]) {
+			t.Fatalf("channel %d differs from its distinct filter %d", c, fi)
+		}
+	}
+	if int(next) != len(firsts) {
+		t.Fatalf("filter indices reach %d, %d distinct filters", next, len(firsts))
+	}
+	for i := range firsts {
+		for j := i + 1; j < len(firsts); j++ {
+			if slices.Equal(bank[i*S:(i+1)*S], bank[j*S:(j+1)*S]) {
+				t.Fatalf("distinct filters %d and %d are identical", i, j)
 			}
 		}
 	}
-	if int(next) != cp.Folded.K {
-		t.Fatalf("fold indices reach %d, folded bank has %d filters", next, cp.Folded.K)
+	switch {
+	case len(firsts) == K && cp.Folded != nil:
+		t.Fatal("every filter distinct but the plan folded")
+	case len(firsts) < K && cp.Folded == nil:
+		t.Fatalf("%d distinct of %d filters but the plan did not fold", len(firsts), K)
+	case cp.Folded != nil:
+		if cp.Eff() != cp.Folded || cp.Folded.K != len(firsts) || cp.Folded.S != S || cp.Folded.Folded != nil {
+			t.Fatalf("folded plan K=%d S=%d refolds=%v, want K=%d S=%d",
+				cp.Folded.K, cp.Folded.S, cp.Folded.Folded != nil, len(firsts), S)
+		}
+		if !slices.Equal(Reconstruct(cp.Folded), bank) {
+			t.Fatal("folded plan's bank differs from the gathered distinct filters")
+		}
 	}
 	acc := make([]int32, K)
-	for i := 0; i < cp.Folded.K; i++ {
+	for i := range firsts {
 		acc[i] = int32(100 + i)
 	}
-	cp.Expand(acc)
-	for c, fi := range cp.FilterReps {
+	Expand(reps, acc)
+	for c, fi := range reps {
 		if acc[c] != int32(100+int(fi)) {
-			t.Fatalf("Expand: channel %d = %d, want folded filter %d's value %d", c, acc[c], fi, 100+int(fi))
+			t.Fatalf("Expand: channel %d = %d, want filter %d's value %d", c, acc[c], fi, 100+int(fi))
 		}
 	}
 }
@@ -222,32 +215,8 @@ func TestCompressPlanProperties(t *testing.T) {
 	}
 }
 
-func TestCompressStatsRatio(t *testing.T) {
-	K, S := 64, 10
-	// All words identical: one distinct word per position.
-	bank := make([]uint64, K*S)
-	for i := range bank {
-		bank[i] = 0xdeadbeef
-	}
-	st := AnalyzeCompression(bank, K, S)
-	if st.DistinctWords != S || st.Ratio() != float64(K) {
-		t.Fatalf("all-identical bank: stats %+v ratio %v, want distinct=%d ratio=%d", st, st.Ratio(), S, K)
-	}
-	if !st.Selectable() {
-		t.Fatalf("ratio %v should clear CompressMinRatio %v", st.Ratio(), CompressMinRatio)
-	}
-	// All-distinct bank: ratio exactly 1, never selected.
-	for i := range bank {
-		bank[i] = uint64(i) * 0x9e3779b97f4a7c15
-	}
-	st = AnalyzeCompression(bank, K, S)
-	if st.DistinctWords != K*S || st.Ratio() != 1 || st.Selectable() {
-		t.Fatalf("all-distinct bank: stats %+v ratio %v selectable=%v", st, st.Ratio(), st.Selectable())
-	}
-}
-
-// TestCompressedAccumSegments pins the segmented walk the conv path
-// uses: accumulating a row in arbitrary splits equals one whole-row call.
+// TestCompressedAccumSegments pins the segmented walk: accumulating a
+// row in arbitrary splits equals one whole-row call.
 func TestCompressedAccumSegments(t *testing.T) {
 	K, S := 24, 10
 	bank := randBank(5, K, S, 3)

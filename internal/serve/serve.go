@@ -144,9 +144,8 @@ type Meta struct {
 	Classes     int    `json:"classes"`
 	Layers      int    `json:"layers"`
 	FusedLayers int    `json:"fused_layers"`
-	// CompressedLayers counts layers running the kernel-compressed
-	// forward path (dedup of repeated packed filter words), as selected
-	// by the load-time planning pass.
+	// CompressedLayers counts conv layers whose forward sweeps only
+	// their distinct filters (kernel compression), as found at load time.
 	CompressedLayers int     `json:"compressed_layers"`
 	Weights          int64   `json:"weights"`
 	PackedBytes      int64   `json:"packed_bytes"`
