@@ -141,7 +141,7 @@ func TestAnalyzerSelection(t *testing.T) {
 		"internal/core/core.go": dirtyCore,
 	})
 	var code int
-	capture(t, &os.Stdout, func() { code = run([]string{"-dir", dirty, "-enable", "hotalloc,reach"}) })
+	capture(t, &os.Stdout, func() { code = run([]string{"-dir", dirty, "-enable", "panicpath,reach"}) })
 	if code != 0 {
 		t.Errorf("with rawgo not enabled, exit = %d, want 0", code)
 	}

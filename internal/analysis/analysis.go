@@ -4,20 +4,16 @@
 //
 //   - all multi-core dispatch flows through internal/exec (no raw
 //     goroutines in operator code) — rawgo;
-//   - per-inference hot paths stay allocation-free (packed buffers are
-//     pre-allocated at load/Ensure* time, the whole point of the
-//     PressedConv/bgemm design) and never materialize a float tensor
-//     (activations between layers exist only as packed bits) — hotalloc;
 //   - every panic on a serving path is dominated by resilience.Safe so a
 //     replica re-clones instead of the process dying — panicpath;
-//   - the hot path is compiler-verified: no heap escapes in the hot
-//     graph and no surviving bounds checks in kernels, straight from
-//     `-gcflags='-m=2 -d=ssa/check_bce'` diagnostics — codegen;
 //   - every function is reachable from a program: a main, an init, the
 //     root package's API, an external interface, or a justified keep —
 //     reach.
 //
-// Copies of typed atomics are go vet's copylocks check.
+// Copies of typed atomics are go vet's copylocks check. The
+// per-inference allocation law is not a static rule: runtime pins
+// (testing.AllocsPerRun) hold it where the code runs, in
+// internal/kernels, internal/core, internal/graph and internal/serve.
 //
 // Each analyzer walks the fully type-checked module (stdlib go/ast +
 // go/types; packages are loaded via `go list -export`, so no external
@@ -27,14 +23,12 @@
 // Intentional exceptions are annotated in the source, never configured
 // out of the analyzer:
 //
-//	//bitflow:alloc-ok <justification>   (hotalloc, codegen escapes)
 //	//bitflow:go-ok <justification>      (rawgo)
 //	//bitflow:panic-ok <justification>   (panicpath)
-//	//bitflow:bce-ok <justification>     (codegen bounds checks; on a line or a whole function)
 //	//bitflow:keep <justification>       (reach root; on a declaration or a package clause)
-//	//bitflow:hot                        (extra hotalloc/codegen root)
 //
-// A marker with an empty justification is itself a finding.
+// A marker with an empty justification is itself a finding, and so is a
+// //bitflow: marker of any other kind: no analyzer honours it.
 package analysis
 
 import (
@@ -76,47 +70,38 @@ type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	// Dir is the absolute directory Load resolved patterns in — the
-	// working directory codegen's `go build` driver compiles from.
-	Dir string
-
 	// Module is the module path; its root package's API is a reach root.
 	Module string
 
 	// directives maps file name -> line -> parsed //bitflow: directive.
 	directives map[string]map[int]*Directive
 
-	// cg is the lazily built whole-program call graph every rule but
-	// rawgo walks.
+	// cg is the lazily built whole-program call graph panicpath and
+	// reach walk.
 	cg *callGraph
-
-	// diagSource produces the compiler diagnostics codegen consumes.
-	// Load leaves it nil (the go-build driver); LoadFixture installs the
-	// //codegen: marker synthesizer. The result is cached after one run.
-	diagSource func(*Program) ([]CompilerDiag, error)
-	diags      []CompilerDiag
-	diagsErr   error
-	diagsDone  bool
 }
 
 // Analyzer is one named rule over a Program. Unlike go/analysis this is
-// whole-program by design: four of the five rules need a cross-package
+// whole-program by design: two of the three rules need a cross-package
 // call graph, which per-package passes cannot express.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Program) []Finding
+	Name  string
+	Doc   string
+	Hatch string // the //bitflow:<Hatch> directive kind that excuses a finding
+	Run   func(*Program) []Finding
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{RawGo, HotAlloc, PanicPath, Codegen, Reach}
+	return []*Analyzer{RawGo, PanicPath, Reach}
 }
 
 // Run executes the given analyzers and returns their findings in a total
-// order: position, then analyzer, then message.
+// order: position, then analyzer, then message. Whatever the selection,
+// a //bitflow: directive whose kind no analyzer of the suite honours is
+// a finding of its own, so a stale or misspelt marker cannot sit silently.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
-	var out []Finding
+	out := prog.unknownDirectives()
 	for _, a := range analyzers {
 		out = append(out, a.Run(prog)...)
 	}

@@ -105,27 +105,6 @@ func TestRawGoFixture(t *testing.T) {
 	checkFixture(t, "fixture/internal/core", "testdata/rawgo")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	checkFixture(t, "fixture/internal/core", "testdata/hotalloc")
-}
-
-// TestFusionFixture checks the fused conv → pool data-flow rule, which
-// hotalloc enforces: no float tensor on the packed conv body or below it.
-func TestFusionFixture(t *testing.T) {
-	findings := checkFixture(t, "fixture/internal/core", "testdata/fusion")
-	// The bare //bitflow:alloc-ok over a float tensor must surface as a
-	// bad annotation, not a generic float-tensor finding.
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f.Message, "alloc-ok needs a justification") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("bare //bitflow:alloc-ok over a float tensor was not reported as an unjustified annotation")
-	}
-}
-
 func TestPanicPathFixture(t *testing.T) {
 	findings := checkFixture(t, "fixture/internal/serve", "testdata/panicpath")
 	// The bare //bitflow:panic-ok must be reported as a bad annotation,
@@ -143,8 +122,9 @@ func TestPanicPathFixture(t *testing.T) {
 
 // TestReachFixture checks the dead-code rule: functions reached only by
 // reference, from init, a var initializer, an external interface or a
-// keep marker are live; the rest are reported, and a bare keep marker
-// is reported as an unjustified annotation.
+// keep marker are live; the rest are reported, a bare keep marker is
+// reported as an unjustified annotation, and a misspelt one as a
+// directive no analyzer honours.
 func TestReachFixture(t *testing.T) {
 	findings := checkFixture(t, "fixture/cmd/reach", "testdata/reach")
 	bare := 0

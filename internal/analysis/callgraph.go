@@ -7,7 +7,7 @@ import (
 )
 
 // The call graph is a static, conservative approximation shared by
-// hotalloc, codegen, panicpath and reach:
+// panicpath and reach:
 //
 //   - direct calls (package functions, methods on concrete types) become
 //     edges to the callee's node;
@@ -17,7 +17,7 @@ import (
 //     method value, stored in a field) gets an edge from the function
 //     the reference appears in, just as a function literal does:
 //     wherever the value ends up being invoked, that is the path the
-//     panic or allocation travels;
+//     panic travels;
 //   - an edge created by passing a function to resilience.Safe is marked
 //     guarded — panics below it are captured, not fatal;
 //   - references in package-level var initializers are edges from one
@@ -135,16 +135,6 @@ func buildCallGraph(p *Program) *callGraph {
 	}
 	g.resolveInterfaceCalls(p)
 	return g
-}
-
-// declNode returns the node for a function declaration (nil if the
-// declaration has no body or no resolved object).
-func (g *callGraph) declNode(pkg *Package, fd *ast.FuncDecl) *funcNode {
-	obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	return g.byObj[obj]
 }
 
 // litNode returns (creating if needed) the node for a literal inside pkg.
@@ -285,18 +275,10 @@ func (g *callGraph) resolveInterfaceCalls(p *Program) {
 	}
 }
 
-// reachOpts tunes a reachability sweep.
-type reachOpts struct {
-	// skipEdge, when non-nil and true for an edge, prunes traversal
-	// across it (panicpath prunes guarded and annotated call sites).
-	skipEdge func(edge) bool
-	// boundary, when non-nil and true for a node, keeps the sweep from
-	// descending into that node's callees (the node itself is visited).
-	boundary func(*funcNode) bool
-}
-
-// reach returns every node reachable from roots under opts.
-func (g *callGraph) reach(roots []*funcNode, opts reachOpts) map[*funcNode]bool {
+// reach returns every node reachable from roots. skip, when non-nil and
+// true for an edge, prunes traversal across it (panicpath prunes guarded
+// and annotated call sites).
+func (g *callGraph) reach(roots []*funcNode, skip func(edge) bool) map[*funcNode]bool {
 	seen := map[*funcNode]bool{}
 	var visit func(n *funcNode)
 	visit = func(n *funcNode) {
@@ -304,11 +286,8 @@ func (g *callGraph) reach(roots []*funcNode, opts reachOpts) map[*funcNode]bool 
 			return
 		}
 		seen[n] = true
-		if opts.boundary != nil && opts.boundary(n) {
-			return
-		}
 		for _, e := range n.edges {
-			if opts.skipEdge != nil && opts.skipEdge(e) {
+			if skip != nil && skip(e) {
 				continue
 			}
 			visit(e.to)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -10,7 +11,7 @@ import (
 // stays strict and every exception carries its justification next to
 // the code it excuses.
 type Directive struct {
-	Kind   string // "alloc-ok", "go-ok", "panic-ok", "bce-ok", "keep", "hot"
+	Kind   string // an analyzer's Hatch: "go-ok", "panic-ok" or "keep"
 	Reason string // justification text after the marker
 	Line   int
 	Pos    token.Pos
@@ -79,4 +80,24 @@ func (p *Program) allowed(pos token.Pos, kind string) (ok bool, missingReason *D
 		return false, d
 	}
 	return true, nil
+}
+
+// unknownDirectives reports every directive whose kind no analyzer of
+// the suite honours: a marker left behind by a deleted rule, or a typo
+// that would otherwise excuse nothing without a word.
+func (p *Program) unknownDirectives() []Finding {
+	var kinds []string
+	for _, a := range All() {
+		kinds = append(kinds, a.Hatch)
+	}
+	var out []Finding
+	for _, lines := range p.directives {
+		for _, d := range lines {
+			if !slices.Contains(kinds, d.Kind) {
+				out = append(out, p.finding("directive", d.Pos,
+					"unknown directive //bitflow:%s; the analyzers honour %s", d.Kind, strings.Join(kinds, ", ")))
+			}
+		}
+	}
+	return out
 }

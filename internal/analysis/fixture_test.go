@@ -5,64 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"strings"
 )
-
-// fixtureDiagSource synthesizes diagnostics from //codegen: markers in
-// fixture files, so fixture tests exercise the mapping, carve-outs, and
-// escape hatches of the codegen analyzer without invoking the compiler:
-//
-//	//codegen:escape <subject>
-//	//codegen:moved <name>
-//	//codegen:bounds
-//	//codegen:bounds-slice
-//
-// The synthesized diagnostic lands on the marker's line, mimicking a
-// real compiler position inside the construct the marker trails.
-func fixtureDiagSource(p *Program) ([]CompilerDiag, error) {
-	var out []CompilerDiag
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			tokFile := p.Fset.File(f.Pos())
-			if tokFile == nil {
-				continue
-			}
-			abs, err := filepath.Abs(tokFile.Name())
-			if err != nil {
-				abs = tokFile.Name()
-			}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, "//codegen:")
-					if !ok {
-						continue
-					}
-					kind := rest
-					subject := ""
-					if i := strings.IndexAny(rest, " \t"); i >= 0 {
-						kind, subject = rest[:i], strings.TrimSpace(rest[i+1:])
-					}
-					pos := p.Fset.Position(c.Pos())
-					d := CompilerDiag{File: filepath.Clean(abs), Line: pos.Line, Col: pos.Column, Subject: subject}
-					switch kind {
-					case "escape":
-						d.Kind = DiagEscape
-					case "moved":
-						d.Kind = DiagMoved
-					case "bounds":
-						d.Kind = DiagBounds
-					case "bounds-slice":
-						d.Kind = DiagSliceBounds
-					default:
-						return nil, fmt.Errorf("analysis: unknown //codegen: marker %q at %s:%d", kind, abs, pos.Line)
-					}
-					out = append(out, d)
-				}
-			}
-		}
-	}
-	return out, nil
-}
 
 // LoadFixture type-checks one directory of fixture files as a package
 // with the given (fake) import path, resolving its imports against the
@@ -95,9 +38,6 @@ func LoadFixture(moduleDir, pkgPath, fixtureDir string) (*Program, error) {
 		return nil, fmt.Errorf("analysis: fixture %s: %w", pkgPath, err)
 	}
 	prog := &Program{Fset: fset, Pkgs: []*Package{pkg}, directives: map[string]map[int]*Directive{}}
-	// Fixtures never shell out to the compiler: codegen diagnostics are
-	// synthesized from //codegen: markers in the fixture source.
-	prog.diagSource = fixtureDiagSource
 	prog.scanDirectives(pkg)
 	return prog, nil
 }

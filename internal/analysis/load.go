@@ -57,11 +57,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		base:    exportImporter(fset, exports),
 		checked: map[string]*types.Package{},
 	}
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		absDir = dir
-	}
-	prog := &Program{Fset: fset, Dir: absDir, directives: map[string]map[int]*Directive{}}
+	prog := &Program{Fset: fset, directives: map[string]map[int]*Directive{}}
 	for _, lp := range mods {
 		pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {

@@ -27,9 +27,10 @@ import (
 // size-mismatch helpers (functions whose names start with "panic"), so
 // argument checking stays uniform and greppable.
 var PanicPath = &Analyzer{
-	Name: "panicpath",
-	Doc:  "panics reachable from serve/registry entry points without a resilience.Safe guard; unsanctioned kernels panics",
-	Run:  runPanicPath,
+	Name:  "panicpath",
+	Doc:   "panics reachable from serve/registry entry points without a resilience.Safe guard; unsanctioned kernels panics",
+	Hatch: "panic-ok",
+	Run:   runPanicPath,
 }
 
 func runPanicPath(p *Program) []Finding {
@@ -76,7 +77,7 @@ func panicZone(p *Program) []Finding {
 		}
 		return ok
 	}
-	reached := g.reach(roots, reachOpts{skipEdge: skip})
+	reached := g.reach(roots, skip)
 
 	for _, n := range g.nodes {
 		if !reached[n] {

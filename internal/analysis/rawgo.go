@@ -15,9 +15,10 @@ import (
 // excuses a deliberate exception (e.g. a closed-loop load generator
 // whose clients must not be serialized by a claim loop).
 var RawGo = &Analyzer{
-	Name: "rawgo",
-	Doc:  "raw go statements / sync.WaitGroup fan-out outside internal/exec, internal/serve",
-	Run:  runRawGo,
+	Name:  "rawgo",
+	Doc:   "raw go statements / sync.WaitGroup fan-out outside internal/exec, internal/serve",
+	Hatch: "go-ok",
+	Run:   runRawGo,
 }
 
 // rawGoAllowed are the package roles (matched by import-path suffix)

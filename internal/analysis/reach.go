@@ -10,9 +10,10 @@ import "go/types"
 // declarations or whole files marked //bitflow:keep <reason>. Test
 // files are not loaded: code only a test runs moves there or is kept.
 var Reach = &Analyzer{
-	Name: "reach",
-	Doc:  "functions no main, init, root-package API, external interface or //bitflow:keep reaches",
-	Run:  runReach,
+	Name:  "reach",
+	Doc:   "functions no main, init, root-package API, external interface or //bitflow:keep reaches",
+	Hatch: "keep",
+	Run:   runReach,
 }
 
 func runReach(p *Program) []Finding {
@@ -38,7 +39,7 @@ func runReach(p *Program) []Finding {
 			roots = append(roots, n)
 		}
 	}
-	reached := g.reach(roots, reachOpts{})
+	reached := g.reach(roots, nil)
 	for _, n := range g.nodes {
 		if n.decl != nil && !reached[n] {
 			out = append(out, p.excusable("reach", n.decl.Pos(), "keep",
@@ -46,6 +47,14 @@ func runReach(p *Program) []Finding {
 		}
 	}
 	return out
+}
+
+// funcLabel names a declared function for finding messages.
+func funcLabel(n *funcNode) string {
+	if recv := n.recvTypeName(); recv != "" {
+		return recv + "." + n.obj.Name()
+	}
+	return n.obj.Name()
 }
 
 // reachRoot reports whether a declared function is a root by its shape.

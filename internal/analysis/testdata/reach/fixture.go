@@ -65,4 +65,10 @@ func calledFromKept() {}
 //bitflow:keep
 func bareKeep() {} // want:reach
 
+// misspelt's marker is no analyzer's hatch: it is a finding of its own
+// and keeps nothing alive.
+//
+//bitflow:kepp fixture: a misspelt keep // want:directive
+func misspelt() {} // want:reach
+
 var _ shape = square{}

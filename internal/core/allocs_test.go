@@ -11,15 +11,15 @@ import (
 )
 
 // TestPlainForwardAllocations pins the drivers' per-call heap traffic
-// under exec.Serial() on every kernel tier: the gather window and the
-// accumulators live in the chunk's frame (the assembly stubs are
-// //go:noescape and reached by static calls), and a serial forward runs
-// its one chunk without building a dispatch closure, so neither a conv
-// nor a dense forward allocates. The conv is pinned on all three
-// accumulate steps over the same scratch — sweeping its bank, sweeping
-// the distinct filters of a folded plan, and walking a forced
-// compression plan — plain and pooled; the dense forward once per
-// finished output form, logits and bits.
+// under exec.Serial() on every kernel tier: the gather window, the
+// accumulators and a float stem's dot products live in the chunk's frame
+// (the assembly stubs are //go:noescape and reached by static calls),
+// and a serial forward runs its one chunk without building a dispatch
+// closure, so no conv, float conv or dense forward allocates. The conv
+// is pinned on both accumulate steps over the same scratch — sweeping
+// its bank and sweeping the distinct filters of a folded one — plain
+// and pooled; the dense forward once per finished output form, logits
+// and bits.
 func TestPlainForwardAllocations(t *testing.T) {
 	r := workload.NewRNG(1)
 	ec := exec.Serial()
@@ -58,6 +58,20 @@ func TestPlainForwardAllocations(t *testing.T) {
 			if n := testing.AllocsPerRun(20, func() { cv.ForwardPacked(in, pl, pooled, ec) }); n != 0 {
 				t.Errorf("%v %s: pooled Conv.ForwardPacked allocates %v times per call, want 0", w, path, n)
 			}
+		}
+
+		stemShape, err := sched.InferConv(8, 8, 3, 64, 3, 3, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stem, err := NewFloatConv(stemShape, workload.RandFilter(r, 64, 3, 3, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := workload.RandTensor(r, 8, 8, 3)
+		stemOut := bitpack.NewPacked(8, 8, 64, 1, 1, 1)
+		if n := testing.AllocsPerRun(20, func() { stem.Forward(img, stemOut, ec) }); n != 0 {
+			t.Errorf("%v: FloatConv.Forward allocates %v times per call, want 0", w, n)
 		}
 
 		fs, err := sched.InferFC(500, 70)

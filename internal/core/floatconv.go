@@ -55,7 +55,9 @@ func (fc *FloatConv) SetAffine(a *Affine) error {
 
 // Forward convolves the float input and writes sign bits into out's
 // interior (margins untouched, tail lanes cleared). ec splits the
-// fused OutH·OutW dimension.
+// fused OutH·OutW dimension; a budget of one runs the whole plane as one
+// inline chunk without building the dispatch closure, so a serial
+// forward of a stem with K ≤ 512 allocates nothing.
 func (fc *FloatConv) Forward(in *tensor.Tensor, out *bitpack.Packed, ec *exec.Ctx) {
 	s := fc.Shape
 	if in.H != s.InH || in.W != s.InW || in.C != s.InC {
@@ -65,15 +67,33 @@ func (fc *FloatConv) Forward(in *tensor.Tensor, out *bitpack.Packed, ec *exec.Ct
 		panic(fmt.Sprintf("core: float conv output %v, want %dx%dx%d", out, s.OutH, s.OutW, s.OutC))
 	}
 	total := s.OutH * s.OutW
+	if ec.InlineChunk(total) {
+		fc.pixelRange(in, out, 0, total)
+		return
+	}
 	ec.ParallelFor(total, func(start, end int) {
-		dots := make([]float32, s.K) //bitflow:alloc-ok per-worker scratch; the float stem runs once per image
-		for idx := start; idx < end; idx++ {
-			y := idx / s.OutW
-			x := idx % s.OutW
-			fc.pixel(in, y, x, dots)
-			fc.packPixel(dots, out.PixelWords(y, x))
-		}
+		fc.pixelRange(in, out, start, end)
 	})
+}
+
+// pixelRange is Forward over output pixels [start, end), one worker
+// chunk. Its K dot products sit in the chunk's frame up to 512 filters,
+// as a conv's accumulators do; a wider stem allocates them per chunk.
+func (fc *FloatConv) pixelRange(in *tensor.Tensor, out *bitpack.Packed, start, end int) {
+	var buf [512]float32
+	K := fc.Shape.K
+	var dots []float32
+	if K <= len(buf) {
+		dots = buf[:K]
+	} else {
+		dots = make([]float32, K)
+	}
+	for idx := start; idx < end; idx++ {
+		y := idx / fc.Shape.OutW
+		x := idx % fc.Shape.OutW
+		fc.pixel(in, y, x, dots)
+		fc.packPixel(dots, out.PixelWords(y, x))
+	}
 }
 
 // pixel computes the K float inner products of output pixel (y, x).

@@ -18,6 +18,7 @@ func TestFloatConvMatchesBaselineConv(t *testing.T) {
 		{6, 6, 5, 8, 3, 3, 1, 0},   // no padding
 		{10, 10, 3, 4, 5, 5, 2, 2}, // strided 5×5
 		{4, 4, 1, 70, 1, 1, 1, 0},  // 1×1, K spanning multiple words
+		{3, 3, 2, 520, 1, 1, 1, 0}, // K beyond the chunk's stack scratch
 	} {
 		shape, err := sched.InferConv(tc.h, tc.w, tc.c, tc.k, tc.kh, tc.kw, tc.stride, tc.pad)
 		if err != nil {
@@ -29,19 +30,20 @@ func TestFloatConvMatchesBaselineConv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, bitpack.WordsFor(shape.OutC), 1, 1)
-		fc.Forward(in, out, exec.Threads(2))
-		got := bitpack.Unpack(out)
 		// Reference: float conv with zero padding, then sign.
 		want := baseline.ConvDirect(in, filt, tc.stride, tc.pad, 0, 1).Sign()
-		if !got.Equal(want) {
-			t.Errorf("%+v: float conv sign bits differ", tc)
-		}
-		if !out.MarginsAllZero() {
-			t.Errorf("%+v: margins dirtied", tc)
-		}
-		if !out.TailClean() {
-			t.Errorf("%+v: tail lanes dirty", tc)
+		for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(2)} {
+			out := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, bitpack.WordsFor(shape.OutC), 1, 1)
+			fc.Forward(in, out, ec)
+			if !bitpack.Unpack(out).Equal(want) {
+				t.Errorf("%+v budget %d: float conv sign bits differ", tc, ec.Budget())
+			}
+			if !out.MarginsAllZero() {
+				t.Errorf("%+v budget %d: margins dirtied", tc, ec.Budget())
+			}
+			if !out.TailClean() {
+				t.Errorf("%+v budget %d: tail lanes dirty", tc, ec.Budget())
+			}
 		}
 	}
 }

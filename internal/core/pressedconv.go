@@ -155,7 +155,7 @@ type convScratch struct {
 func (sc *convScratch) slices(cv *Conv) (win []uint64, acc []int32) {
 	S, K := cv.Shape.KH*cv.rowLen, cv.Shape.K
 	if S > len(sc.win) || K > len(sc.acc) {
-		return make([]uint64, S), make([]int32, K) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		return make([]uint64, S), make([]int32, K) // only an operator beyond the stack scratch allocates: one pair per worker chunk
 	}
 	return sc.win[:S], sc.acc[:K]
 }
@@ -192,7 +192,7 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	total := s.OutH * s.OutW
 	ec.ParallelFor(total, func(start, end int) {
 		var sc convScratch
-		win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+		win, acc := sc.slices(cv)
 		for idx := start; idx < end; idx++ {
 			y := idx / s.OutW
 			x := idx % s.OutW
@@ -252,7 +252,7 @@ func (cv *Conv) checkWindow(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) s
 // window overwrites, the rest OR in.
 func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, start, end int) {
 	var sc convScratch
-	win, acc := sc.slices(cv) //bitflow:alloc-ok only an operator beyond the stack scratch allocates: one pair per worker chunk
+	win, acc := sc.slices(cv)
 	s := cv.Shape
 	for idx := start; idx < end; idx++ {
 		py := idx / p.OutW

@@ -19,8 +19,8 @@ func TestClampThreads(t *testing.T) {
 
 		// Boundary rows: the exact fit/overflow edges and the places the
 		// min-1 and never-grow clamps engage.
-		{-3, -2, -1, 1, false},  // negative inputs normalize to 1, same as zero
-		{2, 2, 4, 2, false},     // threads×replicas == cores: the last fitting point
+		{-3, -2, -1, 1, false},   // negative inputs normalize to 1, same as zero
+		{2, 2, 4, 2, false},      // threads×replicas == cores: the last fitting point
 		{2, 2, 3, 1, true},       // one past the fit: floor(3/2)=1
 		{3, 2, 7, 3, false},      // 3×2=6 ≤ 7 still fits despite the remainder
 		{1, 1, 1, 1, false},      // minimal everything

@@ -32,7 +32,7 @@ type Ctx struct {
 
 // Serial returns a context that runs everything inline on the caller's
 // goroutine — the threads=1 case of the old plumbing.
-func Serial() *Ctx { return &Ctx{threads: 1} } //bitflow:alloc-ok tiny context header; the sanctioned path attaches one via SetExec and reuses it
+func Serial() *Ctx { return &Ctx{threads: 1} }
 
 // Threads returns a context dispatching on the shared default pool with
 // the given budget — the drop-in replacement for a raw `threads int`.
@@ -40,7 +40,6 @@ func Threads(n int) *Ctx {
 	if n <= 1 {
 		return Serial()
 	}
-	//bitflow:alloc-ok tiny context header; SetExec callers construct once
 	return &Ctx{pool: Default(), threads: n}
 }
 
@@ -182,7 +181,8 @@ func (c *Ctx) ParallelFor(total int, body func(start, end int)) {
 	}
 	chunk := (total + threads - 1) / threads
 	nchunks := (total + chunk - 1) / chunk // ≥ 2, as threads and total are both ≥ 2
-	//bitflow:alloc-ok one job header + completion channel per parallel region, needed for claim-loop state and panic propagation
+	// One job header and completion channel per parallel region: the
+	// claim loop's state and its panic hand-off.
 	j := &job{body: body, total: total, chunk: chunk, fctx: c.Context(), fin: make(chan struct{})}
 	j.pending.Store(int64(nchunks))
 	if c.spawn || c.pool == nil {

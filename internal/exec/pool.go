@@ -55,7 +55,6 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	//bitflow:alloc-ok pool construction happens once per process, not per inference
 	p := &Pool{
 		workers: workers,
 		source:  "explicit",

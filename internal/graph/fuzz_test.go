@@ -99,8 +99,8 @@ func FuzzLoadArbitraryBytes(f *testing.F) {
 	f.Add(valid)
 	f.Add(validFused)
 	f.Add(validFused[:len(validFused)*2/3]) // truncated mid-weights
-	f.Add(valid[:len(valid)-16]) // legacy: no footer
-	f.Add(valid[:len(valid)/2])  // truncated payload
+	f.Add(valid[:len(valid)-16])            // legacy: no footer
+	f.Add(valid[:len(valid)/2])             // truncated payload
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/3] ^= 0x40
 	f.Add(corrupt)

@@ -97,7 +97,6 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 	}
 	for i, x := range xs {
 		if err := n.CheckInputFinite(x); err != nil {
-			//bitflow:alloc-ok validation failure path; no forward pass runs
 			return nil, &BatchInputError{Index: i, Err: err}
 		}
 	}
@@ -111,7 +110,7 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 	if across.InlineChunk(B) {
 		n.passLanes(within, xs, 0, B)
 	} else {
-		//bitflow:alloc-ok one dispatch closure per parallel batch; it replaces one per layer per image
+		// One dispatch closure per parallel batch, in place of one per layer per image.
 		across.ParallelFor(B, func(start, end int) { n.passLanes(within, xs, start, end) })
 	}
 	for _, err := range n.laneErrs[:B] {
@@ -119,7 +118,7 @@ func (n *Network) InferBatch(xs []*tensor.Tensor) ([][]float32, error) {
 			return nil, err
 		}
 	}
-	//bitflow:alloc-ok result slices escape to the caller; lane buffers are reused by the next batch
+	// The next batch reuses the lanes' buffers, so the logits are copied out.
 	outs := make([][]float32, B)
 	for b, lane := range n.lanes[:B] {
 		outs[b] = lane.logits()

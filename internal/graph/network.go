@@ -213,7 +213,6 @@ func (n *Network) pass(ec *exec.Ctx, x *tensor.Tensor) error {
 // logits returns a fresh copy of the output buffer: a view of n.output
 // would be overwritten by the next inference.
 func (n *Network) logits() []float32 {
-	//bitflow:alloc-ok result slice escapes to the caller
 	out := make([]float32, len(n.output))
 	copy(out, n.output)
 	return out
@@ -233,16 +232,13 @@ type LayerTiming struct {
 // (the input binarize+pack is reported as layer "input").
 func (n *Network) InferTimed(x *tensor.Tensor) ([]float32, []LayerTiming) {
 	ec := n.ec
-	//bitflow:alloc-ok InferTimed is a diagnostic entry point, not the serving path; the timings report escapes
 	timings := make([]LayerTiming, 0, len(n.layers)+1)
 	t0 := time.Now()
 	n.feedInput(x)
-	//bitflow:alloc-ok diagnostic path, capacity reserved above
 	timings = append(timings, LayerTiming{Name: "input", Kind: "pack", Duration: time.Since(t0)})
 	for _, l := range n.layers {
 		t0 = time.Now()
 		l.forward(ec)
-		//bitflow:alloc-ok diagnostic path, capacity reserved above
 		timings = append(timings, LayerTiming{
 			Name: l.name(), Kind: l.kind(), Duration: time.Since(t0),
 			Units: l.parallelUnits(),

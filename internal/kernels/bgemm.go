@@ -77,7 +77,7 @@ func BGemmExec(a []uint64, m int, bT []uint64, k int, wpr, n int, out []int32, o
 	}
 	// The closure captures only scalars — capturing opts itself (a method
 	// call on the addressable param) would move it to the heap on every
-	// call, a per-inference allocation the codegen gate rejects.
+	// call, a per-inference allocation.
 	w := opts.Width
 	n32 := int32(n)
 	ec.ParallelFor(k, func(k0, k1 int) {
@@ -91,10 +91,10 @@ func bgemmCols(a []uint64, m int, bT []uint64, k, wpr int, n32 int32, out []int3
 	if wpr <= 0 || k0 < 0 || k1 <= k0 {
 		return
 	}
-	tile := bT[k0*wpr : k1*wpr] //bitflow:bce-ok one slice per tile; shape pinned by the caller's panicSize preamble
+	tile := bT[k0*wpr : k1*wpr] // shape checked by the caller's panicSize preamble
 	for mi := 0; mi < m; mi++ {
-		arow := a[mi*wpr : (mi+1)*wpr] //bitflow:bce-ok one slice per output row; shape pinned by the caller's panicSize preamble
-		orow := out[mi*k+k0 : mi*k+k1] //bitflow:bce-ok one slice per output row
+		arow := a[mi*wpr : (mi+1)*wpr] // shape checked by the caller's panicSize preamble
+		orow := out[mi*k+k0 : mi*k+k1]
 		Sweep(w, arow, tile, orow)
 		preacts(orow, n32)
 	}

@@ -70,14 +70,12 @@ func (cp *CompressPlan) Eff() *CompressPlan {
 // filters in first-appearance order. reps[c] is channel c's filter index
 // (so reps[c] ≤ c, the invariant Expand relies on) and firsts[i] the
 // first channel holding filter i; F is len(firsts).
-//
-//bitflow:bce-ok load-time pass, runs once per model load, never per inference
 func DistinctFilters(words []uint64, K, S int) (reps, firsts []int32) {
 	if len(words) != K*S {
 		panicSize("DistinctFilters", "words", len(words), K*S)
 	}
-	reps = make([]int32, K)               //bitflow:alloc-ok load-time pass, never per inference
-	byHash := make(map[uint64][]int32, K) //bitflow:alloc-ok load-time pass, never per inference
+	reps = make([]int32, K)
+	byHash := make(map[uint64][]int32, K)
 	for k := 0; k < K; k++ {
 		blk := words[k*S : (k+1)*S]
 		h := uint64(1469598103934665603) // FNV-1a over the block's words
@@ -95,8 +93,8 @@ func DistinctFilters(words []uint64, K, S int) (reps, firsts []int32) {
 		}
 		if fi < 0 {
 			fi = int32(len(firsts))
-			firsts = append(firsts, int32(k)) //bitflow:alloc-ok load-time pass, never per inference
-			byHash[h] = append(byHash[h], fi) //bitflow:alloc-ok load-time pass, never per inference
+			firsts = append(firsts, int32(k))
+			byHash[h] = append(byHash[h], fi)
 		}
 		reps[k] = fi
 	}
@@ -106,12 +104,10 @@ func DistinctFilters(words []uint64, K, S int) (reps, firsts []int32) {
 // GatherFilters copies the S-word filters at the channel indices idx out
 // of a filter-major bank into a new bank, in idx order: given
 // DistinctFilters' firsts, the folded bank of distinct filters.
-//
-//bitflow:bce-ok load-time pass, runs once per model load, never per inference
 func GatherFilters(words []uint64, S int, idx []int32) []uint64 {
-	out := make([]uint64, 0, len(idx)*S) //bitflow:alloc-ok load-time pass, never per inference
+	out := make([]uint64, 0, len(idx)*S)
 	for _, c := range idx {
-		out = append(out, words[int(c)*S:(int(c)+1)*S]...) //bitflow:alloc-ok load-time pass, never per inference
+		out = append(out, words[int(c)*S:(int(c)+1)*S]...)
 	}
 	return out
 }
@@ -126,7 +122,7 @@ func Expand(reps, acc []int32) {
 		panicSize("Expand", "acc", len(acc), len(reps))
 	}
 	for c := len(reps) - 1; c >= 0; c-- {
-		acc[c] = acc[reps[c]] //bitflow:bce-ok filter indices are ≤ c by DistinctFilters' first-appearance order
+		acc[c] = acc[reps[c]]
 	}
 }
 
@@ -135,22 +131,20 @@ func Expand(reps, acc []int32) {
 // the distinct filters when some repeat. words must hold K*S words,
 // filter-major (filter k's words at words[k*S : (k+1)*S]). The result is
 // deterministic: a pure function of (words, K, S).
-//
-//bitflow:bce-ok load-time plan construction, runs once per model load, never per inference
 func BuildCompressPlan(words []uint64, K, S int) *CompressPlan {
 	if len(words) != K*S {
 		panicSize("BuildCompressPlan", "words", len(words), K*S)
 	}
-	cp := &CompressPlan{ //bitflow:alloc-ok load-time plan construction, never per inference
+	cp := &CompressPlan{
 		K: K, S: S,
-		Starts:   make([]int32, S+1),    //bitflow:alloc-ok load-time plan construction
-		Channels: make([]int32, 0, K*S), //bitflow:alloc-ok load-time plan construction
+		Starts:   make([]int32, S+1),
+		Channels: make([]int32, 0, K*S),
 	}
-	cp.Words = make([]uint64, 0, K*S)       //bitflow:alloc-ok load-time plan construction
-	cp.ChanStarts = make([]int32, 1, K*S+1) //bitflow:alloc-ok load-time plan construction
-	idx := make(map[uint64]int32, K)        //bitflow:alloc-ok load-time plan construction; reused across positions
-	counts := make([]int32, 0, K)           //bitflow:alloc-ok load-time plan construction; per-position occurrence counts
-	offs := make([]int32, 0, K)             //bitflow:alloc-ok load-time plan construction; per-position placement cursors
+	cp.Words = make([]uint64, 0, K*S)
+	cp.ChanStarts = make([]int32, 1, K*S+1)
+	idx := make(map[uint64]int32, K)
+	counts := make([]int32, 0, K)
+	offs := make([]int32, 0, K)
 	for p := 0; p < S; p++ {
 		// Pass 1: intern this position's distinct words (first-appearance
 		// order) and count how many channels consume each.
@@ -162,8 +156,8 @@ func BuildCompressPlan(words []uint64, K, S int) *CompressPlan {
 			if !ok {
 				wi = int32(len(counts))
 				idx[w] = wi
-				cp.Words = append(cp.Words, w) //bitflow:alloc-ok load-time plan construction, never per inference
-				counts = append(counts, 0)     //bitflow:alloc-ok load-time plan construction, never per inference
+				cp.Words = append(cp.Words, w)
+				counts = append(counts, 0)
 			}
 			counts[wi]++
 		}
@@ -174,9 +168,9 @@ func BuildCompressPlan(words []uint64, K, S int) *CompressPlan {
 		offs = offs[:0]
 		run := base
 		for _, c := range counts {
-			offs = append(offs, run) //bitflow:alloc-ok load-time plan construction, never per inference
+			offs = append(offs, run)
 			run += c
-			cp.ChanStarts = append(cp.ChanStarts, run) //bitflow:alloc-ok load-time plan construction, never per inference
+			cp.ChanStarts = append(cp.ChanStarts, run)
 		}
 		cp.Channels = cp.Channels[:run]
 		for k := 0; k < K; k++ {
@@ -187,7 +181,7 @@ func BuildCompressPlan(words []uint64, K, S int) *CompressPlan {
 		cp.Starts[p+1] = int32(len(cp.Words))
 	}
 	if _, firsts := DistinctFilters(words, K, S); len(firsts) < K {
-		cp.Folded = BuildCompressPlan(GatherFilters(words, S, firsts), len(firsts), S) //bitflow:alloc-ok load-time plan construction (inlined GatherFilters allocation lands on this line)
+		cp.Folded = BuildCompressPlan(GatherFilters(words, S, firsts), len(firsts), S)
 	}
 	return cp
 }
@@ -212,26 +206,25 @@ func CompressedAccum(cp *CompressPlan, p0 int, seg []uint64, acc []int32) {
 	}
 	// One cursor bundle per call: starts aligned to seg, then words,
 	// per-word channel-list ends, and the channel stream advanced as
-	// consumed. Every in-loop access below is proven in bounds off these
-	// pins (`bitflow-vet codegen`).
-	st := cp.Starts[p0+1 : p0+1+len(seg)] //bitflow:bce-ok one pin per kernel call; length checked by the preamble
-	w0 := int(cp.Starts[p0])              //bitflow:bce-ok one read per kernel call
-	words := cp.Words[w0:]                //bitflow:bce-ok one pin per kernel call
-	ends := cp.ChanStarts[w0+1:]          //bitflow:bce-ok one pin per kernel call
+	// consumed. The in-loop accesses below index off these pins.
+	st := cp.Starts[p0+1 : p0+1+len(seg)] // length checked by the preamble
+	w0 := int(cp.Starts[p0])
+	words := cp.Words[w0:]
+	ends := cp.ChanStarts[w0+1:]
 	c0 := int32(0)
 	if w0 < len(cp.ChanStarts) {
 		c0 = cp.ChanStarts[w0]
 	}
-	chans := cp.Channels[c0:] //bitflow:bce-ok one pin per kernel call
+	chans := cp.Channels[c0:]
 	wi := 0
 	ci := int32(0)
 	for pi, x := range seg {
-		end := int(st[pi]) - w0 //bitflow:bce-ok st spans exactly len(seg) entries; pi ranges over seg
+		end := int(st[pi]) - w0 // st spans exactly len(seg) entries; pi ranges over seg
 		for ; wi < end && wi < len(words) && wi < len(ends); wi++ {
-			cnt := int32(bits.OnesCount64(x ^ words[wi])) //bitflow:bce-ok wi < len(words) guards the loop; prove drops the fact across the scatter stores
+			cnt := int32(bits.OnesCount64(x ^ words[wi]))
 			hi := ends[wi] - c0
 			for ci < hi && int(ci) < len(chans) {
-				acc[chans[ci]] += cnt //bitflow:bce-ok data-dependent scatter index; every channel entry was validated < K at plan build time
+				acc[chans[ci]] += cnt // every channel entry was validated < K at plan build time
 				ci++
 			}
 		}

@@ -48,18 +48,16 @@ type Epilogue struct {
 // NewSignEpilogue returns the plain Equation 3 sign activation (d ≥ 0)
 // over k channels.
 func NewSignEpilogue(k int) *Epilogue {
-	return &Epilogue{K: k, T: make([]int32, k), Flip: make([]uint64, bitpack.WordsFor(k)), Tier: W512.Tier()} //bitflow:alloc-ok constructor, runs once at operator build time, never per inference
+	return &Epilogue{K: k, T: make([]int32, k), Flip: make([]uint64, bitpack.WordsFor(k)), Tier: W512.Tier()}
 }
 
 // NewEpilogue compiles per-channel int32 thresholds and flip flags into
 // the straight-compare form. t and flip must have equal length.
-//
-//bitflow:bce-ok constructor, runs once at operator build time, never per inference
 func NewEpilogue(t []int32, flip []bool) *Epilogue {
 	if len(t) != len(flip) {
 		panicSize("NewEpilogue", "flip", len(flip), len(t))
 	}
-	e := NewSignEpilogue(len(t)) //bitflow:alloc-ok constructor, runs once at operator build time (inlined NewSignEpilogue allocations land on this line)
+	e := NewSignEpilogue(len(t))
 	for c := range t {
 		switch {
 		case !flip[c]:
@@ -79,10 +77,8 @@ func NewEpilogue(t []int32, flip []bool) *Epilogue {
 // a conv can threshold its sweep's counts without converting them first:
 // d ≥ T ⇔ p ≤ ⌊(n−T)/2⌋ ⇔ ¬(p ≥ ⌊(n−T)/2⌋+1) — each channel's
 // threshold moves into the count domain and its flip bit inverts.
-//
-//bitflow:bce-ok constructor, runs once at operator build time, never per inference
 func (e *Epilogue) ForPopcounts(n int32) *Epilogue {
-	p := NewSignEpilogue(e.K) //bitflow:alloc-ok constructor, runs once at operator build time
+	p := NewSignEpilogue(e.K)
 	p.Tier = e.Tier
 	for c, t := range e.T {
 		p.T[c] = int32((int64(n)-int64(t))>>1 + 1) // >> floors; |n − T| < 2³² keeps the result in int32
@@ -99,7 +95,7 @@ func (e *Epilogue) ForPopcounts(n int32) *Epilogue {
 // geBits64 returns the word whose bit c is d[c] ≥ t[c], for up to 64
 // channels: the pure-Go tier of the threshold compare.
 func geBits64(d, t []int32) uint64 {
-	t = t[:len(d)] //bitflow:bce-ok preamble pin: proves len(t) == len(d), panics on mismatch
+	t = t[:len(d)] // pins len(t) == len(d); panics on mismatch
 	var word uint64
 	for c, v := range d {
 		ge := uint64(((int64(v)-int64(t[c]))>>63)+1) & 1
@@ -120,7 +116,7 @@ func (e *Epilogue) words(fn string, d []int32, dst []uint64) []uint64 {
 	if len(dst) < len(e.Flip) {
 		panicSize(fn, "dst", len(dst), len(e.Flip))
 	}
-	return dst[:len(e.Flip)] //bitflow:bce-ok once per call; cannot fail after the check above
+	return dst[:len(e.Flip)]
 }
 
 // Pack writes the threshold bits of the K pre-activations d into dst,
@@ -131,10 +127,10 @@ func (e *Epilogue) Pack(d []int32, dst []uint64) {
 	t := e.T
 	for w, fl := range e.Flip {
 		n := min(len(d), bitpack.WordBits)
-		out[w] = geBitsTier(e.Tier, d[:n], t[:n]) ^ fl //bitflow:bce-ok once per 64-channel word; len(t) == len(d) by the check in words
-		d, t = d[n:], t[n:]                            //bitflow:bce-ok once per 64-channel word
+		out[w] = geBitsTier(e.Tier, d[:n], t[:n]) ^ fl // len(t) == len(d) by the check in words
+		d, t = d[n:], t[n:]
 	}
-	clear(dst[len(out):]) //bitflow:bce-ok once per call
+	clear(dst[len(out):])
 }
 
 // PackOr ORs the threshold bits of d into dst without clearing — the
@@ -146,7 +142,7 @@ func (e *Epilogue) PackOr(d []int32, dst []uint64) {
 	t := e.T
 	for w, fl := range e.Flip {
 		n := min(len(d), bitpack.WordBits)
-		out[w] |= geBitsTier(e.Tier, d[:n], t[:n]) ^ fl //bitflow:bce-ok once per 64-channel word; len(t) == len(d) by the check in words
-		d, t = d[n:], t[n:]                             //bitflow:bce-ok once per 64-channel word
+		out[w] |= geBitsTier(e.Tier, d[:n], t[:n]) ^ fl // len(t) == len(d) by the check in words
+		d, t = d[n:], t[n:]
 	}
 }

@@ -21,8 +21,8 @@ func Sweep(w Width, win, filters []uint64, acc []int32) {
 // an assembly tier and the reference for the ones that have them.
 func XorPopSweep64(win, filters []uint64, acc []int32) {
 	for k := range acc {
-		acc[k] = int32(XorPop64(win, filters[:len(win)])) //bitflow:bce-ok once per filter; panics if the bank is shorter than K·S like the assembly wrapper's check
-		filters = filters[len(win):]                      //bitflow:bce-ok advances past the consumed filter; cannot fail after the slice above
+		acc[k] = int32(XorPop64(win, filters[:len(win)])) // panics if the bank is shorter than K·S, like Sweep's check
+		filters = filters[len(win):]
 	}
 }
 
@@ -62,9 +62,9 @@ func ForWidth(w Width) XorPopFunc {
 	if tier == W64 {
 		return XorPop64
 	}
-	return func(a, b []uint64) int { //bitflow:alloc-ok the closure is built once, when a plan or a benchmark picks its kernel, never per call
+	return func(a, b []uint64) int {
 		var acc [1]int32
-		sweepTier(tier, a, b[:len(a)], acc[:]) //bitflow:bce-ok preamble pin: panics if b is shorter than a, like XorPop64
+		sweepTier(tier, a, b[:len(a)], acc[:]) // panics if b is shorter than a, like XorPop64
 		return int(acc[0])
 	}
 }
@@ -78,13 +78,13 @@ func RowsForWidth(w Width) XorPopRowsFunc {
 	if tier == W64 {
 		return XorPopRows64
 	}
-	return func(rows [][]uint64, filt []uint64) int { //bitflow:alloc-ok the closure is built once, when a benchmark picks its kernel, never per call
+	return func(rows [][]uint64, filt []uint64) int {
 		var acc [1]int32
 		total := 0
 		for _, r := range rows {
-			sweepTier(tier, r, filt[:len(r)], acc[:]) //bitflow:bce-ok per-row pin: panics if the filter block is short, like XorPopRows64
+			sweepTier(tier, r, filt[:len(r)], acc[:]) // panics if the filter block is short, like XorPopRows64
 			total += int(acc[0])
-			filt = filt[len(r):] //bitflow:bce-ok advances past the consumed segment; cannot fail after the pin above
+			filt = filt[len(r):]
 		}
 		return total
 	}
@@ -94,7 +94,7 @@ func RowsForWidth(w Width) XorPopRowsFunc {
 // filter block is the sweep's window, the B gathered blocks its filters.
 func BatchForWidth(w Width) XorPopBatchFunc {
 	tier := ladderTier(w)
-	return func(a, filt []uint64, accs []int32) { //bitflow:alloc-ok the closure is built once, when a benchmark picks its kernel, never per call
+	return func(a, filt []uint64, accs []int32) {
 		if len(a) < len(accs)*len(filt) {
 			panicSize("XorPopBatch", "a", len(a), len(accs)*len(filt))
 		}

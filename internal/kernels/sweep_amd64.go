@@ -24,7 +24,7 @@ func sweepTier(tier Width, win, filters []uint64, acc []int32) {
 	case W256:
 		sweepAVX2(win, filters, acc)
 	default:
-		XorPopSweep64(win, filters, acc) //bitflow:bce-ok the inlined pure-Go sweep's once-per-filter pins
+		XorPopSweep64(win, filters, acc)
 	}
 }
 
@@ -36,5 +36,5 @@ func geBitsTier(tier Width, d, t []int32) uint64 {
 	case W256:
 		return geBitsAVX2(d, t)
 	}
-	return geBits64(d, t) //bitflow:bce-ok the inlined pure-Go compare's preamble pin
+	return geBits64(d, t)
 }

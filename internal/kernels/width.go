@@ -84,7 +84,7 @@ func (w Width) String() string {
 	case W512:
 		return "avx512"
 	}
-	return fmt.Sprintf("Width(%d)", int(w)) //bitflow:alloc-ok diagnostic label for an unknown width; String never runs on the inference path
+	return fmt.Sprintf("Width(%d)", int(w))
 }
 
 // Divides reports whether a buffer of n words can be processed by this

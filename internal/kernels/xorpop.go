@@ -4,10 +4,9 @@ import "math/bits"
 
 // XorPop64 is the scalar kernel: one word per step, any length. The
 // index loop over a with b pinned to the same length is a shape the
-// compiler's bounds-check-elimination prover fully discharges
-// (`bitflow-vet codegen` pins it free of IsInBounds checks).
+// compiler's bounds-check-elimination prover fully discharges.
 func XorPop64(a, b []uint64) int {
-	b = b[:len(a)] //bitflow:bce-ok preamble pin: proves len(b) == len(a) to the prover, panics on mismatch like the old hint
+	b = b[:len(a)] // pins len(b) == len(a) for bounds-check elimination; panics on mismatch
 	acc := 0
 	for i, av := range a {
 		acc += bits.OnesCount64(av ^ b[i])
@@ -20,11 +19,11 @@ func XorPop64(a, b []uint64) int {
 func XorPopRows64(rows [][]uint64, filt []uint64) int {
 	acc := 0
 	for _, r := range rows {
-		f := filt[:len(r)] //bitflow:bce-ok per-row pin: proves len(f) == len(r), panics if the filter block is short
+		f := filt[:len(r)] // pins len(f) == len(r); panics if the filter block is short
 		for i, v := range r {
 			acc += bits.OnesCount64(v ^ f[i])
 		}
-		filt = filt[len(r):] //bitflow:bce-ok advances past the consumed segment; cannot fail after the pin above
+		filt = filt[len(r):]
 	}
 	return acc
 }
@@ -33,7 +32,7 @@ func XorPopRows64(rows [][]uint64, filt []uint64) int {
 // with bitwise OR ("which is used to get the max of a sequence of ones
 // and zeros", paper §III-C). Unrolled by 4 to match the vector tiers.
 func OrInto(dst, src []uint64) {
-	src = src[:len(dst)] //bitflow:bce-ok preamble pin: proves len(src) == len(dst), panics on mismatch
+	src = src[:len(dst)] // pins len(src) == len(dst); panics on mismatch
 	for len(dst) >= 4 && len(src) >= 4 {
 		dst[0] |= src[0]
 		dst[1] |= src[1]

@@ -6,12 +6,24 @@
 #                        # root benchmark + race on serving layer
 #   ./verify.sh -short   # skips VGG-scale builds and training loops
 #
-# go vet's copylocks check covers typed-atomic copies. The bitflow-vet
-# suite (rawgo hotalloc panicpath codegen reach) runs inside the
-# test step, in both modes, as internal/analysis's TestModuleIsClean.
+# Any file gofmt would change fails the run. go vet's copylocks check
+# covers typed-atomic copies. The bitflow-vet suite (rawgo panicpath
+# reach) runs inside the test step, in both modes, as
+# internal/analysis's TestModuleIsClean. The per-inference allocation
+# law is runtime pins in the same step: testing.AllocsPerRun over the
+# kernels, the operators, every graph entry point and the /infer
+# handler, with kernels, core and graph again under -tags purego below.
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
