@@ -163,15 +163,10 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 	return or, nil
 }
 
-// runChunked is the harness-local thread splitter, dispatched on a
-// spawn-per-call context so harness overhead matches the legacy
-// goroutine-per-chunk baselines it measures against.
+// runChunked is the harness-local thread splitter. It dispatches on the
+// same persistent pool as the networks it is compared with.
 func runChunked(total, threads int, body func(start, end int)) {
-	if threads <= 1 || total <= 1 {
-		body(0, total)
-		return
-	}
-	exec.Spawn(threads).ParallelFor(total, body)
+	exec.Threads(threads).ParallelFor(total, body)
 }
 
 // scaleFracs returns (serialFrac, memBoundFrac) estimates per operator

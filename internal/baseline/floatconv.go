@@ -72,14 +72,9 @@ func dotF32(a, b []float32) float32 {
 	return s
 }
 
-// runChunks is the baseline package's thread helper. It dispatches on a
-// spawn-per-call execution context, keeping the float baseline's
-// historical goroutine-per-chunk cost profile while routing through the
-// same chunking the binary paths use.
+// runChunks is the baseline package's thread helper. It dispatches on
+// the same persistent pool and chunking as the binary paths, as one
+// OpenMP team would run both.
 func runChunks(total, threads int, body func(start, end int)) {
-	if threads <= 1 || total <= 1 {
-		body(0, total)
-		return
-	}
-	exec.Spawn(threads).ParallelFor(total, body)
+	exec.Threads(threads).ParallelFor(total, body)
 }

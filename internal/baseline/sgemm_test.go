@@ -44,7 +44,7 @@ func SgemmParallel(a, b *tensor.Matrix, threads int) *tensor.Matrix {
 		sgemmRows(a, b, c, 0, a.Rows)
 		return c
 	}
-	exec.Spawn(threads).ParallelFor(a.Rows, func(r0, r1 int) {
+	exec.Threads(threads).ParallelFor(a.Rows, func(r0, r1 int) {
 		sgemmRows(a, b, c, r0, r1)
 	})
 	return c

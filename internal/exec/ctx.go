@@ -13,19 +13,18 @@ import (
 type Observer func(layer, kind string, d time.Duration)
 
 // Ctx carries everything one inference dispatch needs from the execution
-// layer: the thread budget, the pool to dispatch on (or the legacy
-// spawn-per-call mode), a context.Context for cancellation, and an
-// optional per-layer timing observer.
+// layer: the thread budget, the pool to dispatch on, a context.Context
+// for cancellation, and an optional per-layer timing observer.
 //
 // A Ctx is an immutable value after construction — With* methods return
 // derived copies — so one base Ctx can be shared by every replica of a
-// server and specialized per request with WithContext. A nil *Ctx is
+// server and specialized per request: with WithContext, or in place
+// with Reset by an owner that runs one pass at a time. A nil *Ctx is
 // valid everywhere and means "serial, uncancellable": operators called
 // with nil run inline on the caller's goroutine.
 type Ctx struct {
 	pool    *Pool
 	threads int
-	spawn   bool // legacy spawn-per-call dispatch (bench baseline)
 	ctx     context.Context
 	obs     Observer
 }
@@ -45,23 +44,15 @@ func Threads(n int) *Ctx {
 
 // Pooled returns a context dispatching on p with the given thread budget
 // (the budget counts the caller: ParallelFor uses at most n-1 workers).
+// A nil p dispatches on the shared default pool, as Threads does.
 func Pooled(p *Pool, n int) *Ctx {
 	if n <= 1 {
 		return Serial()
 	}
-	return &Ctx{pool: p, threads: n}
-}
-
-// Spawn returns a context using the legacy spawn-per-call dispatch: every
-// ParallelFor starts fresh goroutines. Kept as the pool-free dispatch of
-// the float baselines (internal/baseline) and the paper-figure harness;
-// unlike the pre-exec code, chunk panics are still captured and
-// re-raised on the caller's goroutine.
-func Spawn(n int) *Ctx {
-	if n <= 1 {
-		return Serial()
+	if p == nil {
+		p = Default()
 	}
-	return &Ctx{threads: n, spawn: true}
+	return &Ctx{pool: p, threads: n}
 }
 
 // WithContext returns a copy of c whose Err and layer-boundary checks
@@ -71,6 +62,19 @@ func (c *Ctx) WithContext(ctx context.Context) *Ctx {
 	d := c.derive()
 	d.ctx = ctx
 	return d
+}
+
+// Reset makes c, in place, a copy of base whose Err and layer-boundary
+// checks observe ctx: WithContext without the allocation, for an owner
+// that runs one pass at a time under c and so never resets it while a
+// pass still reads it. A nil base is Serial.
+func (c *Ctx) Reset(base *Ctx, ctx context.Context) {
+	if base == nil {
+		*c = Ctx{threads: 1}
+	} else {
+		*c = *base
+	}
+	c.ctx = ctx
 }
 
 // WithObserver returns a copy of c that reports per-layer timings to obs.
@@ -90,7 +94,7 @@ func (c *Ctx) Inline() *Ctx {
 		return c
 	}
 	d := c.derive()
-	d.pool, d.threads, d.spawn = nil, 1, false
+	d.pool, d.threads = nil, 1
 	return d
 }
 
@@ -112,8 +116,7 @@ func (c *Ctx) Budget() int {
 	return c.threads
 }
 
-// Pool returns the pool this context dispatches on, or nil (serial or
-// spawn mode).
+// Pool returns the pool this context dispatches on, or nil (serial).
 func (c *Ctx) Pool() *Pool {
 	if c == nil {
 		return nil
@@ -185,14 +188,7 @@ func (c *Ctx) ParallelFor(total int, body func(start, end int)) {
 	// claim loop's state and its panic hand-off.
 	j := &job{body: body, total: total, chunk: chunk, fctx: c.Context(), fin: make(chan struct{})}
 	j.pending.Store(int64(nchunks))
-	if c.spawn || c.pool == nil {
-		for i := 1; i < nchunks; i++ {
-			go j.run()
-		}
-		j.run()
-	} else {
-		c.pool.dispatch(j, threads)
-	}
+	c.pool.dispatch(j, threads)
 	<-j.fin
 	if j.panv != nil {
 		panic(j.panv)

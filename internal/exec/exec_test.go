@@ -31,13 +31,13 @@ func checkOnce(t *testing.T, hits []int32, label string) {
 }
 
 // TestParallelForCoversRange proves every index runs exactly once across
-// serial, pooled, spawn and nil dispatch, at budgets around the chunk
+// serial, pooled, default-pool and nil dispatch, at budgets around the chunk
 // boundaries.
 func TestParallelForCoversRange(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
 	for _, total := range []int{1, 2, 7, 64, 1000} {
-		for _, ec := range []*Ctx{nil, Serial(), Spawn(4), Pooled(p, 2), Pooled(p, 8), Threads(4)} {
+		for _, ec := range []*Ctx{nil, Serial(), Pooled(nil, 4), Pooled(p, 2), Pooled(p, 8), Threads(4)} {
 			label := fmt.Sprintf("total=%d budget=%d pool=%v", total, ec.Budget(), ec.Pool() != nil)
 			checkOnce(t, covered(t, ec, total), label)
 		}
@@ -58,7 +58,7 @@ func TestParallelForBudgetExceedsTotal(t *testing.T) {
 func TestChunkPanicReRaisedOnCaller(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	for _, ec := range []*Ctx{Pooled(p, 4), Spawn(4)} {
+	for _, ec := range []*Ctx{Pooled(p, 4), Threads(4)} {
 		var done atomic.Int32
 		var recovered any
 		func() {
@@ -143,6 +143,33 @@ func TestCtxErrAndWithContext(t *testing.T) {
 	}
 	if base.Budget() != derived.Budget() || derived.Pool() != base.Pool() {
 		t.Fatal("WithContext dropped dispatch configuration")
+	}
+}
+
+// TestReset: Reset re-derives a context in place. It keeps the base's
+// dispatch configuration and observer, observes the new context, treats
+// a nil base as Serial, and allocates nothing.
+func TestReset(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	obs := func(string, string, time.Duration) {}
+	base := Pooled(p, 3).WithObserver(obs)
+	ctx, cancel := context.WithCancel(context.Background())
+	var c Ctx
+	c.Reset(base, ctx)
+	if c.Budget() != 3 || c.Pool() != p || c.Observer() == nil || c.Context() != ctx {
+		t.Fatal("Reset dropped the base's configuration or the new context")
+	}
+	cancel()
+	if !errors.Is(c.Err(), context.Canceled) || base.Err() != nil {
+		t.Fatal("Reset's context is not the one cancelled, or the base observes it")
+	}
+	c.Reset(nil, context.Background())
+	if c.Budget() != 1 || c.Pool() != nil || c.Observer() != nil || c.Err() != nil {
+		t.Fatal("Reset from a nil base is not Serial")
+	}
+	if n := testing.AllocsPerRun(10, func() { c.Reset(base, ctx) }); n != 0 {
+		t.Fatalf("Reset allocates %v times, want 0", n)
 	}
 }
 

@@ -61,9 +61,9 @@ func allocNets(t *testing.T, w kernels.Width) []*Network {
 // TestInferAllocations pins the forward pass's heap traffic under
 // exec.Serial() on every kernel tier, the paper's "pre-allocate
 // everything" made checkable where the code runs (-tags purego runs
-// the same pins on the pure-Go tier). Infer and InferChecked allocate
-// exactly the logits they return. InferContext allocates one more:
-// exec.Ctx.WithContext derives a per-call copy of the context. And
+// the same pins on the pure-Go tier). Infer, InferChecked and
+// InferContext allocate exactly the logits they return: the request's
+// execution context is re-derived in place, in the network. And
 // InferBatch(8) allocates at most the outer slice, the eight logits and
 // one more.
 func TestInferAllocations(t *testing.T) {
@@ -99,8 +99,8 @@ func TestInferAllocations(t *testing.T) {
 				if _, err := net.InferContext(ctx, xs[0]); err != nil {
 					t.Fatal(err)
 				}
-			}); n != 2 {
-				t.Errorf("%s: InferContext allocates %v times per call, want 2 (the derived context and the logits)", name, n)
+			}); n != 1 {
+				t.Errorf("%s: InferContext allocates %v times per call, want 1 (the returned logits)", name, n)
 			}
 			net.EnsureBatch(len(xs))
 			if n := testing.AllocsPerRun(3, func() {

@@ -106,6 +106,7 @@ func FuzzLoadArbitraryBytes(f *testing.F) {
 	f.Add(corrupt)
 	header := append([]byte(nil), valid[:64]...)
 	f.Add(header)
+	f.Add(hostileNameLen) // a name length far past the end of the file
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, info, err := LoadWithInfo(bytes.NewReader(data), feat())
 		if err != nil {

@@ -41,9 +41,10 @@ type Network struct {
 	Feat          sched.Features
 
 	// ec is the attached execution context (SetExec); nil runs serially.
-	// bg is ec under context.Background(), what InferChecked runs under:
-	// derived by its first call, dropped by SetExec.
-	ec, bg *exec.Ctx
+	// req is ec under one call's context, re-derived in place per call:
+	// a Network runs one pass at a time.
+	ec  *exec.Ctx
+	req exec.Ctx
 
 	layers []layer
 	input  *bitpack.Packed
@@ -127,7 +128,7 @@ func (n *Network) CheckInput(x *tensor.Tensor) error {
 // shares a single worker pool no matter how many replicas run; a command
 // line tool attaches exec.Threads(n). Passing nil detaches: the network
 // then runs serially on the caller's goroutine.
-func (n *Network) SetExec(ec *exec.Ctx) { n.ec, n.bg = ec, nil }
+func (n *Network) SetExec(ec *exec.Ctx) { n.ec = ec }
 
 // Exec returns the attached execution context, or nil when the network
 // runs serially.
@@ -135,14 +136,10 @@ func (n *Network) Exec() *exec.Ctx { return n.ec }
 
 // InferChecked is Infer with the shape panic converted into a returned
 // error, so untrusted user input can never reach a panic path. A non-nil
-// error means no forward pass ran. The pass observes
-// context.Background(), as InferContext(context.Background(), x) would,
-// under a context derived once rather than per call.
+// error means no forward pass ran. It is
+// InferContext(context.Background(), x).
 func (n *Network) InferChecked(x *tensor.Tensor) ([]float32, error) {
-	if n.bg == nil {
-		n.bg = n.ec.WithContext(context.Background())
-	}
-	return n.infer(n.bg, x)
+	return n.InferContext(context.Background(), x)
 }
 
 // InferContext is InferChecked under a cancellation context: the pass
@@ -158,7 +155,8 @@ func (n *Network) InferChecked(x *tensor.Tensor) ([]float32, error) {
 func (n *Network) InferContext(ctx context.Context, x *tensor.Tensor) ([]float32, error) {
 	ec := n.ec
 	if ctx != nil {
-		ec = ec.WithContext(ctx)
+		n.req.Reset(n.ec, ctx)
+		ec = &n.req
 	}
 	return n.infer(ec, x)
 }

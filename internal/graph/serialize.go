@@ -2,12 +2,13 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
+	"strings"
 
 	"bitflow/internal/bitpack"
 	"bitflow/internal/core"
@@ -30,7 +31,7 @@ import (
 //	| activation records for conv/dense layers in order
 //
 //	spec: u8 kind | str name | 6×u32 (k, kh, kw, stride, pad, units)
-//	blob: u64 wordCount | that many u64
+//	blob: u64 count | that many u64 words (f32 for the float conv)
 //	activation: u8 flags (bit0 thresholds, bit1 affine)
 //	            [thresholds: u32 K | K×i32 T | K×u8 flip]
 //	            [affine: u32 K | K×f32 scale | K×f32 mean | K×f32 shift]
@@ -38,6 +39,11 @@ import (
 // str: u32 length + bytes. Folded activations (batch-norm/bias
 // thresholds, classifier affine) are stored post-fold, so BatchNorm
 // specs in the architecture become no-ops at load time.
+//
+// Save and Load are one encoder and one decoder that mirror each other
+// over a stream (DESIGN.md §5, "The model codec"). Load decodes each
+// weight word once, into the slice its operator keeps, and checks the
+// footer after the whole stream has been hashed.
 
 var modelMagic = [4]byte{'B', 'F', 'L', 'W'}
 
@@ -103,100 +109,90 @@ type LoadInfo struct {
 	Bytes int64
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// crcWriter tees payload bytes into the running CRC64 on their way out,
-// so Save can stamp the footer without buffering the whole artifact.
-type crcWriter struct {
+// hashWriter counts and CRC-hashes the bytes on their way to w.
+type hashWriter struct {
 	w   io.Writer
+	n   int64
 	crc uint64
 }
 
-func (hw *crcWriter) Write(p []byte) (int, error) {
+func (hw *hashWriter) Write(p []byte) (int, error) {
 	n, err := hw.w.Write(p)
+	hw.n += int64(n)
 	hw.crc = crc64.Update(hw.crc, crcTable, p[:n])
 	return n, err
 }
 
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-
-func writeStr(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+// encoder writes the format's fields through one bufio.Writer. bufio's
+// error is sticky: once a write fails every later one is dropped, and
+// Flush reports it.
+type encoder struct {
+	bw  *bufio.Writer
+	buf [8]byte
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
+func (e *encoder) u8(v byte)    { e.bw.WriteByte(v) }
+func (e *encoder) u32(v uint32) { e.bw.Write(binary.LittleEndian.AppendUint32(e.buf[:0], v)) }
+func (e *encoder) u64(v uint64) { e.bw.Write(binary.LittleEndian.AppendUint64(e.buf[:0], v)) }
+func (e *encoder) str(s string) { e.u32(uint32(len(s))); e.bw.WriteString(s) }
+func (e *encoder) f32s(vs []float32) {
+	for _, v := range vs {
+		e.u32(math.Float32bits(v))
+	}
 }
 
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
+// blob writes a count-prefixed word slice.
+func (e *encoder) blob(ws []uint64) {
+	e.u64(uint64(len(ws)))
+	for _, w := range ws {
+		e.u64(w)
+	}
 }
 
-func readStr(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
+// activation writes one layer's activation record.
+func (e *encoder) activation(th *core.Thresholds, aff *core.Affine) {
+	e.u8(bit(th != nil) | bit(aff != nil)<<1)
+	if th != nil {
+		e.u32(uint32(len(th.T)))
+		for _, t := range th.T {
+			e.u32(uint32(t))
+		}
+		for _, f := range th.Flip {
+			e.u8(bit(f))
+		}
 	}
-	if n > maxSaneLen {
-		return "", fmt.Errorf("graph: string length %d implausible", n)
+	if aff != nil {
+		e.u32(uint32(len(aff.Scale)))
+		e.f32s(aff.Scale)
+		e.f32s(aff.Mean)
+		e.f32s(aff.Shift)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+}
+
+func bit(b bool) byte {
+	if b {
+		return 1
 	}
-	return string(buf), nil
+	return 0
 }
 
 // Save serializes the network's architecture and packed weights,
 // followed by a CRC64 integrity footer over the payload. The returned
 // count is the number of bytes written, footer included.
 func (n *Network) Save(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	hw := &crcWriter{w: cw}
-	bw := bufio.NewWriter(hw)
-	if _, err := bw.Write(modelMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := writeU32(bw, modelVersion); err != nil {
-		return cw.n, err
-	}
-	if err := writeStr(bw, n.Name); err != nil {
-		return cw.n, err
-	}
-	for _, v := range []uint32{uint32(n.InH), uint32(n.InW), uint32(n.InC), uint32(len(n.arch))} {
-		if err := writeU32(bw, v); err != nil {
-			return cw.n, err
-		}
+	hw := &hashWriter{w: w}
+	e := &encoder{bw: bufio.NewWriter(hw)}
+	e.bw.Write(modelMagic[:])
+	e.u32(modelVersion)
+	e.str(n.Name)
+	for _, v := range []int{n.InH, n.InW, n.InC, len(n.arch)} {
+		e.u32(uint32(v))
 	}
 	for _, sp := range n.arch {
-		if err := bw.WriteByte(byte(sp.kind)); err != nil {
-			return cw.n, err
-		}
-		if err := writeStr(bw, sp.name); err != nil {
-			return cw.n, err
-		}
-		for _, v := range []uint32{uint32(sp.k), uint32(sp.kh), uint32(sp.kw), uint32(sp.stride), uint32(sp.pad), uint32(sp.units)} {
-			if err := writeU32(bw, v); err != nil {
-				return cw.n, err
-			}
+		e.u8(byte(sp.kind))
+		e.str(sp.name)
+		for _, v := range []int{sp.k, sp.kh, sp.kw, sp.stride, sp.pad, sp.units} {
+			e.u32(uint32(v))
 		}
 	}
 	// Weight blobs, in layer order (weighted layers only). Binary layers
@@ -206,255 +202,233 @@ func (n *Network) Save(w io.Writer) (int64, error) {
 	for _, l := range n.layers {
 		switch v := l.(type) {
 		case *convLayer:
-			if err := writeWordBlob(bw, v.op.Filter().Words); err != nil {
-				return cw.n, err
-			}
+			e.blob(v.op.Filter().Words)
 		case *denseLayer:
-			if err := writeWordBlob(bw, v.op.Weights().Words); err != nil {
-				return cw.n, err
-			}
+			e.blob(v.op.Weights().Words)
 		case *floatConvLayer:
 			data := v.op.Filter().Data
-			if err := writeU64(bw, uint64(len(data))); err != nil {
-				return cw.n, err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-				return cw.n, err
-			}
+			e.u64(uint64(len(data)))
+			e.f32s(data)
 		}
 	}
 	// Activation records, in the same layer order.
 	for _, l := range n.layers {
-		var th *core.Thresholds
-		var aff *core.Affine
 		switch v := l.(type) {
 		case *convLayer:
-			th = v.op.Activation()
+			e.activation(v.op.Activation(), nil)
 		case *denseLayer:
-			th = v.op.Activation()
-			aff = v.op.OutAffine()
+			e.activation(v.op.Activation(), v.op.OutAffine())
 		case *floatConvLayer:
-			aff = v.op.OutAffine()
-		default:
-			continue
-		}
-		var flags byte
-		if th != nil {
-			flags |= 1
-		}
-		if aff != nil {
-			flags |= 2
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return cw.n, err
-		}
-		if th != nil {
-			if err := writeU32(bw, uint32(len(th.T))); err != nil {
-				return cw.n, err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, th.T); err != nil {
-				return cw.n, err
-			}
-			for _, f := range th.Flip {
-				b := byte(0)
-				if f {
-					b = 1
-				}
-				if err := bw.WriteByte(b); err != nil {
-					return cw.n, err
-				}
-			}
-		}
-		if aff != nil {
-			if err := writeU32(bw, uint32(len(aff.Scale))); err != nil {
-				return cw.n, err
-			}
-			for _, arr := range [][]float32{aff.Scale, aff.Mean, aff.Shift} {
-				if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-					return cw.n, err
-				}
-			}
+			e.activation(nil, v.op.OutAffine())
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	// Footer goes straight to the counting writer: the stored checksum
-	// covers the payload only, never itself.
-	if _, err := cw.Write(checksumMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := writeU32(cw, checksumFooterVersion); err != nil {
-		return cw.n, err
-	}
-	if err := writeU64(cw, hw.crc); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	// Once the payload is flushed, hw.crc is its checksum; the footer
+	// follows it. Its own bytes pass through the hash too, after the
+	// value was taken. The one error check is the last Flush: a failed
+	// first Flush leaves the writer failed.
+	e.bw.Flush()
+	e.bw.Write(checksumMagic[:])
+	e.u32(checksumFooterVersion)
+	e.u64(hw.crc)
+	err := e.bw.Flush()
+	return hw.n, err
 }
 
-// writeWordBlob writes a length-prefixed word slice.
-func writeWordBlob(w io.Writer, words []uint64) error {
-	if err := writeU64(w, uint64(len(words))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, words)
+// decoder reads the format's fields from a stream, hashing each payload
+// byte it consumes. Like the encoder's, its error is sticky: after the
+// first failure every read returns zero, so a decode checks d.err
+// before it acts on a decoded size and not after every field.
+type decoder struct {
+	br   *bufio.Reader
+	crc  uint64 // CRC64 of the payload consumed so far
+	n    int64  // payload bytes consumed so far
+	err  error  // the decode's first failure
+	rerr error  // the stream's read error, which ends the payload
+	zero [8]byte
 }
 
-// readActivations restores the per-layer activation records onto the
+// chunk is the most payload bytes one read hands out: the reader's
+// buffer less the held-back footer.
+func (d *decoder) chunk() int { return d.br.Size() - checksumFooterLen }
+
+// next consumes, hashes and returns up to k ≤ d.chunk() payload bytes,
+// valid until the next read, fewer only where the payload ends. The
+// payload ends where the stream does, less its last 16 bytes if they
+// parse as a footer: those are held back and never handed out.
+func (d *decoder) next(k int) []byte {
+	b, err := d.br.Peek(k + checksumFooterLen)
+	switch {
+	case err == nil:
+		b = b[:k]
+	case err != io.EOF:
+		d.rerr, b = err, nil
+	default: // b is the rest of the stream
+		if _, ok := parseChecksumFooter(b); ok {
+			b = b[:len(b)-checksumFooterLen]
+		}
+		b = b[:min(k, len(b))]
+	}
+	d.crc = crc64.Update(d.crc, crcTable, b)
+	d.n += int64(len(b))
+	d.br.Discard(len(b))
+	return b
+}
+
+// take is next for a decode: exactly k bytes. A payload that ends first
+// fails d with io.ErrUnexpectedEOF. Once d has failed, take reads
+// nothing and returns min(k, 8) zero bytes, so every field reads zero.
+func (d *decoder) take(k int) []byte {
+	if d.err == nil {
+		if b := d.next(k); len(b) == k {
+			return b
+		}
+		d.err = cmp.Or(d.rerr, io.ErrUnexpectedEOF)
+	}
+	return d.zero[:min(k, 8)]
+}
+
+func (d *decoder) u8() byte    { return d.take(1)[0] }
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
+
+// str reads a length-prefixed string. It grows with the bytes actually
+// read, so a hostile length field costs no more memory than the stream
+// holds.
+func (d *decoder) str() string {
+	var sb strings.Builder
+	for n := int(d.u32()); sb.Len() < n && d.err == nil; {
+		sb.Write(d.take(min(n-sb.Len(), d.chunk())))
+	}
+	return sb.String()
+}
+
+func (d *decoder) f32s(dst []float32) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(d.u32())
+	}
+}
+
+// words fills dst from the reader's buffer, a chunk at a time.
+func (d *decoder) words(dst []uint64) {
+	for len(dst) > 0 && d.err == nil {
+		b := d.take(min(len(dst), d.chunk()/8) * 8)
+		for i := range len(b) / 8 {
+			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		dst = dst[len(b)/8:]
+	}
+}
+
+// count reads a weight blob's stored length and checks it against want,
+// the length the architecture gives, before anything is allocated for
+// it; size is one value's byte width.
+func (d *decoder) count(want, size int) bool {
+	switch got := d.u64(); {
+	case d.err != nil:
+	case got != uint64(want):
+		d.err = fmt.Errorf("weight blob has %d values, architecture wants %d", got, want)
+	case want > maxSaneLen/size:
+		d.err = fmt.Errorf("weight blob of %d values implausible", want)
+	}
+	return d.err == nil
+}
+
+// The decoder is the opSource the loaded network compiles against: each
+// weighted layer's blob is decoded straight into the slice the operator
+// keeps.
+
+func (d *decoder) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
+	if !d.count(shape.K*shape.KH*shape.KW*plan.Words, 8) {
+		return nil, d.err
+	}
+	pf := bitpack.NewPackedFilter(shape.K, shape.KH, shape.KW, shape.InC, plan.Words)
+	if d.words(pf.Words); d.err != nil {
+		return nil, d.err
+	}
+	return core.NewConvPacked(shape, plan, pf)
+}
+
+func (d *decoder) dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error) {
+	if !d.count(shape.K*plan.Words, 8) {
+		return nil, d.err
+	}
+	pm := bitpack.NewPackedMatrix(shape.K, shape.N, plan.Words)
+	if d.words(pm.Words); d.err != nil {
+		return nil, d.err
+	}
+	return core.NewDensePacked(shape, plan, pm)
+}
+
+func (d *decoder) floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error) {
+	want := shape.K * shape.KH * shape.KW * shape.InC
+	if !d.count(want, 4) {
+		return nil, d.err
+	}
+	data := make([]float32, want)
+	if d.f32s(data); d.err != nil {
+		return nil, d.err
+	}
+	return core.NewFloatConv(shape, tensor.FilterFromSlice(shape.K, shape.KH, shape.KW, shape.InC, data))
+}
+
+func (d *decoder) convBias(name string, k int) ([]float32, error)  { return nil, nil }
+func (d *decoder) denseBias(name string, k int) ([]float32, error) { return nil, nil }
+
+// batchNorm reports "already baked": stored thresholds include every
+// fold that was applied at original build time.
+func (d *decoder) batchNorm(name string, channels int) (*BNParams, error) { return nil, nil }
+
+// activations restores the per-layer activation records onto the
 // freshly compiled network.
-func readActivations(r io.Reader, n *Network) error {
+func (d *decoder) activations(n *Network) error {
 	for _, l := range n.layers {
-		switch l.(type) {
-		case *convLayer, *denseLayer, *floatConvLayer:
-		default:
-			continue
-		}
-		var flags [1]byte
-		if _, err := io.ReadFull(r, flags[:]); err != nil {
-			return fmt.Errorf("graph: reading activation record for %s: %w", l.name(), err)
-		}
-		var th *core.Thresholds
-		if flags[0]&1 != 0 {
-			k, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			if k > maxSaneLen/8 {
-				return fmt.Errorf("graph: activation size %d implausible", k)
-			}
-			th = &core.Thresholds{T: make([]int32, k), Flip: make([]bool, k)}
-			if err := binary.Read(r, binary.LittleEndian, th.T); err != nil {
-				return err
-			}
-			flip := make([]byte, k)
-			if _, err := io.ReadFull(r, flip); err != nil {
-				return err
-			}
-			for i, b := range flip {
-				th.Flip[i] = b != 0
-			}
-		}
-		var aff *core.Affine
-		if flags[0]&2 != 0 {
-			k, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			if k > maxSaneLen/12 {
-				return fmt.Errorf("graph: affine size %d implausible", k)
-			}
-			aff = &core.Affine{Scale: make([]float32, k), Mean: make([]float32, k), Shift: make([]float32, k)}
-			for _, arr := range [][]float32{aff.Scale, aff.Mean, aff.Shift} {
-				if err := binary.Read(r, binary.LittleEndian, arr); err != nil {
-					return err
-				}
-			}
-		}
+		var err error
 		switch v := l.(type) {
 		case *convLayer:
-			if aff != nil {
-				return fmt.Errorf("graph: conv %s cannot carry an affine record", l.name())
-			}
-			if th != nil {
-				if err := v.op.SetThresholds(th); err != nil {
-					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
-				}
-			}
-		case *floatConvLayer:
-			if th != nil {
-				return fmt.Errorf("graph: float conv %s cannot carry a threshold record", l.name())
-			}
-			if aff != nil {
-				if err := v.op.SetAffine(aff); err != nil {
-					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
-				}
-			}
+			err = d.activation(v.op.Shape.K, v.op.SetThresholds, nil)
 		case *denseLayer:
-			if th != nil {
-				if err := v.op.SetThresholds(th); err != nil {
-					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
-				}
-			}
-			if aff != nil {
-				if err := v.op.SetAffine(aff); err != nil {
-					return fmt.Errorf("graph: activation for %s: %w", l.name(), err)
-				}
-			}
+			err = d.activation(v.op.Shape.K, v.op.SetThresholds, v.op.SetAffine)
+		case *floatConvLayer:
+			err = d.activation(v.op.Shape.K, nil, v.op.SetAffine)
+		}
+		if err != nil {
+			return fmt.Errorf("graph: activation record for %s: %w", l.name(), err)
 		}
 	}
 	return nil
 }
 
-// packedSource rebuilds operators from the stored weight blobs, consumed
-// in layer order.
-type packedSource struct {
-	r io.Reader
+// activation reads one layer's record and hands it to the layer's
+// setters; a nil setter is a record the layer cannot carry. A record's
+// size must be the layer's k channels before anything is allocated for
+// it.
+func (d *decoder) activation(k int, setT func(*core.Thresholds) error, setA func(*core.Affine) error) error {
+	flags := d.u8()
+	if flags&1 != 0 {
+		if got := d.u32(); setT == nil || (d.err == nil && got != uint32(k)) {
+			return fmt.Errorf("unexpected threshold record of %d channels", got)
+		}
+		th := &core.Thresholds{T: make([]int32, k), Flip: make([]bool, k)}
+		for i := range th.T {
+			th.T[i] = int32(d.u32())
+		}
+		for i := range th.Flip {
+			th.Flip[i] = d.u8() != 0
+		}
+		d.err = cmp.Or(d.err, setT(th))
+	}
+	if flags&2 != 0 {
+		if got := d.u32(); setA == nil || (d.err == nil && got != uint32(k)) {
+			return fmt.Errorf("unexpected affine record of %d channels", got)
+		}
+		aff := &core.Affine{Scale: make([]float32, k), Mean: make([]float32, k), Shift: make([]float32, k)}
+		d.f32s(aff.Scale)
+		d.f32s(aff.Mean)
+		d.f32s(aff.Shift)
+		d.err = cmp.Or(d.err, setA(aff))
+	}
+	return d.err
 }
-
-func (ps *packedSource) blob(want int) ([]uint64, error) {
-	count, err := readU64(ps.r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading weight blob: %w", err)
-	}
-	if count != uint64(want) {
-		return nil, fmt.Errorf("graph: weight blob has %d words, architecture wants %d", count, want)
-	}
-	if want < 0 || want > maxSaneLen/8 {
-		return nil, fmt.Errorf("graph: weight blob of %d words implausible", want)
-	}
-	words := make([]uint64, want)
-	if err := binary.Read(ps.r, binary.LittleEndian, words); err != nil {
-		return nil, fmt.Errorf("graph: reading weight blob: %w", err)
-	}
-	return words, nil
-}
-
-func (ps *packedSource) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
-	words, err := ps.blob(shape.K * shape.KH * shape.KW * plan.Words)
-	if err != nil {
-		return nil, err
-	}
-	pf := bitpack.NewPackedFilter(shape.K, shape.KH, shape.KW, shape.InC, plan.Words)
-	copy(pf.Words, words)
-	return core.NewConvPacked(shape, plan, pf)
-}
-
-func (ps *packedSource) dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error) {
-	words, err := ps.blob(shape.K * plan.Words)
-	if err != nil {
-		return nil, err
-	}
-	pm := bitpack.NewPackedMatrix(shape.K, shape.N, plan.Words)
-	copy(pm.Words, words)
-	return core.NewDensePacked(shape, plan, pm)
-}
-
-func (ps *packedSource) floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error) {
-	count, err := readU64(ps.r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading float weight blob: %w", err)
-	}
-	want := shape.K * shape.KH * shape.KW * shape.InC
-	if count != uint64(want) {
-		return nil, fmt.Errorf("graph: float weight blob has %d values, architecture wants %d", count, want)
-	}
-	if want < 0 || want > maxSaneLen/4 {
-		return nil, fmt.Errorf("graph: float weight blob of %d values implausible", want)
-	}
-	data := make([]float32, want)
-	if err := binary.Read(ps.r, binary.LittleEndian, data); err != nil {
-		return nil, fmt.Errorf("graph: reading float weight blob: %w", err)
-	}
-	return core.NewFloatConv(shape, tensor.FilterFromSlice(shape.K, shape.KH, shape.KW, shape.InC, data))
-}
-
-func (ps *packedSource) convBias(name string, k int) ([]float32, error)  { return nil, nil }
-func (ps *packedSource) denseBias(name string, k int) ([]float32, error) { return nil, nil }
-
-// batchNorm reports "already baked": stored thresholds include every
-// fold that was applied at original build time.
-func (ps *packedSource) batchNorm(name string, channels int) (*BNParams, error) { return nil, nil }
 
 // Load deserializes a model saved with Save and compiles it for the
 // given features (the kernel tiers are re-selected for the loading
@@ -471,36 +445,28 @@ func Load(r io.Reader, feat sched.Features) (*Network, error) {
 // structured reason. Files written before the footer existed load with
 // Checksummed=false.
 func LoadWithInfo(r io.Reader, feat sched.Features) (*Network, *LoadInfo, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxModelBytes+1))
-	if err != nil {
-		return nil, nil, &FormatError{Err: err}
+	d := &decoder{br: bufio.NewReaderSize(io.LimitReader(r, maxModelBytes+1), 64<<10)}
+	n, err := d.model(feat)
+	// Hash what the decode left, so the footer is checked against the
+	// whole payload however far the decode got. What is left after that
+	// is a footer or nothing.
+	decoded := d.n
+	for len(d.next(d.chunk())) > 0 {
 	}
-	if len(data) > maxModelBytes {
+	tail, _ := d.br.Peek(checksumFooterLen)
+	stored, checksummed := parseChecksumFooter(tail)
+	info := &LoadInfo{Checksum: d.crc, Checksummed: checksummed, Bytes: d.n + int64(len(tail))}
+	switch {
+	case d.rerr != nil:
+		return nil, nil, &FormatError{Err: d.rerr}
+	case info.Bytes > maxModelBytes:
 		return nil, nil, &FormatError{Err: fmt.Errorf("model exceeds %d bytes", int64(maxModelBytes))}
-	}
-	info := &LoadInfo{Bytes: int64(len(data))}
-	payload := data
-	if stored, ok := parseChecksumFooter(data); ok {
-		payload = data[:len(data)-checksumFooterLen]
-		info.Checksummed = true
-		info.Checksum = crc64.Checksum(payload, crcTable)
-		if info.Checksum != stored {
-			return nil, nil, &ChecksumError{Want: stored, Got: info.Checksum}
-		}
-	} else {
-		info.Checksum = crc64.Checksum(payload, crcTable)
-	}
-	br := bytes.NewReader(payload)
-	n, err := decodeModel(br, feat)
-	if err != nil {
-		var fe *FormatError
-		if errors.As(err, &fe) {
-			return nil, nil, err
-		}
+	case checksummed && stored != d.crc:
+		return nil, nil, &ChecksumError{Want: stored, Got: d.crc}
+	case err != nil:
 		return nil, nil, &FormatError{Err: err}
-	}
-	if br.Len() != 0 {
-		return nil, nil, &FormatError{Err: fmt.Errorf("%d trailing bytes after model payload", br.Len())}
+	case d.n > decoded:
+		return nil, nil, &FormatError{Err: fmt.Errorf("%d trailing bytes after model payload", d.n-decoded)}
 	}
 	return n, info, nil
 }
@@ -508,14 +474,8 @@ func LoadWithInfo(r io.Reader, feat sched.Features) (*Network, *LoadInfo, error)
 // parseChecksumFooter reports whether data ends in a well-formed
 // integrity footer, returning the stored checksum when it does.
 func parseChecksumFooter(data []byte) (uint64, bool) {
-	if len(data) < checksumFooterLen {
-		return 0, false
-	}
-	f := data[len(data)-checksumFooterLen:]
-	if !bytes.Equal(f[:4], checksumMagic[:]) {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint32(f[4:8]) != checksumFooterVersion {
+	f := data[max(len(data)-checksumFooterLen, 0):]
+	if len(f) < checksumFooterLen || [4]byte(f) != checksumMagic || binary.LittleEndian.Uint32(f[4:]) != checksumFooterVersion {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint64(f[8:]), true
@@ -530,90 +490,52 @@ const (
 	maxSaneKernel  = 1 << 10 // kernel extent, stride, pad
 )
 
-// decodeModel parses one serialized payload.
-func decodeModel(br *bytes.Reader, feat sched.Features) (*Network, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading model header: %w", err)
+// model decodes one payload: the header and the specs, then the weights
+// and activation records of the network they compile to.
+func (d *decoder) model(feat sched.Features) (*Network, error) {
+	if b := d.take(4); d.err == nil && [4]byte(b) != modelMagic {
+		return nil, fmt.Errorf("graph: bad magic %q, not a BitFlow model", b)
 	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("graph: bad magic %q, not a BitFlow model", magic[:])
-	}
-	version, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if version != modelVersion {
+	if version := d.u32(); d.err == nil && version != modelVersion {
 		return nil, fmt.Errorf("graph: unsupported model version %d", version)
 	}
-	name, err := readStr(br)
-	if err != nil {
-		return nil, err
-	}
+	name := d.str()
 	var dims [4]uint32
 	for i := range dims {
-		if dims[i], err = readU32(br); err != nil {
-			return nil, err
-		}
+		dims[i] = d.u32()
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("graph: reading model header: %w", d.err)
 	}
 	if dims[0] < 1 || dims[0] > maxSaneSpatial || dims[1] < 1 || dims[1] > maxSaneSpatial ||
-		dims[2] < 1 || dims[2] > maxSaneChans {
-		return nil, fmt.Errorf("graph: input dims %dx%dx%d implausible", dims[0], dims[1], dims[2])
-	}
-	specCount := int(dims[3])
-	if specCount > maxSaneLen/64 {
-		return nil, fmt.Errorf("graph: spec count %d implausible", specCount)
+		dims[2] < 1 || dims[2] > maxSaneChans || dims[3] > maxSaneLen/64 {
+		return nil, fmt.Errorf("graph: input dims %dx%dx%d with %d specs implausible", dims[0], dims[1], dims[2], dims[3])
 	}
 	b := NewBuilder(name, int(dims[0]), int(dims[1]), int(dims[2]), feat)
-	for i := 0; i < specCount; i++ {
-		kindB, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading spec %d: %w", i, err)
-		}
-		sname, err := readStr(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading spec %d: %w", i, err)
-		}
+	for i := 0; i < int(dims[3]); i++ {
+		kind := specKind(d.u8())
+		sname := d.str()
 		var p [6]uint32
 		for j := range p {
-			if p[j], err = readU32(br); err != nil {
-				return nil, fmt.Errorf("graph: reading spec %d: %w", i, err)
-			}
+			p[j] = d.u32()
 		}
-		if p[0] > maxSaneChans || p[5] > maxSaneChans ||
-			p[1] > maxSaneKernel || p[2] > maxSaneKernel || p[3] > maxSaneKernel || p[4] > maxSaneKernel {
+		switch {
+		case d.err != nil:
+			return nil, fmt.Errorf("graph: reading spec %d: %w", i, d.err)
+		case kind > specFloatConv: // the last kind
+			return nil, fmt.Errorf("graph: unknown spec kind %d", kind)
+		case p[0] > maxSaneChans || p[5] > maxSaneChans ||
+			p[1] > maxSaneKernel || p[2] > maxSaneKernel || p[3] > maxSaneKernel || p[4] > maxSaneKernel:
 			return nil, fmt.Errorf("graph: spec %d parameters %v implausible", i, p)
 		}
-		switch specKind(kindB) {
-		case specConv, specFloatConv, specPool:
-			// A convolving/pooling spec needs a positive window and stride
-			// or the output geometry below divides by zero.
-			if p[1] < 1 || p[2] < 1 || p[3] < 1 {
-				return nil, fmt.Errorf("graph: spec %d window %dx%d stride %d invalid", i, p[1], p[2], p[3])
-			}
-		}
-		switch specKind(kindB) {
-		case specConv:
-			b.Conv(sname, int(p[0]), int(p[1]), int(p[2]), int(p[3]), int(p[4]))
-		case specPool:
-			b.Pool(sname, int(p[1]), int(p[2]), int(p[3]))
-		case specFlatten:
-			b.Flatten()
-		case specDense:
-			b.Dense(sname, int(p[5]))
-		case specBatchNorm:
-			b.BatchNorm(sname)
-		case specFloatConv:
-			b.FloatConv(sname, int(p[0]), int(p[1]), int(p[2]), int(p[3]), int(p[4]))
-		default:
-			return nil, fmt.Errorf("graph: unknown spec kind %d", kindB)
-		}
+		b.specs = append(b.specs, spec{kind: kind, name: sname, k: int(p[0]), kh: int(p[1]), kw: int(p[2]),
+			stride: int(p[3]), pad: int(p[4]), units: int(p[5])})
 	}
-	n, err := b.buildFrom(&packedSource{r: br})
+	n, err := b.buildFrom(d)
 	if err != nil {
 		return nil, err
 	}
-	if err := readActivations(br, n); err != nil {
+	if err := d.activations(n); err != nil {
 		return nil, err
 	}
 	return n, nil

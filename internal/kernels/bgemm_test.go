@@ -99,7 +99,7 @@ func TestBGemmParallelMatchesSerial(t *testing.T) {
 	want := make([]int32, m*k)
 	BGemm(a, m, bT, k, wpr, n, want, BGemmOpts{})
 	for _, threads := range []int{0, 1, 2, 4, 16, 300} {
-		ec := exec.Spawn(threads)
+		ec := exec.Threads(threads)
 		got := make([]int32, m*k)
 		BGemmExec(a, m, bT, k, wpr, n, got, BGemmOpts{}, ec)
 		for i := range want {
