@@ -7,7 +7,6 @@ import (
 	"bitflow/internal/bitpack"
 	"bitflow/internal/core"
 	"bitflow/internal/sched"
-	"bitflow/internal/tensor"
 )
 
 type specKind int
@@ -36,11 +35,6 @@ type Builder struct {
 	feat          sched.Features
 	inH, inW, inC int
 	specs         []spec
-	// noFuse disables the conv→pool fusion planning pass (see fuse.go).
-	noFuse bool
-	// noPress disables kernel compression: conv layers get unfolded
-	// operators (see press.go).
-	noPress bool
 }
 
 // NewBuilder starts a network taking inH×inW×inC inputs.
@@ -106,9 +100,9 @@ type opSource interface {
 	conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error)
 	dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error)
 	floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error)
-	// convBias / denseBias return the layer's bias or nil when absent.
-	convBias(name string, k int) ([]float32, error)
-	denseBias(name string, k int) ([]float32, error)
+	// bias returns the k-channel bias of the conv, or with dense the
+	// dense layer, called name; nil when it has none.
+	bias(name string, k int, dense bool) ([]float32, error)
 	// batchNorm returns the parameters for a BatchNorm spec, or nil when
 	// the activation is already baked in (the packed-model load path).
 	batchNorm(name string, channels int) (*BNParams, error)
@@ -141,20 +135,15 @@ func (f floatSource) floatConv(name string, shape sched.ConvShape) (*core.FloatC
 	return core.NewFloatConv(shape, w)
 }
 
-func (f floatSource) convBias(name string, k int) ([]float32, error) {
+func (f floatSource) bias(name string, k int, dense bool) ([]float32, error) {
 	bs, ok := f.ws.(BiasSource)
-	if !ok {
+	switch {
+	case !ok:
 		return nil, nil
+	case dense:
+		return bs.DenseBias(name, k)
 	}
 	return bs.ConvBias(name, k)
-}
-
-func (f floatSource) denseBias(name string, k int) ([]float32, error) {
-	bs, ok := f.ws.(BiasSource)
-	if !ok {
-		return nil, nil
-	}
-	return bs.DenseBias(name, k)
 }
 
 func (f floatSource) batchNorm(name string, channels int) (*BNParams, error) {
@@ -169,16 +158,46 @@ func (f floatSource) batchNorm(name string, channels int) (*BNParams, error) {
 	return &p, nil
 }
 
-// Build compiles the recorded layers: infers every shape, selects kernels,
-// fetches and bit-packs weights, and pre-allocates the full buffer chain.
+// Build compiles the recorded layers — infers every shape, selects
+// kernels, fetches and bit-packs weights — and lays the pre-allocated
+// buffer chain over them.
 func (b *Builder) Build(ws WeightSource) (*Network, error) {
-	return b.buildFrom(floatSource{ws})
+	n, err := b.compile(floatSource{ws})
+	if err == nil {
+		err = n.lay()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
-// buildFrom compiles against any operator source.
-func (b *Builder) buildFrom(src opSource) (*Network, error) {
+// node is one compiled layer: the conv, pool or dense spec it came from,
+// the shape of the plane it reads and the operator that computes it.
+// Compile makes the nodes once; every network laid over them (the
+// original, its clones and its batch lanes) shares them read-only.
+type node struct {
+	sp spec
+	// h×w positions of c channels, packed in words words each, is the
+	// input plane; a dense layer fed by another reads 1×1×N.
+	h, w, c, words int
+
+	conv  *core.Conv
+	pool  *core.Pool
+	dense *core.Dense
+	fconv *core.FloatConv
+}
+
+// compile is the build's first phase. It turns the specs into the node
+// list: every shape inferred, every operator made by src, every bias and
+// batch-norm folded into the operator it follows. It allocates no
+// activation buffer; lay does, over the list it returns.
+func (b *Builder) compile(src opSource) (*Network, error) {
 	if len(b.specs) == 0 {
 		return nil, errors.New("graph: empty network")
+	}
+	if b.inH < 1 || b.inW < 1 || b.inC < 1 {
+		return nil, fmt.Errorf("graph: input %dx%dx%d must be positive", b.inH, b.inW, b.inC)
 	}
 	n := &Network{
 		Name: b.name, InH: b.inH, InW: b.inW, InC: b.inC,
@@ -200,289 +219,179 @@ func (b *Builder) buildFrom(src opSource) (*Network, error) {
 		}
 	}
 
-	// Producer whose output buffer is assigned when the *next* layer's
-	// input edge is allocated.
-	var prevConv *convLayer
-	var prevPool *poolLayer
-	var prevDense *denseLayer
-	var prevFloatConv *floatConvLayer
-
-	// Activation-folding state for the most recently built weighted
-	// layer (BatchNorm must immediately follow its conv/dense).
-	var foldConv *convLayer
-	var foldDense *denseLayer
-	var foldFloatConv *floatConvLayer
-	var actFolded bool // a bias or batch-norm already folded into it
-
-	// newSpatialEdge allocates the packed buffer carrying the current
-	// spatial activation into a consumer wanting the given margins, and
-	// wires it as the previous layer's output (or the network input).
-	newSpatialEdge := func(margin int) (*bitpack.Packed, error) {
-		plan := sched.Select(curC, b.feat)
-		buf := bitpack.NewPacked(curH, curW, curC, plan.Words, margin, margin)
-		n.activationWords += int64(len(buf.Words))
-		switch {
-		case prevConv != nil:
-			prevConv.out = buf
-			prevConv = nil
-		case prevPool != nil:
-			prevPool.out = buf
-			prevPool = nil
-		case prevFloatConv != nil:
-			prevFloatConv.out = buf
-			prevFloatConv = nil
-		case prevDense != nil:
-			return nil, errors.New("graph: dense layer cannot feed a spatial operator")
-		default:
-			n.input = buf // first edge: the network input
-		}
-		return buf, nil
-	}
+	// fold is the weighted node a BatchNorm spec folds into: it must
+	// immediately follow its conv or dense. actFolded records that a
+	// bias or batch-norm already folded into it.
+	var fold *node
+	var actFolded bool
 
 	for i, sp := range b.specs {
-		last := i == lastComp
 		if sp.kind != specBatchNorm {
-			foldConv, foldDense, foldFloatConv, actFolded = nil, nil, nil, false
+			fold, actFolded = nil, false
 		}
+		if i == lastComp && sp.kind != specDense {
+			return nil, fmt.Errorf("graph: network must end in a dense classifier, not %q", sp.name)
+		}
+		nd := &node{sp: sp, h: curH, w: curW, c: curC, words: sched.Select(curC, b.feat).Words}
 		switch sp.kind {
 		case specFloatConv:
 			if i != 0 {
 				return nil, fmt.Errorf("graph: float conv %q must be the first layer", sp.name)
 			}
-			if last {
-				return nil, fmt.Errorf("graph: network must end in a dense classifier, not float conv %q", sp.name)
-			}
 			shape, err := sched.InferConv(curH, curW, curC, sp.k, sp.kh, sp.kw, sp.stride, sp.pad)
+			if err == nil {
+				nd.fconv, err = src.floatConv(sp.name, shape)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: float conv %q: %w", sp.name, err)
 			}
-			op, err := src.floatConv(sp.name, shape)
-			if err != nil {
-				return nil, fmt.Errorf("graph: float conv %q: %w", sp.name, err)
-			}
-			if bias, err := src.convBias(sp.name, sp.k); err != nil {
-				return nil, fmt.Errorf("graph: bias for float conv %q: %w", sp.name, err)
-			} else if bias != nil {
-				if len(bias) != sp.k {
-					return nil, fmt.Errorf("graph: float conv %q bias has %d entries, want %d", sp.name, len(bias), sp.k)
-				}
-				if err := op.SetAffine(core.NewAffineFromBias(bias)); err != nil {
-					return nil, fmt.Errorf("graph: float conv %q: %w", sp.name, err)
-				}
-				actFolded = true
-			}
-			n.inputFloat = tensor.New(curH, curW, curC)
-			l := &floatConvLayer{lname: sp.name, op: op, in: n.inputFloat}
-			n.layers = append(n.layers, l)
-			prevFloatConv = l
-			foldFloatConv = l
 			curH, curW, curC = shape.OutH, shape.OutW, shape.OutC
 
 		case specConv:
 			if flat {
 				return nil, fmt.Errorf("graph: conv %q after flatten", sp.name)
 			}
-			if last {
-				return nil, fmt.Errorf("graph: network must end in a dense classifier, not conv %q", sp.name)
-			}
 			shape, err := sched.InferConv(curH, curW, curC, sp.k, sp.kh, sp.kw, sp.stride, sp.pad)
+			if err == nil {
+				nd.conv, err = src.conv(sp.name, shape, sched.Select(curC, b.feat))
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: conv %q: %w", sp.name, err)
 			}
-			in, err := newSpatialEdge(sp.pad)
-			if err != nil {
-				return nil, err
-			}
-			op, err := src.conv(sp.name, shape, sched.Select(curC, b.feat))
-			if err != nil {
-				return nil, fmt.Errorf("graph: conv %q: %w", sp.name, err)
-			}
-			if b.noPress {
-				op = op.Uncompressed()
-			}
-			if bias, err := src.convBias(sp.name, sp.k); err != nil {
-				return nil, fmt.Errorf("graph: bias for conv %q: %w", sp.name, err)
-			} else if bias != nil {
-				if len(bias) != sp.k {
-					return nil, fmt.Errorf("graph: conv %q bias has %d entries, want %d", sp.name, len(bias), sp.k)
-				}
-				if err := op.SetThresholds(core.FoldBias(bias)); err != nil {
-					return nil, fmt.Errorf("graph: conv %q: %w", sp.name, err)
-				}
-				actFolded = true
-			}
-			l := &convLayer{lname: sp.name, op: op, in: in}
-			n.layers = append(n.layers, l)
-			prevConv = l
-			foldConv = l
 			curH, curW, curC = shape.OutH, shape.OutW, shape.OutC
 
 		case specPool:
 			if flat {
 				return nil, fmt.Errorf("graph: pool %q after flatten", sp.name)
 			}
-			if last {
-				return nil, fmt.Errorf("graph: network must end in a dense classifier, not pool %q", sp.name)
-			}
 			shape, err := sched.InferPool(curH, curW, curC, sp.kh, sp.kw, sp.stride)
+			if err == nil {
+				nd.pool, err = core.NewPool(shape, nd.words)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: pool %q: %w", sp.name, err)
 			}
-			in, err := newSpatialEdge(0)
-			if err != nil {
-				return nil, err
-			}
-			op, err := core.NewPool(shape, in.WPP)
-			if err != nil {
-				return nil, fmt.Errorf("graph: pool %q: %w", sp.name, err)
-			}
-			l := &poolLayer{lname: sp.name, op: op, in: in}
-			n.layers = append(n.layers, l)
-			prevPool = l
 			curH, curW, curC = shape.OutH, shape.OutW, shape.OutC
 
 		case specFlatten:
 			if flat {
 				return nil, errors.New("graph: duplicate flatten")
 			}
-			// Mode switch only; the buffer aliasing happens when the
-			// consuming dense allocates its input edge.
+			// Mode switch only: the dense that follows reads the plane
+			// flat.
 			flat = true
-			curN = curH * curW * curC
+			continue
 
 		case specDense:
-			if !flat {
-				flat = true
-				curN = curH * curW * curC
-			}
-			shape, err := sched.InferFC(curN, sp.units)
-			if err != nil {
-				return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
-			}
-			plan := sched.Select(curN, b.feat)
-			var in []uint64
-			switch {
-			case prevConv != nil || prevPool != nil || prevFloatConv != nil || (prevDense == nil && len(n.layers) == 0):
+			flat = true
+			if len(n.nodes) > 0 && n.nodes[len(n.nodes)-1].dense != nil {
+				// A hidden dense feeds its packed sign bits straight in.
+				nd.h, nd.w, nd.c, nd.words = 1, 1, curN, sched.Select(curN, b.feat).Words
+			} else {
 				// Flattening a spatial producer (or the network input):
-				// the packed words of a margin-free buffer are exactly
+				// the packed words of a margin-free plane are exactly
 				// the flattened bit vector when C divides the word size.
 				// Multi-pixel flatten needs every pixel's lanes to abut
 				// exactly; a single pixel is trivially contiguous.
+				// A plane this large is past lay's bound anyway;
+				// refusing it here keeps N from overflowing.
+				if curH > 8*maxModelBytes/curW/curC {
+					return nil, fmt.Errorf("graph: dense %q flattens a %dx%dx%d plane over %d bytes", sp.name, curH, curW, curC, int64(maxModelBytes))
+				}
 				if curC%bitpack.WordBits != 0 && curH*curW != 1 {
 					return nil, fmt.Errorf("graph: flatten requires channel count %d to be a multiple of %d", curC, bitpack.WordBits)
 				}
-				buf, err := newSpatialEdge(0)
-				if err != nil {
-					return nil, err
-				}
-				if len(buf.Words) != plan.Words {
-					return nil, fmt.Errorf("graph: dense %q: flattened buffer %d words, plan wants %d", sp.name, len(buf.Words), plan.Words)
-				}
-				in = buf.Words
-			case prevDense != nil:
-				in = make([]uint64, plan.Words)
-				n.activationWords += int64(plan.Words)
-				prevDense.out.Bits = in
-				prevDense = nil
-			default:
-				return nil, fmt.Errorf("graph: dense %q has no producer", sp.name)
+				curN = curH * curW * curC
 			}
-			op, err := src.dense(sp.name, shape, plan)
+			shape, err := sched.InferFC(curN, sp.units)
+			if err == nil {
+				nd.dense, err = src.dense(sp.name, shape, sched.Select(curN, b.feat))
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
 			}
-			if bias, err := src.denseBias(sp.name, sp.units); err != nil {
-				return nil, fmt.Errorf("graph: bias for dense %q: %w", sp.name, err)
-			} else if bias != nil {
-				if len(bias) != sp.units {
-					return nil, fmt.Errorf("graph: dense %q bias has %d entries, want %d", sp.name, len(bias), sp.units)
-				}
-				if err := op.SetThresholds(core.FoldBias(bias)); err != nil {
-					return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
-				}
-				if err := op.SetAffine(core.NewAffineFromBias(bias)); err != nil {
-					return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)
-				}
-				actFolded = true
-			}
-			l := &denseLayer{lname: sp.name, op: op, in: in, out: core.DenseOut{Acc: op.NewScratch()}}
-			n.layers = append(n.layers, l)
-			if last {
-				l.out.Logits = make([]float32, sp.units)
-				n.output = l.out.Logits
+			if i == lastComp {
 				n.Classes = sp.units
-			} else {
-				prevDense = l
 			}
-			foldDense = l
 			curN = sp.units
 
 		case specBatchNorm:
-			var channels int
+			channels := curC
 			switch {
-			case foldConv != nil, foldFloatConv != nil:
-				channels = curC
-			case foldDense != nil:
-				channels = curN
-			default:
+			case fold == nil:
 				return nil, fmt.Errorf("graph: batch-norm %q does not directly follow a conv or dense layer", sp.name)
-			}
-			if actFolded {
+			case actFolded:
 				return nil, fmt.Errorf("graph: batch-norm %q: layer already has a folded bias or batch-norm", sp.name)
+			case fold.dense != nil:
+				channels = curN
 			}
-			params, err := src.batchNorm(sp.name, channels)
+			actFolded = true
+			p, err := src.batchNorm(sp.name, channels)
 			if err != nil {
 				return nil, err
 			}
-			if params == nil {
+			if p == nil {
 				// Packed-model load path: the stored thresholds already
 				// include this fold.
-				actFolded = true
-				break
+				continue
 			}
-			eps := params.Eps
+			eps := p.Eps
 			if eps == 0 {
 				eps = 1e-5
 			}
-			th, err := core.FoldBatchNorm(params.Gamma, params.Beta, params.Mean, params.Variance, eps)
+			th, err := core.FoldBatchNorm(p.Gamma, p.Beta, p.Mean, p.Variance, eps)
+			var aff *core.Affine
+			if err == nil {
+				aff, err = core.NewAffineFromBatchNorm(p.Gamma, p.Beta, p.Mean, p.Variance, eps)
+			}
+			if err == nil {
+				err = fold.activate(th, aff)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
 			}
-			switch {
-			case foldConv != nil:
-				if err := foldConv.op.SetThresholds(th); err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-			case foldFloatConv != nil:
-				aff, err := core.NewAffineFromBatchNorm(params.Gamma, params.Beta, params.Mean, params.Variance, eps)
-				if err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-				if err := foldFloatConv.op.SetAffine(aff); err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-			case foldDense != nil:
-				if err := foldDense.op.SetThresholds(th); err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-				aff, err := core.NewAffineFromBatchNorm(params.Gamma, params.Beta, params.Mean, params.Variance, eps)
-				if err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-				if err := foldDense.op.SetAffine(aff); err != nil {
-					return nil, fmt.Errorf("graph: batch-norm %q: %w", sp.name, err)
-				}
-			}
-			actFolded = true
+			continue
 		}
+		if nd.pool == nil {
+			// A weighted node: a bias folds in now, a batch-norm next.
+			k := sp.k
+			if nd.dense != nil {
+				k = sp.units
+			}
+			bias, err := src.bias(sp.name, k, nd.dense != nil)
+			switch {
+			case err != nil:
+				return nil, fmt.Errorf("graph: bias for %q: %w", sp.name, err)
+			case bias != nil && len(bias) != k:
+				return nil, fmt.Errorf("graph: %q bias has %d entries, want %d", sp.name, len(bias), k)
+			case bias != nil:
+				if err := nd.activate(core.FoldBias(bias), core.NewAffineFromBias(bias)); err != nil {
+					return nil, fmt.Errorf("graph: %q: %w", sp.name, err)
+				}
+				actFolded = true
+			}
+			fold = nd
+		}
+		n.nodes = append(n.nodes, nd)
 	}
-	if n.output == nil {
+	if n.Classes == 0 {
 		return nil, errors.New("graph: network must end in a dense classifier")
 	}
-	n.unfused = b.noFuse
-	if !b.noFuse {
-		n.fuse()
-	}
-	n.uncompressed = b.noPress
 	return n, nil
+}
+
+// activate folds an activation into nd's operator: a conv takes the
+// thresholds, the float stem the affine, and a dense both (thresholds
+// when hidden, the affine as the classifier).
+func (nd *node) activate(th *core.Thresholds, aff *core.Affine) error {
+	switch {
+	case nd.conv != nil:
+		return nd.conv.SetThresholds(th)
+	case nd.fconv != nil:
+		return nd.fconv.SetAffine(aff)
+	}
+	if err := nd.dense.SetThresholds(th); err != nil {
+		return err
+	}
+	return nd.dense.SetAffine(aff)
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -70,7 +73,7 @@ func TestClonesRunConcurrently(t *testing.T) {
 
 func TestCloneOfLoadedNetwork(t *testing.T) {
 	// Clone must work on networks that came from Load (arch recorded by
-	// buildFrom, ops from packed weights).
+	// compile, ops from packed weights).
 	net, err := TinyVGG(feat(), RandomWeights{Seed: 54})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +108,94 @@ func TestWidthInvariance(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("width cap %v: logit %d = %v want %v", cap, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// chainPin is a network's chain accounting: ActivationBytes, Fusion, the
+// layer count and an FNV-1a digest of fmt.Sprint(Layers(),
+// Compression()).
+type chainPin struct {
+	act    int64
+	fusion FusionStats
+	layers int
+	digest uint64
+}
+
+func pinOf(n *Network) chainPin {
+	h := fnv.New64a()
+	fmt.Fprint(h, n.Layers(), n.Compression())
+	return chainPin{n.ActivationBytes(), n.Fusion(), len(n.Layers()), h.Sum64()}
+}
+
+// TestChainAccountingPinned pins the chain accounting, recorded when the
+// clones still rebuilt every network from its specs, for a build, a load
+// and their clones of the three benchmark networks: the fused plan, the
+// unfused and the uncompressed clones, and clones of those, which keep
+// their plan, each read exactly what they read then.
+func TestChainAccountingPinned(t *testing.T) {
+	cases := []struct {
+		name                             string
+		build                            func() (*Network, error)
+		fused, unfused, uncompress, both chainPin
+	}{
+		{"TinyVGG", func() (*Network, error) { return TinyVGG(feat(), RandomWeights{Seed: 7}) },
+			chainPin{22144, FusionStats{2, 1536}, 5, 0xf76fc794a3aafe87},
+			chainPin{34432, FusionStats{}, 7, 0xf4909a2481f98e9f},
+			chainPin{22144, FusionStats{2, 1536}, 5, 0xf76fc794a3aafe87},
+			chainPin{34432, FusionStats{}, 7, 0xf4909a2481f98e9f}},
+		{"DupNet", func() (*Network, error) {
+			return NewBuilder("DupNet", 32, 32, 64, feat()).
+				Conv3x3("c1", 256).Conv3x3("c2", 256).Pool("p1", 2, 2, 2).
+				Conv3x3("c3", 512).Conv3x3("c4", 512).Pool("p2", 2, 2, 2).
+				Flatten().Dense("fc", 10).
+				Build(benchDupWeights(7))
+		},
+			chainPin{81440, FusionStats{2, 6144}, 5, 0x2dfa106aa7788642},
+			chainPin{130592, FusionStats{}, 7, 0xc596786e7182a742},
+			chainPin{81440, FusionStats{2, 6144}, 5, 0x1c6fefb64737f3d8},
+			chainPin{130592, FusionStats{}, 7, 0x6187fa6bc4dea932}},
+		{"VGG16", func() (*Network, error) { return VGG16(feat(), RandomWeights{Seed: 7}) },
+			chainPin{1595552, FusionStats{5, 95648}, 16, 0x10934620f26230c4},
+			chainPin{2360736, FusionStats{}, 21, 0x198ff79366275815},
+			chainPin{1595552, FusionStats{5, 95648}, 16, 0x10934620f26230c4},
+			chainPin{2360736, FusionStats{}, 21, 0x198ff79366275815}},
+	}
+	for _, tc := range cases {
+		if tc.name == "VGG16" && testing.Short() {
+			continue
+		}
+		built, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := built.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf, feat())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			net  *Network
+			want chainPin
+		}{
+			{"build", built, tc.fused},
+			{"load", loaded, tc.fused},
+			{"clone", built.Clone(), tc.fused},
+			{"load clone", loaded.Clone(), tc.fused},
+			{"unfused", built.CloneUnfused(), tc.unfused},
+			{"load unfused", loaded.CloneUnfused(), tc.unfused},
+			{"uncompressed", built.CloneUncompressed(), tc.uncompress},
+			{"uncompressed clone", built.CloneUncompressed().Clone(), tc.uncompress},
+			{"unfused uncompressed", built.CloneUnfused().CloneUncompressed(), tc.both},
+			{"uncompressed unfused", loaded.CloneUncompressed().CloneUnfused(), tc.both},
+		} {
+			if got := pinOf(c.net); got != c.want {
+				t.Errorf("%s %s: %+v, want %+v", tc.name, c.name, got, c.want)
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func FuzzLoadArbitraryBytes(f *testing.F) {
 		return buf.Bytes()
 	}()
 	// A second artifact whose topology contains a fusable conv→pool pair,
-	// so the corpus exercises the loader's fusion planning pass too.
+	// so the corpus exercises fusion in the loaded chain too.
 	validFused := func() []byte {
 		b, _, _, _ := fuzzTopology(1, []byte{2, 2, 0, 0, 1, 2, 3})
 		net, err := b.Build(RandomWeights{Seed: 2})
@@ -107,6 +107,7 @@ func FuzzLoadArbitraryBytes(f *testing.F) {
 	header := append([]byte(nil), valid[:64]...)
 	f.Add(header)
 	f.Add(hostileNameLen) // a name length far past the end of the file
+	f.Add(hostilePlanes)  // huge planes declared, the first blob cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, info, err := LoadWithInfo(bytes.NewReader(data), feat())
 		if err != nil {
@@ -131,7 +132,9 @@ func FuzzLoadArbitraryBytes(f *testing.F) {
 // FuzzSerializeRoundTrip pins the serialization contract: for an
 // arbitrary small topology, save→load→Infer must be bit-identical to the
 // original network's logits — including when the model is loaded under a
-// narrower kernel tier than it was built with. The seed corpus runs as
+// narrower kernel tier than it was built with — and so must every clone
+// of the loaded network, whose chains read what the original's does
+// (the unfused one plus the planes fusion saves). The seed corpus runs as
 // part of every plain `go test ./internal/graph`.
 func FuzzSerializeRoundTrip(f *testing.F) {
 	f.Add(uint64(1), []byte{0})
@@ -174,14 +177,27 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 			if len(loaded.Layers()) != len(net.Layers()) {
 				t.Fatalf("%s: loaded %d layers, saved %d", name, len(loaded.Layers()), len(net.Layers()))
 			}
-			got := loaded.Infer(x)
-			if len(got) != len(want) {
-				t.Fatalf("%s: loaded net emits %d logits, original %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: logit %d: loaded %v, original %v (seed=%d shape=%v)",
-						name, i, got[i], want[i], seed, shape)
+			// Every clone lays a fresh chain over the loaded nodes; the
+			// unfused one also holds the planes fusion saves.
+			for clone, n := range map[string]*Network{
+				"loaded": loaded, "clone": loaded.Clone(), "unfused": loaded.CloneUnfused(), "uncompressed": loaded.CloneUncompressed(),
+			} {
+				chain := net.ActivationBytes()
+				if clone == "unfused" {
+					chain += 8 * net.Fusion().EliminatedWords
+				}
+				if n.ActivationBytes() != chain {
+					t.Fatalf("%s %s: chain %d bytes, want %d", name, clone, n.ActivationBytes(), chain)
+				}
+				got := n.Infer(x)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s: emits %d logits, original %d", name, clone, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s %s: logit %d: %v, original %v (seed=%d shape=%v)",
+							name, clone, i, got[i], want[i], seed, shape)
+					}
 				}
 			}
 		}

@@ -13,8 +13,9 @@ import (
 	"bitflow/internal/tensor"
 )
 
-// layer is one executable node of the static graph. Buffers are wired at
-// build time; forward only computes.
+// layer is one executable step of a network: a compiled node, or a
+// fused conv+pool pair. Its buffers are wired when the chain is laid
+// (clone.go); forward only computes.
 type layer interface {
 	name() string
 	kind() string
@@ -46,6 +47,13 @@ type Network struct {
 	ec  *exec.Ctx
 	req exec.Ctx
 
+	// nodes is the compiled graph (builder.go), shared read-only by
+	// every network laid over it: clones and batch lanes. plan is how
+	// this network's chain is laid over it (clone.go).
+	nodes []*node
+	plan  plan
+
+	// layers is the chain over the nodes, in execution order.
 	layers []layer
 	input  *bitpack.Packed
 	// inputFloat replaces input when the first layer is a FloatConv
@@ -57,16 +65,6 @@ type Network struct {
 	arch []spec
 
 	activationWords int64 // pre-allocated packed activation words
-
-	// fusion records what the conv→pool fusion planning pass collapsed
-	// (see fuse.go); unfused marks a network built with the planner
-	// disabled (CloneUnfused), so clones inherit the same data-flow plan.
-	fusion  FusionStats
-	unfused bool
-
-	// uncompressed marks a network built over unfolded convs
-	// (CloneUncompressed); see press.go.
-	uncompressed bool
 
 	// lanes is the batched-inference buffer pool (see inferbatch.go):
 	// lane 0 is the network itself, the rest are clones sharing the
@@ -227,20 +225,18 @@ type LayerTiming struct {
 }
 
 // InferTimed runs one forward pass and reports per-layer wall-clock times
-// (the input binarize+pack is reported as layer "input").
+// (the input binarize+pack is reported as layer "input"). Like Infer, it
+// panics on a shape mismatch.
 func (n *Network) InferTimed(x *tensor.Tensor) ([]float32, []LayerTiming) {
-	ec := n.ec
 	timings := make([]LayerTiming, 0, len(n.layers)+1)
-	t0 := time.Now()
-	n.feedInput(x)
-	timings = append(timings, LayerTiming{Name: "input", Kind: "pack", Duration: time.Since(t0)})
-	for _, l := range n.layers {
-		t0 = time.Now()
-		l.forward(ec)
-		timings = append(timings, LayerTiming{
-			Name: l.name(), Kind: l.kind(), Duration: time.Since(t0),
-			Units: l.parallelUnits(),
-		})
+	ec := n.ec.WithObserver(func(name, kind string, d time.Duration) {
+		timings = append(timings, LayerTiming{Name: name, Kind: kind, Duration: d})
+	})
+	if err := n.pass(ec, x); err != nil {
+		panic(err.Error())
+	}
+	for i, l := range n.layers {
+		timings[i+1].Units = l.parallelUnits()
 	}
 	return n.logits(), timings
 }
@@ -296,15 +292,15 @@ func (n *Network) ActivationBytes() int64 { return n.activationWords * 8 }
 // ---------------------------------------------------------------------
 // Concrete layers.
 
-// convLayer runs one conv, or — once fuse() has given it the following
-// max-pool — the conv and that pool as one node writing the pool's
-// output edge.
+// convLayer runs one conv, or — where lay has given it the following
+// max-pool (fuse.go) — the conv and that pool as one node writing the
+// pool's output plane.
 type convLayer struct {
 	lname   string
 	op      *core.Conv
 	in, out *bitpack.Packed
 
-	// pool is set by fuse(), which also builds joined, the fused node's
+	// pool is set by lay, which also builds joined, the fused node's
 	// "conv+pool" name, once; nil pool is a plain conv.
 	pool   *core.Pool
 	joined string

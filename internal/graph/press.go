@@ -1,23 +1,22 @@
 package graph
 
-import "fmt"
-
 // Kernel compression (Silfa & Arnau, "Exploiting Kernel Compression on
 // BNNs") is one filter fold: a conv whose K packed filters hold only F
 // distinct ones, with K/F ≥ kernels.CompressMinRatio, sweeps the F and
 // copies their counts out (see core.NewConvPacked). The fold is held by
 // the operator and is a step of its ordinary forward, so this file has
-// no pass to run: a network is compressed wherever its convs fold, and
-// an uncompressed network (CloneUncompressed) is one built over unfolded
-// shallow copies of the convs — sharing the packed words — which is what
-// the differential harness compares against. Dense layers always sweep.
+// no pass to run: a network is compressed wherever its compiled convs
+// fold, and an uncompressed network (CloneUncompressed) is a chain laid
+// over unfolded shallow copies of them — sharing the packed words —
+// which is what the differential harness compares against. Dense layers
+// always sweep.
 //
-// Like fusion, the fold is pure runtime planning: it happens at build
-// *and* load time off the packed weights, the serialized format carries
-// no plan metadata, and save→load keeps artifacts byte-identical. The
-// folded sweep's counts are the same integers as the full sweep's and
-// finish through the same epilogue, so logits are bit-identical either
-// way.
+// Like fusion, the fold is pure runtime planning: it happens at compile
+// time, for a build *and* a load, off the packed weights, the serialized
+// format carries no plan metadata, and save→load keeps artifacts
+// byte-identical. The folded sweep's counts are the same integers as the
+// full sweep's and finish through the same epilogue, so logits are
+// bit-identical either way.
 
 // LayerCompression reports one layer's filter duplication and whether
 // this network's forward runs it folded.
@@ -34,8 +33,8 @@ type LayerCompression struct {
 	TotalWords, DistinctWords int
 	// Ratio is K/F (1 for a dense layer); Selected reports whether the
 	// layer's operator folds, i.e. its forward sweeps only the distinct
-	// filters (ratio ≥ kernels.CompressMinRatio and planning was not
-	// disabled). Dense layers always report false.
+	// filters (ratio ≥ kernels.CompressMinRatio, outside
+	// CloneUncompressed). Dense layers always report false.
 	Ratio    float64
 	Selected bool
 }
@@ -44,22 +43,24 @@ type LayerCompression struct {
 // weighted binary layer (the mixed-precision float stem has no packed
 // bank and is omitted).
 func (n *Network) Compression() []LayerCompression {
-	out := make([]LayerCompression, 0, len(n.layers))
-	for _, l := range n.layers {
+	out := make([]LayerCompression, 0, len(n.nodes))
+	for i, nd := range n.nodes {
 		var lc LayerCompression
-		switch t := l.(type) {
-		case *convLayer:
-			K, F := t.op.Shape.K, t.op.DistinctFilters()
-			S := len(t.op.Filter().Words) / K
-			lc = LayerCompression{Channels: K, Positions: S, TotalWords: K * S, DistinctWords: F * S,
-				Ratio: float64(K) / float64(F), Selected: t.op.Folded()}
-		case *denseLayer:
-			K, S := t.op.Shape.K, t.op.Plan.Words
-			lc = LayerCompression{Channels: K, Positions: S, TotalWords: K * S, DistinctWords: K * S, Ratio: 1}
+		switch {
+		case nd.conv != nil:
+			K, F := nd.conv.Shape.K, nd.conv.DistinctFilters()
+			S := len(nd.conv.Filter().Words) / K
+			lc = LayerCompression{Layer: nd.sp.name, Kind: "conv", Channels: K, Positions: S, TotalWords: K * S, DistinctWords: F * S,
+				Ratio: float64(K) / float64(F), Selected: nd.conv.Folded() && !n.plan.uncompressed}
+			if n.fused(i) {
+				lc.Layer, lc.Kind = nd.sp.name+"+"+n.nodes[i+1].sp.name, "conv+pool"
+			}
+		case nd.dense != nil:
+			K, S := nd.dense.Shape.K, nd.dense.Plan.Words
+			lc = LayerCompression{Layer: nd.sp.name, Kind: "fc", Channels: K, Positions: S, TotalWords: K * S, DistinctWords: K * S, Ratio: 1}
 		default:
 			continue
 		}
-		lc.Layer, lc.Kind = l.name(), l.kind()
 		out = append(out, lc)
 	}
 	return out
@@ -77,18 +78,11 @@ func (n *Network) CompressedLayers() int {
 	return c
 }
 
-// CloneUncompressed is Clone with compression planning disabled: an
-// independent buffer chain over unfolded copies of the operators — the
-// *same* packed words — sweeping all filters everywhere. It inherits the
-// fusion plan, so a fused network compares fused-compressed against
+// CloneUncompressed is Clone with compression off: an independent
+// buffer chain over unfolded copies of the operators — the *same*
+// packed words — sweeping all filters everywhere. It keeps the fusion
+// plan, so a fused network compares fused-compressed against
 // fused-uncompressed — one variable at a time.
 func (n *Network) CloneUncompressed() *Network {
-	b := &Builder{name: n.Name, feat: n.Feat, inH: n.InH, inW: n.InW, inC: n.InC,
-		specs: n.arch, noFuse: n.unfused, noPress: true}
-	clone, err := b.buildFrom(&reuseSource{layers: n.layers})
-	if err != nil {
-		panic(fmt.Sprintf("graph: CloneUncompressed of a compiled network failed: %v", err))
-	}
-	clone.ec = n.ec
-	return clone
+	return n.with(plan{unfused: n.plan.unfused, uncompressed: true})
 }

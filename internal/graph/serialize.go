@@ -195,31 +195,31 @@ func (n *Network) Save(w io.Writer) (int64, error) {
 			e.u32(uint32(v))
 		}
 	}
-	// Weight blobs, in layer order (weighted layers only). Binary layers
+	// Weight blobs, in node order (weighted nodes only). Binary layers
 	// store packed words; the mixed-precision float conv stores float32s.
-	// A fused conv+pool node writes its conv's records: the pool is
-	// weightless, so the artifact is byte-identical fused or not.
-	for _, l := range n.layers {
-		switch v := l.(type) {
-		case *convLayer:
-			e.blob(v.op.Filter().Words)
-		case *denseLayer:
-			e.blob(v.op.Weights().Words)
-		case *floatConvLayer:
-			data := v.op.Filter().Data
+	// Pools are weightless, so the artifact is byte-identical however
+	// the chain fuses them.
+	for _, nd := range n.nodes {
+		switch {
+		case nd.conv != nil:
+			e.blob(nd.conv.Filter().Words)
+		case nd.dense != nil:
+			e.blob(nd.dense.Weights().Words)
+		case nd.fconv != nil:
+			data := nd.fconv.Filter().Data
 			e.u64(uint64(len(data)))
 			e.f32s(data)
 		}
 	}
-	// Activation records, in the same layer order.
-	for _, l := range n.layers {
-		switch v := l.(type) {
-		case *convLayer:
-			e.activation(v.op.Activation(), nil)
-		case *denseLayer:
-			e.activation(v.op.Activation(), v.op.OutAffine())
-		case *floatConvLayer:
-			e.activation(nil, v.op.OutAffine())
+	// Activation records, in the same order.
+	for _, nd := range n.nodes {
+		switch {
+		case nd.conv != nil:
+			e.activation(nd.conv.Activation(), nil)
+		case nd.dense != nil:
+			e.activation(nd.dense.Activation(), nd.dense.OutAffine())
+		case nd.fconv != nil:
+			e.activation(nil, nd.fconv.OutAffine())
 		}
 	}
 	// Once the payload is flushed, hw.crc is its checksum; the footer
@@ -334,7 +334,7 @@ func (d *decoder) count(want, size int) bool {
 }
 
 // The decoder is the opSource the loaded network compiles against: each
-// weighted layer's blob is decoded straight into the slice the operator
+// weighted node's blob is decoded straight into the slice the operator
 // keeps.
 
 func (d *decoder) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
@@ -371,28 +371,27 @@ func (d *decoder) floatConv(name string, shape sched.ConvShape) (*core.FloatConv
 	return core.NewFloatConv(shape, tensor.FilterFromSlice(shape.K, shape.KH, shape.KW, shape.InC, data))
 }
 
-func (d *decoder) convBias(name string, k int) ([]float32, error)  { return nil, nil }
-func (d *decoder) denseBias(name string, k int) ([]float32, error) { return nil, nil }
+func (d *decoder) bias(name string, k int, dense bool) ([]float32, error) { return nil, nil }
 
 // batchNorm reports "already baked": stored thresholds include every
 // fold that was applied at original build time.
 func (d *decoder) batchNorm(name string, channels int) (*BNParams, error) { return nil, nil }
 
-// activations restores the per-layer activation records onto the
-// freshly compiled network.
+// activations restores the activation records onto the freshly
+// compiled nodes.
 func (d *decoder) activations(n *Network) error {
-	for _, l := range n.layers {
+	for _, nd := range n.nodes {
 		var err error
-		switch v := l.(type) {
-		case *convLayer:
-			err = d.activation(v.op.Shape.K, v.op.SetThresholds, nil)
-		case *denseLayer:
-			err = d.activation(v.op.Shape.K, v.op.SetThresholds, v.op.SetAffine)
-		case *floatConvLayer:
-			err = d.activation(v.op.Shape.K, nil, v.op.SetAffine)
+		switch {
+		case nd.conv != nil:
+			err = d.activation(nd.conv.Shape.K, nd.conv.SetThresholds, nil)
+		case nd.dense != nil:
+			err = d.activation(nd.dense.Shape.K, nd.dense.SetThresholds, nd.dense.SetAffine)
+		case nd.fconv != nil:
+			err = d.activation(nd.fconv.Shape.K, nil, nd.fconv.SetAffine)
 		}
 		if err != nil {
-			return fmt.Errorf("graph: activation record for %s: %w", l.name(), err)
+			return fmt.Errorf("graph: activation record for %s: %w", nd.sp.name, err)
 		}
 	}
 	return nil
@@ -468,6 +467,11 @@ func LoadWithInfo(r io.Reader, feat sched.Features) (*Network, *LoadInfo, error)
 	case d.n > decoded:
 		return nil, nil, &FormatError{Err: fmt.Errorf("%d trailing bytes after model payload", d.n-decoded)}
 	}
+	// Only a model that decoded whole and passed its footer gets its
+	// activation buffers.
+	if err := n.lay(); err != nil {
+		return nil, nil, &FormatError{Err: err}
+	}
 	return n, info, nil
 }
 
@@ -491,7 +495,8 @@ const (
 )
 
 // model decodes one payload: the header and the specs, then the weights
-// and activation records of the network they compile to.
+// and activation records of the nodes they compile to. It lays no
+// chain.
 func (d *decoder) model(feat sched.Features) (*Network, error) {
 	if b := d.take(4); d.err == nil && [4]byte(b) != modelMagic {
 		return nil, fmt.Errorf("graph: bad magic %q, not a BitFlow model", b)
@@ -531,7 +536,7 @@ func (d *decoder) model(feat sched.Features) (*Network, error) {
 		b.specs = append(b.specs, spec{kind: kind, name: sname, k: int(p[0]), kh: int(p[1]), kw: int(p[2]),
 			stride: int(p[3]), pad: int(p[4]), units: int(p[5])})
 	}
-	n, err := b.buildFrom(d)
+	n, err := b.compile(d)
 	if err != nil {
 		return nil, err
 	}

@@ -461,6 +461,77 @@ func TestLoadRefusesOversizedStream(t *testing.T) {
 	}
 }
 
+// hostilePlanes is a 123-byte file: a 2048×2048×256 input, conv, pool
+// and dense specs, and the first blob cut inside its count. A loader
+// that laid the chain while it compiled allocated 128 MiB of input plane
+// on it before failing.
+var hostilePlanes = []byte{
+	0x42, 0x46, 0x4c, 0x57, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+	0x03, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x63, 0x40, 0x00,
+	0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01,
+	0x00, 0x00, 0x00, 0x70, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+	0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x01,
+	0x00, 0x00, 0x00,
+}
+
+// TestTruncatedModelAllocatesNoPlanes: Load lays the activation chain
+// only after the whole model has decoded and passed its footer, so a
+// header declaring huge planes costs nothing when its weights are
+// missing.
+func TestTruncatedModelAllocatesNoPlanes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := LoadWithInfo(bytes.NewReader(hostilePlanes), feat())
+	runtime.ReadMemStats(&after)
+	var fe *FormatError
+	if !errors.As(err, &fe) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want a *FormatError wrapping io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("LoadWithInfo allocated %d bytes on a %d-byte file, want < 1 MiB", d, len(hostilePlanes))
+	}
+}
+
+// TestChainOverBoundIsRefused: a complete, well-formed model whose
+// chain is just over maxModelBytes — an 8192×8192×256 input under a
+// 1×1 conv of stride 1024 and pad 1, 2,148,532,352 bytes of input plane
+// — is a *FormatError from Load and an error from Build, with nothing
+// allocated for the chain. Run it only where the bound is checked:
+// without the check it allocates over 2 GiB.
+func TestChainOverBoundIsRefused(t *testing.T) {
+	b := NewBuilder("over", 8192, 8192, 256, feat()).Conv("c", 64, 1, 1, 1024, 1).Dense("d", 10)
+	if _, err := b.Build(RandomWeights{Seed: 1}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Build: got %v, want the chain refused", err)
+	}
+	n, err := b.compile(floatSource{RandomWeights{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := savedBytes(t, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = LoadWithInfo(bytes.NewReader(data), feat())
+	runtime.ReadMemStats(&after)
+	var fe *FormatError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Load: got %v, want a *FormatError for the chain", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("LoadWithInfo allocated %d bytes on a %d-byte file, want < 1 MiB", d, len(data))
+	}
+	// A dense flattening a plane past the bound is refused as it
+	// compiles, before its weights are asked for.
+	wide := NewBuilder("wide", 8192, 8192, 512, feat()).Dense("d", 10)
+	if _, err := wide.Build(RandomWeights{Seed: 1}); err == nil || !strings.Contains(err.Error(), "flattens") {
+		t.Errorf("Build of a dense over 8192x8192x512: got %v, want it refused", err)
+	}
+}
+
 // shortWriter accepts cap bytes, then fails every write.
 type shortWriter struct{ cap int }
 
