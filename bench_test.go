@@ -56,20 +56,19 @@ func convFor(b *testing.B, name string) *convBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := sched.Select(cfg.C, detect())
+	tier := detect().MaxWidth
 	cb := &convBench{
 		cfg:  cfg,
 		in:   workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C),
 		filt: workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C),
 	}
-	cb.conv, err = core.NewConv(shape, plan, cb.filt)
+	cb.conv, err = core.NewConv(shape, tier, cb.filt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cb.packed = cb.conv.NewInput()
 	bitpack.PackTensorInto(cb.in, cb.packed)
-	outPlan := sched.Select(cfg.K, detect())
-	cb.pOut = bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, outPlan.Words, 0, 0)
+	cb.pOut = bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 	cb.im2col = baseline.NewBinaryIm2colConv(cb.filt, cfg.Stride, cfg.Pad)
 	convCache.Store(name, cb)
 	return cb
@@ -141,13 +140,13 @@ func denseFor(b *testing.B, name string) *denseBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := sched.Select(cfg.N, detect())
+	tier := detect().MaxWidth
 	db := &denseBench{cfg: cfg, w: workload.PM1Matrix(r, cfg.N, cfg.K)}
 	db.inVals = make([]float32, cfg.N)
 	for i := range db.inVals {
 		db.inVals[i] = r.PM1()
 	}
-	db.d, err = core.NewDense(shape, plan, db.w)
+	db.d, err = core.NewDense(shape, tier, db.w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,14 +220,14 @@ func poolFor(b *testing.B, name string) *poolBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := sched.Select(cfg.C, detect())
+	words := bitpack.WordsFor(cfg.C)
 	pb := &poolBench{cfg: cfg, in: workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C)}
-	pb.pool, err = core.NewPool(shape, plan.Words)
+	pb.pool, err = core.NewPool(shape, words)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb.packed = bitpack.PackTensor(pb.in, plan.Words, 0, 0)
-	pb.pOut = bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, plan.Words, 0, 0)
+	pb.packed = bitpack.PackTensor(pb.in, words, 0, 0)
+	pb.pOut = bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, words, 0, 0)
 	poolCache.Store(name, pb)
 	return pb
 }
@@ -325,21 +324,19 @@ func BenchmarkFig11VGG19(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablations: the design choices DESIGN.md calls out.
 
-// Ablation 1 — kernel width ladder: the same conv5.1-shaped operator
+// Ablation 1 — kernel tiers: the same conv5.1-shaped operator
 // forced onto each tier (what Fig. 7's vector gain isolates).
 func benchConvWidth(b *testing.B, cap kernels.Width) {
 	cfg, _ := workload.FindOp("conv5.1")
 	r := workload.NewRNG(benchSeed)
 	shape, _ := sched.InferConv(cfg.H, cfg.W, cfg.C, cfg.K, cfg.KH, cfg.KW, cfg.Stride, cfg.Pad)
-	feat := detect().WithMaxWidth(cap)
-	plan := sched.Select(cfg.C, feat)
-	cv, err := core.NewConv(shape, plan, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
+	cv, err := core.NewConv(shape, cap, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
 	if err != nil {
 		b.Fatal(err)
 	}
 	in := cv.NewInput()
 	bitpack.PackTensorInto(workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C), in)
-	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, plan.Words, 0, 0)
+	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cv.ForwardPacked(in, nil, out, exec.Serial())
@@ -347,7 +344,6 @@ func benchConvWidth(b *testing.B, cap kernels.Width) {
 }
 
 func BenchmarkAblationWidth64(b *testing.B)  { benchConvWidth(b, kernels.W64) }
-func BenchmarkAblationWidth128(b *testing.B) { benchConvWidth(b, kernels.W128) }
 func BenchmarkAblationWidth256(b *testing.B) { benchConvWidth(b, kernels.W256) }
 func BenchmarkAblationWidth512(b *testing.B) { benchConvWidth(b, kernels.W512) }
 
@@ -404,11 +400,11 @@ func BenchmarkAblationZeroCostPad(b *testing.B) {
 	cfg, _ := workload.FindOp("conv3.1")
 	r := workload.NewRNG(benchSeed)
 	shape, _ := sched.InferConv(cfg.H, cfg.W, cfg.C, cfg.K, cfg.KH, cfg.KW, cfg.Stride, cfg.Pad)
-	plan := sched.Select(cfg.C, detect())
-	cv, _ := core.NewConv(shape, plan, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
+	tier := detect().MaxWidth
+	cv, _ := core.NewConv(shape, tier, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
 	in := workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C)
 	packed := cv.NewInput()
-	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, detect()).Words, 0, 0)
+	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Producer writes the interior (simulated by the pack), conv
@@ -424,11 +420,11 @@ func BenchmarkAblationCopyPad(b *testing.B) {
 	// Conventional first-convolution-then-padding: materialize a padded
 	// float tensor, then pack it, then run an unpadded conv.
 	shape, _ := sched.InferConv(cfg.H+2, cfg.W+2, cfg.C, cfg.K, cfg.KH, cfg.KW, cfg.Stride, 0)
-	plan := sched.Select(cfg.C, detect())
-	cv, _ := core.NewConv(shape, plan, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
+	tier := detect().MaxWidth
+	cv, _ := core.NewConv(shape, tier, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
 	in := workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C)
 	packed := cv.NewInput()
-	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, detect()).Words, 0, 0)
+	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		padded := in.PadSpatial(1, -1) // the copy the margins avoid
@@ -485,8 +481,8 @@ func benchConvThresholds(b *testing.B, withBN bool) {
 	cfg, _ := workload.FindOp("conv4.1")
 	r := workload.NewRNG(benchSeed)
 	shape, _ := sched.InferConv(cfg.H, cfg.W, cfg.C, cfg.K, cfg.KH, cfg.KW, cfg.Stride, cfg.Pad)
-	plan := sched.Select(cfg.C, detect())
-	cv, err := core.NewConv(shape, plan, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
+	tier := detect().MaxWidth
+	cv, err := core.NewConv(shape, tier, workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -510,7 +506,7 @@ func benchConvThresholds(b *testing.B, withBN bool) {
 	}
 	in := cv.NewInput()
 	bitpack.PackTensorInto(workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C), in)
-	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, sched.Select(cfg.K, detect()).Words, 0, 0)
+	out := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cv.ForwardPacked(in, nil, out, exec.Serial())
@@ -526,8 +522,8 @@ func BenchmarkAblationFoldedThreshold(b *testing.B) { benchConvThresholds(b, tru
 func BenchmarkAblationFirstLayerBinary(b *testing.B) {
 	r := workload.NewRNG(benchSeed)
 	shape, _ := sched.InferConv(56, 56, 3, 64, 3, 3, 1, 1)
-	plan := sched.Select(3, detect())
-	cv, err := core.NewConv(shape, plan, workload.PM1Filter(r, 64, 3, 3, 3))
+	tier := detect().MaxWidth
+	cv, err := core.NewConv(shape, tier, workload.PM1Filter(r, 64, 3, 3, 3))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,29 +67,21 @@ func NewFilter(k, kh, kw, c int) *Filter { return tensor.NewFilter(k, kh, kw, c)
 // Features describes the vector capabilities the scheduler may use.
 type Features = sched.Features
 
-// Width identifies a kernel tier (64/128/256/512-bit).
+// Width identifies a kernel tier (64/256/512-bit).
 type Width = kernels.Width
 
 // Kernel tiers, widest to narrowest.
 const (
 	W512 = kernels.W512
 	W256 = kernels.W256
-	W128 = kernels.W128
 	W64  = kernels.W64
 )
 
 // Detect probes the current platform's vector capabilities. Set the
-// BITFLOW_MAX_WIDTH environment variable (64/128/256/512) to cap the
-// widest tier, e.g. to emulate an SSE-only machine.
+// BITFLOW_MAX_WIDTH environment variable (64/256/512) to cap the widest
+// tier, e.g. to emulate an AVX2-only machine. Every conv and dense layer
+// runs at Features.MaxWidth.Tier(), whatever its channel count.
 func Detect() Features { return sched.Detect() }
-
-// KernelPlan reports the scheduler's decision for one channel count —
-// the operator→kernel mapping of the paper's Fig. 6.
-type KernelPlan = sched.Plan
-
-// PlanFor returns the kernel plan the vector execution scheduler selects
-// for a given channel (or neuron) count.
-func PlanFor(channels int, feat Features) KernelPlan { return sched.Select(channels, feat) }
 
 // Network is a compiled binary neural network with pre-packed weights
 // and a pre-allocated buffer chain. Not safe for concurrent Infer calls

@@ -29,17 +29,6 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
-func TestPublicPlanFor(t *testing.T) {
-	feat := bitflow.Detect()
-	feat.MaxWidth = bitflow.W512
-	plans := map[int]bitflow.Width{3: bitflow.W64, 64: bitflow.W64, 128: bitflow.W128, 256: bitflow.W256, 512: bitflow.W512}
-	for c, want := range plans {
-		if p := bitflow.PlanFor(c, feat); p.Width != want {
-			t.Errorf("PlanFor(%d).Width = %v want %v", c, p.Width, want)
-		}
-	}
-}
-
 func TestPublicTinyVGG(t *testing.T) {
 	net, err := bitflow.TinyVGG(bitflow.Detect(), bitflow.RandomWeights{Seed: 7})
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // operator, for each Table IV benchmark.
 func runFig7(feat sched.Features) error {
 	fmt.Println("== Fig. 7: single-core vectorization speedup (float operator = 1x) ==")
-	t := bench.NewTable("op", "packing", "kernel", "float", "unopt-binary", "bitflow",
+	t := bench.NewTable("op", "kernel tier", "float", "unopt-binary", "bitflow",
 		"unopt accel", "bitflow accel", "vector gain", "paper(unopt)", "paper(bitflow)")
 	paper := map[string]paperdata.Fig7Row{}
 	for _, row := range paperdata.Fig7 {
@@ -43,9 +43,9 @@ func runFig7(feat sched.Features) error {
 		// sweep kernel tier.
 		kernel := "-"
 		if cfg.Kind != workload.OpPool {
-			kernel = or.plan.Tier.String()
+			kernel = or.tier.String()
 		}
-		t.Row(cfg.Name, or.plan.Width, kernel,
+		t.Row(cfg.Name, kernel,
 			bench.Ms(tFloat), bench.Ms(tUnopt), bench.Ms(tBitflow),
 			bench.Speedup(tFloat, tUnopt), bench.Speedup(tFloat, tBitflow),
 			fmt.Sprintf("%.2fx", gain),

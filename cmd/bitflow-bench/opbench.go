@@ -19,7 +19,7 @@ import (
 //   - unopt: the unoptimized BNN implementation — image-to-column
 //     binary conv / scalar-kernel matvec / pack-at-runtime pool;
 //   - bitflow: the optimized operator (PressedConv / bgemm / OR-pool on
-//     pre-packed inputs, scheduled kernel tier).
+//     pre-packed inputs, at the machine's kernel tier).
 //
 // BitFlow operators receive bit-packed inputs, as they would from the
 // previous layer of a BNN; the unoptimized baselines pay their packing
@@ -29,8 +29,9 @@ type opRunners struct {
 	// units is the fused parallel work-unit count (OutH·OutW for
 	// conv/pool, K for fc) feeding the scaling model.
 	units int
-	// plan is the scheduler's choice for this operator.
-	plan sched.Plan
+	// tier is the kernel tier the conv or fc operator runs at; pools run
+	// no sweep and leave it zero.
+	tier kernels.Width
 
 	float   func(threads int)
 	unopt   func(threads int)
@@ -47,21 +48,19 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		if err != nil {
 			return nil, err
 		}
-		plan := sched.Select(cfg.C, feat)
-		or.plan = plan
 		or.units = shape.OutH * shape.OutW
 
 		filt := workload.PM1Filter(r, cfg.K, cfg.KH, cfg.KW, cfg.C)
 		in := workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C)
 
-		cv, err := core.NewConv(shape, plan, filt)
+		cv, err := core.NewConv(shape, feat.MaxWidth, filt)
 		if err != nil {
 			return nil, err
 		}
+		or.tier = cv.Tier
 		packed := cv.NewInput()
 		bitpack.PackTensorInto(in, packed)
-		outPlan := sched.Select(cfg.K, feat)
-		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, outPlan.Words, 0, 0)
+		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, cfg.K, bitpack.WordsFor(cfg.K), 0, 0)
 		or.bitflow = func(threads int) { cv.ForwardPacked(packed, nil, pOut, exec.Threads(threads)) }
 
 		bim := baseline.NewBinaryIm2colConv(filt, cfg.Stride, cfg.Pad)
@@ -74,8 +73,6 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		if err != nil {
 			return nil, err
 		}
-		plan := sched.Select(cfg.N, feat)
-		or.plan = plan
 		or.units = cfg.K
 
 		w := workload.PM1Matrix(r, cfg.N, cfg.K)
@@ -84,10 +81,11 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 			inVals[i] = r.PM1()
 		}
 
-		d, err := core.NewDense(shape, plan, w)
+		d, err := core.NewDense(shape, feat.MaxWidth, w)
 		if err != nil {
 			return nil, err
 		}
+		or.tier = d.Tier
 		packedIn := d.NewInput()
 		bitpack.PackVectorInto(packedIn, inVals)
 		out := core.DenseOut{Acc: d.NewScratch()}
@@ -117,24 +115,23 @@ func buildRunners(cfg workload.OpConfig, feat sched.Features, seed uint64) (*opR
 		if err != nil {
 			return nil, err
 		}
-		plan := sched.Select(cfg.C, feat)
-		or.plan = plan
 		or.units = shape.OutH * shape.OutW
 
 		in := workload.PM1Tensor(r, cfg.H, cfg.W, cfg.C)
-		pl, err := core.NewPool(shape, plan.Words)
+		words := bitpack.WordsFor(cfg.C)
+		pl, err := core.NewPool(shape, words)
 		if err != nil {
 			return nil, err
 		}
-		packed := bitpack.PackTensor(in, plan.Words, 0, 0)
-		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, plan.Words, 0, 0)
+		packed := bitpack.PackTensor(in, words, 0, 0)
+		pOut := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, words, 0, 0)
 		or.bitflow = func(threads int) { pl.Forward(packed, pOut, exec.Threads(threads)) }
 
 		// Unoptimized ("unvectorized", Fig. 7) binary pool: same packed
 		// input, but a plain word-at-a-time OR reduction with no
 		// unrolling and no contiguous-segment walking.
-		unoptIn := bitpack.PackTensor(in, bitpack.WordsFor(cfg.C), 0, 0)
-		unoptOut := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, bitpack.WordsFor(cfg.C), 0, 0)
+		unoptIn := bitpack.PackTensor(in, words, 0, 0)
+		unoptOut := bitpack.NewPacked(shape.OutH, shape.OutW, shape.OutC, words, 0, 0)
 		wpp := unoptIn.WPP
 		or.unopt = func(threads int) {
 			runChunked(shape.OutH*shape.OutW, threads, func(start, end int) {

@@ -1,8 +1,9 @@
 // Command bitflow-info prints the vector execution scheduler's view of
 // this machine: the detected features, the kernel tier table (the paper's
-// Table I analogue), and the operator→kernel mapping for the VGG channel
-// ladder (the paper's Fig. 6). With -model it instead loads a .bflw
-// artifact and prints its per-layer kernel-compression report.
+// Table I analogue; every conv and dense runs at the detected tier,
+// whatever its channel count) and the arithmetic intensity of the Table
+// IV convolutions. With -model it instead loads a .bflw artifact and
+// prints its per-layer kernel-compression report.
 //
 // Usage:
 //
@@ -42,7 +43,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("  hardware detector: %s\n", feat)
 	fmt.Printf("  usable cores:      %d\n", bench.PhysicalCores())
-	fmt.Printf("  width cap env:     %s (set to 64/128/256/512 to cap the kernel tier below what the CPU executes)\n", sched.MaxWidthEnv)
+	fmt.Printf("  width cap env:     %s (set to 64/256/512 to cap the kernel tier below what the CPU executes; other values are ignored)\n", sched.MaxWidthEnv)
 	fmt.Println()
 
 	rep := exec.Default().Report()
@@ -55,33 +56,17 @@ func main() {
 
 	fmt.Println("kernel tiers (Table I — \"runs as\" is the kernel this CPU and build execute for the width):")
 	kt := bench.NewTable("width", "bits", "words/step", "kernel", "runs as")
-	impl := map[kernels.Width]string{
-		kernels.W64:  "pure Go: uint64 XOR + POPCNT",
-		kernels.W128: "packing width only (scalar kernel)",
-		kernels.W256: "AVX2 assembly: VPXOR + VPSHUFB nibble table + VPSADBW",
-		kernels.W512: "AVX-512 assembly: VPXORQ + VPOPCNTQ, masked tails",
-	}
-	for i := len(kernels.Widths) - 1; i >= 0; i-- {
-		w := kernels.Widths[i]
-		kt.Row(w, w.Bits(), w.Words(), impl[w], w.Tier())
+	for _, t := range []struct {
+		w    kernels.Width
+		impl string
+	}{
+		{kernels.W64, "pure Go: uint64 XOR + POPCNT"},
+		{kernels.W256, "AVX2 assembly: VPXOR + VPSHUFB nibble table + VPSADBW"},
+		{kernels.W512, "AVX-512 assembly: VPXORQ + VPOPCNTQ, masked tails"},
+	} {
+		kt.Row(t.w, t.w.Bits(), t.w.Words(), t.impl, t.w.Tier())
 	}
 	kt.Render(os.Stdout)
-	fmt.Println()
-
-	fmt.Println("operator → packing width (§III-B rules, Fig. 6) and the kernel tier its sweeps run at:")
-	mt := bench.NewTable("operator", "channels", "packing", "packed words", "pad lanes", "kernel tier")
-	rows := []struct {
-		op string
-		c  int
-	}{
-		{"conv1.1", 3}, {"conv2.1", 64}, {"conv3.1", 128}, {"conv4.1", 256}, {"conv5.1", 512},
-		{"fc6 (N)", 7 * 7 * 512}, {"fc7 (N)", 4096},
-	}
-	for _, r := range rows {
-		p := sched.Select(r.c, feat)
-		mt.Row(r.op, r.c, p.Width, p.Words, p.PadLanes(), p.Tier)
-	}
-	mt.Render(os.Stdout)
 	fmt.Println()
 
 	fmt.Println("arithmetic intensity of the Table IV convolutions (§III-A):")

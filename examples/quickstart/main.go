@@ -12,9 +12,10 @@ import (
 )
 
 func main() {
-	// 1. Probe the platform. Every sweep runs at the widest kernel tier
-	// this machine has; the scheduler picks only each layer's packing
-	// width (paper §III-B).
+	// 1. Probe the platform. Every conv and dense layer runs at the
+	// widest kernel tier this machine has, whatever its channel count
+	// (paper §III-B picks a width per channel count; the sweeps here
+	// mask their own tails, so they need none).
 	feat := bitflow.Detect()
 	fmt.Println("platform:", feat)
 

@@ -213,11 +213,6 @@ func TestBinaryIm2colWords(t *testing.T) {
 	if bc.Words() != 9 {
 		t.Errorf("Words = %d want 9", bc.Words())
 	}
-	for _, w := range []kernels.Width{kernels.W128, kernels.W256, kernels.W512} {
-		if w.Divides(bc.Words()) {
-			t.Errorf("width %v unexpectedly divides the unfolded row", w)
-		}
-	}
 }
 
 func TestDenseFloat(t *testing.T) {

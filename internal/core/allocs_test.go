@@ -44,7 +44,7 @@ func TestPlainForwardAllocations(t *testing.T) {
 			if path == "folded" {
 				dupFilter(f, 4)
 			}
-			cv, err := NewConv(shape, sched.Select(64, feat), f)
+			cv, err := NewConv(shape, feat.MaxWidth, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestPlainForwardAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDense(fs, sched.Select(500, feat), workload.RandMatrix(r, 500, 70))
+		d, err := NewDense(fs, feat.MaxWidth, workload.RandMatrix(r, 500, 70))
 		if err != nil {
 			t.Fatal(err)
 		}

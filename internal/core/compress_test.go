@@ -67,12 +67,12 @@ func buildDupConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw int, bases i
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sched.Select(c, feat())
+	tier := feat().MaxWidth
 	f := workload.PM1Filter(r, k, kh, kw, c)
 	if bases > 0 {
 		dupFilter(f, bases)
 	}
-	cv, err := NewConv(shape, plan, f)
+	cv, err := NewConv(shape, tier, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFoldThreshold(t *testing.T) {
 				}
 				f := workload.PM1Filter(r, K, 3, 3, C)
 				scatterFilter(r, f, F)
-				cv, err := NewConv(shape, sched.Select(C, feat()), f)
+				cv, err := NewConv(shape, feat().MaxWidth, f)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestFoldedSweepMatchesUncompressed(t *testing.T) {
 				}
 				f := workload.PM1Filter(r, K, 3, 3, 64)
 				dupFilter(f, F)
-				cv, err := NewConv(shape, sched.Select(64, ft), f)
+				cv, err := NewConv(shape, ft.MaxWidth, f)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +208,7 @@ func TestWordRepeatsWithoutFilterRepeatsSweeps(t *testing.T) {
 			copy(f.Data[k*per+p*C:k*per+(p+1)*C], bases.Data[b*per+p*C:b*per+(p+1)*C])
 		}
 	}
-	cv, err := NewConv(shape, sched.Select(C, feat()), f)
+	cv, err := NewConv(shape, feat().MaxWidth, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 			}
 			plain := cv.Uncompressed()
 			s := cv.Shape
-			wpp := sched.Select(tc.k, feat()).Words
+			wpp := bitpack.WordsFor(tc.k)
 			want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 1, 1)
 			for _, ec := range []*exec.Ctx{exec.Serial(), exec.Threads(3)} {
@@ -341,10 +341,10 @@ func FuzzCompressedConv(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		plan := sched.Select(c, feat())
+		tier := feat().MaxWidth
 		fl := workload.PM1Filter(r, k, 3, 3, c)
 		dupFilter(fl, bases)
-		cv, err := NewConv(shape, plan, fl)
+		cv, err := NewConv(shape, tier, fl)
 		if err != nil {
 			t.Skip()
 		}
@@ -360,7 +360,7 @@ func FuzzCompressedConv(f *testing.F) {
 		packed := cv.NewInput()
 		bitpack.PackTensorInto(in, packed)
 		s := cv.Shape
-		wpp := sched.Select(k, feat()).Words
+		wpp := bitpack.WordsFor(k)
 		want := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
 		got := bitpack.NewPacked(s.OutH, s.OutW, s.OutC, wpp, 0, 0)
 		plain := cv.Uncompressed()

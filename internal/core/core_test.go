@@ -25,9 +25,9 @@ func buildConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw, stride, pad in
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := sched.Select(c, feat())
+	tier := feat().MaxWidth
 	f := workload.PM1Filter(r, k, kh, kw, c)
-	cv, err := NewConv(shape, plan, f)
+	cv, err := NewConv(shape, tier, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func buildConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw, stride, pad in
 func TestPressedConvMatchesFloatReference(t *testing.T) {
 	r := workload.NewRNG(40)
 	cases := []struct{ h, w, c, k, kh, kw, stride, pad int }{
-		{5, 5, 64, 3, 3, 3, 1, 1},  // scalar tier
-		{5, 5, 128, 4, 3, 3, 1, 1}, // SSE tier
-		{4, 6, 256, 2, 3, 3, 1, 1}, // AVX256 tier
-		{4, 4, 512, 5, 3, 3, 1, 1}, // AVX512 tier
+		{5, 5, 64, 3, 3, 3, 1, 1},  // one word per pixel
+		{5, 5, 128, 4, 3, 3, 1, 1}, // two words
+		{4, 6, 256, 2, 3, 3, 1, 1}, // four words
+		{4, 4, 512, 5, 3, 3, 1, 1}, // eight words
 		{6, 6, 3, 2, 3, 3, 1, 1},   // channel pad (conv1.1 case)
 		{7, 5, 100, 3, 3, 3, 1, 1}, // non-multiple-of-64 channels
 		{5, 5, 64, 3, 1, 1, 1, 0},  // 1×1 conv
@@ -79,9 +79,9 @@ func TestPressedConvQuick(t *testing.T) {
 		if err != nil {
 			return true // geometry rejected is fine
 		}
-		plan := sched.Select(c, feat())
+		tier := feat().MaxWidth
 		filt := workload.PM1Filter(r, k, 3, 3, c)
-		cv, err := NewConv(shape, plan, filt)
+		cv, err := NewConv(shape, tier, filt)
 		if err != nil {
 			return false
 		}
@@ -118,8 +118,7 @@ func TestForwardPackedIsSignOfForward(t *testing.T) {
 		cv, _, packed := buildConv(t, r, 6, 6, c, 70, 3, 3, 1, 1)
 		raw := tensor.New(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC)
 		cv.Forward(packed, raw, exec.Threads(2))
-		outPlan := sched.Select(cv.Shape.OutC, feat())
-		pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, outPlan.Words, 1, 1)
+		pOut := bitpack.NewPacked(cv.Shape.OutH, cv.Shape.OutW, cv.Shape.OutC, bitpack.WordsFor(cv.Shape.OutC), 1, 1)
 		cv.ForwardPacked(packed, nil, pOut, exec.Threads(2))
 		want := raw.Sign()
 		got := bitpack.Unpack(pOut)
@@ -153,16 +152,16 @@ func TestConvZeroCostPaddingEqualsExplicitPad(t *testing.T) {
 
 func TestNewConvErrors(t *testing.T) {
 	shape, _ := sched.InferConv(5, 5, 64, 2, 3, 3, 1, 1)
-	plan := sched.Select(64, feat())
+	tier := feat().MaxWidth
 	r := workload.NewRNG(44)
-	if _, err := NewConv(shape, plan, workload.PM1Filter(r, 2, 3, 3, 128)); err == nil {
+	if _, err := NewConv(shape, tier, workload.PM1Filter(r, 2, 3, 3, 128)); err == nil {
 		t.Error("mismatched filter channels: expected error")
 	}
-	if _, err := NewConv(shape, sched.Select(128, feat()), workload.PM1Filter(r, 2, 3, 3, 64)); err == nil {
-		t.Error("plan for wrong C: expected error")
+	if _, err := NewConvPacked(shape, tier, bitpack.PackFilter(workload.PM1Filter(r, 2, 3, 3, 64), 2)); err == nil {
+		t.Error("packed filter with the wrong words per tap: expected error")
 	}
 	bigShape, _ := sched.InferConv(40, 40, 64, 2, 17, 17, 1, 0)
-	if _, err := NewConv(bigShape, plan, workload.PM1Filter(r, 2, 17, 17, 64)); err == nil {
+	if _, err := NewConv(bigShape, tier, workload.PM1Filter(r, 2, 17, 17, 64)); err == nil {
 		t.Error("KH over maxKH: expected error")
 	}
 }
@@ -285,9 +284,9 @@ func TestDenseMatchesFloatReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := sched.Select(tc.n, feat())
+		tier := feat().MaxWidth
 		w := workload.PM1Matrix(r, tc.n, tc.k)
-		d, err := NewDense(shape, plan, w)
+		d, err := NewDense(shape, tier, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +318,7 @@ func TestDenseForwardVariants(t *testing.T) {
 	n, k := 200, 70
 	shape, _ := sched.InferFC(n, k)
 	w := workload.PM1Matrix(r, n, k)
-	d, err := NewDense(shape, sched.Select(n, feat()), w)
+	d, err := NewDense(shape, feat().MaxWidth, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +376,11 @@ func TestDenseForwardVariants(t *testing.T) {
 func TestNewDenseErrors(t *testing.T) {
 	r := workload.NewRNG(51)
 	shape, _ := sched.InferFC(64, 4)
-	if _, err := NewDense(shape, sched.Select(64, feat()), workload.PM1Matrix(r, 65, 4)); err == nil {
+	if _, err := NewDense(shape, feat().MaxWidth, workload.PM1Matrix(r, 65, 4)); err == nil {
 		t.Error("wrong weight rows: expected error")
 	}
-	if _, err := NewDense(shape, sched.Select(128, feat()), workload.PM1Matrix(r, 64, 4)); err == nil {
-		t.Error("plan for wrong N: expected error")
+	if _, err := NewDensePacked(shape, feat().MaxWidth, bitpack.PackMatrixBT(workload.PM1Matrix(r, 64, 4), 2)); err == nil {
+		t.Error("packed weights with the wrong words per row: expected error")
 	}
 }
 
@@ -390,10 +389,8 @@ func TestNewDenseErrors(t *testing.T) {
 // threads-agree tests in this file keep pinning bit-exactness across
 // budgets end to end.
 
-// InferTestConv and testPlan are shared helpers for the extension tests:
-// a 3×3/1/1 convolution geometry and its scheduler plan.
+// InferTestConv is a shared helper for the extension tests: a 3×3/1/1
+// convolution geometry.
 func InferTestConv(h, w, c, k int) (sched.ConvShape, error) {
 	return sched.InferConv(h, w, c, k, 3, 3, 1, 1)
 }
-
-func testPlan(c int) sched.Plan { return sched.Select(c, feat()) }

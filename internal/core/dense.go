@@ -17,9 +17,10 @@ import (
 // weight rows.
 type Dense struct {
 	Shape sched.FCShape
-	Plan  sched.Plan // selected over N
+	// Tier is the kernel tier the bgemm and the epilogue run at.
+	Tier kernels.Width
 
-	weights *bitpack.PackedMatrix // K rows × Plan.Words, fused transform
+	weights *bitpack.PackedMatrix // K rows × WordsFor(N) words (WPR), fused transform
 	// act is the folded activation of the Bits output; nil = plain sign.
 	act *Thresholds
 	// epi is act pre-compiled into the branchless fused epilogue the
@@ -51,7 +52,7 @@ func (d *Dense) SetThresholds(th *Thresholds) error {
 		}
 	}
 	d.act = th
-	d.epi = th.Epilogue(d.Shape.K, d.Plan.Tier)
+	d.epi = th.Epilogue(d.Shape.K, d.Tier)
 	return nil
 }
 
@@ -67,34 +68,31 @@ func (d *Dense) SetAffine(a *Affine) error {
 	return nil
 }
 
-// NewDense builds a binary dense operator from the float weight matrix w
-// (N×K). Binarization, bit-packing and transposition of w are fused into
-// a single pass (paper Table III) and happen once, here.
-func NewDense(shape sched.FCShape, plan sched.Plan, w *tensor.Matrix) (*Dense, error) {
+// NewDense builds a binary dense operator running at tier (a cap is
+// resolved with Width.Tier) from the float weight matrix w (N×K).
+// Binarization, bit-packing and transposition of w are fused into a
+// single pass (paper Table III) and happen once, here.
+func NewDense(shape sched.FCShape, tier kernels.Width, w *tensor.Matrix) (*Dense, error) {
 	if w.Rows != shape.N || w.Cols != shape.K {
 		return nil, fmt.Errorf("core: dense weights %v, want %dx%d", w, shape.N, shape.K)
 	}
-	if plan.C != shape.N {
-		return nil, fmt.Errorf("core: plan built for C=%d, dense has N=%d", plan.C, shape.N)
-	}
-	return NewDensePacked(shape, plan, bitpack.PackMatrixBT(w, plan.Words))
+	return NewDensePacked(shape, tier, bitpack.PackMatrixBT(w, bitpack.WordsFor(shape.N)))
 }
 
 // NewDensePacked builds a binary dense operator from an already-packed
-// (transposed) weight matrix, e.g. one deserialized from a model file.
-func NewDensePacked(shape sched.FCShape, plan sched.Plan, pm *bitpack.PackedMatrix) (*Dense, error) {
+// (transposed) weight matrix of WordsFor(N) words per row, e.g. one
+// deserialized from a model file.
+func NewDensePacked(shape sched.FCShape, tier kernels.Width, pm *bitpack.PackedMatrix) (*Dense, error) {
 	if pm.K != shape.K || pm.N != shape.N {
 		return nil, fmt.Errorf("core: packed dense weights %v, want K=%d N=%d", pm, shape.K, shape.N)
 	}
-	if plan.C != shape.N {
-		return nil, fmt.Errorf("core: plan built for C=%d, dense has N=%d", plan.C, shape.N)
+	if words := bitpack.WordsFor(shape.N); pm.WPR != words {
+		return nil, fmt.Errorf("core: packed dense wpr=%d, dense wants %d", pm.WPR, words)
 	}
-	if pm.WPR != plan.Words {
-		return nil, fmt.Errorf("core: packed dense wpr=%d, plan wants %d", pm.WPR, plan.Words)
-	}
+	tier = tier.Tier()
 	return &Dense{
-		Shape: shape, Plan: plan, weights: pm,
-		epi: (*Thresholds)(nil).Epilogue(shape.K, plan.Tier),
+		Shape: shape, Tier: tier, weights: pm,
+		epi: (*Thresholds)(nil).Epilogue(shape.K, tier),
 	}, nil
 }
 
@@ -108,7 +106,7 @@ func (d *Dense) Activation() *Thresholds { return d.act }
 func (d *Dense) OutAffine() *Affine { return d.affine }
 
 // NewInput allocates a packed activation row for this operator.
-func (d *Dense) NewInput() []uint64 { return make([]uint64, d.Plan.Words) }
+func (d *Dense) NewInput() []uint64 { return make([]uint64, d.weights.WPR) }
 
 // NewScratch allocates the K-length accumulators DenseOut.Acc holds.
 // Allocate once at build time and reuse per call — the per-inference
@@ -116,13 +114,13 @@ func (d *Dense) NewInput() []uint64 { return make([]uint64, d.Plan.Words) }
 func (d *Dense) NewScratch() []int32 { return make([]int32, d.Shape.K) }
 
 // Forward computes the K inner products of the packed activation row in
-// (Plan.Words words, N valid bits) into out.Acc, then finishes them into
+// (WordsFor(N) words, N valid bits) into out.Acc, then finishes them into
 // out.Logits and out.Bits where those are set (see DenseOut). Every
 // slice is checked before the bgemm runs; ec splits the K dimension.
 func (d *Dense) Forward(in []uint64, out DenseOut, ec *exec.Ctx) {
 	k := d.Shape.K
-	if len(in) != d.Plan.Words {
-		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.Plan.Words))
+	if len(in) != d.weights.WPR {
+		panic(fmt.Sprintf("core: dense input %d words, want %d", len(in), d.weights.WPR))
 	}
 	if len(out.Acc) != k {
 		panic(fmt.Sprintf("core: dense accumulators len %d, want K=%d", len(out.Acc), k))
@@ -133,8 +131,8 @@ func (d *Dense) Forward(in []uint64, out DenseOut, ec *exec.Ctx) {
 	if out.Bits != nil && len(out.Bits) < bitpack.WordsFor(k) {
 		panic(fmt.Sprintf("core: dense bits %d words, want at least %d", len(out.Bits), bitpack.WordsFor(k)))
 	}
-	opts := kernels.BGemmOpts{Width: d.Plan.Tier}
-	kernels.BGemmExec(in, 1, d.weights.Words, k, d.Plan.Words, d.Shape.N, out.Acc, opts, ec)
+	opts := kernels.BGemmOpts{Width: d.Tier}
+	kernels.BGemmExec(in, 1, d.weights.Words, k, d.weights.WPR, d.Shape.N, out.Acc, opts, ec)
 	if out.Logits != nil {
 		d.affine.Apply(out.Acc, out.Logits)
 	}

@@ -51,7 +51,7 @@ func buildFused(t *testing.T, r *workload.RNG, h, w, c, k, kh, kw, stride, pad, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	wpp := sched.Select(k, feat()).Words
+	wpp := bitpack.WordsFor(k)
 	pl, err := NewPool(ps, wpp)
 	if err != nil {
 		t.Fatal(err)

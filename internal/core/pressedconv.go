@@ -18,11 +18,13 @@ const maxKH = 16
 // every multiply-accumulate is an XOR + popcount. Each output pixel is
 // one gather of its receptive field into a contiguous window, one kernel
 // sweep of that window over the packed filters, read in place, on the
-// machine's widest tier (Plan.Tier) — over the bank's distinct filters
-// only when it folds (compress.go) — and one threshold-pack epilogue.
+// machine's widest tier (Tier) — over the bank's distinct filters only
+// when it folds (compress.go) — and one threshold-pack epilogue. Each
+// input pixel is WordsFor(InC) words, the packed filter's WPP.
 type Conv struct {
 	Shape sched.ConvShape
-	Plan  sched.Plan
+	// Tier is the kernel tier every sweep and epilogue runs at.
+	Tier kernels.Width
 
 	filter *bitpack.PackedFilter
 	// validLanes is KH*KW*C, the true lane count N of Equation 1 for a
@@ -58,51 +60,42 @@ func (cv *Conv) SetThresholds(th *Thresholds) error {
 		}
 	}
 	cv.act = th
-	cv.epi = th.Epilogue(cv.Shape.K, cv.Plan.Tier).ForPopcounts(int32(cv.validLanes))
+	cv.epi = th.Epilogue(cv.Shape.K, cv.Tier).ForPopcounts(int32(cv.validLanes))
 	return nil
 }
 
-// NewConv builds a PressedConv operator. The filter bank's K/KH/KW/C must
-// match shape; its weights are binarized (sign) and bit-packed here, once
-// — the paper's network-level "binarization and bit-packing of weights
-// during network initialization".
-func NewConv(shape sched.ConvShape, plan sched.Plan, f *tensor.Filter) (*Conv, error) {
+// NewConv builds a PressedConv operator whose sweeps run at tier (a cap
+// is resolved with Width.Tier). The filter bank's K/KH/KW/C must match
+// shape; its weights are binarized (sign) and bit-packed here, once — the
+// paper's network-level "binarization and bit-packing of weights during
+// network initialization".
+func NewConv(shape sched.ConvShape, tier kernels.Width, f *tensor.Filter) (*Conv, error) {
 	if f.K != shape.K || f.KH != shape.KH || f.KW != shape.KW || f.C != shape.InC {
 		return nil, fmt.Errorf("core: filter %v does not match conv shape %+v", f, shape)
 	}
-	if plan.C != shape.InC {
-		return nil, fmt.Errorf("core: plan built for C=%d, conv has InC=%d", plan.C, shape.InC)
-	}
-	return NewConvPacked(shape, plan, bitpack.PackFilter(f, plan.Words))
+	return NewConvPacked(shape, tier, bitpack.PackFilter(f, bitpack.WordsFor(shape.InC)))
 }
 
 // NewConvPacked builds a PressedConv operator from an already-packed
 // filter bank (e.g. one deserialized from a model file). The packed
-// filter's geometry and words-per-tap must match the shape and plan.
-func NewConvPacked(shape sched.ConvShape, plan sched.Plan, pf *bitpack.PackedFilter) (*Conv, error) {
+// filter's geometry must match the shape, with WordsFor(InC) words per
+// tap.
+func NewConvPacked(shape sched.ConvShape, tier kernels.Width, pf *bitpack.PackedFilter) (*Conv, error) {
 	if pf.K != shape.K || pf.KH != shape.KH || pf.KW != shape.KW || pf.C != shape.InC {
 		return nil, fmt.Errorf("core: packed filter %v does not match conv shape %+v", pf, shape)
 	}
-	if plan.C != shape.InC {
-		return nil, fmt.Errorf("core: plan built for C=%d, conv has InC=%d", plan.C, shape.InC)
-	}
-	if pf.WPP != plan.Words {
-		return nil, fmt.Errorf("core: packed filter wpp=%d, plan wants %d", pf.WPP, plan.Words)
+	if words := bitpack.WordsFor(shape.InC); pf.WPP != words {
+		return nil, fmt.Errorf("core: packed filter wpp=%d, conv wants %d", pf.WPP, words)
 	}
 	if shape.KH > maxKH {
 		return nil, fmt.Errorf("core: filter height %d exceeds supported maximum %d", shape.KH, maxKH)
 	}
-	if !plan.Width.Divides(shape.KW * plan.Words) {
-		// Cannot happen with plans from sched.Select (width divides
-		// Words), but guard against hand-built plans.
-		return nil, fmt.Errorf("core: width %s does not divide row length %d", plan.Width, shape.KW*plan.Words)
-	}
 	cv := &Conv{
 		Shape:      shape,
-		Plan:       plan,
+		Tier:       tier.Tier(),
 		filter:     pf,
 		validLanes: shape.KH * shape.KW * shape.InC,
-		rowLen:     shape.KW * plan.Words,
+		rowLen:     shape.KW * pf.WPP,
 	}
 	if err := cv.SetThresholds(nil); err != nil {
 		return nil, err
@@ -125,7 +118,7 @@ func (cv *Conv) Activation() *Thresholds { return cv.act }
 // NewInput allocates a packed input buffer with the margins this operator
 // needs for zero-cost padding: interior InH×InW×InC, margins = Pad.
 func (cv *Conv) NewInput() *bitpack.Packed {
-	return bitpack.NewPacked(cv.Shape.InH, cv.Shape.InW, cv.Shape.InC, cv.Plan.Words, cv.Shape.Pad, cv.Shape.Pad)
+	return bitpack.NewPacked(cv.Shape.InH, cv.Shape.InW, cv.Shape.InC, cv.filter.WPP, cv.Shape.Pad, cv.Shape.Pad)
 }
 
 // checkInput validates that in is a legal input buffer for this operator.
@@ -134,8 +127,8 @@ func (cv *Conv) checkInput(in *bitpack.Packed) {
 	if in.H != s.InH || in.W != s.InW || in.C != s.InC {
 		panic(fmt.Sprintf("core: conv input %v, want %dx%dx%d", in, s.InH, s.InW, s.InC))
 	}
-	if in.WPP != cv.Plan.Words {
-		panic(fmt.Sprintf("core: conv input wpp=%d, plan wants %d", in.WPP, cv.Plan.Words))
+	if in.WPP != cv.filter.WPP {
+		panic(fmt.Sprintf("core: conv input wpp=%d, conv wants %d", in.WPP, cv.filter.WPP))
 	}
 	if in.MarginH < s.Pad || in.MarginW < s.Pad {
 		panic(fmt.Sprintf("core: conv input margins %dx%d < pad %d", in.MarginH, in.MarginW, s.Pad))
@@ -188,7 +181,7 @@ func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
 	}
 	n32 := int32(cv.validLanes)
 	fw := cv.filter.Words
-	tier := cv.Plan.Tier
+	tier := cv.Tier
 	total := s.OutH * s.OutW
 	ec.ParallelFor(total, func(start, end int) {
 		var sc convScratch
@@ -277,9 +270,9 @@ func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.
 // positions of a pool window, max-pool commuting with sign.
 func (cv *Conv) thresholdWindow(win []uint64, acc []int32, dst []uint64, or bool) {
 	if cv.reps == nil {
-		kernels.Sweep(cv.Plan.Tier, win, cv.filter.Words, acc)
+		kernels.Sweep(cv.Tier, win, cv.filter.Words, acc)
 	} else {
-		kernels.Sweep(cv.Plan.Tier, win, cv.folded, acc[:cv.distinct])
+		kernels.Sweep(cv.Tier, win, cv.folded, acc[:cv.distinct])
 		kernels.Expand(cv.reps, acc)
 	}
 	if or {

@@ -34,7 +34,7 @@ func NewThresholds(k int) *Thresholds {
 }
 
 // Epilogue compiles the activation into the fused form the kernels
-// consume, to run on the given kernel tier (the operator's Plan.Tier). A
+// consume, to run on the given kernel tier (the operator's Tier). A
 // nil receiver yields the plain sign over k channels. Called once at
 // operator construction / SetThresholds time.
 func (th *Thresholds) Epilogue(k int, tier kernels.Width) *kernels.Epilogue {

@@ -222,9 +222,9 @@ func TestDenseWithThresholdsAndAffine(t *testing.T) {
 	const eps = 1e-5
 	n, k := 128, 12
 	shape, _ := sched.InferFC(n, k)
-	plan := sched.Select(n, feat())
+	tier := feat().MaxWidth
 	w := workload.PM1Matrix(r, n, k)
-	d, err := NewDense(shape, plan, w)
+	d, err := NewDense(shape, tier, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"bitflow/internal/bitpack"
 	"bitflow/internal/core"
+	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 )
 
@@ -93,12 +94,13 @@ func (b *Builder) BatchNorm(name string) *Builder {
 	return b
 }
 
-// opSource supplies constructed operators per layer. The float path
-// (Build) fetches float weights and packs them; the deserialization path
-// (Load) hands back operators rebuilt from stored packed weights.
+// opSource supplies constructed operators per layer, each running at
+// the given kernel tier. The float path (Build) fetches float weights and
+// packs them; the deserialization path (Load) hands back operators
+// rebuilt from stored packed weights.
 type opSource interface {
-	conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error)
-	dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error)
+	conv(name string, shape sched.ConvShape, tier kernels.Width) (*core.Conv, error)
+	dense(name string, shape sched.FCShape, tier kernels.Width) (*core.Dense, error)
 	floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error)
 	// bias returns the k-channel bias of the conv, or with dense the
 	// dense layer, called name; nil when it has none.
@@ -111,20 +113,20 @@ type opSource interface {
 // floatSource adapts a WeightSource to opSource.
 type floatSource struct{ ws WeightSource }
 
-func (f floatSource) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
+func (f floatSource) conv(name string, shape sched.ConvShape, tier kernels.Width) (*core.Conv, error) {
 	w, err := f.ws.ConvFilter(name, shape.K, shape.KH, shape.KW, shape.InC)
 	if err != nil {
 		return nil, fmt.Errorf("graph: weights for conv %q: %w", name, err)
 	}
-	return core.NewConv(shape, plan, w)
+	return core.NewConv(shape, tier, w)
 }
 
-func (f floatSource) dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error) {
+func (f floatSource) dense(name string, shape sched.FCShape, tier kernels.Width) (*core.Dense, error) {
 	w, err := f.ws.DenseMatrix(name, shape.N, shape.K)
 	if err != nil {
 		return nil, fmt.Errorf("graph: weights for dense %q: %w", name, err)
 	}
-	return core.NewDense(shape, plan, w)
+	return core.NewDense(shape, tier, w)
 }
 
 func (f floatSource) floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error) {
@@ -208,6 +210,9 @@ func (b *Builder) compile(src opSource) (*Network, error) {
 	curH, curW, curC := b.inH, b.inW, b.inC
 	flat := false
 	curN := 0
+	// Every conv and dense runs at the machine's tier: the sweeps mask
+	// their own tails, so no channel count asks for a narrower one.
+	tier := b.feat.MaxWidth.Tier()
 
 	// lastComp is the index of the final computational spec; trailing
 	// BatchNorm specs modify it rather than follow it.
@@ -232,7 +237,7 @@ func (b *Builder) compile(src opSource) (*Network, error) {
 		if i == lastComp && sp.kind != specDense {
 			return nil, fmt.Errorf("graph: network must end in a dense classifier, not %q", sp.name)
 		}
-		nd := &node{sp: sp, h: curH, w: curW, c: curC, words: sched.Select(curC, b.feat).Words}
+		nd := &node{sp: sp, h: curH, w: curW, c: curC, words: bitpack.WordsFor(curC)}
 		switch sp.kind {
 		case specFloatConv:
 			if i != 0 {
@@ -253,7 +258,7 @@ func (b *Builder) compile(src opSource) (*Network, error) {
 			}
 			shape, err := sched.InferConv(curH, curW, curC, sp.k, sp.kh, sp.kw, sp.stride, sp.pad)
 			if err == nil {
-				nd.conv, err = src.conv(sp.name, shape, sched.Select(curC, b.feat))
+				nd.conv, err = src.conv(sp.name, shape, tier)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: conv %q: %w", sp.name, err)
@@ -286,7 +291,7 @@ func (b *Builder) compile(src opSource) (*Network, error) {
 			flat = true
 			if len(n.nodes) > 0 && n.nodes[len(n.nodes)-1].dense != nil {
 				// A hidden dense feeds its packed sign bits straight in.
-				nd.h, nd.w, nd.c, nd.words = 1, 1, curN, sched.Select(curN, b.feat).Words
+				nd.h, nd.w, nd.c, nd.words = 1, 1, curN, bitpack.WordsFor(curN)
 			} else {
 				// Flattening a spatial producer (or the network input):
 				// the packed words of a margin-free plane are exactly
@@ -305,7 +310,7 @@ func (b *Builder) compile(src opSource) (*Network, error) {
 			}
 			shape, err := sched.InferFC(curN, sp.units)
 			if err == nil {
-				nd.dense, err = src.dense(sp.name, shape, sched.Select(curN, b.feat))
+				nd.dense, err = src.dense(sp.name, shape, tier)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("graph: dense %q: %w", sp.name, err)

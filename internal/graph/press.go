@@ -56,7 +56,7 @@ func (n *Network) Compression() []LayerCompression {
 				lc.Layer, lc.Kind = nd.sp.name+"+"+n.nodes[i+1].sp.name, "conv+pool"
 			}
 		case nd.dense != nil:
-			K, S := nd.dense.Shape.K, nd.dense.Plan.Words
+			K, S := nd.dense.Shape.K, nd.dense.Weights().WPR
 			lc = LayerCompression{Layer: nd.sp.name, Kind: "fc", Channels: K, Positions: S, TotalWords: K * S, DistinctWords: K * S, Ratio: 1}
 		default:
 			continue

@@ -12,6 +12,7 @@ import (
 
 	"bitflow/internal/bitpack"
 	"bitflow/internal/core"
+	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
 )
@@ -20,9 +21,9 @@ import (
 // *packed* weights — the deployment artifact of a stand-alone BNN engine
 // (paper §IV: "substantially simplifies its deployment in practical
 // applications"). The packed representation is platform-independent:
-// sched.Select always yields WordsFor(C) words per channel vector, so a
-// model saved on an AVX-512-class machine loads bit-identically on a
-// scalar one (only the kernel tier chosen at load time differs).
+// every channel vector is WordsFor(C) words on every tier, so a model
+// saved on an AVX-512-class machine loads bit-identically on a scalar one
+// (only the kernel tier chosen at load time differs).
 //
 // Layout (all integers little-endian):
 //
@@ -337,26 +338,28 @@ func (d *decoder) count(want, size int) bool {
 // weighted node's blob is decoded straight into the slice the operator
 // keeps.
 
-func (d *decoder) conv(name string, shape sched.ConvShape, plan sched.Plan) (*core.Conv, error) {
-	if !d.count(shape.K*shape.KH*shape.KW*plan.Words, 8) {
+func (d *decoder) conv(name string, shape sched.ConvShape, tier kernels.Width) (*core.Conv, error) {
+	words := bitpack.WordsFor(shape.InC)
+	if !d.count(shape.K*shape.KH*shape.KW*words, 8) {
 		return nil, d.err
 	}
-	pf := bitpack.NewPackedFilter(shape.K, shape.KH, shape.KW, shape.InC, plan.Words)
+	pf := bitpack.NewPackedFilter(shape.K, shape.KH, shape.KW, shape.InC, words)
 	if d.words(pf.Words); d.err != nil {
 		return nil, d.err
 	}
-	return core.NewConvPacked(shape, plan, pf)
+	return core.NewConvPacked(shape, tier, pf)
 }
 
-func (d *decoder) dense(name string, shape sched.FCShape, plan sched.Plan) (*core.Dense, error) {
-	if !d.count(shape.K*plan.Words, 8) {
+func (d *decoder) dense(name string, shape sched.FCShape, tier kernels.Width) (*core.Dense, error) {
+	words := bitpack.WordsFor(shape.N)
+	if !d.count(shape.K*words, 8) {
 		return nil, d.err
 	}
-	pm := bitpack.NewPackedMatrix(shape.K, shape.N, plan.Words)
+	pm := bitpack.NewPackedMatrix(shape.K, shape.N, words)
 	if d.words(pm.Words); d.err != nil {
 		return nil, d.err
 	}
-	return core.NewDensePacked(shape, plan, pm)
+	return core.NewDensePacked(shape, tier, pm)
 }
 
 func (d *decoder) floatConv(name string, shape sched.ConvShape) (*core.FloatConv, error) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"bitflow/internal/bitpack"
 	"bitflow/internal/kernels"
 	"bitflow/internal/sched"
 	"bitflow/internal/tensor"
@@ -93,9 +94,11 @@ func benchDupWeights(seed uint64) WeightSource {
 // TestPlannerSelectionsUnchangedByKernelTiers pins the scope of the real
 // SIMD kernels: faster plain kernels, same plan. On the three benchmark
 // networks the fusion and compression planners must pick exactly the
-// layers they picked with the scalar ladder — DupNet's four duplicated
+// layers they picked with the scalar kernels — DupNet's four duplicated
 // banks, and nothing on the random-weight C=3 networks, whose filters
-// are all distinct — whatever tier the kernels run at.
+// are all distinct — whatever tier the kernels run at. Every conv and
+// dense runs at the cap's tier over WordsFor of its input, whatever its
+// channel count.
 func TestPlannerSelectionsUnchangedByKernelTiers(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -126,6 +129,18 @@ func TestPlannerSelectionsUnchangedByKernelTiers(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s cap %v", tc.name, cap)
+			for _, nd := range net.nodes {
+				switch {
+				case nd.conv != nil:
+					if cv := nd.conv; cv.Tier != cap.Tier() || cv.Filter().WPP != bitpack.WordsFor(cv.Shape.InC) || nd.words != cv.Filter().WPP {
+						t.Errorf("%s: conv %q runs tier %v over %d words (plane %d), want %v over %d", label, nd.sp.name, cv.Tier, cv.Filter().WPP, nd.words, cap.Tier(), bitpack.WordsFor(cv.Shape.InC))
+					}
+				case nd.dense != nil:
+					if d := nd.dense; d.Tier != cap.Tier() || d.Weights().WPR != bitpack.WordsFor(d.Shape.N) {
+						t.Errorf("%s: dense %q runs tier %v over %d words, want %v over %d", label, nd.sp.name, d.Tier, d.Weights().WPR, cap.Tier(), bitpack.WordsFor(d.Shape.N))
+					}
+				}
+			}
 			if f := net.Fusion(); f.Pairs != tc.pairs || f.EliminatedWords != tc.eliminated {
 				t.Errorf("%s: fusion %+v, want %d pairs eliminating %d words", label, f, tc.pairs, tc.eliminated)
 			}

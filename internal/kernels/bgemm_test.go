@@ -62,7 +62,7 @@ func TestBGemmAllKernels(t *testing.T) {
 		a := randPacked(r, m, wpr, n)
 		bT := randPacked(r, k, wpr, n)
 		want := bgemmRef(a, m, bT, k, wpr, n)
-		for _, w := range Widths {
+		for _, w := range widths {
 			got := make([]int32, m*k)
 			BGemm(a, m, bT, k, wpr, n, got, BGemmOpts{Width: w, KTile: 10})
 			for i := range want {

@@ -16,7 +16,7 @@ func panicSize(fn, what string, got, want int) {
 	panic(fmt.Sprintf("kernels: %s len(%s)=%d want %d", fn, what, got, want))
 }
 
-// panicUnknownWidth reports a Width outside the ladder.
+// panicUnknownWidth reports a Width that names no kernel tier.
 func panicUnknownWidth() {
 	panic("kernels: unknown width")
 }

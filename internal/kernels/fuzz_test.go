@@ -54,7 +54,7 @@ func FuzzXorPopcount(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := fuzzWords(data)
 		want := refXorPopBits(a, b)
-		for _, w := range Widths {
+		for _, w := range widths {
 			if got := ForWidth(w)(a, b); got != want {
 				t.Errorf("%s: got %d, want %d (n=%d words)", w, got, want, len(a))
 			}

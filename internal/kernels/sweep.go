@@ -44,11 +44,11 @@ type XorPopRowsFunc func(rows [][]uint64, filt []uint64) int
 // the sweep with its operands swapped.
 type XorPopBatchFunc func(a, filt []uint64, accs []int32)
 
-// ladderTier resolves a ladder width to its kernel tier and panics on a
-// Width outside the ladder.
-func ladderTier(w Width) Width {
+// checkedTier resolves a width to its kernel tier and panics on a Width
+// that names no tier.
+func checkedTier(w Width) Width {
 	switch w {
-	case W64, W128, W256, W512:
+	case W64, W256, W512:
 		return w.Tier()
 	}
 	panicUnknownWidth()
@@ -58,7 +58,7 @@ func ladderTier(w Width) Width {
 // ForWidth returns the flat kernel for the given width: a one-filter
 // sweep on the width's tier.
 func ForWidth(w Width) XorPopFunc {
-	tier := ladderTier(w)
+	tier := checkedTier(w)
 	if tier == W64 {
 		return XorPop64
 	}
@@ -74,7 +74,7 @@ func ForWidth(w Width) XorPopFunc {
 // reader is the benchmark's kernels.xorpop_rows_l1_words_per_ns, and it
 // goes when that metric leaves the contract.
 func RowsForWidth(w Width) XorPopRowsFunc {
-	tier := ladderTier(w)
+	tier := checkedTier(w)
 	if tier == W64 {
 		return XorPopRows64
 	}
@@ -93,7 +93,7 @@ func RowsForWidth(w Width) XorPopRowsFunc {
 // BatchForWidth returns the batched kernel for the given width: the
 // filter block is the sweep's window, the B gathered blocks its filters.
 func BatchForWidth(w Width) XorPopBatchFunc {
-	tier := ladderTier(w)
+	tier := checkedTier(w)
 	return func(a, filt []uint64, accs []int32) {
 		if len(a) < len(accs)*len(filt) {
 			panicSize("XorPopBatch", "a", len(a), len(accs)*len(filt))

@@ -43,6 +43,7 @@ group4:
 	TESTQ R12, R12
 	JZ   tail4
 
+	PCALIGN $64
 chunk4:
 	VMOVDQU64 (R8), Z4
 	VPXORQ (AX), Z4, Z5
@@ -116,6 +117,7 @@ single:
 	TESTQ R12, R12
 	JZ   tail1
 
+	PCALIGN $64
 chunk1:
 	VMOVDQU64 (R8), Z4
 	VPXORQ (AX), Z4, Z4
@@ -207,6 +209,7 @@ sized:
 	SUBQ CX, R12
 	VPXOR Y1, Y1, Y1     // byte counts of this block
 
+	PCALIGN $64
 step:
 	VMOVDQU (R8), Y2
 	VPXOR (AX), Y2, Y2

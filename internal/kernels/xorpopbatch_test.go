@@ -16,7 +16,6 @@ func TestXorPopBatchMatchesSingle(t *testing.T) {
 		lens []int
 	}{
 		{W64, []int{1, 3, 5, 9, 18}},
-		{W128, []int{2, 6, 18}},
 		{W256, []int{4, 12, 36}},
 		{W512, []int{8, 24, 72}},
 	}
@@ -48,7 +47,7 @@ func TestXorPopBatchMatchesSingle(t *testing.T) {
 }
 
 func TestBatchForWidthCoversLadder(t *testing.T) {
-	for _, w := range []Width{W64, W128, W256, W512} {
+	for _, w := range []Width{W64, W256, W512} {
 		if BatchForWidth(w) == nil {
 			t.Errorf("no batched kernel for %v", w)
 		}

@@ -29,7 +29,7 @@ func TestXorPopRowsAgree(t *testing.T) {
 		}
 		filt := randWords(r, tc.nRows*tc.rowLen)
 		want := refXorPopRows(rows, filt)
-		for _, w := range Widths {
+		for _, w := range widths {
 			if got := RowsForWidth(w)(rows, filt); got != want {
 				t.Errorf("rows=%d len=%d width=%v: got %d want %d", tc.nRows, tc.rowLen, w, got, want)
 			}
@@ -60,7 +60,7 @@ func TestXorPopRowsQuick(t *testing.T) {
 		}
 		filt := randWords(r, nRows*rowLen)
 		want := refXorPopRows(rows, filt)
-		for _, w := range Widths {
+		for _, w := range widths {
 			if RowsForWidth(w)(rows, filt) != want {
 				return false
 			}
@@ -77,7 +77,7 @@ func TestXorPopRowsMatchesFlatKernel(t *testing.T) {
 	r := workload.NewRNG(72)
 	a := randWords(r, 24)
 	bb := randWords(r, 24)
-	for _, w := range Widths {
+	for _, w := range widths {
 		if got, want := RowsForWidth(w)([][]uint64{a}, bb), ForWidth(w)(a, bb); got != want {
 			t.Errorf("width %v: rows %d flat %d", w, got, want)
 		}

@@ -152,12 +152,12 @@ func (m *Model) Gate() *resilience.Gate { return m.gate }
 // Metrics returns the model's counters.
 func (m *Model) Metrics() *resilience.Metrics { return m.metrics }
 
-// Acquire pins the current version for one request and returns its
-// replica set plus the release function (call exactly once, when the
-// request is done with the set). The loop re-reads the pointer when it
-// raced a swap: incrementing first and checking draining second pairs
+// Acquire pins the current version for one request and returns it: Set
+// is its replica set, and Release (call exactly once, when the request
+// is done with the set) drops the pin. The loop re-reads the pointer when
+// it raced a swap: incrementing first and checking draining second pairs
 // with Swap's flip-then-mark order, so a pinned version is never retired.
-func (m *Model) Acquire() (ReplicaSet, func()) {
+func (m *Model) Acquire() *version {
 	for {
 		v := m.cur.Load()
 		v.inflight.Add(1)
@@ -167,9 +167,15 @@ func (m *Model) Acquire() (ReplicaSet, func()) {
 			v.inflight.Add(-1)
 			continue
 		}
-		return v.set, func() { v.inflight.Add(-1) }
+		return v
 	}
 }
+
+// Set returns the pinned version's replica set.
+func (v *version) Set() ReplicaSet { return v.set }
+
+// Release drops one pin taken by Acquire.
+func (v *version) Release() { v.inflight.Add(-1) }
 
 // Current peeks at the current replica set without pinning it — for
 // status reporting only; the set may be swapped out at any moment.

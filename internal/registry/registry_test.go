@@ -64,7 +64,8 @@ func newTestModel(ver string) (*Model, *fakeSet) {
 
 func TestAcquireReturnsCurrent(t *testing.T) {
 	m, fs := newTestModel("v1")
-	set, release := m.Acquire()
+	pin := m.Acquire()
+	set, release := pin.Set(), pin.Release
 	if set != fs {
 		t.Fatalf("Acquire returned %v, want initial set", set)
 	}
@@ -229,7 +230,8 @@ func TestSwapInjectedFailErrorRollsBack(t *testing.T) {
 
 func TestSwapDrainWaitsForPinnedRequests(t *testing.T) {
 	m, old := newTestModel("v1")
-	set, release := m.Acquire()
+	pin := m.Acquire()
+	set, release := pin.Set(), pin.Release
 	if set != old {
 		t.Fatal("pinned the wrong set")
 	}
@@ -264,7 +266,7 @@ func TestSwapDrainWaitsForPinnedRequests(t *testing.T) {
 
 func TestSwapDrainTimeoutLeavesFlipStanding(t *testing.T) {
 	m, old := newTestModel("v1")
-	_, release := m.Acquire() // never released before the deadline
+	release := m.Acquire().Release // never released before the deadline
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	next := &fakeSet{ver: "v2"}
@@ -320,7 +322,8 @@ func TestAcquireNeverSeesRetiredSet(t *testing.T) {
 					return
 				default:
 				}
-				set, release := m.Acquire()
+				pin := m.Acquire()
+				set, release := pin.Set(), pin.Release
 				if !set.(*fakeSet).use() {
 					bad.Add(1)
 				}
@@ -374,7 +377,8 @@ func TestSwapRollbackUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				set, release := m.Acquire()
+				pin := m.Acquire()
+				set, release := pin.Set(), pin.Release
 				if !set.(*fakeSet).use() {
 					bad.Add(1)
 				}

@@ -1,7 +1,9 @@
 // Package sched implements BitFlow's vector execution scheduler (paper
-// §III-B, Fig. 4): a shape inferer, a hardware detector, and a code
-// generator that picks the optimal computing kernel for each operator
-// configuration.
+// §III-B, Fig. 4) as a shape inferer and a hardware detector. The
+// paper's code generator picks a packing width per channel count; here
+// every operator runs at the detected tier (MaxWidth.Tier) with
+// WordsFor(C) words per channel vector, because the sweeps mask their
+// own tails.
 package sched
 
 import (
@@ -26,8 +28,8 @@ type Features struct {
 	// ISA is the widest kernel tier the CPU and this build execute:
 	// W512 (AVX-512), W256 (AVX2) or W64 (pure Go, also -tags purego).
 	ISA kernels.Width
-	// MaxWidth is the widest kernel tier the scheduler may select: ISA,
-	// unless capped lower.
+	// MaxWidth is the widest kernel tier the operators may run: ISA,
+	// unless capped lower. Every conv and dense runs at MaxWidth.Tier().
 	MaxWidth kernels.Width
 	// HWPopcount reports whether math/bits.OnesCount64 compiles to a
 	// native popcount instruction on this architecture.
@@ -35,9 +37,9 @@ type Features struct {
 }
 
 // MaxWidthEnv is the environment variable that caps the detected width:
-// one of "64", "128", "256", "512". It lets benchmarks run as a machine
-// without the wider tiers (paper: "AVX512 if available e.g. on Intel Xeon
-// Phi, otherwise AVX256 e.g. Intel Core i7").
+// one of "64", "256", "512"; any other value is ignored. It lets
+// benchmarks run as a machine without the wider tiers (paper: "AVX512 if
+// available e.g. on Intel Xeon Phi, otherwise AVX256 e.g. Intel Core i7").
 const MaxWidthEnv = "BITFLOW_MAX_WIDTH"
 
 // Detect probes the current platform.
@@ -66,7 +68,7 @@ func hwPopcount(arch string) bool {
 	return false
 }
 
-// ParseWidth converts "64"/"128"/"256"/"512" into a kernel width.
+// ParseWidth converts "64"/"256"/"512" into a kernel tier.
 func ParseWidth(s string) (kernels.Width, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
@@ -75,14 +77,12 @@ func ParseWidth(s string) (kernels.Width, error) {
 	switch n {
 	case 64:
 		return kernels.W64, nil
-	case 128:
-		return kernels.W128, nil
 	case 256:
 		return kernels.W256, nil
 	case 512:
 		return kernels.W512, nil
 	}
-	return 0, fmt.Errorf("sched: width %d not one of 64/128/256/512", n)
+	return 0, fmt.Errorf("sched: width %d not one of 64/256/512", n)
 }
 
 // WithMaxWidth returns a copy of f capped at w.

@@ -539,9 +539,9 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request, m *model) {
 	// Pin the current version: the release (deferred before any replica
 	// restore below, so it runs after) is what a draining old version
 	// waits on before its replicas are retired.
-	set, release := m.rm.Acquire()
-	defer release()
-	rs, ok := set.(*replicaSet)
+	pin := m.rm.Acquire()
+	defer pin.Release()
+	rs, ok := pin.Set().(*replicaSet)
 	if !ok {
 		// Only reachable if an embedder registered a foreign ReplicaSet.
 		metrics.Shed.Add(1)

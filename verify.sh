@@ -3,7 +3,8 @@
 # every commit:
 #
 #   ./verify.sh          # full: build + vet + tests + one pass of every
-#                        # root benchmark + race on serving layer
+#                        # root benchmark + the bitflow-info and
+#                        # examples/scheduler reports + race on serving layer
 #   ./verify.sh -short   # skips VGG-scale builds and training loops
 #
 # Any file gofmt would change fails the run. go vet's copylocks check
@@ -38,6 +39,12 @@ go test -shuffle=on "$@" ./...
 # one that panics on a changed operator fails here, in both modes.
 echo "== go test -run '^\$' -bench . -benchtime 1x ."
 go test -run '^$' -bench . -benchtime 1x .
+
+# No test runs a cmd/ or examples/ main; run the two reports that print
+# what the operators run, so one that panics fails here.
+echo "== go run ./cmd/bitflow-info && go run ./examples/scheduler (output discarded)"
+go run ./cmd/bitflow-info > /dev/null
+go run ./examples/scheduler > /dev/null
 
 # The pure-Go kernel tier is what every machine without AVX2/AVX-512
 # (and every non-amd64 build) executes; on an AVX host only this line
