@@ -3,14 +3,15 @@
 // Table I analogue; every conv and dense runs at the detected tier,
 // whatever its channel count) and the arithmetic intensity of the Table
 // IV convolutions. With -model it instead loads a .bflw artifact and
-// prints its per-layer kernel-compression report.
+// prints its per-layer report: words swept per window and filter, and
+// kernel compression.
 //
 // Usage:
 //
 //	bitflow-info [flags]
 //
-//	-model string   path to a .bflw artifact: print its kernel-compression
-//	                report and exit
+//	-model string   path to a .bflw artifact: print its per-layer sweep and
+//	                kernel-compression report and exit
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 	"bitflow/internal/workload"
 )
 
-var flagModel = flag.String("model", "", "path to a .bflw artifact: print its kernel-compression report and exit")
+var flagModel = flag.String("model", "", "path to a .bflw artifact: print its per-layer sweep and kernel-compression report and exit")
 
 func main() {
 	flag.Parse()
@@ -86,9 +87,10 @@ func main() {
 }
 
 // modelReport loads an artifact and prints the load-time planning view
-// the serving stack acts on: each layer's filters and distinct filters
-// (kernel compression per Silfa & Arnau) and which layers' forwards
-// fold onto their distinct filters.
+// the serving stack acts on: each layer's filters, the words one window
+// sweeps per filter (1 where the conv is window-packed), its distinct
+// filters (kernel compression per Silfa & Arnau) and which layers'
+// forwards fold onto their distinct filters.
 func modelReport(path string, feat sched.Features) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -102,10 +104,12 @@ func modelReport(path string, feat sched.Features) error {
 	fmt.Printf("model %q (%dx%dx%d → %d classes, %d layers, %d fused pair(s))\n",
 		net.Name, net.InH, net.InW, net.InC, net.Classes, len(net.Layers()), net.Fusion().Pairs)
 	fmt.Println()
-	fmt.Printf("kernel compression (conv banks fold at filters / distinct filters ≥ %.1f; dense layers always sweep):\n", kernels.CompressMinRatio)
-	ct := bench.NewTable("layer", "kind", "filters", "words/filter", "distinct filters", "ratio", "folded")
-	for _, lc := range net.Compression() {
-		ct.Row(lc.Layer, lc.Kind, lc.Channels, lc.Positions,
+	fmt.Println("words/window: a conv whose receptive field fits one word (KH·KW·C ≤ 64) sweeps 1, otherwise KH·KW·WPP")
+	fmt.Printf("kernel compression (conv banks fold at filters / distinct filters ≥ %.1f unless window-packed; dense layers always sweep):\n", kernels.CompressMinRatio)
+	ct := bench.NewTable("layer", "kind", "filters", "words/filter", "words/window", "distinct filters", "ratio", "folded")
+	ww := net.WindowWords()
+	for i, lc := range net.Compression() {
+		ct.Row(lc.Layer, lc.Kind, lc.Channels, lc.Positions, ww[i],
 			lc.DistinctWords/lc.Positions,
 			fmt.Sprintf("%.2f", lc.Ratio),
 			map[bool]string{true: "yes", false: "no"}[lc.Selected])

@@ -84,15 +84,17 @@ func buildDupConv(t testing.TB, r *workload.RNG, h, w, c, k, kh, kw int, bases i
 
 // TestCompressionAutoSelection pins the load-time rule: a bank repeating
 // 4 whole filters folds onto them, a random bank keeps its K distinct
-// filters and sweeps them all, and a low-channel bank (the conv1.1 case)
-// folds when its filters repeat and sweeps when they do not — a whole
-// filter has no dead bits, so no channel floor applies.
+// filters and sweeps them all, and a low-channel bank folds when its
+// filters repeat and sweeps when they do not — a whole filter has no
+// dead bits, so no channel floor applies — unless its receptive field
+// fits one word (the 3×3×3 conv1.1 case): then it is window-packed and
+// sweeps all K one-word filters, its distinct filters still counted.
 func TestCompressionAutoSelection(t *testing.T) {
 	r := workload.NewRNG(200)
-	for _, c := range []int{64, 3} {
+	for _, c := range []int{64, 8, 3} {
 		dup, _ := buildDupConv(t, r, 8, 8, c, 64, 3, 3, 4)
-		if !dup.Folded() || dup.DistinctFilters() != 4 {
-			t.Fatalf("C=%d: four-filter bank folded=%v with %d distinct filters, want folded onto 4",
+		if dup.Folded() != (c != 3) || dup.DistinctFilters() != 4 {
+			t.Fatalf("C=%d: four-filter bank folded=%v with %d distinct filters, want 4 distinct, folded unless window-packed",
 				c, dup.Folded(), dup.DistinctFilters())
 		}
 		rnd, _ := buildDupConv(t, r, 8, 8, c, 64, 3, 3, 0)
@@ -106,7 +108,8 @@ func TestCompressionAutoSelection(t *testing.T) {
 // TestFoldThreshold pins kernels.CompressMinRatio as a ratio of filters:
 // a bank of K filters with F = K/4 distinct ones, in shuffled channel
 // order, folds and one with F = K/4 + 1 sweeps, at sub-word, one-word
-// and eight-word channel counts and K on and off the 64-lane grid;
+// and eight-word channel counts and K on and off the 64-lane grid — but
+// never at C = 3, where the 3×3 bank is window-packed;
 // either way ForwardPacked equals the unfolded twin word for word,
 // pooled and unpooled, serial and threaded.
 func TestFoldThreshold(t *testing.T) {
@@ -130,7 +133,7 @@ func TestFoldThreshold(t *testing.T) {
 				if cv.DistinctFilters() != F {
 					t.Fatalf("%s: %d distinct filters", label, cv.DistinctFilters())
 				}
-				if want := F == K/4; cv.Folded() != want {
+				if want := F == K/4 && C != 3; cv.Folded() != want {
 					t.Fatalf("%s: folded=%v, want %v", label, cv.Folded(), want)
 				}
 				if err := cv.SetThresholds(randThresholds(r, K, cv.validLanes)); err != nil {
@@ -270,7 +273,7 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 	}{
 		{"high-dup", 8, 8, 64, 70, 3, 3, 4, 2, 2, 2},
 		{"at-threshold", 8, 8, 128, 64, 3, 3, 16, 2, 2, 2},
-		{"low-channel", 10, 10, 3, 64, 3, 3, 4, 2, 2, 2},
+		{"low-channel", 10, 10, 8, 64, 3, 3, 4, 2, 2, 2},
 		{"ragged", 9, 7, 100, 33, 3, 3, 3, 2, 2, 2},
 		{"1x1", 8, 8, 256, 128, 1, 1, 2, 2, 2, 2},
 		{"5x5", 9, 9, 64, 32, 5, 5, 2, 3, 3, 3},
@@ -318,7 +321,8 @@ func TestConvCompressedMatchesUncompressed(t *testing.T) {
 
 // FuzzCompressedConv is the differential fuzz harness: arbitrary
 // geometries and banks repeating 1 to K/4 whole filters — so every bank
-// of at least 4 filters folds — must produce output equal to the
+// of at least 4 filters folds, unless its 3×3×C field fits one word and
+// it is window-packed — must produce output equal to the
 // unfolded PressedConv word for word, packed and fused. The seed corpus
 // pins an all-filters-identical bank, a wide one near the threshold and
 // a two-filter bank below it.
@@ -327,7 +331,7 @@ func FuzzCompressedConv(f *testing.F) {
 	// withThresholds.
 	f.Add(uint64(1), uint8(8), uint8(8), uint8(64), uint8(32), uint8(0), true)  // all filters identical
 	f.Add(uint64(2), uint8(8), uint8(8), uint8(255), uint8(16), uint8(3), true) // wide, 17 filters repeating 4
-	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(5), false)  // conv1.1-style low channel
+	f.Add(uint64(3), uint8(6), uint8(9), uint8(3), uint8(40), uint8(5), false)  // conv1.1-style low channel: window-packed, sweeps
 	f.Add(uint64(4), uint8(9), uint8(7), uint8(100), uint8(33), uint8(2), true) // ragged, 34 filters repeating 3
 	f.Add(uint64(5), uint8(5), uint8(5), uint8(64), uint8(1), uint8(0), false)  // 2 identical filters: K/F = 2 sweeps
 	f.Fuzz(func(t *testing.T, seed uint64, hh, ww, cc, kk, bb uint8, withTh bool) {
@@ -348,8 +352,8 @@ func FuzzCompressedConv(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if k >= 4 && !cv.Folded() {
-			t.Fatalf("bank of %d filters repeating %d did not fold", k, bases)
+		if k >= 4 && cv.Folded() != (cv.WindowWords() > 1) {
+			t.Fatalf("bank of %d filters repeating %d, %d words per window: folded=%v", k, bases, cv.WindowWords(), cv.Folded())
 		}
 		if withTh {
 			if err := cv.SetThresholds(randThresholds(r, k, cv.validLanes)); err != nil {

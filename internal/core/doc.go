@@ -29,7 +29,8 @@
 // takes its output form (accumulators, float logits through the affine,
 // or packed sign bits) as a DenseOut value fixed at build time; a conv
 // whose bank folds onto its distinct filters (compress.go) sweeps those
-// and copies the counts out; and batches are the
-// graph's business — it runs these same bodies once per image, across
-// workers.
+// and copies the counts out; a conv whose receptive field fits one word
+// (window.go) gathers each window into that word and sweeps one word
+// per filter; and batches are the graph's business — it runs these same
+// bodies once per image, across workers.
 package core

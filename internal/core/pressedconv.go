@@ -20,7 +20,10 @@ const maxKH = 16
 // sweep of that window over the packed filters, read in place, on the
 // machine's widest tier (Tier) — over the bank's distinct filters only
 // when it folds (compress.go) — and one threshold-pack epilogue. Each
-// input pixel is WordsFor(InC) words, the packed filter's WPP.
+// input pixel is WordsFor(InC) words, the packed filter's WPP. A conv
+// whose receptive field fits one word (KH·KW·C ≤ 64, window.go) gathers
+// each window into that word and sweeps it against one word per filter,
+// the threshold compare fused into the sweep.
 type Conv struct {
 	Shape sched.ConvShape
 	// Tier is the kernel tier every sweep and epilogue runs at.
@@ -34,6 +37,10 @@ type Conv struct {
 	// rowLen is KW*WPP, the contiguous word count of one filter tap row
 	// (and of the matching input row segment).
 	rowLen int
+	// bank is the window re-pack of a conv whose receptive field fits
+	// one word (window.go), one word per filter, which ForwardPacked
+	// sweeps in place of the packed filter's; nil otherwise.
+	bank []uint64
 	// act is the folded activation of the packed path; nil means the
 	// plain Equation 3 sign.
 	act *Thresholds
@@ -43,9 +50,10 @@ type Conv struct {
 	epi *kernels.Epilogue
 	// distinct is the bank's distinct-filter count F, measured at
 	// construction. When K/F reaches kernels.CompressMinRatio the bank
-	// folds: folded holds the F distinct filters and reps maps each
-	// channel to its filter there (kernels.DistinctFilters); both are nil
-	// otherwise. Pure runtime state, never serialized.
+	// folds, unless it is window-packed: folded holds the F distinct
+	// filters and reps maps each channel to its filter there
+	// (kernels.DistinctFilters); both are nil otherwise. Pure runtime
+	// state, never serialized.
 	distinct int
 	folded   []uint64
 	reps     []int32
@@ -79,7 +87,7 @@ func NewConv(shape sched.ConvShape, tier kernels.Width, f *tensor.Filter) (*Conv
 // NewConvPacked builds a PressedConv operator from an already-packed
 // filter bank (e.g. one deserialized from a model file). The packed
 // filter's geometry must match the shape, with WordsFor(InC) words per
-// tap.
+// tap and no bit set past InC in any tap.
 func NewConvPacked(shape sched.ConvShape, tier kernels.Width, pf *bitpack.PackedFilter) (*Conv, error) {
 	if pf.K != shape.K || pf.KH != shape.KH || pf.KW != shape.KW || pf.C != shape.InC {
 		return nil, fmt.Errorf("core: packed filter %v does not match conv shape %+v", pf, shape)
@@ -89,6 +97,13 @@ func NewConvPacked(shape sched.ConvShape, tier kernels.Width, pf *bitpack.Packed
 	}
 	if shape.KH > maxKH {
 		return nil, fmt.Errorf("core: filter height %d exceeds supported maximum %d", shape.KH, maxKH)
+	}
+	if r := shape.InC % bitpack.WordBits; r != 0 {
+		for i := pf.WPP - 1; i < len(pf.Words); i += pf.WPP {
+			if pf.Words[i]>>uint(r) != 0 {
+				return nil, fmt.Errorf("core: packed filter word %d has bits set past channel %d", i, shape.InC)
+			}
+		}
 	}
 	cv := &Conv{
 		Shape:      shape,
@@ -103,7 +118,9 @@ func NewConvPacked(shape sched.ConvShape, tier kernels.Width, pf *bitpack.Packed
 	fstride := shape.KH * cv.rowLen
 	reps, firsts := kernels.DistinctFilters(pf.Words, shape.K, fstride)
 	cv.distinct = len(firsts)
-	if float64(shape.K) >= kernels.CompressMinRatio*float64(cv.distinct) {
+	if cv.validLanes <= bitpack.WordBits {
+		cv.bank = windowPack(pf) // and never folds (window.go)
+	} else if float64(shape.K) >= kernels.CompressMinRatio*float64(cv.distinct) {
 		cv.folded, cv.reps = kernels.GatherFilters(pf.Words, fstride, firsts), reps
 	}
 	return cv, nil
@@ -169,8 +186,9 @@ func (cv *Conv) gather(in *bitpack.Packed, y0, x0 int, win []uint64) {
 // Forward computes raw pre-activation outputs into out (OutH×OutW×K).
 // Outputs are exact integer inner products stored as float32. ec
 // controls the multi-core split over the fused OutH·OutW dimension.
-// Forward always sweeps the whole packed bank: it is the reference the
-// packed path (folded or not) is checked against.
+// Forward always gathers KH·KW·WPP words per window and sweeps the whole
+// packed bank: it is the reference the packed path (folded or not,
+// window-packed or not) is checked against.
 //
 //bitflow:keep test oracle: core tests check ForwardPacked and the filter fold against it
 func (cv *Conv) Forward(in *bitpack.Packed, out *tensor.Tensor, ec *exec.Ctx) {
@@ -242,8 +260,13 @@ func (cv *Conv) checkWindow(in *bitpack.Packed, pl *Pool, out *bitpack.Packed) s
 
 // windowRange is ForwardPacked over output pixels [start, end), one
 // worker chunk on its own stack scratch: the first position of each
-// window overwrites, the rest OR in.
+// window overwrites, the rest OR in. A window-packed conv takes runs of
+// one-word windows instead (wordRange).
 func (cv *Conv) windowRange(in *bitpack.Packed, p sched.PoolShape, out *bitpack.Packed, start, end int) {
+	if cv.bank != nil {
+		cv.wordRange(in, p, out, start, end)
+		return
+	}
 	var sc convScratch
 	win, acc := sc.slices(cv)
 	s := cv.Shape

@@ -34,7 +34,8 @@ type LayerCompression struct {
 	// Ratio is K/F (1 for a dense layer); Selected reports whether the
 	// layer's operator folds, i.e. its forward sweeps only the distinct
 	// filters (ratio ≥ kernels.CompressMinRatio, outside
-	// CloneUncompressed). Dense layers always report false.
+	// CloneUncompressed). Dense layers and window-packed convs
+	// (core.Conv.WindowWords 1) always report false.
 	Ratio    float64
 	Selected bool
 }
@@ -62,6 +63,23 @@ func (n *Network) Compression() []LayerCompression {
 			continue
 		}
 		out = append(out, lc)
+	}
+	return out
+}
+
+// WindowWords returns, row for row with Compression(), the words each
+// layer's forward sweeps per filter for one window: 1 for a conv whose
+// receptive field fits one word (core.Conv.WindowWords), KH·KW·WPP for
+// any other conv, and the input row's words for a dense layer.
+func (n *Network) WindowWords() []int {
+	var out []int
+	for _, nd := range n.nodes {
+		switch {
+		case nd.conv != nil:
+			out = append(out, nd.conv.WindowWords())
+		case nd.dense != nil:
+			out = append(out, nd.dense.Weights().WPR)
+		}
 	}
 	return out
 }

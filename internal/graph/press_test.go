@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"bitflow/internal/kernels"
@@ -139,20 +140,50 @@ func TestTinyVGGAutoCompression(t *testing.T) {
 	}
 }
 
+// TestWindowWordsTinyVGG pins the words TinyVGG's layers sweep per
+// window and filter, row for row with Compression(): conv1.1's 3×3×3
+// field is one word, the C = 64 convs keep 9, and each dense layer
+// sweeps its input row, on a build, a load, and the uncompressed and
+// unfused clones, which all keep the rule.
+func TestWindowWordsTinyVGG(t *testing.T) {
+	net, err := TinyVGG(feat(), RandomWeights{Seed: 84})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(savedBytes(t, net)), feat())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 9, 9, 128, 4}
+	for name, n := range map[string]*Network{"built": net, "loaded": loaded,
+		"uncompressed": net.CloneUncompressed(), "unfused": net.CloneUnfused()} {
+		got := n.WindowWords()
+		if fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(n.Compression()) {
+			t.Errorf("%s: words per window %v, want %v, one per Compression() row", name, got, want)
+		}
+	}
+}
+
 // TestCompressionLogitsBitIdentical is the acceptance pin: compressed
 // and uncompressed plans produce bit-identical logits over Infer and
 // InferBatch for B = 1..8, on fused and unfused data-flow, including
 // the mixed-precision float stem. The straddle net's duplicated conv
-// folds, so it sweeps its distinct filters; TinyVGG's conv1.1 is given
-// 4 repeated filters, so a sub-word (C = 3) bank folds.
+// folds, so it sweeps its distinct filters; TinyVGG's conv1.1 and
+// conv1.2 are given 4 repeated filters each: conv1.2 folds, and conv1.1,
+// a sub-word (C = 3) bank whose 3×3 window fits one word, is
+// window-packed and sweeps all 64.
 func TestCompressionLogitsBitIdentical(t *testing.T) {
 	fused := straddleNet(t, 82)
 	tiny, err := TinyVGG(feat(), dupWeights{
 		RandomWeights: RandomWeights{Seed: 83},
-		dup:           map[string]int{"conv1.1": 4},
+		dup:           map[string]int{"conv1.1": 4, "conv1.2": 4},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := tiny.Compression(); c[0].Selected || c[0].Ratio != 16 || !c[1].Selected {
+		t.Fatalf("tinyvgg-fold: conv1.1 selected=%v ratio %.2f, conv1.2 selected=%v; want conv1.1 window-packed at ratio 16, conv1.2 folded",
+			c[0].Selected, c[0].Ratio, c[1].Selected)
 	}
 	variants := map[string]*Network{
 		"fused":        fused,

@@ -8,6 +8,7 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"os"
 	"strings"
 
 	"bitflow/internal/bitpack"
@@ -243,9 +244,29 @@ type decoder struct {
 	br   *bufio.Reader
 	crc  uint64 // CRC64 of the payload consumed so far
 	n    int64  // payload bytes consumed so far
+	left int64  // bytes the stream held when the decode began; -1 if it cannot say
 	err  error  // the decode's first failure
 	rerr error  // the stream's read error, which ends the payload
 	zero [8]byte
+}
+
+// streamLen returns the bytes r has left when r can say: a Len() int
+// (bytes.Reader, bytes.Buffer, strings.Reader) or a regular *os.File,
+// whose size less its offset it is; -1 otherwise.
+func streamLen(r io.Reader) int64 {
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		return int64(s.Len())
+	case *os.File:
+		fi, err := s.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		if off, err := s.Seek(0, io.SeekCurrent); err == nil {
+			return fi.Size() - off
+		}
+	}
+	return -1
 }
 
 // chunk is the most payload bytes one read hands out: the reader's
@@ -321,7 +342,8 @@ func (d *decoder) words(dst []uint64) {
 }
 
 // count reads a weight blob's stored length and checks it against want,
-// the length the architecture gives, before anything is allocated for
+// the length the architecture gives, and, when the stream's length is
+// known, against the bytes it has left, before anything is allocated for
 // it; size is one value's byte width.
 func (d *decoder) count(want, size int) bool {
 	switch got := d.u64(); {
@@ -330,6 +352,8 @@ func (d *decoder) count(want, size int) bool {
 		d.err = fmt.Errorf("weight blob has %d values, architecture wants %d", got, want)
 	case want > maxSaneLen/size:
 		d.err = fmt.Errorf("weight blob of %d values implausible", want)
+	case d.left >= 0 && int64(want)*int64(size) > d.left-d.n:
+		d.err = fmt.Errorf("weight blob of %d values overruns the %d bytes left in the file", want, d.left-d.n)
 	}
 	return d.err == nil
 }
@@ -447,7 +471,7 @@ func Load(r io.Reader, feat sched.Features) (*Network, error) {
 // structured reason. Files written before the footer existed load with
 // Checksummed=false.
 func LoadWithInfo(r io.Reader, feat sched.Features) (*Network, *LoadInfo, error) {
-	d := &decoder{br: bufio.NewReaderSize(io.LimitReader(r, maxModelBytes+1), 64<<10)}
+	d := &decoder{br: bufio.NewReaderSize(io.LimitReader(r, maxModelBytes+1), 64<<10), left: streamLen(r)}
 	n, err := d.model(feat)
 	// Hash what the decode left, so the footer is checked against the
 	// whole payload however far the decode got. What is left after that

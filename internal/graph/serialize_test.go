@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc64"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -494,6 +497,68 @@ func TestTruncatedModelAllocatesNoPlanes(t *testing.T) {
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 		t.Errorf("LoadWithInfo allocated %d bytes on a %d-byte file, want < 1 MiB", d, len(hostilePlanes))
+	}
+}
+
+// hostileBlob is a 160-byte file: an 8×8×64 input, a conv of 2^20 3×3
+// filters and a dense, the conv blob's matching count (9,437,184 words,
+// 72 MiB) and then only 64 bytes of words.
+func hostileBlob() []byte {
+	le := binary.LittleEndian
+	b := append([]byte("BFLW"), make([]byte, 4)...)
+	le.PutUint32(b[4:], modelVersion)
+	for _, v := range []uint32{0, 8, 8, 64, 2} { // name length, input dims, spec count
+		b = le.AppendUint32(b, v)
+	}
+	b = append(b, byte(specConv))
+	b = le.AppendUint32(b, 1)
+	b = append(b, 'c')
+	for _, v := range []uint32{1 << 20, 3, 3, 1, 1, 0} {
+		b = le.AppendUint32(b, v)
+	}
+	b = append(b, byte(specDense))
+	b = le.AppendUint32(b, 1)
+	b = append(b, 'd')
+	for _, v := range []uint32{0, 0, 0, 0, 0, 10} {
+		b = le.AppendUint32(b, v)
+	}
+	b = le.AppendUint64(b, 1<<20*9)
+	return append(b, make([]byte, 64)...)
+}
+
+// TestOverlongBlobAllocatesNothing: a blob count that matches the
+// architecture but runs past the end of a stream whose length is known
+// is a *FormatError before the blob is allocated, from a bytes.Reader
+// and from an *os.File (read from the start and from an offset).
+func TestOverlongBlobAllocatesNothing(t *testing.T) {
+	data := hostileBlob()
+	if len(data) != 160 {
+		t.Fatalf("hostile file is %d bytes, want 160", len(data))
+	}
+	path := filepath.Join(t.TempDir(), "blob.bflw")
+	if err := os.WriteFile(path, append([]byte("skip"), data...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(4, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{"bytes.Reader": bytes.NewReader(data), "os.File": f} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadWithInfo(r, feat())
+		runtime.ReadMemStats(&after)
+		var fe *FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "overruns") {
+			t.Fatalf("%s: got %v, want a *FormatError for the overlong blob", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: LoadWithInfo allocated %d bytes on a %d-byte file, want < 1 MiB", name, d, len(data))
+		}
 	}
 }
 

@@ -12,9 +12,10 @@ var popSink int
 
 // TestKernelAllocations pins the per-call kernels an operator forward
 // runs at zero heap allocations on every tier: the sweep, the threshold
-// epilogue (overwriting and pooled), the folded-count expansion, the
-// binary GEMM, and the scalar XOR+popcount and OR reductions. Shapes
-// leave tails on the vector tiers: 75-word windows, 72 channels.
+// epilogue (overwriting and pooled) and its fused one-word sweep, the
+// folded-count expansion, the binary GEMM, and the scalar XOR+popcount
+// and OR reductions. Shapes leave tails on the vector tiers: 75-word
+// windows, 72 channels.
 func TestKernelAllocations(t *testing.T) {
 	const S, K = 75, 72
 	r := workload.NewRNG(30)
@@ -44,6 +45,7 @@ func TestKernelAllocations(t *testing.T) {
 			"Sweep":           func() { Sweep(w, win, filters, acc) },
 			"Epilogue.Pack":   func() { e.Pack(d, bits) },
 			"Epilogue.PackOr": func() { e.PackOr(d, bits) },
+			"SweepBits":       func() { e.SweepBits(win[:1], filters[:K], bits) },
 			"BGemm":           func() { BGemm(a, m, bT, K, wpr, n, out, BGemmOpts{Width: w}) },
 		} {
 			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"math/bits"
 
 	"bitflow/internal/bitpack"
 )
@@ -104,6 +105,23 @@ func geBits64(d, t []int32) uint64 {
 	return word
 }
 
+// popGe64 is popGeTier on every tier without a vector popcount: for
+// each window wins[i], out[i·stride] gets bit c set when
+// popcount(wins[i] XOR f[c]) ≥ t[c], for up to 64 filters, XORed with
+// flip — one XOR, one scalar popcount and geBits64's branch-free compare
+// per filter.
+func popGe64(wins, f []uint64, t []int32, flip uint64, out []uint64, stride int) {
+	t = t[:len(f)] // pins len(t) == len(f); panics on mismatch
+	for i, w := range wins {
+		var word uint64
+		for c, fc := range f {
+			ge := uint64(((int64(bits.OnesCount64(w^fc))-int64(t[c]))>>63)+1) & 1
+			word |= ge << uint(c)
+		}
+		out[i*stride] = word ^ flip
+	}
+}
+
 // words validates one Pack/PackOr call and returns the WordsFor(K)
 // destination words the threshold bits land in.
 func (e *Epilogue) words(fn string, d []int32, dst []uint64) []uint64 {
@@ -144,5 +162,35 @@ func (e *Epilogue) PackOr(d []int32, dst []uint64) {
 		n := min(len(d), bitpack.WordBits)
 		out[w] |= geBitsTier(e.Tier, d[:n], t[:n]) ^ fl // len(t) == len(d) by the check in words
 		d, t = d[n:], t[n:]
+	}
+}
+
+// SweepBits is Sweep of each one-word window wins[i] over K = e.K
+// one-word filters fused with the threshold compare, on a count-domain
+// epilogue (ForPopcounts), for a run of windows at once: word w of window
+// i's bits, bits[i·W+w] with W = WordsFor(K), holds bit c − 64w set when
+// popcount(wins[i] XOR filters[c]) ≥ T[c], inverted by the channel's flip
+// bit, for the channels c of that word — what Pack writes from the
+// window's counts, with no int32 count stored. filters holds exactly K
+// words, and bits at least len(wins)·W.
+func (e *Epilogue) SweepBits(wins, filters, bits []uint64) {
+	if len(filters) != e.K {
+		panicSize("Epilogue.SweepBits", "filters", len(filters), e.K)
+	}
+	if len(e.T) != e.K {
+		panicSize("Epilogue.SweepBits", "T", len(e.T), e.K)
+	}
+	W := len(e.Flip)
+	if len(wins) == 0 {
+		return
+	}
+	if len(bits) < len(wins)*W {
+		panicSize("Epilogue.SweepBits", "bits", len(bits), len(wins)*W)
+	}
+	t := e.T
+	for w, fl := range e.Flip {
+		n := min(len(filters), bitpack.WordBits)
+		popGeTier(e.Tier, wins, filters[:n], t[:n], fl, bits[w:], W) // len(t) == len(filters) by the checks above
+		filters, t = filters[n:], t[n:]
 	}
 }

@@ -282,3 +282,81 @@ func FuzzEpiloguePack(f *testing.F) {
 		checkPack(t, d, d2, tv, flip)
 	})
 }
+
+// TestSweepBitsMatchesSweepAndPack pins the fused one-word sweep and
+// compare to the two steps it fuses, a one-word Sweep and then Pack, per
+// window, on every tier this CPU executes, for K = 1–130 (every tail of
+// the eight-filter step and of the 64-channel word) over runs of 0 to 9
+// windows. Thresholds are drawn in the count domain around the popcount
+// range [0, 64], with ±MaxInt32 extremes that only a sign-extending
+// compare gets right. The destination is poisoned: every word is written.
+func TestSweepBitsMatchesSweepAndPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for K := 1; K <= 130; K++ {
+		bank := make([]uint64, K)
+		for i := range bank {
+			bank[i] = rng.Uint64() & rng.Uint64() // popcounts cluster below 32
+		}
+		e := NewSignEpilogue(K)
+		for c := range e.T {
+			switch rng.Intn(10) {
+			case 0:
+				e.T[c] = math.MaxInt32
+			case 1:
+				e.T[c] = math.MinInt32
+			default:
+				e.T[c] = int32(rng.Intn(70) - 3)
+			}
+			if rng.Intn(2) == 0 {
+				e.Flip[c/bitpack.WordBits] |= 1 << uint(c%bitpack.WordBits)
+			}
+		}
+		wins := make([]uint64, K%10)
+		for i := range wins {
+			wins[i] = rng.Uint64()
+		}
+		W := bitpack.WordsFor(K)
+		for _, tier := range tiers() {
+			e.Tier = tier
+			acc := make([]int32, K)
+			want := make([]uint64, len(wins)*W)
+			for i, w := range wins {
+				Sweep(tier, []uint64{w}, bank, acc)
+				e.Pack(acc, want[i*W:(i+1)*W])
+			}
+			got := make([]uint64, len(wins)*W+1)
+			for i := range got {
+				got[i] = ^uint64(0)
+			}
+			e.SweepBits(wins, bank, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v K=%d: SweepBits window %d word %d = %016x, Sweep + Pack %016x", tier, K, i/W, i%W, got[i], want[i])
+				}
+			}
+			if got[len(want)] != ^uint64(0) {
+				t.Fatalf("%v K=%d: SweepBits wrote past its %d windows", tier, K, len(wins))
+			}
+		}
+	}
+}
+
+func TestSweepBitsPanicsOnShape(t *testing.T) {
+	e := NewSignEpilogue(3)
+	for name, fn := range map[string]func(){
+		"K+1 filters": func() { e.SweepBits(make([]uint64, 2), make([]uint64, 4), make([]uint64, 2)) },
+		"short bits":  func() { e.SweepBits(make([]uint64, 2), make([]uint64, 3), make([]uint64, 1)) },
+		"K-1 thresholds": func() {
+			(&Epilogue{K: 3, T: make([]int32, 2), Flip: make([]uint64, 1)}).SweepBits(nil, make([]uint64, 3), nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SweepBits with %s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -345,3 +345,113 @@ done3:
 	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET
+
+// func popGeAVX512(wins, f []uint64, t []int32, flip uint64, out []uint64, stride int)
+//
+// For each one-word window wins[i], out[i·stride] gets bit c set when
+// popcount(wins[i] XOR f[c]) ≥ t[c] (signed), for c < n = len(t) ≤ 64,
+// XORed with flip; f holds n words and out at least
+// (len(wins)−1)·stride+1. The n filters and thresholds (sign-extended to
+// quadwords) are loaded once into Z0–Z7 and Z8–Z15, lanes past n zero
+// under a lane mask, so nothing past either slice is read. Each window is
+// then one broadcast and eight XOR, VPOPCNTQ and VPCMPQ steps, the eight
+// 8-bit masks joined into one 64-bit word whose lanes past n are cleared.
+TEXT ·popGeAVX512(SB), NOSPLIT, $0-112
+	MOVQ f_base+24(FP), SI
+	MOVQ t_base+48(FP), DI
+	MOVQ t_len+56(FP), CX
+	MOVQ $-1, R8
+	CMPQ CX, $64
+	JGE  lanes
+	MOVQ $1, R8
+	SHLQ CX, R8
+	DECQ R8              // R8 = the n live lanes
+lanes:
+	MOVQ R8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z (SI), K1, Z0
+	VPMOVSXDQ.Z (DI), K1, Z8
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 64(SI), K1, Z1
+	VPMOVSXDQ.Z 32(DI), K1, Z9
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 128(SI), K1, Z2
+	VPMOVSXDQ.Z 64(DI), K1, Z10
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 192(SI), K1, Z3
+	VPMOVSXDQ.Z 96(DI), K1, Z11
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 256(SI), K1, Z4
+	VPMOVSXDQ.Z 128(DI), K1, Z12
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 320(SI), K1, Z5
+	VPMOVSXDQ.Z 160(DI), K1, Z13
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 384(SI), K1, Z6
+	VPMOVSXDQ.Z 192(DI), K1, Z14
+	SHRQ $8, AX
+	KMOVW AX, K1
+	VMOVDQU64.Z 448(SI), K1, Z7
+	VPMOVSXDQ.Z 224(DI), K1, Z15
+
+	MOVQ wins_base+0(FP), SI
+	MOVQ wins_len+8(FP), BX
+	MOVQ flip+72(FP), R9
+	MOVQ out_base+80(FP), DX
+	MOVQ stride+104(FP), R10
+	SHLQ $3, R10         // R10 = output stride in bytes
+	TESTQ BX, BX
+	JZ   gdone
+
+	PCALIGN $64
+gwin:
+	VPBROADCASTQ (SI), Z16
+	VPXORQ Z0, Z16, Z17
+	VPXORQ Z1, Z16, Z18
+	VPXORQ Z2, Z16, Z19
+	VPXORQ Z3, Z16, Z20
+	VPXORQ Z4, Z16, Z21
+	VPXORQ Z5, Z16, Z22
+	VPXORQ Z6, Z16, Z23
+	VPXORQ Z7, Z16, Z24
+	VPOPCNTQ Z17, Z17
+	VPOPCNTQ Z18, Z18
+	VPOPCNTQ Z19, Z19
+	VPOPCNTQ Z20, Z20
+	VPOPCNTQ Z21, Z21
+	VPOPCNTQ Z22, Z22
+	VPOPCNTQ Z23, Z23
+	VPOPCNTQ Z24, Z24
+	VPCMPQ $5, Z8, Z17, K1
+	VPCMPQ $5, Z9, Z18, K2
+	VPCMPQ $5, Z10, Z19, K3
+	VPCMPQ $5, Z11, Z20, K4
+	VPCMPQ $5, Z12, Z21, K5
+	VPCMPQ $5, Z13, Z22, K6
+	VPCMPQ $5, Z14, Z23, K7
+	KUNPCKBW K1, K2, K1  // lanes 0–15
+	VPCMPQ $5, Z15, Z24, K2
+	KUNPCKBW K3, K4, K3  // 16–31
+	KUNPCKBW K5, K6, K5  // 32–47
+	KUNPCKBW K7, K2, K7  // 48–63
+	KUNPCKWD K1, K3, K1
+	KUNPCKWD K5, K7, K5
+	KUNPCKDQ K1, K5, K1
+	KMOVQ K1, AX
+	ANDQ R8, AX
+	XORQ R9, AX
+	MOVQ AX, (DX)
+	ADDQ $8, SI
+	ADDQ R10, DX
+	DECQ BX
+	JNZ  gwin
+
+gdone:
+	VZEROUPPER
+	RET

@@ -66,6 +66,10 @@ func TestXorPopSweepShapes(t *testing.T) {
 			checkSweep(t, rng, S, K)
 		}
 	}
+	// One-word windows, where each filter is the tail alone.
+	for _, K := range []int{15, 16, 17, 63, 64, 65, 130} {
+		checkSweep(t, rng, 1, K)
+	}
 	// The byte-count block of the AVX2 tier wraps at 31 steps (124 words).
 	for _, S := range []int{123, 124, 125, 128, 249, 300, 392} {
 		checkSweep(t, rng, S, 5)
@@ -89,6 +93,11 @@ func FuzzXorPopSweep(f *testing.F) {
 	f.Add(int64(3), uint16(0), uint8(3))
 	f.Add(int64(4), uint16(300), uint8(0))
 	f.Add(int64(5), uint16(127), uint8(70))
+	// One-word windows, where each filter is the tail alone, over
+	// banks short of, at and past 64 filters.
+	f.Add(int64(6), uint16(1), uint8(7))
+	f.Add(int64(7), uint16(1), uint8(64))
+	f.Add(int64(8), uint16(1), uint8(65))
 	f.Fuzz(func(t *testing.T, seed int64, s uint16, k uint8) {
 		checkSweep(t, rand.New(rand.NewSource(seed)), int(s)%301, int(k)%71)
 	})

@@ -21,6 +21,15 @@
 //     amd64, or is built with -tags purego — and the oracle the assembly
 //     tiers are fuzzed against.
 //
+// One-word windows (S = 1, a window-packed conv whose receptive field
+// fits one word) have their own entry, Epilogue.SweepBits, which fuses
+// the sweep with the threshold compare over a run of windows. On AVX-512
+// the window word is broadcast to every lane against eight filters per
+// ZMM, 64 filters and their thresholds stay in registers for the whole
+// run, and each window's counts go through VPCMPQ straight into mask
+// bits, with no horizontal reduction and no int32 count stored; the
+// other tiers run one XOR, scalar popcount and compare per filter.
+//
 // A Width names the tier a caller asks for; Width.Tier resolves it to the
 // widest of those three the CPU executes, so asking for W512 on an AVX2
 // machine is safe. The sweeps mask their own tails, so every operator
